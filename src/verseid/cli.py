@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .aggregate import aggregate_poem, predictions_csv, sweep_csv, sweep_thresholds
-from .corpus import Corpus, CorpusError, PoemRecord, Verse, corpus_stats, filter_corpus, load_corpus, save_corpus
+from .corpus import Corpus, CorpusError, PoemRecord, corpus_stats, filter_corpus, load_corpus, read_records, save_corpus
 from .embeddings import EmbeddingConfig, EmbeddingMatrix, train_sgns
 from .encoder import EncoderConfig
 from .metrics import classification_report
@@ -107,8 +106,15 @@ def _load_artifacts(emb_dir: str) -> tuple[Vocabulary, EmbeddingMatrix]:
     return vocab, emb
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+    return [_finite_float(x) for x in text.split(",") if x.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +141,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_split(args) -> int:
     corpus = load_corpus(_corpus_path(args.corpus))
-    ratios = tuple(_parse_floats(args.ratios))
+    ratios = tuple(args.ratios)
     assignment = stratified_poem_split(corpus, ratios=ratios, seed=args.seed)
     verify_no_leakage(assignment, corpus)
     out = Path(args.out)
@@ -301,7 +307,7 @@ def _eval_data(args, bundle: ModelBundle):
 def cmd_evaluate(args) -> int:
     bundle = _load_bundle(args)
     ds, probs = _eval_data(args, bundle)
-    poet_names = [p for p, _ in sorted(bundle.space.poet_index.items(), key=lambda kv: kv[1])]
+    poet_names = bundle.space.poet_names
     n_classes = len(poet_names)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -321,11 +327,8 @@ def cmd_evaluate(args) -> int:
         if strategy == "thresholded":
             kept = [(p.predicted_poet, t) for p, t in zip(preds, truth) if not p.abstained]
             coverage = len(kept) / len(preds) if preds else 0.0
-            if kept:
-                yhat = [k for k, _ in kept]
-                ytrue = [t for _, t in kept]
-            else:
-                yhat, ytrue = [], []
+            yhat = [k for k, _ in kept]
+            ytrue = [t for _, t in kept]
             report = classification_report(ytrue, yhat, n_classes, poet_names, coverage=coverage)
         else:
             report = classification_report(
@@ -356,7 +359,7 @@ def cmd_sweep(args) -> int:
     bundle = _load_bundle(args)
     ds, probs = _eval_data(args, bundle)
     _, matrices, truth = poem_probability_groups(ds, probs)
-    taus = _parse_floats(args.taus)
+    taus = args.taus
     rows = sweep_thresholds(matrices, truth, taus, confidence=args.confidence)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -380,39 +383,15 @@ def cmd_sweep(args) -> int:
 
 
 def _read_poems(path: str | None) -> list[PoemRecord]:
-    """Lenient JSONL reader for prediction inputs (poet/status optional)."""
-    fh = sys.stdin if path in (None, "-") else open(path, encoding="utf-8")
-    try:
-        records = []
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-            if "poem_id" not in obj or "verses" not in obj:
-                raise CorpusError(f"line {lineno}: need at least poem_id and verses")
-            verses = [
-                Verse(p[0], p[1] if len(p) > 1 else "") for p in obj["verses"]
-            ]
-            records.append(
-                PoemRecord(
-                    poem_id=str(obj["poem_id"]),
-                    poet=str(obj.get("poet", "")),
-                    form=str(obj.get("form", "")),
-                    meter=str(obj.get("meter", "")),
-                    attribution_status=str(obj.get("status", "confirmed")),
-                    verses=verses,
-                    title=str(obj.get("title", "")),
-                )
-            )
-        if not records:
-            raise CorpusError("no poems to predict")
-        return records
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
+    """Prediction input from a JSONL file, or stdin for ``None`` or ``-``."""
+    if path in (None, "-"):
+        records = read_records(sys.stdin, labelled=False)
+    else:
+        with open(path, encoding="utf-8") as fh:
+            records = read_records(fh, labelled=False)
+    if not records:
+        raise CorpusError("no poems to predict")
+    return records
 
 
 def cmd_predict(args) -> int:
@@ -420,7 +399,7 @@ def cmd_predict(args) -> int:
     records = _read_poems(args.input)
     ds = build_dataset(records, bundle.space)
     probs = predict_proba(ds, bundle)
-    poet_names = [p for p, _ in sorted(bundle.space.poet_index.items(), key=lambda kv: kv[1])]
+    poet_names = bundle.space.poet_names
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -497,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="stratified poem-level train/valid/test split")
     p.add_argument("--corpus", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ratios", default="0.8,0.1,0.1")
+    p.add_argument("--ratios", type=_parse_floats, default="0.8,0.1,0.1")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_split)
 
@@ -553,19 +532,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="verse- and poem-level evaluation reports")
     eval_common(p)
-    p.add_argument("--tau", type=float, default=0.7)
+    p.add_argument("--tau", type=_finite_float, default=0.7)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep-thresholds", help="accuracy/coverage across abstention thresholds")
     eval_common(p)
-    p.add_argument("--taus", default="0.5,0.6,0.7,0.8,0.9")
+    p.add_argument("--taus", type=_parse_floats, default="0.5,0.6,0.7,0.8,0.9")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("predict", help="predict poets for new poems (JSONL or stdin)")
     p.add_argument("--input", help="poems JSONL; '-' or omitted reads stdin")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--tau", type=float, default=0.7)
+    p.add_argument("--tau", type=_finite_float, default=0.7)
     p.add_argument("--confidence", choices=("mean", "sum"), default="mean")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)

@@ -6,8 +6,9 @@ A corpus file is JSON Lines, one poem per line::
      "meter": "ramal", "status": "confirmed",
      "verses": [["hemistich 1a", "hemistich 1b"], ...]}
 
-``title`` is optional. Each verse is a pair of hemistichs; the second may be
-an empty string for irregular trailing lines.
+``title`` is optional; prediction input may also omit the label keys. Each
+verse is a pair of hemistichs; the second may be an empty string for
+irregular trailing lines.
 """
 
 from __future__ import annotations
@@ -86,17 +87,14 @@ class Corpus:
     def n_verses(self) -> int:
         return sum(r.n_verses for r in self.records)
 
-    def by_poem_id(self) -> dict[str, PoemRecord]:
-        return {r.poem_id: r for r in self.records}
 
-
-_REQUIRED_KEYS = ("poem_id", "poet", "form", "meter", "status", "verses")
-
-
-def _parse_record(obj: dict, lineno: int) -> PoemRecord:
-    for key in _REQUIRED_KEYS:
-        if key not in obj:
-            raise CorpusError(f"line {lineno}: missing required key {key!r}")
+def _parse_record(obj: dict, lineno: int, labelled: bool = True) -> PoemRecord:
+    if "poem_id" not in obj or "verses" not in obj:
+        raise CorpusError(f"line {lineno}: need at least poem_id and verses")
+    if labelled:
+        for key in ("poet", "form", "meter", "status"):
+            if key not in obj:
+                raise CorpusError(f"line {lineno}: missing required key {key!r}")
     raw_verses = obj["verses"]
     if not isinstance(raw_verses, list) or not raw_verses:
         raise CorpusError(f"line {lineno}: 'verses' must be a non-empty list")
@@ -114,15 +112,37 @@ def _parse_record(obj: dict, lineno: int) -> PoemRecord:
     try:
         return PoemRecord(
             poem_id=str(obj["poem_id"]),
-            poet=str(obj["poet"]),
-            form=str(obj["form"]),
-            meter=str(obj["meter"]),
-            attribution_status=str(obj["status"]),
+            poet=str(obj.get("poet", "")),
+            form=str(obj.get("form", "")),
+            meter=str(obj.get("meter", "")),
+            attribution_status=str(obj.get("status", "confirmed")),
             verses=verses,
             title=str(obj.get("title", "")),
         )
     except CorpusError as exc:
         raise CorpusError(f"line {lineno}: {exc}") from None
+
+
+def read_records(lines, labelled: bool = True) -> list[PoemRecord]:
+    """Parse JSONL poem records, skipping blank lines; ``labelled=False``
+    reads prediction input, where only poem_id and verses are required."""
+    records: list[PoemRecord] = []
+    seen: set[str] = set()
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+        if not isinstance(obj, dict):
+            raise CorpusError(f"line {lineno}: expected a JSON object")
+        record = _parse_record(obj, lineno, labelled)
+        if record.poem_id in seen:
+            raise CorpusError(f"line {lineno}: duplicate poem_id {record.poem_id!r}")
+        seen.add(record.poem_id)
+        records.append(record)
+    return records
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -132,23 +152,8 @@ def load_corpus(path: str | Path) -> Corpus:
         CorpusError: on malformed JSON or records (message cites the line
             number), duplicate poem ids, or an empty corpus.
     """
-    records: list[PoemRecord] = []
-    seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict):
-                raise CorpusError(f"line {lineno}: expected a JSON object")
-            record = _parse_record(obj, lineno)
-            if record.poem_id in seen:
-                raise CorpusError(f"line {lineno}: duplicate poem_id {record.poem_id!r}")
-            seen.add(record.poem_id)
-            records.append(record)
+        records = read_records(fh)
     if not records:
         raise CorpusError(f"{path}: empty corpus")
     return Corpus(records)

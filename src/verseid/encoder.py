@@ -2,7 +2,8 @@
 
 Forward and backward passes are written by hand so gradients can be
 checked analytically against finite differences and training is bit-for-bit
-reproducible. Parameters live in a flat ``dict[str, np.ndarray]``; backward
+reproducible. Parameters come as a ``dict[str, np.ndarray]`` of any float
+dtype (in training, views into the model's one flat float32 buffer); backward
 returns a gradient dict with the same keys.
 
 Shapes follow the usual convention: a batch of token-id matrices ``(B, T)``

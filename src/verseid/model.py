@@ -96,8 +96,8 @@ def batch_weighted_ce(probs: np.ndarray, y: np.ndarray, w: np.ndarray):
     return loss, d_logits.astype(probs.dtype), n_clamped
 
 
-def l2_penalty(params: Params, lam: float) -> float:
-    return lam * float(sum((p.astype(np.float64) ** 2).sum() for p in params.values()))
+def l2_penalty(params: np.ndarray, lam: float) -> float:
+    return lam * float(np.square(params, dtype=np.float64).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -160,37 +160,34 @@ def head_backward(d_logits: np.ndarray, cache) -> tuple[Params, np.ndarray]:
 
 
 class AdamW:
-    """Adam with decoupled weight decay (in-place parameter updates).
+    """Adam with decoupled weight decay, updating one flat buffer in place.
 
     With ``decoupled=False`` no decay is applied here; the caller is expected
     to fold the L2 term into the loss and gradients instead.
     """
 
-    def __init__(self, params: Params, weight_decay: float = 0.0, decoupled: bool = True,
+    def __init__(self, params: np.ndarray, weight_decay: float = 0.0, decoupled: bool = True,
                  betas=(0.9, 0.999), eps: float = 1e-8):
         self.b1, self.b2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self.decoupled = decoupled
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
-    def step(self, params: Params, grads: Params, lr: float) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
         self.t += 1
         bc1 = 1.0 - self.b1**self.t
         bc2 = 1.0 - self.b2**self.t
-        for k, p in params.items():
-            g = grads[k]
-            m = self.m[k]
-            v = self.v[k]
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            if self.decoupled and self.weight_decay:
-                p -= (lr * self.weight_decay) * p
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m, v = self.m, self.v
+        m *= self.b1
+        m += (1.0 - self.b1) * grads
+        v *= self.b2
+        v += (1.0 - self.b2) * grads * grads
+        if self.decoupled and self.weight_decay:
+            params -= (lr * self.weight_decay) * params
+        params -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 def lr_at_step(step: int, total_steps: int, warmup_frac: float, lr_max: float) -> float:
@@ -206,14 +203,35 @@ def lr_at_step(step: int, total_steps: int, warmup_frac: float, lr_max: float) -
     return lr_max * 0.5 * (1.0 + math.cos(math.pi * min(progress, 1.0)))
 
 
-def clip_gradients(grads: Params, max_norm: float) -> float:
-    """Scale all gradients in place to a global L2 norm of at most max_norm."""
-    total = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads.values()))
+def clip_gradients(grads: np.ndarray, max_norm: float) -> float:
+    """Scale the flat gradient in place to an L2 norm of at most max_norm;
+    returns the pre-clip norm, which the caller must check is finite."""
+    total = math.sqrt(float(np.square(grads, dtype=np.float64).sum()))
     if max_norm > 0.0 and total > max_norm:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
+        grads *= max_norm / total
     return total
+
+
+def param_manifest(enc_params: Params, head_params: Params) -> list[list]:
+    """Layout of the one flat float32 parameter buffer as ``[name, shape]``
+    pairs: sorted encoder names, then sorted head names."""
+    groups = (("enc", enc_params), ("head", head_params))
+    return [[f"{g}.{k}", list(d[k].shape)] for g, d in groups for k in sorted(d)]
+
+
+def flatten_params(enc_params: Params, head_params: Params) -> np.ndarray:
+    """Concatenate two dicts (parameters or their gradients) in buffer order."""
+    return np.concatenate([d[k].ravel() for d in (enc_params, head_params) for k in sorted(d)])
+
+
+def param_views(params: np.ndarray, manifest: list[list]) -> tuple[Params, Params]:
+    """The encoder and head dicts of named views into the flat buffer."""
+    groups: dict[str, Params] = {"enc": {}, "head": {}}
+    ends = np.cumsum([math.prod(shape) for _, shape in manifest])
+    for (name, shape), chunk in zip(manifest, np.split(params, ends[:-1])):
+        group, key = name.split(".", 1)
+        groups[group][key] = chunk.reshape(shape)
+    return groups["enc"], groups["head"]
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +301,11 @@ class FeatureSpace:
     @property
     def n_classes(self) -> int:
         return len(self.poet_index)
+
+    @property
+    def poet_names(self) -> list[str]:
+        """Poet names in label-id order."""
+        return sorted(self.poet_index, key=self.poet_index.__getitem__)
 
     @property
     def aux_dim(self) -> int:
@@ -446,33 +469,37 @@ def training_log_csv(rows: list[EpochLog]) -> str:
 
 @dataclass
 class ModelBundle:
-    """A trained model plus the feature space it expects."""
+    """A trained model plus the feature space it expects (``*_params`` view ``params``)."""
 
     space: FeatureSpace
     enc_cfg: EncoderConfig
-    enc_params: Params
-    head_params: Params
+    params: np.ndarray
+    manifest: list[list]
     train_cfg: TrainConfig
     log: list[EpochLog] = field(default_factory=list)
     log_summary: dict = field(default_factory=dict)
+    enc_params: Params = field(init=False, repr=False)
+    head_params: Params = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.enc_params, self.head_params = param_views(self.params, self.manifest)
 
 
 def _forward_probs(
     ids_batch: np.ndarray,
     aux_batch: np.ndarray,
-    bundle_parts,
+    bundle: ModelBundle,
     train: bool = False,
     rng: np.random.Generator | None = None,
 ):
     """Shared forward path; returns probs and caches for backward."""
-    space, enc_cfg, enc_params, head_params, dropout = bundle_parts
-    if space.fusion.use_text:
-        states, ecache = encoder_forward(ids_batch, enc_params, enc_cfg, train=train, rng=rng)
+    if bundle.space.fusion.use_text:
+        states, ecache = encoder_forward(ids_batch, bundle.enc_params, bundle.enc_cfg, train, rng)
         h = np.concatenate([states[:, 0], aux_batch], axis=1)
     else:
-        states, ecache = None, None
+        ecache = None
         h = aux_batch
-    probs, hcache = head_forward(h, head_params, dropout, train=train, rng=rng)
+    probs, hcache = head_forward(h, bundle.head_params, bundle.train_cfg.head_dropout, train, rng)
     return probs, (ecache, hcache)
 
 
@@ -482,12 +509,11 @@ def predict_proba(
     batch_size: int = 64,
 ) -> np.ndarray:
     """Class distributions for every verse in the dataset, in order."""
-    parts = (bundle.space, bundle.enc_cfg, bundle.enc_params, bundle.head_params, 0.0)
     out = []
     for start in range(0, len(ds), batch_size):
         ids = _pad_batch(ds.token_ids[start : start + batch_size])
         aux = ds.aux[start : start + batch_size]
-        probs, _ = _forward_probs(ids, aux, parts, train=False)
+        probs, _ = _forward_probs(ids, aux, bundle, train=False)
         out.append(probs)
     return np.concatenate(out, axis=0)
 
@@ -522,7 +548,7 @@ def fit(
 
     Raises:
         LeakageError: if the train and validation sets share poems.
-        NumericalError: on non-finite loss.
+        NumericalError: on a non-finite loss or gradient norm.
     """
     shared = set(train_ds.poem_ids) & set(valid_ds.poem_ids)
     if shared:
@@ -533,12 +559,13 @@ def fit(
     master = np.random.default_rng(cfg.seed)
     shuffle_rng, dropout_rng = master.spawn(2)
 
-    enc_params = init_encoder_params(enc_cfg)
+    # With text ablated the encoder is never run, so it gets no parameters.
+    enc_params = init_encoder_params(enc_cfg) if space.fusion.use_text else {}
     head_params = init_head_params(
         space.concat_dim(enc_cfg.d_model), cfg.head_hidden, n_classes, seed=cfg.seed + 1
     )
-    all_params: Params = {f"enc.{k}": v for k, v in enc_params.items()}
-    all_params.update({f"head.{k}": v for k, v in head_params.items()})
+    params = flatten_params(enc_params, head_params)
+    bundle = ModelBundle(space, enc_cfg, params, param_manifest(enc_params, head_params), cfg)
 
     if cfg.class_weighting == "inverse_frequency":
         w = class_weights(train_ds.labels, n_classes)
@@ -547,15 +574,14 @@ def fit(
     else:
         raise ValueError(f"unknown class_weighting {cfg.class_weighting!r}")
 
-    opt = AdamW(all_params, weight_decay=cfg.weight_decay, decoupled=not cfg.coupled_l2)
+    opt = AdamW(params, weight_decay=cfg.weight_decay, decoupled=not cfg.coupled_l2)
     steps_per_epoch = max(1, math.ceil(n / cfg.batch_size))
     total_steps = cfg.max_epochs * steps_per_epoch
-    parts = (space, enc_cfg, enc_params, head_params, cfg.head_dropout)
 
     log: list[EpochLog] = []
     best_acc = -1.0
     best_epoch = 0
-    best_snapshot: Params = {}
+    best = params.copy()
     since_best = 0
     step = 0
     lr = 0.0
@@ -572,61 +598,60 @@ def fit(
             step += 1
             lr = lr_at_step(step, total_steps, cfg.warmup_frac, cfg.lr)
 
-            probs, (ecache, hcache) = _forward_probs(ids, aux, parts, train=True, rng=dropout_rng)
+            probs, (ecache, hcache) = _forward_probs(ids, aux, bundle, train=True, rng=dropout_rng)
             loss, d_logits, n_clamped = batch_weighted_ce(probs, y, w)
             clamp_events += n_clamped
             if cfg.coupled_l2 and cfg.weight_decay:
-                loss += l2_penalty(all_params, cfg.weight_decay)
+                loss += l2_penalty(params, cfg.weight_decay)
             if not math.isfinite(loss):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, step {step}, lr {lr:.3g}"
                 )
 
             hgrads, dh = head_backward(d_logits, hcache)
-            grads: Params = {f"head.{k}": g for k, g in hgrads.items()}
+            egrads: Params = {}
             if space.fusion.use_text:
                 d_states = np.zeros(
                     (ids.shape[0], ids.shape[1], enc_cfg.d_model), dtype=dh.dtype
                 )
                 d_states[:, 0] = dh[:, : enc_cfg.d_model]
-                egrads = encoder_backward(d_states, ecache, enc_params, enc_cfg)
-                grads.update({f"enc.{k}": g for k, g in egrads.items()})
-            else:
-                grads.update({f"enc.{k}": np.zeros_like(v) for k, v in enc_params.items()})
+                egrads = encoder_backward(d_states, ecache, bundle.enc_params, enc_cfg)
+            grads = flatten_params(egrads, hgrads)
             if cfg.coupled_l2 and cfg.weight_decay:
-                for k, p in all_params.items():
-                    grads[k] = grads[k] + 2.0 * cfg.weight_decay * p
-            clip_gradients(grads, cfg.clip_norm)
-            opt.step(all_params, grads, lr)
+                grads += 2.0 * cfg.weight_decay * params
+            if not math.isfinite(clip_gradients(grads, cfg.clip_norm)):
+                raise NumericalError(
+                    f"non-finite gradient norm at epoch {epoch}, step {step}, lr {lr:.3g}"
+                )
+            opt.step(params, grads, lr)
             loss_sum += loss * len(sel)
 
-        probe = ModelBundle(space, enc_cfg, enc_params, head_params, cfg)
-        valid_probs = predict_proba(valid_ds, probe, batch_size=max(cfg.batch_size, 64))
+        valid_probs = predict_proba(valid_ds, bundle, batch_size=max(cfg.batch_size, 64))
         valid_acc = float((valid_probs.argmax(axis=1) == valid_ds.labels).mean())
         log.append(EpochLog(epoch, loss_sum / n, valid_acc, lr))
 
         if valid_acc > best_acc:
             best_acc = valid_acc
             best_epoch = epoch
-            best_snapshot = {k: v.copy() for k, v in all_params.items()}
+            best = params.copy()
             since_best = 0
         else:
             since_best += 1
             if since_best >= cfg.patience:
                 break
 
-    for k, v in best_snapshot.items():
-        all_params[k][...] = v
+    params[...] = best
     if clamp_events:
         warnings.warn(f"cross-entropy clamped {clamp_events} probabilities at {LOG_EPS}")
 
-    summary = {
+    bundle.log = log
+    bundle.log_summary = {
         "epochs_run": len(log),
         "best_epoch": best_epoch,
         "best_valid_accuracy": best_acc,
         "final_train_loss": log[-1].train_loss if log else float("nan"),
     }
-    return ModelBundle(space, enc_cfg, enc_params, head_params, cfg, log, summary)
+    return bundle
 
 
 # ---------------------------------------------------------------------------
@@ -634,16 +659,15 @@ def fit(
 # ---------------------------------------------------------------------------
 #
 # Layout: 4-byte magic, u32 format version, u32 metadata length, metadata
-# JSON (includes the ordered parameter manifest with shapes), then raw
-# little-endian float32 tensors in manifest order. Writing it by hand keeps
+# JSON (includes the [name, shape] parameter manifest), then the flat
+# parameter buffer as little-endian float32, so the file has exactly
+# 12 + metadata length + 4 * (manifest sizes) bytes. Writing it by hand keeps
 # the bytes deterministic (archive formats embed timestamps).
 
 _CKPT_MAGIC = b"VCKP"
 
 
 def _checkpoint_bytes(bundle: ModelBundle) -> bytes:
-    manifest = [["enc." + k, list(v.shape)] for k, v in sorted(bundle.enc_params.items())]
-    manifest += [["head." + k, list(v.shape)] for k, v in sorted(bundle.head_params.items())]
     meta = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "encoder_config": bundle.enc_cfg.to_dict(),
@@ -652,16 +676,12 @@ def _checkpoint_bytes(bundle: ModelBundle) -> bytes:
         "norm_config": bundle.space.vocab.config.to_dict(),
         "vocab_hash": bundle.space.vocab.content_hash(),
         "embeddings_hash": bundle.space.embeddings.content_hash(),
-        "manifest": manifest,
+        "manifest": bundle.manifest,
         "log_summary": bundle.log_summary,
     }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    out = [_CKPT_MAGIC, struct.pack("<II", CHECKPOINT_FORMAT_VERSION, len(blob)), blob]
-    params = {**{"enc." + k: v for k, v in bundle.enc_params.items()},
-              **{"head." + k: v for k, v in bundle.head_params.items()}}
-    for name, _ in manifest:
-        out.append(np.ascontiguousarray(params[name], dtype="<f4").tobytes())
-    return b"".join(out)
+    header = _CKPT_MAGIC + struct.pack("<II", CHECKPOINT_FORMAT_VERSION, len(blob))
+    return header + blob + bundle.params.astype("<f4").tobytes()
 
 
 def save_checkpoint(bundle: ModelBundle, path: str | Path) -> None:
@@ -675,33 +695,30 @@ def load_checkpoint(
     """Load a checkpoint and verify it matches the supplied artifacts.
 
     Raises:
-        StaleArtifactError: if the vocab or embedding hashes disagree with
-            the ones recorded at training time, or the format version is
-            unknown.
+        StaleArtifactError: if the file is not a well-formed checkpoint of a
+            known format version, or the vocab or embedding hashes disagree
+            with the ones recorded at training time.
     """
     blob = Path(path).read_bytes()
-    if blob[:4] != _CKPT_MAGIC:
-        raise StaleArtifactError(f"{path}: not a checkpoint file (bad magic)")
+    if len(blob) < 12 or blob[:4] != _CKPT_MAGIC:
+        raise StaleArtifactError(f"{path}: not a checkpoint file (bad magic or truncated header)")
     version, meta_len = struct.unpack_from("<II", blob, 4)
     if version != CHECKPOINT_FORMAT_VERSION:
-        raise StaleArtifactError(f"unsupported checkpoint format version {version!r}")
-    off = 12
-    meta = json.loads(blob[off : off + meta_len].decode("utf-8"))
-    off += meta_len
+        raise StaleArtifactError(f"{path}: unsupported checkpoint format version {version!r}")
+    body = 12 + meta_len
+    try:
+        meta = json.loads(blob[12:body].decode("utf-8"))
+        n_values = sum(math.prod(shape) for _, shape in meta["manifest"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise StaleArtifactError(f"{path}: unreadable checkpoint metadata ({exc})") from None
+    if len(blob) != body + 4 * n_values:
+        raise StaleArtifactError(f"{path}: checkpoint is {len(blob)} bytes, but its "
+                                 f"header and manifest describe {body + 4 * n_values}")
     if meta["vocab_hash"] != vocab.content_hash():
         raise StaleArtifactError("vocabulary does not match the checkpoint (stale artifact)")
     if meta["embeddings_hash"] != embeddings.content_hash():
         raise StaleArtifactError("embeddings do not match the checkpoint (stale artifact)")
-    enc_params: Params = {}
-    head_params: Params = {}
-    for name, shape in meta["manifest"]:
-        size = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=size, offset=off).reshape(shape).copy()
-        off += size * 4
-        if name.startswith("enc."):
-            enc_params[name[4:]] = arr
-        else:
-            head_params[name[5:]] = arr
+    params = np.frombuffer(blob, dtype="<f4", offset=body).astype(np.float32)
 
     sp = meta["space"]
     space = FeatureSpace(
@@ -717,8 +734,8 @@ def load_checkpoint(
     return ModelBundle(
         space=space,
         enc_cfg=EncoderConfig.from_dict(meta["encoder_config"]),
-        enc_params=enc_params,
-        head_params=head_params,
+        params=params,
+        manifest=meta["manifest"],
         train_cfg=TrainConfig.from_dict(meta["train_config"]),
         log_summary=meta["log_summary"],
     )
@@ -727,8 +744,5 @@ def load_checkpoint(
 def predict_verse(record: PoemRecord, verse, bundle: ModelBundle) -> np.ndarray:
     """Distribution over poets for a single verse of a record."""
     ids, aux = bundle.space.verse_row(record, verse)
-    parts = (bundle.space, bundle.enc_cfg, bundle.enc_params, bundle.head_params, 0.0)
-    probs, _ = _forward_probs(
-        _pad_batch([ids]), aux[None, :].astype(np.float32), parts, train=False
-    )
+    probs, _ = _forward_probs(_pad_batch([ids]), aux[None, :].astype(np.float32), bundle)
     return probs[0]

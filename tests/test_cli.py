@@ -2,7 +2,9 @@
 
 import io
 import json
+import struct
 
+import numpy as np
 import pytest
 
 from verseid.cli import main
@@ -172,6 +174,21 @@ class TestPredict:
         assert code == 2
         assert "poem_id and verses" in captured.err
 
+    @pytest.mark.parametrize("lines, message", [
+        (['{"poem_id": "a", "verses": ["abc def"]}'], "line 1: verse 0 must be a list"),
+        (['{"poem_id": "a", "verses": [["x", "y"]]}', '{"poem_id": "a", "verses": [["z"]]}'],
+         "line 2: duplicate poem_id"),
+    ])
+    def test_predict_rejects_malformed_records(self, pipeline, tmp_path, capsys, lines, message):
+        poems = tmp_path / "poems.jsonl"
+        poems.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, captured = run(["predict", "--input", str(poems),
+                              "--embeddings", str(pipeline["emb"]),
+                              "--checkpoint", str(pipeline["model"]),
+                              "--out", str(tmp_path / "pred")], capsys)
+        assert code == 2
+        assert message in captured.err
+
 
 class TestExitCodes:
     def test_bad_ratios_is_usage_error(self, pipeline, tmp_path, capsys):
@@ -232,6 +249,56 @@ class TestExitCodes:
         assert code == 4
         assert "numerical failure" in captured.err
 
+    def test_non_finite_gradient_norm_reported(self, pipeline, tmp_path, capsys, monkeypatch):
+        import verseid.model
+
+        real_backward = verseid.model.encoder_backward
+
+        def poisoned(*args, **kwargs):
+            grads = real_backward(*args, **kwargs)
+            grads["tok_emb"][0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(verseid.model, "encoder_backward", poisoned)
+        code, captured = run(["train", "--corpus", str(pipeline["corpus"]),
+                              "--split", str(pipeline["split"]),
+                              "--embeddings", str(pipeline["emb"]),
+                              "--out", str(tmp_path / "m"), *FAST_TRAIN], capsys)
+        assert code == 4
+        assert "non-finite gradient norm at epoch 1, step 1" in captured.err
+
+    @pytest.mark.parametrize("damage", ["truncated body", "truncated header",
+                                        "unreadable metadata", "trailing bytes"])
+    def test_damaged_checkpoint_is_artifact_error(self, pipeline, tmp_path, capsys, damage):
+        ckpt = tmp_path / "checkpoint.bin"
+        blob = (pipeline["model"] / "checkpoint.bin").read_bytes()
+        ckpt.write_bytes({
+            "truncated body": blob[:-4],
+            "truncated header": blob[:10],
+            "unreadable metadata": blob[:12] + b"x" + blob[13:],
+            "trailing bytes": blob + b"\0\0",
+        }[damage])
+        code, captured = run(["predict", "--input", "-", "--embeddings", str(pipeline["emb"]),
+                              "--checkpoint", str(ckpt), "--out", str(tmp_path / "p")], capsys)
+        assert code == 3
+        assert str(ckpt) in captured.err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("evaluate", "--tau", "nan"),
+        ("predict", "--tau", "inf"),
+        ("sweep-thresholds", "--taus", "0.5,nan"),
+    ])
+    def test_non_finite_threshold_is_usage_error(self, pipeline, tmp_path, capsys,
+                                                 command, flag, value):
+        common = ["--embeddings", str(pipeline["emb"]), "--checkpoint", str(pipeline["model"]),
+                  "--out", str(tmp_path / "o"), flag, value]
+        if command != "predict":
+            common += ["--corpus", str(pipeline["corpus"]), "--split", str(pipeline["split"])]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *common])
+        assert exc.value.code == 2
+        assert "not a finite number" in capsys.readouterr().err
+
     def test_unknown_feature_is_usage_error(self, pipeline, tmp_path, capsys):
         code, captured = run(["train", "--corpus", str(pipeline["corpus"]),
                               "--split", str(pipeline["split"]),
@@ -257,3 +324,17 @@ class TestMisc:
                      "--features", "text,semantic,stylometric,form"]) == 0
         cfg = json.loads((out / "config.json").read_text())
         assert cfg["fusion"]["use_meter"] is False
+
+    def test_text_ablation_trains_and_predicts_without_encoder(self, pipeline, tmp_path):
+        model = tmp_path / "notext"
+        assert main(["train", "--corpus", str(pipeline["corpus"]),
+                     "--split", str(pipeline["split"]), "--embeddings", str(pipeline["emb"]),
+                     "--out", str(model), *FAST_TRAIN,
+                     "--features", "semantic,stylometric,form,meter"]) == 0
+        blob = (model / "checkpoint.bin").read_bytes()
+        (meta_len,) = struct.unpack_from("<I", blob, 8)
+        names = [name for name, _ in json.loads(blob[12 : 12 + meta_len])["manifest"]]
+        assert names and all(name.startswith("head.") for name in names)
+        poems = pipeline["corpus"] / "corpus.jsonl"
+        assert main(["predict", "--input", str(poems), "--embeddings", str(pipeline["emb"]),
+                     "--checkpoint", str(model), "--out", str(tmp_path / "pred")]) == 0

@@ -177,22 +177,43 @@ class TestHead:
 
 class TestOptimizerAndSchedule:
     def test_adamw_single_step_hand_computed(self):
-        p = {"w": np.array([1.0], dtype=np.float64)}
+        p = np.array([1.0], dtype=np.float64)
         opt = AdamW(p, weight_decay=0.0)
-        g = {"w": np.array([0.5], dtype=np.float64)}
-        opt.step(p, g, lr=0.1)
+        opt.step(p, np.array([0.5]), lr=0.1)
         # m_hat = 0.5, v_hat = 0.25 -> update = 0.1 * 0.5 / (0.5 + 1e-8)
-        assert p["w"][0] == pytest.approx(1.0 - 0.1 * 0.5 / (0.5 + 1e-8))
+        assert p[0] == pytest.approx(1.0 - 0.1 * 0.5 / (0.5 + 1e-8))
 
     def test_decoupled_decay_shrinks_without_gradient(self):
-        p = {"w": np.array([2.0], dtype=np.float64)}
+        p = np.array([2.0], dtype=np.float64)
         opt = AdamW(p, weight_decay=0.01, decoupled=True)
-        opt.step(p, {"w": np.zeros(1)}, lr=0.5)
-        assert p["w"][0] == pytest.approx(2.0 * (1 - 0.5 * 0.01))
+        opt.step(p, np.zeros(1), lr=0.5)
+        assert p[0] == pytest.approx(2.0 * (1 - 0.5 * 0.01))
+
+    def test_flat_step_matches_per_tensor_reference(self):
+        # The flat update must give the same bits as updating each tensor on
+        # its own, so checkpoints stay byte-identical.
+        rng = np.random.default_rng(0)
+        shapes = {"a": (3, 4), "b": (5,), "c": (2, 2, 2)}
+        tensors = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
+        flat = np.concatenate([tensors[k].ravel() for k in sorted(tensors)])
+        ref = {k: v.copy() for k, v in tensors.items()}
+        m = {k: np.zeros_like(v) for k, v in ref.items()}
+        v2 = {k: np.zeros_like(v) for k, v in ref.items()}
+        opt = AdamW(flat, weight_decay=0.01)
+        for t in range(1, 4):
+            grads = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
+            opt.step(flat, np.concatenate([grads[k].ravel() for k in sorted(grads)]), lr=0.1)
+            for k, p in ref.items():
+                m[k] *= 0.9
+                m[k] += (1.0 - 0.9) * grads[k]
+                v2[k] *= 0.999
+                v2[k] += (1.0 - 0.999) * grads[k] * grads[k]
+                p -= (0.1 * 0.01) * p
+                p -= 0.1 * (m[k] / (1.0 - 0.9**t)) / (np.sqrt(v2[k] / (1.0 - 0.999**t)) + 1e-8)
+        np.testing.assert_array_equal(flat, np.concatenate([ref[k].ravel() for k in sorted(ref)]))
 
     def test_l2_penalty_value(self):
-        params = {"a": np.array([1.0, 2.0]), "b": np.array([[3.0]])}
-        assert l2_penalty(params, 0.1) == pytest.approx(0.1 * 14.0)
+        assert l2_penalty(np.array([1.0, 2.0, 3.0], dtype=np.float32), 0.1) == pytest.approx(0.1 * 14.0)
 
     def test_warmup_then_cosine(self):
         lr = 3.0
@@ -204,16 +225,15 @@ class TestOptimizerAndSchedule:
         assert all(a >= b for a, b in zip(after_warmup, after_warmup[1:]))
 
     def test_clip_rescales_global_norm(self):
-        grads = {"a": np.array([3.0]), "b": np.array([4.0])}
+        grads = np.array([3.0, 4.0])
         norm = clip_gradients(grads, 1.0)
         assert norm == pytest.approx(5.0)
-        scaled = math.sqrt(grads["a"][0] ** 2 + grads["b"][0] ** 2)
-        assert scaled == pytest.approx(1.0)
+        assert math.hypot(*grads) == pytest.approx(1.0)
 
     def test_clip_noop_below_threshold(self):
-        grads = {"a": np.array([0.3])}
+        grads = np.array([0.3])
         clip_gradients(grads, 1.0)
-        assert grads["a"][0] == pytest.approx(0.3)
+        assert grads[0] == pytest.approx(0.3)
 
 
 def build_pipeline(corpus, fusion=FusionConfig(), seed=0, emb_dim=12):
@@ -350,6 +370,13 @@ class TestCheckpoint:
         assert again.space.poet_index == bundle.space.poet_index
         assert again.train_cfg == bundle.train_cfg
         assert again.enc_cfg == bundle.enc_cfg
+
+    def test_load_then_save_is_byte_identical(self, trained_bundle, tmp_path):
+        bundle, _, _ = trained_bundle
+        first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+        save_checkpoint(bundle, first)
+        save_checkpoint(load_checkpoint(first, bundle.space.vocab, bundle.space.embeddings), second)
+        assert first.read_bytes() == second.read_bytes()
 
     def test_stale_vocab_rejected(self, trained_bundle, tmp_path, small_synth):
         bundle, _, _ = trained_bundle
