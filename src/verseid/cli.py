@@ -23,6 +23,7 @@ byte-identical across reruns with the same inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -403,15 +404,14 @@ def cmd_predict(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    lines = ["poem_id,verse_index,label,confidence," + ",".join(f"p_{p}" for p in poet_names)]
-    for i in range(len(ds)):
-        row = probs[i]
-        top = int(row.argmax())
-        dist = ",".join(f"{x:.6f}" for x in row)
-        lines.append(
-            f"{ds.poem_ids[i]},{ds.verse_indices[i]},{poet_names[top]},{row[top]:.6f},{dist}"
-        )
-    (out / "verse_predictions.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(out / "verse_predictions.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["poem_id", "verse_index", "label", "confidence",
+                         *(f"p_{p}" for p in poet_names)])
+        for pid, vi, row in zip(ds.poem_ids, ds.verse_indices, probs):
+            top = int(row.argmax())
+            writer.writerow([pid, vi, poet_names[top], f"{row[top]:.6f}",
+                             *(f"{x:.6f}" for x in row)])
 
     poem_ids, matrices, _ = poem_probability_groups(ds, probs)
     preds = [

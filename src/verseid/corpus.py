@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 ATTRIBUTION_STATUSES = ("confirmed", "contested", "anonymous", "ambiguous")
@@ -57,28 +57,11 @@ class PoemRecord:
         return len(self.verses)
 
 
-def _dense_index(values) -> dict[str, int]:
-    """Map distinct strings to 0..K-1 in sorted order (deterministic)."""
-    return {v: i for i, v in enumerate(sorted(set(values)))}
-
-
 @dataclass
 class Corpus:
-    """Poem records plus dense label indices for poet, form, and meter."""
+    """An ordered list of poem records."""
 
     records: list[PoemRecord]
-    poet_index: dict[str, int] = field(default_factory=dict)
-    form_index: dict[str, int] = field(default_factory=dict)
-    meter_index: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.poet_index:
-            self.rebuild_indices()
-
-    def rebuild_indices(self) -> None:
-        self.poet_index = _dense_index(r.poet for r in self.records)
-        self.form_index = _dense_index(r.form for r in self.records)
-        self.meter_index = _dense_index(r.meter for r in self.records)
 
     def __len__(self) -> int:
         return len(self.records)

@@ -22,6 +22,12 @@ import numpy as np
 from .normalize import N_RESERVED
 
 _MAGIC = b"VEMB"
+_HEADER = struct.Struct("<4sIII")
+
+
+class StaleArtifactError(ValueError):
+    """Raised when an artifact file is damaged, or is paired with artifacts
+    it was not built with."""
 
 
 @dataclass(frozen=True)
@@ -57,33 +63,42 @@ class EmbeddingMatrix:
 
     def to_bytes(self) -> bytes:
         cfg = json.dumps(self.config.to_dict(), sort_keys=True).encode("utf-8")
-        head = struct.pack("<4sIII", _MAGIC, self.w_in.shape[0], self.dim, len(cfg))
+        head = _HEADER.pack(_MAGIC, self.w_in.shape[0], self.dim, len(cfg))
         body = (
             np.ascontiguousarray(self.w_in, dtype="<f4").tobytes()
             + np.ascontiguousarray(self.w_out, dtype="<f4").tobytes()
         )
         return head + cfg + body
 
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "EmbeddingMatrix":
-        magic, vocab_size, dim, cfg_len = struct.unpack_from("<4sIII", blob, 0)
-        if magic != _MAGIC:
-            raise ValueError("not an embedding file (bad magic)")
-        off = struct.calcsize("<4sIII")
-        cfg = EmbeddingConfig.from_dict(json.loads(blob[off : off + cfg_len]))
-        off += cfg_len
-        n = vocab_size * dim
-        w_in = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(vocab_size, dim)
-        off += n * 4
-        w_out = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(vocab_size, dim)
-        return cls(w_in.copy(), w_out.copy(), cfg)
-
     def save(self, path: str | Path) -> None:
         Path(path).write_bytes(self.to_bytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingMatrix":
-        return cls.from_bytes(Path(path).read_bytes())
+        """Read a file written by :meth:`save`.
+
+        Raises:
+            StaleArtifactError: if the magic is wrong, the file is not exactly
+                header + config + two float32 (V, D) matrices long, or the
+                config is unreadable.
+        """
+        blob = Path(path).read_bytes()
+        if len(blob) < _HEADER.size or blob[:4] != _MAGIC:
+            raise StaleArtifactError(
+                f"{path}: not an embedding file (bad magic or truncated header)"
+            )
+        _, vocab_size, dim, cfg_len = _HEADER.unpack_from(blob)
+        off = _HEADER.size + cfg_len
+        n = vocab_size * dim
+        if len(blob) != off + 8 * n:
+            raise StaleArtifactError(f"{path}: embedding file is {len(blob)} bytes, but its "
+                                     f"header describes {off + 8 * n}")
+        try:
+            cfg = EmbeddingConfig.from_dict(json.loads(blob[_HEADER.size : off]))
+        except (ValueError, TypeError) as exc:
+            raise StaleArtifactError(f"{path}: unreadable embedding config ({exc})") from None
+        w_in, w_out = np.frombuffer(blob, dtype="<f4", offset=off).reshape(2, vocab_size, dim)
+        return cls(w_in.astype(np.float32), w_out.astype(np.float32), cfg)
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.to_bytes()).hexdigest()
@@ -172,7 +187,7 @@ def train_sgns(
 
 def verse_semantic_vector(token_ids, emb: EmbeddingMatrix) -> np.ndarray:
     """Mean input vector of the verse's non-reserved tokens (zeros if none)."""
-    ids = [t for t in getattr(token_ids, "ids", token_ids) if t >= N_RESERVED]
+    ids = [t for t in token_ids if t >= N_RESERVED]
     if not ids:
         return np.zeros(emb.dim, dtype=np.float32)
     return emb.w_in[ids].mean(axis=0)

@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from .normalize import PAD_ID, TokenSequence
+from .normalize import PAD_ID
 
 LN_EPS = 1e-5
 MASK_BIAS = -1e9
@@ -335,8 +335,7 @@ def encoder_backward(d_states: np.ndarray, cache: dict, params: Params, cfg: Enc
     return grads
 
 
-def encode_verse(seq: TokenSequence, params: Params, cfg: EncoderConfig) -> np.ndarray:
-    """Encode one verse; returns the (d_model,) vector at position 0."""
-    ids = np.asarray([seq.ids], dtype=np.int64)
-    states, _ = encoder_forward(ids, params, cfg, train=False)
+def encode_verse(ids: tuple[int, ...], params: Params, cfg: EncoderConfig) -> np.ndarray:
+    """Encode one verse's token ids; returns the (d_model,) vector at position 0."""
+    states, _ = encoder_forward(np.asarray([ids], dtype=np.int64), params, cfg, train=False)
     return states[0, 0]

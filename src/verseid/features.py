@@ -1,7 +1,9 @@
 """Hand-crafted verse features: stylometrics, scaling, and categorical one-hots.
 
-All token-based quantities are computed on normalized text so the same verse
-written with Arabic or Persian letter variants yields identical features.
+Stylometrics are computed from a verse's normalized hemistich tokens, so the
+same verse written with Arabic or Persian letter variants yields identical
+features; the caller normalizes each verse once and passes the tokens in.
+The one-hot encoders take a whole dataset's labels and return one block.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Corpus, Verse
-from .normalize import NormalizationConfig, normalize_verse
+from .corpus import Corpus
 
 FEATURE_NAMES = (
     "word_count",
@@ -35,26 +36,9 @@ def _is_punct(ch: str) -> bool:
     return ch in PERSIAN_PUNCTUATION or unicodedata.category(ch).startswith("P")
 
 
-@dataclass(frozen=True)
-class StylometricVector:
-    word_count: float
-    distinct_word_count: float
-    avg_word_length: float
-    hapax_ratio: float
-    mean_hemistich_length: float
-    punctuation_density: float
-    symmetry_ratio: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=np.float64)
-
-
-def stylometric_features(
-    verse: Verse, cfg: NormalizationConfig = NormalizationConfig()
-) -> StylometricVector:
-    """Compute the seven surface features of one verse."""
-    h1, h2 = normalize_verse(verse, cfg)
-    t1, t2 = h1.split(), h2.split()
+def stylometric_features(t1: list[str], t2: list[str]) -> tuple[float, ...]:
+    """The seven surface features of one verse, in ``FEATURE_NAMES`` order,
+    from the whitespace tokens of its two normalized hemistichs."""
     tokens = t1 + t2
     n = len(tokens)
 
@@ -63,17 +47,19 @@ def stylometric_features(
         counts[t] = counts.get(t, 0) + 1
     hapaxes = sum(1 for c in counts.values() if c == 1)
 
-    chars = [ch for ch in h1 + h2 if not ch.isspace()]
+    # The non-whitespace characters: str.split() and str.isspace() agree on
+    # what whitespace is, so no character is lost between the tokens.
+    chars = "".join(tokens)
     punct = sum(1 for ch in chars if _is_punct(ch))
 
-    return StylometricVector(
-        word_count=float(n),
-        distinct_word_count=float(len(counts)),
-        avg_word_length=(sum(len(t) for t in tokens) / n) if n else 0.0,
-        hapax_ratio=(hapaxes / n) if n else 0.0,
-        mean_hemistich_length=(len(t1) + len(t2)) / 2.0,
-        punctuation_density=(punct / len(chars)) if chars else 0.0,
-        symmetry_ratio=len(t1) / max(1, len(t2)),
+    return (
+        float(n),
+        float(len(counts)),
+        (sum(len(t) for t in tokens) / n) if n else 0.0,
+        (hapaxes / n) if n else 0.0,
+        (len(t1) + len(t2)) / 2.0,
+        (punct / len(chars)) if chars else 0.0,
+        len(t1) / max(1, len(t2)),
     )
 
 
@@ -188,14 +174,15 @@ def build_meter_classes(corpus: Corpus, n_top: int = DEFAULT_TOP_METERS) -> Mete
     return MeterClassMap(mapping, n_top)
 
 
-def one_hot_form(form: str, form_index: dict[str, int]) -> np.ndarray:
-    """One-hot over known forms plus a trailing unknown slot."""
-    vec = np.zeros(len(form_index) + 1, dtype=np.float64)
-    vec[form_index.get(form, len(form_index))] = 1.0
-    return vec
+def one_hot_form(forms: list[str], form_index: dict[str, int]) -> np.ndarray:
+    """(n, len(form_index) + 1) one-hots over known forms plus a trailing
+    unknown slot."""
+    unknown = len(form_index)
+    ids = [form_index.get(f, unknown) for f in forms]
+    return np.eye(unknown + 1, dtype=np.float32)[ids]
 
 
-def one_hot_meter(meter: str, meter_map: MeterClassMap) -> np.ndarray:
-    vec = np.zeros(meter_map.n_classes, dtype=np.float64)
-    vec[meter_map.class_of(meter)] = 1.0
-    return vec
+def one_hot_meter(meters: list[str], meter_map: MeterClassMap) -> np.ndarray:
+    """(n, meter_map.n_classes) one-hots of each meter's class."""
+    ids = [meter_map.class_of(m) for m in meters]
+    return np.eye(meter_map.n_classes, dtype=np.float32)[ids]

@@ -6,6 +6,10 @@ one-hot) and produces a distribution over poets through a single hidden
 layer with ReLU and dropout. Training runs AdamW with linear warmup, cosine
 decay, global-norm gradient clipping, class-weighted cross-entropy, and
 early stopping on validation verse accuracy.
+
+:func:`build_dataset` normalizes each verse once, then fills the non-text
+inputs of the whole dataset into one preallocated float32 array, one block
+(semantic, stylometric, form, meter) at a time.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import PoemRecord
-from .embeddings import EmbeddingMatrix, verse_semantic_vector
+from .corpus import Corpus, PoemRecord
+from .embeddings import EmbeddingMatrix, StaleArtifactError, verse_semantic_vector
 from .encoder import (
     EncoderConfig,
     Params,
@@ -29,13 +33,15 @@ from .encoder import (
     init_encoder_params,
 )
 from .features import (
+    FEATURE_NAMES,
     MeterClassMap,
     Scaler,
+    build_meter_classes,
     one_hot_form,
     one_hot_meter,
     stylometric_features,
 )
-from .normalize import Vocabulary, tokenize_verse
+from .normalize import Vocabulary, normalize_verse, tokenize_verse
 from .split import LeakageError
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -44,10 +50,6 @@ LOG_EPS = 1e-12
 
 class NumericalError(RuntimeError):
     """Raised when training encounters non-finite losses or gradients."""
-
-
-class StaleArtifactError(RuntimeError):
-    """Raised when a checkpoint is paired with artifacts it was not trained with."""
 
 
 # ---------------------------------------------------------------------------
@@ -286,15 +288,12 @@ class FeatureSpace:
         fusion: FusionConfig = FusionConfig(),
         max_len: int = 64,
     ) -> "FeatureSpace":
-        from .features import build_meter_classes
-        from .corpus import Corpus
-
-        rows = [
-            stylometric_features(v, vocab.config).as_array()
-            for r in train_records
-            for v in r.verses
-        ]
-        scaler = Scaler().fit(np.stack(rows))
+        rows = []
+        for r in train_records:
+            for v in r.verses:
+                h1, h2 = normalize_verse(v, vocab.config)
+                rows.append(stylometric_features(h1.split(), h2.split()))
+        scaler = Scaler().fit(np.array(rows))
         meter_map = build_meter_classes(Corpus(list(train_records)))
         return cls(vocab, embeddings, scaler, meter_map, form_index, poet_index, fusion, max_len)
 
@@ -313,7 +312,7 @@ class FeatureSpace:
         if self.fusion.use_semantic:
             d += self.embeddings.dim
         if self.fusion.use_stylometric:
-            d += 7
+            d += len(FEATURE_NAMES)
         if self.fusion.use_form:
             d += len(self.form_index) + 1
         if self.fusion.use_meter:
@@ -322,22 +321,6 @@ class FeatureSpace:
 
     def concat_dim(self, d_model: int) -> int:
         return (d_model if self.fusion.use_text else 0) + self.aux_dim
-
-    def verse_row(self, record: PoemRecord, verse) -> tuple[tuple[int, ...], np.ndarray]:
-        """Token ids plus the non-text part of the fused vector."""
-        seq = tokenize_verse(verse, self.vocab, self.max_len)
-        parts = []
-        if self.fusion.use_semantic:
-            parts.append(verse_semantic_vector(seq, self.embeddings).astype(np.float64))
-        if self.fusion.use_stylometric:
-            raw = stylometric_features(verse, self.vocab.config).as_array()
-            parts.append(self.scaler.transform(raw[None, :])[0])
-        if self.fusion.use_form:
-            parts.append(one_hot_form(record.form, self.form_index))
-        if self.fusion.use_meter:
-            parts.append(one_hot_meter(record.meter, self.meter_map))
-        aux = np.concatenate(parts) if parts else np.zeros(0, dtype=np.float64)
-        return seq.ids, aux
 
     def to_dict(self) -> dict:
         """JSON-safe view, minus the vocab and embeddings (stored by hash)."""
@@ -372,30 +355,51 @@ def build_dataset(records: list[PoemRecord], space: FeatureSpace) -> FeatureData
     Verses that normalize to nothing are skipped with a warning; poems whose
     poet is missing from the index get label -1 (prediction-only data).
     """
+    fusion = space.fusion
     token_ids: list[tuple[int, ...]] = []
-    aux_rows: list[np.ndarray] = []
+    stylo: list[tuple[float, ...]] = []
     labels: list[int] = []
     poem_ids: list[str] = []
     verse_indices: list[int] = []
+    forms: list[str] = []
+    meters: list[str] = []
     skipped = 0
     for r in records:
         label = space.poet_index.get(r.poet, -1)
         for vi, verse in enumerate(r.verses):
-            try:
-                ids, aux = space.verse_row(r, verse)
-            except ValueError:
+            h1, h2 = normalize_verse(verse, space.vocab.config)
+            t1, t2 = h1.split(), h2.split()
+            if not (t1 or t2):
                 skipped += 1
                 continue
-            token_ids.append(ids)
-            aux_rows.append(aux)
+            token_ids.append(tokenize_verse(t1 + t2, space.vocab, space.max_len))
+            if fusion.use_stylometric:
+                stylo.append(stylometric_features(t1, t2))
             labels.append(label)
             poem_ids.append(r.poem_id)
             verse_indices.append(vi)
+            forms.append(r.form)
+            meters.append(r.meter)
     if skipped:
         warnings.warn(f"skipped {skipped} verses with no tokens after normalization")
     if not token_ids:
         raise ValueError("no usable verses in dataset")
-    aux = np.stack(aux_rows).astype(np.float32)
+
+    aux = np.empty((len(token_ids), space.aux_dim), dtype=np.float32)
+    col = 0
+    if fusion.use_semantic:
+        col = space.embeddings.dim
+        for row, ids in zip(aux, token_ids):
+            row[:col] = verse_semantic_vector(ids, space.embeddings)
+    if fusion.use_stylometric:
+        aux[:, col : col + len(FEATURE_NAMES)] = space.scaler.transform(np.array(stylo))
+        col += len(FEATURE_NAMES)
+    if fusion.use_form:
+        block = one_hot_form(forms, space.form_index)
+        aux[:, col : col + block.shape[1]] = block
+        col += block.shape[1]
+    if fusion.use_meter:
+        aux[:, col:] = one_hot_meter(meters, space.meter_map)
     return FeatureDataset(
         token_ids, aux, np.asarray(labels, dtype=np.int64), poem_ids, verse_indices,
         space.n_classes,
@@ -696,8 +700,9 @@ def load_checkpoint(
 
     Raises:
         StaleArtifactError: if the file is not a well-formed checkpoint of a
-            known format version, or the vocab or embedding hashes disagree
-            with the ones recorded at training time.
+            known format version (wrong size, unreadable or incomplete
+            metadata), or the vocab or embedding hashes disagree with the
+            ones recorded at training time.
     """
     blob = Path(path).read_bytes()
     if len(blob) < 12 or blob[:4] != _CKPT_MAGIC:
@@ -714,12 +719,24 @@ def load_checkpoint(
     if len(blob) != body + 4 * n_values:
         raise StaleArtifactError(f"{path}: checkpoint is {len(blob)} bytes, but its "
                                  f"header and manifest describe {body + 4 * n_values}")
-    if meta["vocab_hash"] != vocab.content_hash():
-        raise StaleArtifactError("vocabulary does not match the checkpoint (stale artifact)")
-    if meta["embeddings_hash"] != embeddings.content_hash():
-        raise StaleArtifactError("embeddings do not match the checkpoint (stale artifact)")
     params = np.frombuffer(blob, dtype="<f4", offset=body).astype(np.float32)
+    try:
+        hashes = meta["vocab_hash"], meta["embeddings_hash"]
+        bundle = _bundle_from_meta(meta, params, vocab, embeddings)
+    except KeyError as exc:
+        raise StaleArtifactError(f"{path}: checkpoint metadata lacks key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise StaleArtifactError(f"{path}: malformed checkpoint metadata ({exc})") from None
+    if hashes[0] != vocab.content_hash():
+        raise StaleArtifactError("vocabulary does not match the checkpoint (stale artifact)")
+    if hashes[1] != embeddings.content_hash():
+        raise StaleArtifactError("embeddings do not match the checkpoint (stale artifact)")
+    return bundle
 
+
+def _bundle_from_meta(
+    meta: dict, params: np.ndarray, vocab: Vocabulary, embeddings: EmbeddingMatrix
+) -> ModelBundle:
     sp = meta["space"]
     space = FeatureSpace(
         vocab=vocab,
@@ -740,9 +757,3 @@ def load_checkpoint(
         log_summary=meta["log_summary"],
     )
 
-
-def predict_verse(record: PoemRecord, verse, bundle: ModelBundle) -> np.ndarray:
-    """Distribution over poets for a single verse of a record."""
-    ids, aux = bundle.space.verse_row(record, verse)
-    probs, _ = _forward_probs(_pad_batch([ids]), aux[None, :].astype(np.float32), bundle)
-    return probs[0]

@@ -172,24 +172,14 @@ def build_vocab(
     return Vocabulary(token_to_id, cfg)
 
 
-@dataclass(frozen=True)
-class TokenSequence:
-    """Encoder input: CLS followed by the verse's token ids."""
-
-    ids: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
-def tokenize_verse(verse: Verse, vocab: Vocabulary, max_len: int = 64) -> TokenSequence:
-    """Map a verse to ids: ``[CLS] + hemistich_1 + hemistich_2``, truncated.
+def tokenize_verse(tokens: list[str], vocab: Vocabulary, max_len: int = 64) -> tuple[int, ...]:
+    """Encoder input ids for a verse's normalized tokens (both hemistichs in
+    reading order): ``[CLS] + tokens``, truncated to ``max_len``.
 
     Raises:
         ValueError: if the verse has no tokens after normalization.
     """
-    tokens = verse_tokens(verse, vocab.config)
     if not tokens:
         raise ValueError("empty verse: no tokens after normalization")
     ids = [CLS_ID] + [vocab.id_of(t) for t in tokens]
-    return TokenSequence(tuple(ids[:max_len]))
+    return tuple(ids[:max_len])

@@ -8,6 +8,8 @@ ratios whenever the ratios allow it.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,6 +20,7 @@ from .corpus import Corpus
 
 SPLIT_NAMES = ("train", "valid", "test")
 DEFAULT_RATIOS = (0.8, 0.1, 0.1)
+CSV_HEADER = ("poem_id", "split", "poet")
 
 
 class LeakageError(ValueError):
@@ -46,9 +49,11 @@ class SplitAssignment:
         return out
 
     def to_csv(self) -> str:
-        lines = ["poem_id,split,poet"]
-        lines += [f"{pid},{split},{poet}" for pid, split, poet in self.rows]
-        return "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        writer.writerows(self.rows)
+        return buf.getvalue()
 
     def meta_json(self) -> str:
         return json.dumps(
@@ -63,15 +68,18 @@ class SplitAssignment:
 
     @classmethod
     def load(cls, csv_path: str | Path, meta_path: str | Path) -> "SplitAssignment":
-        lines = Path(csv_path).read_text(encoding="utf-8").splitlines()
-        if not lines or lines[0] != "poem_id,split,poet":
-            raise ValueError(f"{csv_path}: not a split assignment file")
-        rows = []
-        for line in lines[1:]:
-            if not line:
-                continue
-            pid, split, poet = line.split(",", 2)
-            rows.append((pid, split, poet))
+        with open(csv_path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != list(CSV_HEADER):
+                raise ValueError(f"{csv_path}: not a split assignment file")
+            rows = []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(CSV_HEADER):
+                    raise ValueError(f"{csv_path}: line {reader.line_num}: expected "
+                                     f"{len(CSV_HEADER)} fields, got {len(row)}")
+                rows.append(tuple(row))
         meta = json.loads(Path(meta_path).read_text(encoding="utf-8"))
         return cls(
             rows,

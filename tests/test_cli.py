@@ -1,7 +1,9 @@
 """End-to-end command-line pipeline tests."""
 
+import csv
 import io
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -157,6 +159,19 @@ class TestPredict:
         # three strategies x two poems
         assert len(poem_lines) == 7
 
+    def test_predict_csv_quotes_poem_ids(self, pipeline, tmp_path):
+        poems = tmp_path / "poems.jsonl"
+        record = {"poem_id": 'a,b "c"', "verses": [["گل و بلبل", "در باغ"]]}
+        poems.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        out = tmp_path / "pred"
+        assert main(["predict", "--input", str(poems), "--embeddings", str(pipeline["emb"]),
+                     "--checkpoint", str(pipeline["model"]), "--out", str(out)]) == 0
+        for name, n_rows in (("verse_predictions.csv", 1), ("poem_predictions.csv", 3)):
+            with open(out / name, newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            assert len(rows) == n_rows
+            assert all(len(row) == len(header) and row[0] == 'a,b "c"' for row in rows)
+
     def test_predict_from_stdin(self, pipeline, tmp_path, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(self.poems_jsonl()))
         out = tmp_path / "pred"
@@ -282,6 +297,43 @@ class TestExitCodes:
                               "--checkpoint", str(ckpt), "--out", str(tmp_path / "p")], capsys)
         assert code == 3
         assert str(ckpt) in captured.err
+
+    @pytest.mark.parametrize("drop", ["log_summary", "space.scaler"])
+    def test_checkpoint_metadata_missing_key_is_artifact_error(self, pipeline, tmp_path,
+                                                               capsys, drop):
+        blob = (pipeline["model"] / "checkpoint.bin").read_bytes()
+        (meta_len,) = struct.unpack_from("<I", blob, 8)
+        meta = json.loads(blob[12 : 12 + meta_len])
+        *path, key = drop.split(".")
+        owner = meta
+        for part in path:
+            owner = owner[part]
+        del owner[key]
+        new_meta = json.dumps(meta, sort_keys=True).encode("utf-8")
+        ckpt = tmp_path / "checkpoint.bin"
+        ckpt.write_bytes(blob[:8] + struct.pack("<I", len(new_meta)) + new_meta
+                         + blob[12 + meta_len :])
+        code, captured = run(["predict", "--input", "-", "--embeddings", str(pipeline["emb"]),
+                              "--checkpoint", str(ckpt), "--out", str(tmp_path / "p")], capsys)
+        assert code == 3
+        assert str(ckpt) in captured.err
+        assert repr(key) in captured.err
+
+    @pytest.mark.parametrize("damage", ["truncated", "trailing bytes", "bad magic"])
+    def test_damaged_embeddings_is_artifact_error(self, pipeline, tmp_path, capsys, damage):
+        emb = tmp_path / "emb"
+        shutil.copytree(pipeline["emb"], emb)
+        blob = (emb / "embeddings.bin").read_bytes()
+        (emb / "embeddings.bin").write_bytes({
+            "truncated": blob[:-100],
+            "trailing bytes": blob + b"\0" * 4,
+            "bad magic": b"XXXX" + blob[4:],
+        }[damage])
+        code, captured = run(["predict", "--input", "-", "--embeddings", str(emb),
+                              "--checkpoint", str(pipeline["model"]),
+                              "--out", str(tmp_path / "p")], capsys)
+        assert code == 3
+        assert str(emb / "embeddings.bin") in captured.err
 
     @pytest.mark.parametrize("command, flag, value", [
         ("evaluate", "--tau", "nan"),

@@ -92,19 +92,6 @@ class TestLoading:
         assert corpus.records[0].verses[0] == Verse("only one", "")
 
 
-class TestIndices:
-    def test_dense_and_bijective(self, tiny_corpus):
-        for index in (tiny_corpus.poet_index, tiny_corpus.form_index, tiny_corpus.meter_index):
-            ids = sorted(index.values())
-            assert ids == list(range(len(index)))
-
-    def test_rebuilt_after_filter(self, tiny_corpus):
-        filtered = filter_corpus(tiny_corpus, min_verses_per_poet=2)
-        assert set(filtered.poet_index) == {r.poet for r in filtered.records}
-        ids = sorted(filtered.poet_index.values())
-        assert ids == list(range(len(filtered.poet_index)))
-
-
 class TestFiltering:
     def test_status_and_threshold(self):
         records = [
@@ -115,7 +102,7 @@ class TestFiltering:
         ]
         filtered = filter_corpus(Corpus(records), min_verses_per_poet=50)
         assert [r.poem_id for r in filtered.records] == ["a1", "a2"]
-        assert set(filtered.poet_index) == {"keeper"}
+        assert {r.poet for r in filtered.records} == {"keeper"}
 
     def test_ambiguous_poem_removed(self):
         corpus = make_synthetic_corpus(

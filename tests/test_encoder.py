@@ -23,7 +23,6 @@ from verseid.encoder import (
     sinusoidal_positions,
     softmax,
 )
-from verseid.normalize import TokenSequence
 
 GRAD_TOL = 1e-4
 
@@ -162,8 +161,7 @@ class TestForward:
     def test_encode_verse_matches_batch(self):
         cfg = tiny_cfg()
         params = init_encoder_params(cfg)
-        seq = TokenSequence((2, 4, 5))
-        single = encode_verse(seq, params, cfg)
+        single = encode_verse((2, 4, 5), params, cfg)
         states, _ = encoder_forward(np.array([[2, 4, 5]]), params, cfg)
         np.testing.assert_array_equal(single, states[0, 0])
 

@@ -15,38 +15,48 @@ from verseid.features import (
     one_hot_meter,
     stylometric_features,
 )
+from verseid.normalize import normalize_verse
 
 from conftest import make_poem
+
+
+def verse_features(verse):
+    """Stylometrics of a raw verse, normalized the way build_dataset does it."""
+    h1, h2 = normalize_verse(verse)
+    return np.asarray(stylometric_features(h1.split(), h2.split()))
+
+
+def feature(f, name):
+    return f[FEATURE_NAMES.index(name)]
 
 
 class TestStylometrics:
     def test_repeated_words(self):
         # Both hemistichs "a b c": six tokens, three distinct, no hapaxes.
-        f = stylometric_features(Verse("a b c", "a b c"))
-        assert f.word_count == 6
-        assert f.distinct_word_count == 3
-        assert f.avg_word_length == 1.0
-        assert f.hapax_ratio == 0.0
-        assert f.mean_hemistich_length == 3.0
-        assert f.punctuation_density == 0.0
-        assert f.symmetry_ratio == 1.0
+        f = verse_features(Verse("a b c", "a b c"))
+        assert feature(f, "word_count") == 6
+        assert feature(f, "distinct_word_count") == 3
+        assert feature(f, "avg_word_length") == 1.0
+        assert feature(f, "hapax_ratio") == 0.0
+        assert feature(f, "mean_hemistich_length") == 3.0
+        assert feature(f, "punctuation_density") == 0.0
+        assert feature(f, "symmetry_ratio") == 1.0
 
     def test_hapax_and_symmetry(self):
-        f = stylometric_features(Verse("x y x", ""))
-        assert f.word_count == 3
-        assert f.distinct_word_count == 2
-        assert f.hapax_ratio == pytest.approx(1 / 3)
-        assert f.mean_hemistich_length == 1.5
-        assert f.symmetry_ratio == 3.0  # empty second hemistich clamps to 1
+        f = verse_features(Verse("x y x", ""))
+        assert feature(f, "word_count") == 3
+        assert feature(f, "distinct_word_count") == 2
+        assert feature(f, "hapax_ratio") == pytest.approx(1 / 3)
+        assert feature(f, "mean_hemistich_length") == 1.5
+        assert feature(f, "symmetry_ratio") == 3.0  # empty second hemistich clamps to 1
 
     def test_punctuation_density_counts_persian_marks(self):
-        f = stylometric_features(Verse("سلام، دوست", ""))
+        f = verse_features(Verse("سلام، دوست", ""))
         # Nine non-space characters, one of them the Persian comma.
-        assert f.punctuation_density == pytest.approx(1 / 9)
+        assert feature(f, "punctuation_density") == pytest.approx(1 / 9)
 
     def test_feature_order_matches_names(self):
-        f = stylometric_features(Verse("a bb", "ccc"))
-        arr = f.as_array()
+        arr = verse_features(Verse("a bb", "ccc"))
         assert arr.shape == (7,)
         assert arr[FEATURE_NAMES.index("word_count")] == 3
         assert arr[FEATURE_NAMES.index("avg_word_length")] == 2.0
@@ -56,9 +66,9 @@ class TestStylometrics:
     def test_whitespace_padding_invariant(self, n1, n2):
         words1 = " ".join(f"tok{i}" for i in range(n1))
         words2 = " ".join(f"tok{i}" for i in range(n2))
-        plain = stylometric_features(Verse(words1, words2))
-        padded = stylometric_features(Verse(f"  {words1.replace(' ', '   ')} ", f" {words2} \t"))
-        np.testing.assert_allclose(padded.as_array(), plain.as_array())
+        plain = verse_features(Verse(words1, words2))
+        padded = verse_features(Verse(f"  {words1.replace(' ', '   ')} ", f" {words2} \t"))
+        np.testing.assert_allclose(padded, plain)
 
 
 class TestScaler:
@@ -136,8 +146,8 @@ class TestMeterClasses:
     def test_fixed_width_even_with_few_meters(self):
         mm = build_meter_classes(meter_corpus({"a": 1, "b": 1}))
         assert mm.n_classes == 15
-        vec = one_hot_meter("a", mm)
-        assert vec.shape == (15,)
+        block = one_hot_meter(["a"], mm)
+        assert block.shape == (1, 15)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -152,15 +162,16 @@ class TestMeterClasses:
 
 class TestOneHots:
     def test_known_form(self):
-        vec = one_hot_form("ghazal", {"ghazal": 0, "robai": 1})
-        np.testing.assert_array_equal(vec, [1.0, 0.0, 0.0])
+        block = one_hot_form(["ghazal"], {"ghazal": 0, "robai": 1})
+        np.testing.assert_array_equal(block, [[1.0, 0.0, 0.0]])
 
     def test_unknown_form_uses_last_slot(self):
-        vec = one_hot_form("mystery", {"ghazal": 0, "robai": 1})
-        np.testing.assert_array_equal(vec, [0.0, 0.0, 1.0])
+        block = one_hot_form(["mystery"], {"ghazal": 0, "robai": 1})
+        np.testing.assert_array_equal(block, [[0.0, 0.0, 1.0]])
 
-    @given(st.sampled_from(["a", "b", "c", "unseen"]))
-    def test_one_hot_sums_to_one(self, form):
-        vec = one_hot_form(form, {"a": 0, "b": 1, "c": 2})
-        assert vec.sum() == 1.0
-        assert ((vec == 0.0) | (vec == 1.0)).all()
+    @given(st.lists(st.sampled_from(["a", "b", "c", "unseen"]), min_size=1, max_size=6))
+    def test_one_hot_sums_to_one(self, forms):
+        block = one_hot_form(forms, {"a": 0, "b": 1, "c": 2})
+        assert block.shape == (len(forms), 4)
+        np.testing.assert_array_equal(block.sum(axis=1), 1.0)
+        assert ((block == 0.0) | (block == 1.0)).all()

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from verseid.corpus import Corpus
-from verseid.embeddings import EmbeddingConfig, train_sgns
+from verseid.embeddings import EmbeddingConfig, train_sgns, verse_semantic_vector
 from verseid.encoder import EncoderConfig
+from verseid.features import one_hot_form, one_hot_meter, stylometric_features
 from verseid.model import (
     AdamW,
     FeatureSpace,
@@ -28,12 +29,11 @@ from verseid.model import (
     lr_at_step,
     poem_probability_groups,
     predict_proba,
-    predict_verse,
     save_checkpoint,
     training_log_csv,
     weighted_cross_entropy,
 )
-from verseid.normalize import build_vocab, verse_tokens
+from verseid.normalize import build_vocab, normalize_verse, tokenize_verse, verse_tokens
 from verseid.split import LeakageError, split_records, stratified_poem_split
 
 
@@ -256,7 +256,7 @@ class TestFeatureSpace:
     def test_aux_dim_and_order(self, small_synth):
         space, train_recs, _, _ = build_pipeline(small_synth)
         record = train_recs[0]
-        ids, aux = space.verse_row(record, record.verses[0])
+        aux = build_dataset([record], space).aux[0]
         d_sem = space.embeddings.dim
         assert aux.shape == (space.aux_dim,)
         assert space.aux_dim == d_sem + 7 + len(space.form_index) + 1 + 15
@@ -268,10 +268,45 @@ class TestFeatureSpace:
         assert meter_slice.sum() == 1.0
         assert meter_slice[space.meter_map.class_of(record.meter)] == 1.0
 
+    def test_aux_matches_per_verse_reference(self, small_synth):
+        space, train_recs, _, _ = build_pipeline(small_synth)
+        records = train_recs[:5]
+        rows = []
+        for r in records:
+            for v in r.verses:
+                h1, h2 = normalize_verse(v, space.vocab.config)
+                t1, t2 = h1.split(), h2.split()
+                ids = tokenize_verse(t1 + t2, space.vocab, space.max_len)
+                stylo = np.array([stylometric_features(t1, t2)])
+                rows.append(np.concatenate([
+                    verse_semantic_vector(ids, space.embeddings).astype(np.float64),
+                    space.scaler.transform(stylo)[0],
+                    one_hot_form([r.form], space.form_index)[0],
+                    one_hot_meter([r.meter], space.meter_map)[0],
+                ]))
+        expected = np.stack(rows).astype(np.float32)
+        np.testing.assert_array_equal(build_dataset(records, space).aux, expected)
+
     def test_fusion_flags_shrink_aux(self, small_synth):
         fusion = FusionConfig(use_meter=False, use_form=False)
         space, _, _, _ = build_pipeline(small_synth, fusion=fusion)
         assert space.aux_dim == space.embeddings.dim + 7
+
+    def test_one_normalization_pass_per_verse(self, small_synth, monkeypatch):
+        import verseid.normalize
+
+        space, train_recs, _, _ = build_pipeline(small_synth)
+        calls = []
+        real = verseid.normalize.normalize_text
+
+        def counting(text, *args, **kwargs):
+            calls.append(text)
+            return real(text, *args, **kwargs)
+
+        monkeypatch.setattr(verseid.normalize, "normalize_text", counting)
+        build_dataset(train_recs, space)
+        # normalize_verse calls normalize_text once per hemistich.
+        assert len(calls) == 2 * sum(r.n_verses for r in train_recs)
 
     def test_dataset_alignment(self, small_synth):
         space, train_recs, _, _ = build_pipeline(small_synth)
@@ -393,16 +428,6 @@ class TestCheckpoint:
         other = train_sgns([[3, 4]], len(bundle.space.vocab), EmbeddingConfig(dim=4, epochs=1))[0]
         with pytest.raises(StaleArtifactError, match="embeddings"):
             load_checkpoint(path, bundle.space.vocab, other)
-
-    def test_predict_verse_matches_batch(self, trained_bundle):
-        bundle, test_ds, test_recs = trained_bundle
-        record = test_recs[0]
-        probs = predict_verse(record, record.verses[0], bundle)
-        batch = predict_proba(test_ds, bundle)
-        idx = test_ds.poem_ids.index(record.poem_id)
-        # Single-row and batched matmuls may sum in different orders, so
-        # agreement is to float32 tolerance rather than bitwise.
-        np.testing.assert_allclose(probs, batch[idx], atol=1e-6)
 
     def test_poem_grouping(self, trained_bundle):
         bundle, test_ds, test_recs = trained_bundle

@@ -141,24 +141,24 @@ class TestTokenize:
 
     def test_cls_then_tokens(self):
         vocab = self.vocab()
-        seq = tokenize_verse(Verse("گل باغ", "بلبل"), vocab)
-        assert seq.ids[0] == CLS_ID
-        assert list(seq.ids).count(CLS_ID) == 1
-        assert PAD_ID not in seq.ids
-        assert len(seq) == 4
+        ids = tokenize_verse(verse_tokens(Verse("گل باغ", "بلبل")), vocab)
+        assert ids[0] == CLS_ID
+        assert list(ids).count(CLS_ID) == 1
+        assert PAD_ID not in ids
+        assert len(ids) == 4
 
     def test_oov_maps_to_unk(self):
-        seq = tokenize_verse(Verse("ناشناخته", "گل"), self.vocab())
-        assert seq.ids[1] == UNK_ID
+        ids = tokenize_verse(verse_tokens(Verse("ناشناخته", "گل")), self.vocab())
+        assert ids[1] == UNK_ID
 
     def test_truncation(self):
         words = " ".join(f"w{i}" for i in range(100))
-        seq = tokenize_verse(Verse(words, ""), self.vocab(), max_len=64)
-        assert len(seq) == 64
+        ids = tokenize_verse(verse_tokens(Verse(words, "")), self.vocab(), max_len=64)
+        assert len(ids) == 64
 
     def test_empty_verse_rejected(self):
         with pytest.raises(ValueError, match="empty verse"):
-            tokenize_verse(Verse("", "  "), self.vocab())
+            tokenize_verse(verse_tokens(Verse("", "  ")), self.vocab())
 
     def test_tokens_cross_hemistichs(self):
         assert verse_tokens(Verse("الف ب", "پ")) == ["الف", "ب", "پ"]

@@ -1,5 +1,7 @@
 """Poem-level splitting and leakage checks."""
 
+import csv
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -165,6 +167,17 @@ class TestSerializationAndRecords:
         assert loaded.seed == a.seed
         assert loaded.ratios == a.ratios
         assert loaded.warnings == a.warnings
+
+    def test_round_trip_quotes_commas_and_quotes(self, tmp_path):
+        corpus = Corpus([make_poem(pid, "poet, the", [("الف", "ب")])
+                         for pid in ("a,b", 'q"x', "plain")])
+        a = stratified_poem_split(corpus, seed=0)
+        a.save(tmp_path / "split.csv", tmp_path / "split_meta.json")
+        with open(tmp_path / "split.csv", newline="", encoding="utf-8") as fh:
+            assert all(len(row) == 3 for row in csv.reader(fh))
+        loaded = SplitAssignment.load(tmp_path / "split.csv", tmp_path / "split_meta.json")
+        assert loaded.rows == a.rows
+        assert {pid for pid, _, _ in loaded.rows} == {"a,b", 'q"x', "plain"}
 
     def test_csv_shape(self):
         a = stratified_poem_split(corpus_of({"a": 10}), seed=0)
