@@ -50,8 +50,8 @@ from .model import (
     save_checkpoint,
     training_log_csv,
 )
-from .normalize import NormalizationConfig, Vocabulary, build_vocab, verse_tokens
-from .split import LeakageError, SplitAssignment, split_records, stratified_poem_split, verify_no_leakage
+from .normalize import NormalizationConfig, Vocabulary, build_vocab, normalize_verse
+from .split import SPLIT_NAMES, LeakageError, SplitAssignment, split_records, stratified_poem_split, verify_no_leakage
 from .synthetic import SyntheticConfig, make_synthetic_corpus
 
 CORPUS_FILE = "corpus.jsonl"
@@ -91,13 +91,16 @@ def _require(path: Path, what: str) -> Path:
     return path
 
 
-def _load_split(arg: str) -> SplitAssignment:
-    p = Path(arg)
+def _load_splits(args) -> tuple[Corpus, dict[str, list[PoemRecord]]]:
+    """The corpus and its records by split name, checked for leakage once."""
+    corpus = load_corpus(_corpus_path(args.corpus))
+    p = Path(args.split)
     csv_path = p / ASSIGNMENT_CSV if p.is_dir() else p
     meta_path = csv_path.with_name(SPLIT_META)
     _require(csv_path, "split assignment")
     _require(meta_path, "split metadata")
-    return SplitAssignment.load(csv_path, meta_path)
+    assignment = SplitAssignment.load(csv_path, meta_path)
+    return corpus, dict(zip(SPLIT_NAMES, split_records(corpus, assignment)))
 
 
 def _load_artifacts(emb_dir: str) -> tuple[Vocabulary, EmbeddingMatrix]:
@@ -161,18 +164,17 @@ def cmd_split(args) -> int:
 
 
 def cmd_train_embeddings(args) -> int:
-    corpus = load_corpus(_corpus_path(args.corpus))
-    assignment = _load_split(args.split)
-    verify_no_leakage(assignment, corpus)
-    train_recs, _, _ = split_records(corpus, assignment)
-
+    _, splits = _load_splits(args)
     norm_cfg = NormalizationConfig(strip_zwnj=args.strip_zwnj)
-    vocab = build_vocab(Corpus(train_recs), norm_cfg, min_freq=args.min_freq)
-    sequences = [
-        [vocab.id_of(t) for t in verse_tokens(v, norm_cfg)]
-        for r in train_recs
-        for v in r.verses
-    ]
+    tokens = []
+    for r in splits["train"]:
+        for v in r.verses:
+            t1, t2 = normalize_verse(v, norm_cfg)
+            # Interned, so the many repeats of a token share one string.
+            tokens.append([sys.intern(t) for t in t1 + t2])
+    vocab = build_vocab(tokens, norm_cfg, min_freq=args.min_freq)
+    sequences = [[vocab.id_of(t) for t in toks] for toks in tokens]
+    del tokens  # SGNS needs only the ids
     emb_cfg = EmbeddingConfig(
         dim=args.dim,
         window=args.window,
@@ -218,10 +220,7 @@ def _fusion_from_arg(features: str) -> FusionConfig:
 
 
 def cmd_train(args) -> int:
-    corpus = load_corpus(_corpus_path(args.corpus))
-    assignment = _load_split(args.split)
-    verify_no_leakage(assignment, corpus)
-    train_recs, valid_recs, _ = split_records(corpus, assignment)
+    corpus, splits = _load_splits(args)
     vocab, emb = _load_artifacts(args.embeddings)
 
     base = TrainConfig.desk() if args.preset == "desk" else TrainConfig()
@@ -254,11 +253,10 @@ def cmd_train(args) -> int:
     fusion = _fusion_from_arg(args.features)
     poet_index = {p: i for i, p in enumerate(sorted({r.poet for r in corpus.records}))}
     form_index = {f: i for i, f in enumerate(sorted({r.form for r in corpus.records}))}
-    space = FeatureSpace.fit(
-        train_recs, vocab, emb, form_index, poet_index, fusion, max_len=args.max_len
+    space, train_ds = FeatureSpace.fit(
+        splits["train"], vocab, emb, form_index, poet_index, fusion, max_len=args.max_len
     )
-    train_ds = build_dataset(train_recs, space)
-    valid_ds = build_dataset(valid_recs, space)
+    valid_ds = build_dataset(splits["valid"], space)
     bundle = fit(train_ds, valid_ds, space, enc_cfg, tcfg)
 
     out = Path(args.out)
@@ -295,12 +293,8 @@ def _load_bundle(args) -> ModelBundle:
 
 
 def _eval_data(args, bundle: ModelBundle):
-    corpus = load_corpus(_corpus_path(args.corpus))
-    assignment = _load_split(args.split)
-    verify_no_leakage(assignment, corpus)
-    parts = dict(zip(("train", "valid", "test"), split_records(corpus, assignment)))
-    records = parts[args.split_name]
-    ds = build_dataset(records, bundle.space)
+    _, splits = _load_splits(args)
+    ds = build_dataset(splits[args.split_name], bundle.space)
     probs = predict_proba(ds, bundle)
     return ds, probs
 

@@ -18,11 +18,16 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-ATTRIBUTION_STATUSES = ("confirmed", "contested", "anonymous", "ambiguous")
+ATTRIBUTION_STATUSES = ("confirmed", "attributed", "disputed", "apocryphal")
 
 
 class CorpusError(ValueError):
     """Raised for malformed corpus files or empty filter results."""
+
+
+class StaleArtifactError(ValueError):
+    """Raised when an artifact file is damaged, or is paired with artifacts
+    it was not built with."""
 
 
 @dataclass(frozen=True)

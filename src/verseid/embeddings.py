@@ -19,15 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import StaleArtifactError
 from .normalize import N_RESERVED
 
 _MAGIC = b"VEMB"
 _HEADER = struct.Struct("<4sIII")
-
-
-class StaleArtifactError(ValueError):
-    """Raised when an artifact file is damaged, or is paired with artifacts
-    it was not built with."""
 
 
 @dataclass(frozen=True)

@@ -333,9 +333,3 @@ def encoder_backward(d_states: np.ndarray, cache: dict, params: Params, cfg: Enc
         d_pos[: ids.shape[1]] = dx.sum(axis=0)
         grads["pos_emb"] = d_pos
     return grads
-
-
-def encode_verse(ids: tuple[int, ...], params: Params, cfg: EncoderConfig) -> np.ndarray:
-    """Encode one verse's token ids; returns the (d_model,) vector at position 0."""
-    states, _ = encoder_forward(np.asarray([ids], dtype=np.int64), params, cfg, train=False)
-    return states[0, 0]

@@ -8,8 +8,6 @@ The one-hot encoders take a whole dataset's labels and return one block.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import unicodedata
 from dataclasses import dataclass, field
 
@@ -108,11 +106,6 @@ class Scaler:
         s.constant_dims = [int(i) for i in d["constant_dims"]]
         return s
 
-    def content_hash(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
-        ).hexdigest()
-
 
 DEFAULT_TOP_METERS = 14
 
@@ -148,11 +141,6 @@ class MeterClassMap:
     @classmethod
     def from_dict(cls, d: dict) -> "MeterClassMap":
         return cls(class_of_meter=dict(d["class_of_meter"]), n_top=int(d["n_top"]))
-
-    def content_hash(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
-        ).hexdigest()
 
 
 def build_meter_classes(corpus: Corpus, n_top: int = DEFAULT_TOP_METERS) -> MeterClassMap:

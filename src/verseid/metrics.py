@@ -8,7 +8,7 @@ class the model never predicts drags the macro down rather than vanishing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class EvalReport:
     zero_division_classes: list[int]
     class_names: list[str] | None = None
     coverage: float | None = None
-    extras: dict = field(default_factory=dict)
 
     @property
     def n_classes(self) -> int:
@@ -68,7 +67,6 @@ class EvalReport:
             "zero_division_classes": self.zero_division_classes,
             "coverage": self.coverage,
         }
-        payload.update(self.extras)
         return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True)
 
     def to_text(self) -> str:

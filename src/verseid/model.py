@@ -7,9 +7,9 @@ layer with ReLU and dropout. Training runs AdamW with linear warmup, cosine
 decay, global-norm gradient clipping, class-weighted cross-entropy, and
 early stopping on validation verse accuracy.
 
-:func:`build_dataset` normalizes each verse once, then fills the non-text
-inputs of the whole dataset into one preallocated float32 array, one block
-(semantic, stylometric, form, meter) at a time.
+:func:`build_dataset` (and :meth:`FeatureSpace.fit`, for the train split)
+normalizes each verse once, then fills the non-text inputs of the whole
+dataset into one preallocated float32 array, one block at a time.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, PoemRecord
-from .embeddings import EmbeddingMatrix, StaleArtifactError, verse_semantic_vector
+from .corpus import Corpus, PoemRecord, StaleArtifactError
+from .embeddings import EmbeddingMatrix, verse_semantic_vector
 from .encoder import (
     EncoderConfig,
     Params,
@@ -287,15 +287,15 @@ class FeatureSpace:
         poet_index: dict[str, int],
         fusion: FusionConfig = FusionConfig(),
         max_len: int = 64,
-    ) -> "FeatureSpace":
-        rows = []
-        for r in train_records:
-            for v in r.verses:
-                h1, h2 = normalize_verse(v, vocab.config)
-                rows.append(stylometric_features(h1.split(), h2.split()))
-        scaler = Scaler().fit(np.array(rows))
+    ) -> tuple["FeatureSpace", "FeatureDataset"]:
+        """Fit the scaler (on every train verse, empty ones included) and the
+        meter map; returns the space and ``build_dataset(train_records, space)``,
+        both from one normalization pass."""
+        token_ids, stylo, verses = _scan(train_records, vocab, max_len)
         meter_map = build_meter_classes(Corpus(list(train_records)))
-        return cls(vocab, embeddings, scaler, meter_map, form_index, poet_index, fusion, max_len)
+        space = cls(vocab, embeddings, Scaler().fit(stylo), meter_map, form_index, poet_index,
+                    fusion, max_len)
+        return space, _dataset(token_ids, stylo, verses, space)
 
     @property
     def n_classes(self) -> int:
@@ -349,61 +349,71 @@ class FeatureDataset:
         return len(self.token_ids)
 
 
-def build_dataset(records: list[PoemRecord], space: FeatureSpace) -> FeatureDataset:
-    """Featurize every verse of every record.
+def _scan(records: list[PoemRecord], vocab: Vocabulary, max_len: int):
+    """Normalize each verse once (its tokens live only inside the loop).
 
-    Verses that normalize to nothing are skipped with a warning; poems whose
-    poet is missing from the index get label -1 (prediction-only data).
+    Returns the token ids of each verse with tokens, the ``(n_verses, 7)``
+    stylometric rows of every verse, empty ones included, and a
+    ``(record, verse index, stylometric row)`` triple per token id tuple.
     """
-    fusion = space.fusion
+    stylo = np.empty((sum(r.n_verses for r in records), len(FEATURE_NAMES)))
     token_ids: list[tuple[int, ...]] = []
-    stylo: list[tuple[float, ...]] = []
-    labels: list[int] = []
-    poem_ids: list[str] = []
-    verse_indices: list[int] = []
-    forms: list[str] = []
-    meters: list[str] = []
-    skipped = 0
+    verses: list[tuple[PoemRecord, int, int]] = []
+    row = 0
     for r in records:
-        label = space.poet_index.get(r.poet, -1)
         for vi, verse in enumerate(r.verses):
-            h1, h2 = normalize_verse(verse, space.vocab.config)
-            t1, t2 = h1.split(), h2.split()
-            if not (t1 or t2):
-                skipped += 1
-                continue
-            token_ids.append(tokenize_verse(t1 + t2, space.vocab, space.max_len))
-            if fusion.use_stylometric:
-                stylo.append(stylometric_features(t1, t2))
-            labels.append(label)
-            poem_ids.append(r.poem_id)
-            verse_indices.append(vi)
-            forms.append(r.form)
-            meters.append(r.meter)
-    if skipped:
-        warnings.warn(f"skipped {skipped} verses with no tokens after normalization")
-    if not token_ids:
-        raise ValueError("no usable verses in dataset")
+            t1, t2 = normalize_verse(verse, vocab.config)
+            stylo[row] = stylometric_features(t1, t2)
+            if t1 or t2:
+                token_ids.append(tokenize_verse(t1 + t2, vocab, max_len))
+                verses.append((r, vi, row))
+            row += 1
+    return token_ids, stylo, verses
 
-    aux = np.empty((len(token_ids), space.aux_dim), dtype=np.float32)
+
+def _dataset(
+    token_ids: list[tuple[int, ...]],
+    stylo: np.ndarray,
+    verses: list[tuple[PoemRecord, int, int]],
+    space: FeatureSpace,
+) -> FeatureDataset:
+    """The scanned verses that have tokens, with their aux inputs."""
+    if len(verses) < len(stylo):
+        warnings.warn(f"skipped {len(stylo) - len(verses)} verses with no tokens after normalization")
+    if not verses:
+        raise ValueError("no usable verses in dataset")
+    fusion = space.fusion
+    records = [r for r, _, _ in verses]
+    aux = np.empty((len(records), space.aux_dim), dtype=np.float32)
     col = 0
     if fusion.use_semantic:
         col = space.embeddings.dim
         for row, ids in zip(aux, token_ids):
             row[:col] = verse_semantic_vector(ids, space.embeddings)
     if fusion.use_stylometric:
-        aux[:, col : col + len(FEATURE_NAMES)] = space.scaler.transform(np.array(stylo))
+        rows = [i for _, _, i in verses]
+        aux[:, col : col + len(FEATURE_NAMES)] = space.scaler.transform(stylo[rows])
         col += len(FEATURE_NAMES)
     if fusion.use_form:
-        block = one_hot_form(forms, space.form_index)
+        block = one_hot_form([r.form for r in records], space.form_index)
         aux[:, col : col + block.shape[1]] = block
         col += block.shape[1]
     if fusion.use_meter:
-        aux[:, col:] = one_hot_meter(meters, space.meter_map)
+        aux[:, col:] = one_hot_meter([r.meter for r in records], space.meter_map)
+    labels = np.asarray([space.poet_index.get(r.poet, -1) for r in records], dtype=np.int64)
     return FeatureDataset(
-        token_ids, aux, np.asarray(labels, dtype=np.int64), poem_ids, verse_indices,
+        token_ids, aux, labels, [r.poem_id for r in records], [vi for _, vi, _ in verses],
         space.n_classes,
     )
+
+
+def build_dataset(records: list[PoemRecord], space: FeatureSpace) -> FeatureDataset:
+    """Featurize every verse of every record.
+
+    Verses that normalize to nothing are skipped with a warning; poems whose
+    poet is missing from the index get label -1 (prediction-only data).
+    """
+    return _dataset(*_scan(records, space.vocab, space.max_len), space)
 
 
 def _pad_batch(token_ids: list[tuple[int, ...]], dtype=np.int64) -> np.ndarray:

@@ -12,10 +12,11 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .corpus import Corpus, Verse
+from .corpus import StaleArtifactError, Verse
 
 # Letter variants.
 ARABIC_YEH = "ي"
@@ -87,14 +88,11 @@ def normalize_text(text: str, cfg: NormalizationConfig = NormalizationConfig()) 
     return text
 
 
-def normalize_verse(verse: Verse, cfg: NormalizationConfig = NormalizationConfig()) -> tuple[str, str]:
-    return normalize_text(verse.hemistich_1, cfg), normalize_text(verse.hemistich_2, cfg)
-
-
-def verse_tokens(verse: Verse, cfg: NormalizationConfig = NormalizationConfig()) -> list[str]:
-    """Whitespace tokens of both normalized hemistichs, in reading order."""
-    h1, h2 = normalize_verse(verse, cfg)
-    return h1.split() + h2.split()
+def normalize_verse(
+    verse: Verse, cfg: NormalizationConfig = NormalizationConfig()
+) -> tuple[list[str], list[str]]:
+    """The whitespace tokens of each normalized hemistich; the one tokenizer."""
+    return normalize_text(verse.hemistich_1, cfg).split(), normalize_text(verse.hemistich_2, cfg).split()
 
 
 @dataclass
@@ -134,34 +132,41 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
+        """Read a file written by :meth:`save`, whose ids count up from 0 in
+        line order; a damaged file raises StaleArtifactError naming the line."""
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         if not lines or not lines[0].startswith("# config "):
-            raise ValueError(f"{path}: missing vocabulary config header")
-        cfg = NormalizationConfig.from_dict(json.loads(lines[0][len("# config "):]))
+            raise StaleArtifactError(f"{path}: line 1: missing vocabulary config header")
+        try:
+            cfg = NormalizationConfig.from_dict(json.loads(lines[0][len("# config "):]))
+        except (ValueError, TypeError) as exc:
+            raise StaleArtifactError(f"{path}: line 1: unreadable vocabulary config ({exc})") from None
         token_to_id: dict[str, int] = {}
-        for line in lines[1:]:
-            if not line:
-                continue
-            tok, _, idx = line.rpartition("\t")
-            token_to_id[tok] = int(idx)
+        for lineno, line in enumerate(lines[1:], start=2):
+            tok, tab, idx = line.rpartition("\t")
+            if not tab or idx != str(len(token_to_id)):
+                raise StaleArtifactError(f"{path}: line {lineno}: expected "
+                                         f"'<token>\\t{len(token_to_id)}', got {line!r}")
+            if tok in token_to_id:
+                raise StaleArtifactError(f"{path}: line {lineno}: duplicate token {tok!r}")
+            token_to_id[tok] = len(token_to_id)
         vocab = cls(token_to_id, cfg)
         for tok, want in zip(RESERVED_TOKENS, range(N_RESERVED)):
             if vocab.token_to_id.get(tok) != want:
-                raise ValueError(f"{path}: reserved token {tok!r} missing or misplaced")
+                raise StaleArtifactError(f"{path}: reserved token {tok!r} missing or misplaced")
         return vocab
 
 
 def build_vocab(
-    corpus: Corpus,
+    verse_tokens: Iterable[list[str]],
     cfg: NormalizationConfig = NormalizationConfig(),
     min_freq: int = 1,
 ) -> Vocabulary:
-    """Build a vocabulary over the normalized tokens of a corpus."""
+    """Build a vocabulary over each verse's tokens, normalized with ``cfg``."""
     counts: dict[str, int] = {}
-    for record in corpus.records:
-        for verse in record.verses:
-            for tok in verse_tokens(verse, cfg):
-                counts[tok] = counts.get(tok, 0) + 1
+    for tokens in verse_tokens:
+        for tok in tokens:
+            counts[tok] = counts.get(tok, 0) + 1
     ordered = sorted(
         (t for t, c in counts.items() if c >= min_freq),
         key=lambda t: (-counts[t], t),

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, StaleArtifactError
 
 SPLIT_NAMES = ("train", "valid", "test")
 DEFAULT_RATIOS = (0.8, 0.1, 0.1)
@@ -38,9 +38,6 @@ class SplitAssignment:
 
     def split_of(self) -> dict[str, str]:
         return {pid: split for pid, split, _ in self.rows}
-
-    def poem_ids(self, split: str) -> list[str]:
-        return [pid for pid, s, _ in self.rows if s == split]
 
     def counts(self) -> dict[str, int]:
         out = {name: 0 for name in SPLIT_NAMES}
@@ -68,25 +65,32 @@ class SplitAssignment:
 
     @classmethod
     def load(cls, csv_path: str | Path, meta_path: str | Path) -> "SplitAssignment":
+        """Read the files written by :meth:`save`; a damaged one raises
+        StaleArtifactError naming the file and the line or key."""
         with open(csv_path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             if next(reader, None) != list(CSV_HEADER):
-                raise ValueError(f"{csv_path}: not a split assignment file")
+                raise StaleArtifactError(f"{csv_path}: not a split assignment file")
             rows = []
             for row in reader:
                 if not row:
                     continue
                 if len(row) != len(CSV_HEADER):
-                    raise ValueError(f"{csv_path}: line {reader.line_num}: expected "
-                                     f"{len(CSV_HEADER)} fields, got {len(row)}")
+                    raise StaleArtifactError(f"{csv_path}: line {reader.line_num}: expected "
+                                             f"{len(CSV_HEADER)} fields, got {len(row)}")
                 rows.append(tuple(row))
-        meta = json.loads(Path(meta_path).read_text(encoding="utf-8"))
-        return cls(
-            rows,
-            seed=int(meta["seed"]),
-            ratios=tuple(meta["ratios"]),
-            warnings=list(meta.get("warnings", [])),
-        )
+        try:
+            meta = json.loads(Path(meta_path).read_text(encoding="utf-8"))
+            return cls(
+                rows,
+                seed=int(meta["seed"]),
+                ratios=tuple(meta["ratios"]),
+                warnings=list(meta.get("warnings", [])),
+            )
+        except KeyError as exc:
+            raise StaleArtifactError(f"{meta_path}: split metadata lacks key {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise StaleArtifactError(f"{meta_path}: malformed split metadata ({exc})") from None
 
 
 def _largest_remainder(n: int, ratios: tuple[float, ...]) -> list[int]:

@@ -116,7 +116,7 @@ def make_synthetic_corpus(cfg: SyntheticConfig = SyntheticConfig()) -> Corpus:
                 l1 = base_len + int(rng.integers(0, 3))
                 l2 = base_len + int(rng.integers(0, 3))
                 verses.append(Verse(hemistich(poet, formulaic, l1), hemistich(poet, formulaic, l2)))
-            status = "contested" if rng.random() < cfg.contested_rate else "confirmed"
+            status = "disputed" if rng.random() < cfg.contested_rate else "confirmed"
             records.append(
                 PoemRecord(
                     poem_id=f"{poet_name}-{k:04d}",

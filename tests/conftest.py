@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from verseid.corpus import Corpus, PoemRecord, Verse
+from verseid.normalize import NormalizationConfig, normalize_verse
 from verseid.synthetic import SyntheticConfig, make_synthetic_corpus
 
 
@@ -16,6 +17,17 @@ def make_poem(poem_id, poet, verses, form="ghazal", meter="ramal", status="confi
         attribution_status=status,
         verses=[Verse(a, b) for a, b in verses],
     )
+
+
+def verse_token_list(verse, cfg=NormalizationConfig()):
+    """A verse's tokens, both hemistichs in reading order."""
+    t1, t2 = normalize_verse(verse, cfg)
+    return t1 + t2
+
+
+def token_lists(records, cfg=NormalizationConfig()):
+    """One token list per verse of the records, as build_vocab takes them."""
+    return [verse_token_list(v, cfg) for r in records for v in r.verses]
 
 
 @pytest.fixture

@@ -39,11 +39,11 @@ from verseid.model import (
     predict_proba,
     weighted_cross_entropy,
 )
-from verseid.normalize import build_vocab, verse_tokens
+from verseid.normalize import build_vocab
 from verseid.split import split_records, stratified_poem_split, verify_no_leakage
 from verseid.synthetic import SyntheticConfig, make_synthetic_corpus
 
-from conftest import make_poem
+from conftest import make_poem, token_lists
 
 TAUS = [0.5, 0.6, 0.7, 0.8, 0.9]
 
@@ -241,12 +241,9 @@ def desk_env():
     corpus = make_synthetic_corpus(SyntheticConfig())  # 5 poets x 200 poems
     assignment = stratified_poem_split(corpus, seed=0)
     train_recs, valid_recs, test_recs = split_records(corpus, assignment)
-    vocab = build_vocab(Corpus(train_recs))
-    sequences = [
-        [vocab.id_of(t) for t in verse_tokens(v, vocab.config)]
-        for r in train_recs
-        for v in r.verses
-    ]
+    tokens = token_lists(train_recs)
+    vocab = build_vocab(tokens)
+    sequences = [[vocab.id_of(t) for t in toks] for toks in tokens]
     emb, _ = train_sgns(sequences, len(vocab), EmbeddingConfig())
     poet_index = {p: i for i, p in enumerate(sorted({r.poet for r in corpus.records}))}
     form_index = {f: i for i, f in enumerate(sorted({r.form for r in corpus.records}))}
@@ -265,12 +262,12 @@ def train_desk(env, fusion: FusionConfig):
     """Desk-default training run; returns (bundle, test accuracies, elapsed)."""
     t0 = time.perf_counter()
     train_recs, valid_recs, test_recs = env["records"]
-    space = FeatureSpace.fit(
+    space, train_ds = FeatureSpace.fit(
         train_recs, env["vocab"], env["emb"], env["form_index"], env["poet_index"], fusion
     )
     enc_cfg = EncoderConfig(vocab_size=len(env["vocab"]))
     bundle = fit(
-        build_dataset(train_recs, space),
+        train_ds,
         build_dataset(valid_recs, space),
         space,
         enc_cfg,

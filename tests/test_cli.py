@@ -335,6 +335,83 @@ class TestExitCodes:
         assert code == 3
         assert str(emb / "embeddings.bin") in captured.err
 
+    @pytest.mark.parametrize("damage, where", [
+        ("no seed", "'seed'"),
+        ("no ratios", "'ratios'"),
+        ("short row", "line 2"),
+    ])
+    def test_damaged_split_is_artifact_error(self, pipeline, tmp_path, capsys, damage, where):
+        split = tmp_path / "split"
+        shutil.copytree(pipeline["split"], split)
+        if damage == "short row":
+            damaged = split / "assignment.csv"
+            lines = damaged.read_text(encoding="utf-8").splitlines()
+            lines[1] = lines[1].rpartition(",")[0]
+            damaged.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        else:
+            damaged = split / "split_meta.json"
+            meta = json.loads(damaged.read_text(encoding="utf-8"))
+            del meta[damage.split()[1]]
+            damaged.write_text(json.dumps(meta), encoding="utf-8")
+        code, captured = run(["train", "--corpus", str(pipeline["corpus"]), "--split", str(split),
+                              "--embeddings", str(pipeline["emb"]),
+                              "--out", str(tmp_path / "m"), *FAST_TRAIN], capsys)
+        assert code == 3
+        assert str(damaged) in captured.err
+        assert where in captured.err
+
+    @pytest.mark.parametrize("damage, where", [
+        ("no header", "line 1"),
+        ("junk line", "line 6"),
+        ("id 999", "line 6"),
+        ("unknown config key", "'bogus'"),
+    ])
+    def test_damaged_vocabulary_is_artifact_error(self, pipeline, tmp_path, capsys, damage, where):
+        emb = tmp_path / "emb"
+        shutil.copytree(pipeline["emb"], emb)
+        lines = (emb / "vocab.tsv").read_text(encoding="utf-8").splitlines()
+        if damage == "no header":
+            del lines[0]
+        elif damage == "junk line":
+            lines.insert(5, "junkline")
+        elif damage == "id 999":
+            lines[5] = lines[5].rpartition("\t")[0] + "\t999"
+        else:
+            lines[0] = lines[0].replace("{", '{"bogus": true, ', 1)
+        (emb / "vocab.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, captured = run(["predict", "--input", "-", "--embeddings", str(emb),
+                              "--checkpoint", str(pipeline["model"]),
+                              "--out", str(tmp_path / "p")], capsys)
+        assert code == 3
+        assert str(emb / "vocab.tsv") in captured.err
+        assert where in captured.err
+
+    def test_each_command_checks_leakage_once(self, pipeline, tmp_path, monkeypatch):
+        import verseid.cli
+        import verseid.split
+
+        calls = []
+        real = verseid.split.verify_no_leakage
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verseid.split, "verify_no_leakage", counting)
+        monkeypatch.setattr(verseid.cli, "verify_no_leakage", counting)
+        data = ["--corpus", str(pipeline["corpus"]), "--split", str(pipeline["split"])]
+        for argv in (
+            ["train-embeddings", *data, "--out", str(tmp_path / "emb"), "--dim", "8",
+             "--epochs", "1"],
+            ["train", *data, "--embeddings", str(pipeline["emb"]), "--out", str(tmp_path / "m"),
+             *FAST_TRAIN],
+            ["evaluate", *data, "--embeddings", str(pipeline["emb"]),
+             "--checkpoint", str(pipeline["model"]), "--out", str(tmp_path / "e")],
+        ):
+            calls.clear()
+            assert main(argv) == 0
+            assert len(calls) == 1, argv[0]
+
     @pytest.mark.parametrize("command, flag, value", [
         ("evaluate", "--tau", "nan"),
         ("predict", "--tau", "inf"),

@@ -93,14 +93,19 @@ class TestLoading:
 
 
 class TestFiltering:
-    def test_status_and_threshold(self):
+    def test_status_and_threshold(self, tmp_path):
         records = [
             make_poem("a1", "keeper", [("x y z", "w v u")] * 20),
             make_poem("a2", "keeper", [("q r", "s t")] * 30),
             make_poem("b1", "minor", [("m n", "o p")] * 5),
-            make_poem("c1", "keeper", [("dropme", "dropme")] * 40, status="contested"),
+            make_poem("c1", "keeper", [("dropme", "dropme")] * 40, status="disputed"),
+            make_poem("c2", "keeper", [("dropme", "dropme")] * 40, status="attributed"),
+            make_poem("c3", "other", [("dropme", "dropme")] * 60, status="apocryphal"),
         ]
-        filtered = filter_corpus(Corpus(records), min_verses_per_poet=50)
+        # Every documented status loads, and only confirmed poems survive.
+        path = tmp_path / "c.jsonl"
+        save_corpus(Corpus(records), path)
+        filtered = filter_corpus(load_corpus(path), min_verses_per_poet=50)
         assert [r.poem_id for r in filtered.records] == ["a1", "a2"]
         assert {r.poet for r in filtered.records} == {"keeper"}
 
@@ -109,7 +114,7 @@ class TestFiltering:
             SyntheticConfig(n_poets=5, poems_per_poet=100, min_verses=4, max_verses=4, seed=1)
         )
         assert len(corpus) == 500
-        corpus.records[123].attribution_status = "ambiguous"
+        corpus.records[123].attribution_status = "apocryphal"
         filtered = filter_corpus(corpus, min_verses_per_poet=50)
         assert len(filtered) == 499
 

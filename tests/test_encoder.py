@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from verseid.encoder import (
     EncoderConfig,
     attention,
-    encode_verse,
     encoder_backward,
     encoder_forward,
     ffn,
@@ -157,13 +156,6 @@ class TestForward:
         ids = rng.integers(2, 9, size=(4, 5))
         states, _ = encoder_forward(ids, params, cfg)
         assert np.isfinite(states).all()
-
-    def test_encode_verse_matches_batch(self):
-        cfg = tiny_cfg()
-        params = init_encoder_params(cfg)
-        single = encode_verse((2, 4, 5), params, cfg)
-        states, _ = encoder_forward(np.array([[2, 4, 5]]), params, cfg)
-        np.testing.assert_array_equal(single, states[0, 0])
 
 
 def numeric_grad(loss_fn, tensor, idx, eps=1e-6):

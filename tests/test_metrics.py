@@ -107,11 +107,6 @@ class TestRenderings:
         assert payload["coverage"] == 0.9
         assert payload["zero_division_classes"] == [1]
 
-    def test_json_extras_merged(self):
-        r = classification_report([0], [0], 1)
-        r.extras["strategy"] = "weighted"
-        assert json.loads(r.to_json())["strategy"] == "weighted"
-
     def test_text_table_mentions_each_class(self):
         r = classification_report([0, 1], [0, 1], 2, class_names=["hafez", "saadi"])
         text = r.to_text()

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from verseid.corpus import Corpus
+from verseid.cli import main
+from verseid.corpus import save_corpus
 from verseid.embeddings import EmbeddingConfig, train_sgns, verse_semantic_vector
 from verseid.encoder import EncoderConfig
 from verseid.features import one_hot_form, one_hot_meter, stylometric_features
@@ -33,8 +34,11 @@ from verseid.model import (
     training_log_csv,
     weighted_cross_entropy,
 )
-from verseid.normalize import build_vocab, normalize_verse, tokenize_verse, verse_tokens
+from verseid.normalize import build_vocab, normalize_verse, tokenize_verse
 from verseid.split import LeakageError, split_records, stratified_poem_split
+from verseid.synthetic import SyntheticConfig, make_synthetic_corpus
+
+from conftest import make_poem, token_lists
 
 
 class TestClassWeights:
@@ -239,16 +243,13 @@ class TestOptimizerAndSchedule:
 def build_pipeline(corpus, fusion=FusionConfig(), seed=0, emb_dim=12):
     assignment = stratified_poem_split(corpus, seed=seed)
     train_recs, valid_recs, test_recs = split_records(corpus, assignment)
-    vocab = build_vocab(Corpus(train_recs))
-    sequences = [
-        [vocab.id_of(t) for t in verse_tokens(v, vocab.config)]
-        for r in train_recs
-        for v in r.verses
-    ]
+    tokens = token_lists(train_recs)
+    vocab = build_vocab(tokens)
+    sequences = [[vocab.id_of(t) for t in toks] for toks in tokens]
     emb, _ = train_sgns(sequences, len(vocab), EmbeddingConfig(dim=emb_dim, epochs=2, seed=seed))
     poet_index = {p: i for i, p in enumerate(sorted({r.poet for r in corpus.records}))}
     form_index = {f: i for i, f in enumerate(sorted({r.form for r in corpus.records}))}
-    space = FeatureSpace.fit(train_recs, vocab, emb, form_index, poet_index, fusion)
+    space, _ = FeatureSpace.fit(train_recs, vocab, emb, form_index, poet_index, fusion)
     return space, train_recs, valid_recs, test_recs
 
 
@@ -274,8 +275,7 @@ class TestFeatureSpace:
         rows = []
         for r in records:
             for v in r.verses:
-                h1, h2 = normalize_verse(v, space.vocab.config)
-                t1, t2 = h1.split(), h2.split()
+                t1, t2 = normalize_verse(v, space.vocab.config)
                 ids = tokenize_verse(t1 + t2, space.vocab, space.max_len)
                 stylo = np.array([stylometric_features(t1, t2)])
                 rows.append(np.concatenate([
@@ -292,21 +292,63 @@ class TestFeatureSpace:
         space, _, _, _ = build_pipeline(small_synth, fusion=fusion)
         assert space.aux_dim == space.embeddings.dim + 7
 
-    def test_one_normalization_pass_per_verse(self, small_synth, monkeypatch):
+    def test_one_normalization_pass_per_verse(self, small_synth, monkeypatch, tmp_path):
+        import verseid.model
         import verseid.normalize
 
         space, train_recs, _, _ = build_pipeline(small_synth)
-        calls = []
-        real = verseid.normalize.normalize_text
+        calls = {}
 
-        def counting(text, *args, **kwargs):
-            calls.append(text)
-            return real(text, *args, **kwargs)
+        def count(module, name):
+            real = getattr(module, name)
 
-        monkeypatch.setattr(verseid.normalize, "normalize_text", counting)
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+
+        count(verseid.normalize, "normalize_text")
+        count(verseid.model, "stylometric_features")
+        calls.update(normalize_text=0, stylometric_features=0)
         build_dataset(train_recs, space)
         # normalize_verse calls normalize_text once per hemistich.
-        assert len(calls) == 2 * sum(r.n_verses for r in train_recs)
+        assert calls["normalize_text"] == 2 * sum(r.n_verses for r in train_recs)
+
+        # The desk corpus: 6,511 train and 810 valid verses at split seed 0.
+        save_corpus(make_synthetic_corpus(SyntheticConfig()), tmp_path / "desk.jsonl")
+        data, split, emb = (str(tmp_path / name) for name in ("desk.jsonl", "split", "emb"))
+        assert main(["split", "--corpus", data, "--seed", "0", "--out", split]) == 0
+        calls.update(normalize_text=0, stylometric_features=0)
+        assert main(["train-embeddings", "--corpus", data, "--split", split, "--out", emb,
+                     "--dim", "8", "--epochs", "1", "--window", "1"]) == 0
+        assert calls == {"normalize_text": 13_022, "stylometric_features": 0}
+        calls.update(normalize_text=0, stylometric_features=0)
+        assert main(["train", "--corpus", data, "--split", split, "--embeddings", emb,
+                     "--out", str(tmp_path / "model"), "--epochs", "1", "--d-model", "8",
+                     "--n-heads", "2", "--n-layers", "1", "--d-ff", "8",
+                     "--head-hidden", "8"]) == 0
+        assert calls == {"normalize_text": 14_642, "stylometric_features": 7_321}
+
+    def test_fit_returns_the_train_dataset(self, small_synth):
+        space, train_recs, _, _ = build_pipeline(small_synth)
+        # The first verse is a lone tatweel, which normalizes to nothing.
+        records = [make_poem("blank", train_recs[0].poet, [("ـ", ""), ("a b", "c")])] + train_recs
+        with pytest.warns(UserWarning, match="skipped 1 verses"):
+            fitted, train_ds = FeatureSpace.fit(
+                records, space.vocab, space.embeddings, space.form_index, space.poet_index
+            )
+        with pytest.warns(UserWarning, match="skipped 1 verses"):
+            rebuilt = build_dataset(records, fitted)
+        assert train_ds.token_ids == rebuilt.token_ids
+        np.testing.assert_array_equal(train_ds.aux, rebuilt.aux)
+        np.testing.assert_array_equal(train_ds.labels, rebuilt.labels)
+        assert train_ds.poem_ids == rebuilt.poem_ids
+        assert train_ds.verse_indices == rebuilt.verse_indices
+        assert (train_ds.poem_ids[0], train_ds.verse_indices[0]) == ("blank", 1)
+        # The scaler is fitted on every verse, the empty one included.
+        stylo = np.array([stylometric_features(*normalize_verse(v)) for r in records for v in r.verses])
+        np.testing.assert_array_equal(fitted.scaler.mean_, stylo.mean(axis=0))
 
     def test_dataset_alignment(self, small_synth):
         space, train_recs, _, _ = build_pipeline(small_synth)
@@ -417,7 +459,7 @@ class TestCheckpoint:
         bundle, _, _ = trained_bundle
         path = tmp_path / "model.bin"
         save_checkpoint(bundle, path)
-        other_vocab = build_vocab(small_synth, min_freq=3)
+        other_vocab = build_vocab(token_lists(small_synth.records), min_freq=3)
         with pytest.raises(StaleArtifactError, match="vocabulary"):
             load_checkpoint(path, other_vocab, bundle.space.embeddings)
 

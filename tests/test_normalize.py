@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verseid.corpus import Corpus, Verse
+from verseid.corpus import Verse
 from verseid.normalize import (
     CLS_ID,
     PAD_ID,
@@ -13,11 +13,11 @@ from verseid.normalize import (
     Vocabulary,
     build_vocab,
     normalize_text,
+    normalize_verse,
     tokenize_verse,
-    verse_tokens,
 )
 
-from conftest import make_poem
+from conftest import make_poem, token_lists, verse_token_list
 
 ARABIC_YEH = "ي"
 ALEF_MAKSURA = "ى"
@@ -84,16 +84,14 @@ class TestNormalizeText:
 
 
 class TestVocabulary:
-    def corpus(self):
-        return Corpus(
-            [
-                make_poem("p1", "a", [("گل گل بلبل", "گل باغ")]),
-                make_poem("p2", "a", [("باغ بلبل", "چمن")]),
-            ]
-        )
+    def records(self):
+        return [
+            make_poem("p1", "a", [("گل گل بلبل", "گل باغ")]),
+            make_poem("p2", "a", [("باغ بلبل", "چمن")]),
+        ]
 
     def test_frequency_then_lexicographic(self):
-        vocab = build_vocab(self.corpus())
+        vocab = build_vocab(token_lists(self.records()))
         # gol x3, bagh x2, bolbol x2, chaman x1; tie bagh/bolbol breaks lexicographically
         assert vocab.id_of("گل") == 3
         tied = sorted(["باغ", "بلبل"])
@@ -102,18 +100,19 @@ class TestVocabulary:
         assert vocab.id_of("چمن") == 6
 
     def test_reserved_slots(self):
-        vocab = build_vocab(self.corpus())
+        vocab = build_vocab(token_lists(self.records()))
         assert vocab.token_to_id["<pad>"] == PAD_ID == 0
         assert vocab.token_to_id["<unk>"] == UNK_ID == 1
         assert vocab.token_to_id["<cls>"] == CLS_ID == 2
 
     def test_min_freq(self):
-        vocab = build_vocab(self.corpus(), min_freq=2)
+        vocab = build_vocab(token_lists(self.records()), min_freq=2)
         assert vocab.id_of("چمن") == UNK_ID
         assert vocab.id_of("گل") == 3
 
     def test_round_trip(self, tmp_path):
-        vocab = build_vocab(self.corpus(), NormalizationConfig(strip_zwnj=True))
+        cfg = NormalizationConfig(strip_zwnj=True)
+        vocab = build_vocab(token_lists(self.records(), cfg), cfg)
         path = tmp_path / "vocab.tsv"
         vocab.save(path)
         again = Vocabulary.load(path)
@@ -122,9 +121,9 @@ class TestVocabulary:
         assert again.content_hash() == vocab.content_hash()
 
     def test_order_invariance(self):
-        corpus = self.corpus()
-        reordered = Corpus(list(reversed(corpus.records)))
-        assert build_vocab(corpus).token_to_id == build_vocab(reordered).token_to_id
+        forward = build_vocab(token_lists(self.records()))
+        backward = build_vocab(token_lists(reversed(self.records())))
+        assert forward.token_to_id == backward.token_to_id
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "vocab.tsv"
@@ -135,30 +134,28 @@ class TestVocabulary:
 
 class TestTokenize:
     def vocab(self):
-        return build_vocab(
-            Corpus([make_poem("p1", "a", [("گل باغ", "بلبل")])])
-        )
+        return build_vocab(token_lists([make_poem("p1", "a", [("گل باغ", "بلبل")])]))
 
     def test_cls_then_tokens(self):
         vocab = self.vocab()
-        ids = tokenize_verse(verse_tokens(Verse("گل باغ", "بلبل")), vocab)
+        ids = tokenize_verse(verse_token_list(Verse("گل باغ", "بلبل")), vocab)
         assert ids[0] == CLS_ID
         assert list(ids).count(CLS_ID) == 1
         assert PAD_ID not in ids
         assert len(ids) == 4
 
     def test_oov_maps_to_unk(self):
-        ids = tokenize_verse(verse_tokens(Verse("ناشناخته", "گل")), self.vocab())
+        ids = tokenize_verse(verse_token_list(Verse("ناشناخته", "گل")), self.vocab())
         assert ids[1] == UNK_ID
 
     def test_truncation(self):
         words = " ".join(f"w{i}" for i in range(100))
-        ids = tokenize_verse(verse_tokens(Verse(words, "")), self.vocab(), max_len=64)
+        ids = tokenize_verse(verse_token_list(Verse(words, "")), self.vocab(), max_len=64)
         assert len(ids) == 64
 
     def test_empty_verse_rejected(self):
         with pytest.raises(ValueError, match="empty verse"):
-            tokenize_verse(verse_tokens(Verse("", "  ")), self.vocab())
+            tokenize_verse(verse_token_list(Verse("", "  ")), self.vocab())
 
     def test_tokens_cross_hemistichs(self):
-        assert verse_tokens(Verse("الف ب", "پ")) == ["الف", "ب", "پ"]
+        assert normalize_verse(Verse("الف ب", "پ")) == (["الف", "ب"], ["پ"])
