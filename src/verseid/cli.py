@@ -227,7 +227,6 @@ def cmd_train(args) -> int:
     tcfg = TrainConfig(
         lr=args.lr if args.lr is not None else base.lr,
         weight_decay=args.weight_decay if args.weight_decay is not None else base.weight_decay,
-        coupled_l2=args.coupled_l2,
         batch_size=args.batch_size or base.batch_size,
         max_epochs=args.epochs or base.max_epochs,
         patience=args.patience or base.patience,
@@ -245,9 +244,6 @@ def cmd_train(args) -> int:
         n_layers=args.n_layers,
         d_ff=args.d_ff,
         max_len=args.max_len,
-        dropout=args.encoder_dropout,
-        positional=args.positional,
-        norm=args.norm,
         seed=args.seed,
     )
     fusion = _fusion_from_arg(args.features)
@@ -496,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=("desk", "full"), default="desk")
     p.add_argument("--lr", type=float)
     p.add_argument("--weight-decay", type=float)
-    p.add_argument("--coupled-l2", action="store_true")
     p.add_argument("--batch-size", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--patience", type=int)
@@ -508,9 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-layers", type=int, default=2)
     p.add_argument("--d-ff", type=int, default=128)
     p.add_argument("--max-len", type=int, default=64)
-    p.add_argument("--encoder-dropout", type=float, default=0.0)
-    p.add_argument("--positional", choices=("sinusoidal", "learned", "none"), default="sinusoidal")
-    p.add_argument("--norm", choices=("post", "pre"), default="post")
     p.add_argument("--features", default="text,semantic,stylometric,form,meter")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)

@@ -1,5 +1,7 @@
 """Transformer verse encoder implemented from scratch in numpy.
 
+The encoder has one shape: post-norm layers (Vaswani et al., 2017) over
+token embeddings plus the fixed sinusoidal position table, with no dropout.
 Forward and backward passes are written by hand so gradients can be
 checked analytically against finite differences and training is bit-for-bit
 reproducible. Parameters come as a ``dict[str, np.ndarray]`` of any float
@@ -18,13 +20,25 @@ from typing import Any
 
 import numpy as np
 
+from .corpus import StaleArtifactError
 from .normalize import PAD_ID
 
 LN_EPS = 1e-5
 MASK_BIAS = -1e9
 
-POSITIONAL_KINDS = ("sinusoidal", "learned", "none")
-NORM_ORDERS = ("post", "pre")
+
+def drop_retired(d: dict, retired: dict) -> dict:
+    """``d`` without the keys of ``retired``, which maps each setting of a
+    deleted variant to the one value an older file may still hold for it.
+
+    Raises:
+        StaleArtifactError: if ``d`` holds any other value for a retired key.
+    """
+    for key, kept in retired.items():
+        if d.get(key, kept) != kept:
+            raise StaleArtifactError(f"retired setting {key!r} is {d[key]!r}; "
+                                     f"only {kept!r} is supported")
+    return {k: v for k, v in d.items() if k not in retired}
 
 
 @dataclass(frozen=True)
@@ -35,9 +49,6 @@ class EncoderConfig:
     n_layers: int = 2
     d_ff: int = 128
     max_len: int = 64
-    dropout: float = 0.0
-    positional: str = "sinusoidal"
-    norm: str = "post"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -45,17 +56,13 @@ class EncoderConfig:
             raise ValueError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
             )
-        if self.positional not in POSITIONAL_KINDS:
-            raise ValueError(f"positional must be one of {POSITIONAL_KINDS}")
-        if self.norm not in NORM_ORDERS:
-            raise ValueError(f"norm must be one of {NORM_ORDERS}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
-        return cls(**d)
+        return cls(**drop_retired(d, {"positional": "sinusoidal", "norm": "post", "dropout": 0.0}))
 
 
 Params = dict[str, np.ndarray]
@@ -64,7 +71,7 @@ Params = dict[str, np.ndarray]
 def init_encoder_params(cfg: EncoderConfig, dtype=np.float32) -> Params:
     """Seeded initialization.
 
-    Embeddings (token and learned positional) are uniform(-0.05, 0.05);
+    Token embeddings are uniform(-0.05, 0.05);
     projection matrices are zero-mean normal scaled by 1/sqrt(fan_in);
     biases start at zero and layer-norm gains at one.
     """
@@ -78,8 +85,6 @@ def init_encoder_params(cfg: EncoderConfig, dtype=np.float32) -> Params:
         return (rng.standard_normal(shape) / np.sqrt(shape[0])).astype(dtype)
 
     params: Params = {"tok_emb": uniform((cfg.vocab_size, d))}
-    if cfg.positional == "learned":
-        params["pos_emb"] = uniform((cfg.max_len, d))
     for i in range(cfg.n_layers):
         p = f"l{i}."
         for name in ("Wq", "Wk", "Wv", "Wo"):
@@ -176,17 +181,6 @@ def _softmax_backward(da, a):
     return (da - (da * a).sum(axis=-1, keepdims=True)) * a
 
 
-def _dropout_forward(x, rate, train, rng):
-    if not train or rate <= 0.0:
-        return x, None
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
-    return x * keep, keep
-
-
-def _dropout_backward(dy, keep):
-    return dy if keep is None else dy * keep
-
-
 def _split_heads(x, n_heads):
     b, t, d = x.shape
     return x.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
@@ -244,61 +238,31 @@ def _ffn_backward(dout, cache, grads, prefix):
     return dx
 
 
-def _layer_forward(x, params, cfg, i, key_mask, train, rng):
+def _layer_forward(x, params, cfg, i, key_mask):
     p = f"l{i}."
     cache: dict[str, Any] = {}
-    if cfg.norm == "post":
-        a, cache["mha"] = _mha_forward(x, params, p, cfg.n_heads, key_mask)
-        a, cache["drop1"] = _dropout_forward(a, cfg.dropout, train, rng)
-        x1, cache["ln1"] = _layernorm_forward(x + a, params[p + "ln1_g"], params[p + "ln1_b"])
-        f, cache["ffn"] = _ffn_forward(x1, params, p)
-        f, cache["drop2"] = _dropout_forward(f, cfg.dropout, train, rng)
-        out, cache["ln2"] = _layernorm_forward(x1 + f, params[p + "ln2_g"], params[p + "ln2_b"])
-    else:
-        n1, cache["ln1"] = _layernorm_forward(x, params[p + "ln1_g"], params[p + "ln1_b"])
-        a, cache["mha"] = _mha_forward(n1, params, p, cfg.n_heads, key_mask)
-        a, cache["drop1"] = _dropout_forward(a, cfg.dropout, train, rng)
-        x1 = x + a
-        n2, cache["ln2"] = _layernorm_forward(x1, params[p + "ln2_g"], params[p + "ln2_b"])
-        f, cache["ffn"] = _ffn_forward(n2, params, p)
-        f, cache["drop2"] = _dropout_forward(f, cfg.dropout, train, rng)
-        out = x1 + f
+    a, cache["mha"] = _mha_forward(x, params, p, cfg.n_heads, key_mask)
+    x1, cache["ln1"] = _layernorm_forward(x + a, params[p + "ln1_g"], params[p + "ln1_b"])
+    f, cache["ffn"] = _ffn_forward(x1, params, p)
+    out, cache["ln2"] = _layernorm_forward(x1 + f, params[p + "ln2_g"], params[p + "ln2_b"])
     return out, cache
 
 
-def _layer_backward(dout, cache, params, cfg, i, grads):
+def _layer_backward(dout, cache, grads, i):
     p = f"l{i}."
-    if cfg.norm == "post":
-        dr2, grads[p + "ln2_g"], grads[p + "ln2_b"] = _layernorm_backward(dout, cache["ln2"])
-        df = _dropout_backward(dr2, cache["drop2"])
-        dx1 = dr2 + _ffn_backward(df, cache["ffn"], grads, p)
-        dr1, grads[p + "ln1_g"], grads[p + "ln1_b"] = _layernorm_backward(dx1, cache["ln1"])
-        da = _dropout_backward(dr1, cache["drop1"])
-        dx = dr1 + _mha_backward(da, cache["mha"], grads, p)
-    else:
-        dx1 = dout
-        df = _dropout_backward(dout, cache["drop2"])
-        dn2 = _ffn_backward(df, cache["ffn"], grads, p)
-        dln2, grads[p + "ln2_g"], grads[p + "ln2_b"] = _layernorm_backward(dn2, cache["ln2"])
-        dx1 = dx1 + dln2
-        da = _dropout_backward(dx1, cache["drop1"])
-        dn1 = _mha_backward(da, cache["mha"], grads, p)
-        dln1, grads[p + "ln1_g"], grads[p + "ln1_b"] = _layernorm_backward(dn1, cache["ln1"])
-        dx = dx1 + dln1
-    return dx
+    dr2, grads[p + "ln2_g"], grads[p + "ln2_b"] = _layernorm_backward(dout, cache["ln2"])
+    dx1 = dr2 + _ffn_backward(dr2, cache["ffn"], grads, p)
+    dr1, grads[p + "ln1_g"], grads[p + "ln1_b"] = _layernorm_backward(dx1, cache["ln1"])
+    return dr1 + _mha_backward(dr1, cache["mha"], grads, p)
 
 
-def encoder_forward(
-    ids: np.ndarray,
-    params: Params,
-    cfg: EncoderConfig,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-):
+def encoder_forward(ids: np.ndarray, params: Params, cfg: EncoderConfig, train: bool = False):
     """Run the encoder over a padded id batch.
 
     Args:
         ids: int array (B, T); padding id 0 marks unused key positions.
+        train: marks a training call; the encoder has no dropout, so the
+            result is the same either way.
 
     Returns:
         (states, cache): states is (B, T, D); the verse representation is
@@ -307,13 +271,10 @@ def encoder_forward(
     ids = np.asarray(ids)
     key_mask = ids != PAD_ID
     x = params["tok_emb"][ids]
-    if cfg.positional == "sinusoidal":
-        x = x + sinusoidal_positions(cfg.max_len, cfg.d_model, x.dtype)[: ids.shape[1]]
-    elif cfg.positional == "learned":
-        x = x + params["pos_emb"][: ids.shape[1]]
+    x = x + sinusoidal_positions(cfg.max_len, cfg.d_model, x.dtype)[: ids.shape[1]]
     cache: dict[str, Any] = {"ids": ids, "layers": []}
     for i in range(cfg.n_layers):
-        x, lcache = _layer_forward(x, params, cfg, i, key_mask, train, rng)
+        x, lcache = _layer_forward(x, params, cfg, i, key_mask)
         cache["layers"].append(lcache)
     return x, cache
 
@@ -323,13 +284,8 @@ def encoder_backward(d_states: np.ndarray, cache: dict, params: Params, cfg: Enc
     grads: Params = {}
     dx = d_states
     for i in reversed(range(cfg.n_layers)):
-        dx = _layer_backward(dx, cache["layers"][i], params, cfg, i, grads)
-    ids = cache["ids"]
+        dx = _layer_backward(dx, cache["layers"][i], grads, i)
     d_emb = np.zeros_like(params["tok_emb"])
-    np.add.at(d_emb, ids, dx)
+    np.add.at(d_emb, cache["ids"], dx)
     grads["tok_emb"] = d_emb
-    if cfg.positional == "learned":
-        d_pos = np.zeros_like(params["pos_emb"])
-        d_pos[: ids.shape[1]] = dx.sum(axis=0)
-        grads["pos_emb"] = d_pos
     return grads

@@ -28,6 +28,7 @@ from .embeddings import EmbeddingMatrix, verse_semantic_vector
 from .encoder import (
     EncoderConfig,
     Params,
+    drop_retired,
     encoder_backward,
     encoder_forward,
     init_encoder_params,
@@ -98,10 +99,6 @@ def batch_weighted_ce(probs: np.ndarray, y: np.ndarray, w: np.ndarray):
     return loss, d_logits.astype(probs.dtype), n_clamped
 
 
-def l2_penalty(params: np.ndarray, lam: float) -> float:
-    return lam * float(np.square(params, dtype=np.float64).sum())
-
-
 # ---------------------------------------------------------------------------
 # Classification head
 # ---------------------------------------------------------------------------
@@ -162,18 +159,15 @@ def head_backward(d_logits: np.ndarray, cache) -> tuple[Params, np.ndarray]:
 
 
 class AdamW:
-    """Adam with decoupled weight decay, updating one flat buffer in place.
+    """Adam with decoupled weight decay (Loshchilov & Hutter, 2019), updating
+    one flat buffer in place: the decay shrinks the parameters directly and
+    never enters the loss or the gradients."""
 
-    With ``decoupled=False`` no decay is applied here; the caller is expected
-    to fold the L2 term into the loss and gradients instead.
-    """
-
-    def __init__(self, params: np.ndarray, weight_decay: float = 0.0, decoupled: bool = True,
+    def __init__(self, params: np.ndarray, weight_decay: float = 0.0,
                  betas=(0.9, 0.999), eps: float = 1e-8):
         self.b1, self.b2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self.decoupled = decoupled
         self.t = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
@@ -187,7 +181,7 @@ class AdamW:
         m += (1.0 - self.b1) * grads
         v *= self.b2
         v += (1.0 - self.b2) * grads * grads
-        if self.decoupled and self.weight_decay:
+        if self.weight_decay:
             params -= (lr * self.weight_decay) * params
         params -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
@@ -441,7 +435,6 @@ class TrainConfig:
 
     lr: float = 2e-5
     weight_decay: float = 0.01
-    coupled_l2: bool = False
     batch_size: int = 32
     max_epochs: int = 16
     patience: int = 3
@@ -462,7 +455,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
+        return cls(**drop_retired(d, {"coupled_l2": False}))
 
 
 @dataclass
@@ -508,7 +501,7 @@ def _forward_probs(
 ):
     """Shared forward path; returns probs and caches for backward."""
     if bundle.space.fusion.use_text:
-        states, ecache = encoder_forward(ids_batch, bundle.enc_params, bundle.enc_cfg, train, rng)
+        states, ecache = encoder_forward(ids_batch, bundle.enc_params, bundle.enc_cfg, train)
         h = np.concatenate([states[:, 0], aux_batch], axis=1)
     else:
         ecache = None
@@ -588,7 +581,7 @@ def fit(
     else:
         raise ValueError(f"unknown class_weighting {cfg.class_weighting!r}")
 
-    opt = AdamW(params, weight_decay=cfg.weight_decay, decoupled=not cfg.coupled_l2)
+    opt = AdamW(params, weight_decay=cfg.weight_decay)
     steps_per_epoch = max(1, math.ceil(n / cfg.batch_size))
     total_steps = cfg.max_epochs * steps_per_epoch
 
@@ -615,8 +608,6 @@ def fit(
             probs, (ecache, hcache) = _forward_probs(ids, aux, bundle, train=True, rng=dropout_rng)
             loss, d_logits, n_clamped = batch_weighted_ce(probs, y, w)
             clamp_events += n_clamped
-            if cfg.coupled_l2 and cfg.weight_decay:
-                loss += l2_penalty(params, cfg.weight_decay)
             if not math.isfinite(loss):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, step {step}, lr {lr:.3g}"
@@ -631,8 +622,6 @@ def fit(
                 d_states[:, 0] = dh[:, : enc_cfg.d_model]
                 egrads = encoder_backward(d_states, ecache, bundle.enc_params, enc_cfg)
             grads = flatten_params(egrads, hgrads)
-            if cfg.coupled_l2 and cfg.weight_decay:
-                grads += 2.0 * cfg.weight_decay * params
             if not math.isfinite(clip_gradients(grads, cfg.clip_norm)):
                 raise NumericalError(
                     f"non-finite gradient norm at epoch {epoch}, step {step}, lr {lr:.3g}"
@@ -711,8 +700,9 @@ def load_checkpoint(
     Raises:
         StaleArtifactError: if the file is not a well-formed checkpoint of a
             known format version (wrong size, unreadable or incomplete
-            metadata), or the vocab or embedding hashes disagree with the
-            ones recorded at training time.
+            metadata), holds a retired encoder or optimizer setting other than
+            its one supported value, or the vocab or embedding hashes disagree
+            with the ones recorded at training time.
     """
     blob = Path(path).read_bytes()
     if len(blob) < 12 or blob[:4] != _CKPT_MAGIC:
@@ -735,12 +725,16 @@ def load_checkpoint(
         bundle = _bundle_from_meta(meta, params, vocab, embeddings)
     except KeyError as exc:
         raise StaleArtifactError(f"{path}: checkpoint metadata lacks key {exc}") from None
+    except StaleArtifactError as exc:
+        raise StaleArtifactError(f"{path}: {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise StaleArtifactError(f"{path}: malformed checkpoint metadata ({exc})") from None
     if hashes[0] != vocab.content_hash():
-        raise StaleArtifactError("vocabulary does not match the checkpoint (stale artifact)")
+        raise StaleArtifactError(f"{path}: the vocabulary (vocab.tsv) is not the one this "
+                                 "checkpoint was trained with (stale artifact)")
     if hashes[1] != embeddings.content_hash():
-        raise StaleArtifactError("embeddings do not match the checkpoint (stale artifact)")
+        raise StaleArtifactError(f"{path}: the embeddings (embeddings.bin) are not the ones "
+                                 "this checkpoint was trained with (stale artifact)")
     return bundle
 
 

@@ -47,9 +47,12 @@ class SplitAssignment:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows(self.rows)
+        # With "\n" as its terminator the writer leaves a bare "\r" unquoted,
+        # and a reader would end the row there; such rows are quoted whole.
+        plain = csv.writer(buf, lineterminator="\n")
+        quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        for row in (CSV_HEADER, *self.rows):
+            (quoted if any("\r" in f for f in row) else plain).writerow(row)
         return buf.getvalue()
 
     def meta_json(self) -> str:

@@ -55,6 +55,17 @@ def pipeline(tmp_path_factory):
     return dirs
 
 
+def rewrite_metadata(src, dst, edit):
+    """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its metadata."""
+    blob = src.read_bytes()
+    (meta_len,) = struct.unpack_from("<I", blob, 8)
+    meta = json.loads(blob[12 : 12 + meta_len])
+    edit(meta)
+    new_meta = json.dumps(meta, sort_keys=True).encode("utf-8")
+    dst.write_bytes(blob[:8] + struct.pack("<I", len(new_meta)) + new_meta
+                    + blob[12 + meta_len :])
+
+
 class TestArtifacts:
     def test_every_stage_writes_its_resolved_config(self, pipeline):
         for stage in ("corpus", "split", "emb", "model", "eval", "sweep"):
@@ -251,6 +262,8 @@ class TestExitCodes:
                               "--out", str(tmp_path / "e")], capsys)
         assert code == 3
         assert "artifact error" in captured.err
+        assert str(pipeline["model"] / "checkpoint.bin") in captured.err
+        assert "embeddings.bin" in captured.err
 
     def test_numerical_blowup_reported(self, pipeline, tmp_path, capsys):
         import numpy as np
@@ -301,18 +314,53 @@ class TestExitCodes:
     @pytest.mark.parametrize("drop", ["log_summary", "space.scaler"])
     def test_checkpoint_metadata_missing_key_is_artifact_error(self, pipeline, tmp_path,
                                                                capsys, drop):
-        blob = (pipeline["model"] / "checkpoint.bin").read_bytes()
-        (meta_len,) = struct.unpack_from("<I", blob, 8)
-        meta = json.loads(blob[12 : 12 + meta_len])
         *path, key = drop.split(".")
-        owner = meta
-        for part in path:
-            owner = owner[part]
-        del owner[key]
-        new_meta = json.dumps(meta, sort_keys=True).encode("utf-8")
+
+        def edit(meta):
+            for part in path:
+                meta = meta[part]
+            del meta[key]
+
         ckpt = tmp_path / "checkpoint.bin"
-        ckpt.write_bytes(blob[:8] + struct.pack("<I", len(new_meta)) + new_meta
-                         + blob[12 + meta_len :])
+        rewrite_metadata(pipeline["model"] / "checkpoint.bin", ckpt, edit)
+        code, captured = run(["predict", "--input", "-", "--embeddings", str(pipeline["emb"]),
+                              "--checkpoint", str(ckpt), "--out", str(tmp_path / "p")], capsys)
+        assert code == 3
+        assert str(ckpt) in captured.err
+        assert repr(key) in captured.err
+
+    # Settings of encoder and optimizer variants that no longer exist, with
+    # the one value each may still hold in an older checkpoint.
+    RETIRED = {"encoder_config": {"positional": "sinusoidal", "norm": "post", "dropout": 0.0},
+               "train_config": {"coupled_l2": False}}
+
+    def test_checkpoint_with_retired_settings_predicts_identically(self, pipeline, tmp_path):
+        def edit(meta):
+            for section, kept in self.RETIRED.items():
+                meta[section].update(kept)
+
+        old = tmp_path / "old" / "checkpoint.bin"
+        old.parent.mkdir()
+        rewrite_metadata(pipeline["model"] / "checkpoint.bin", old, edit)
+        for name, ckpt in (("new", pipeline["model"]), ("old", old)):
+            assert main(["predict", "--input", str(pipeline["raw"]),
+                         "--embeddings", str(pipeline["emb"]), "--checkpoint", str(ckpt),
+                         "--out", str(tmp_path / f"pred-{name}")]) == 0
+        for csv_name in ("verse_predictions.csv", "poem_predictions.csv"):
+            assert ((tmp_path / "pred-new" / csv_name).read_bytes()
+                    == (tmp_path / "pred-old" / csv_name).read_bytes())
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("encoder_config", "norm", "pre"),
+        ("encoder_config", "positional", "learned"),
+        ("encoder_config", "dropout", 0.1),
+        ("train_config", "coupled_l2", True),
+    ])
+    def test_retired_variant_is_artifact_error(self, pipeline, tmp_path, capsys,
+                                               section, key, value):
+        ckpt = tmp_path / "checkpoint.bin"
+        rewrite_metadata(pipeline["model"] / "checkpoint.bin", ckpt,
+                         lambda meta: meta[section].update({key: value}))
         code, captured = run(["predict", "--input", "-", "--embeddings", str(pipeline["emb"]),
                               "--checkpoint", str(ckpt), "--out", str(tmp_path / "p")], capsys)
         assert code == 3

@@ -25,7 +25,6 @@ from verseid.model import (
     head_backward,
     head_forward,
     init_head_params,
-    l2_penalty,
     load_checkpoint,
     lr_at_step,
     poem_probability_groups,
@@ -189,7 +188,7 @@ class TestOptimizerAndSchedule:
 
     def test_decoupled_decay_shrinks_without_gradient(self):
         p = np.array([2.0], dtype=np.float64)
-        opt = AdamW(p, weight_decay=0.01, decoupled=True)
+        opt = AdamW(p, weight_decay=0.01)
         opt.step(p, np.zeros(1), lr=0.5)
         assert p[0] == pytest.approx(2.0 * (1 - 0.5 * 0.01))
 
@@ -215,9 +214,6 @@ class TestOptimizerAndSchedule:
                 p -= (0.1 * 0.01) * p
                 p -= 0.1 * (m[k] / (1.0 - 0.9**t)) / (np.sqrt(v2[k] / (1.0 - 0.999**t)) + 1e-8)
         np.testing.assert_array_equal(flat, np.concatenate([ref[k].ravel() for k in sorted(ref)]))
-
-    def test_l2_penalty_value(self):
-        assert l2_penalty(np.array([1.0, 2.0, 3.0], dtype=np.float32), 0.1) == pytest.approx(0.1 * 14.0)
 
     def test_warmup_then_cosine(self):
         lr = 3.0
@@ -411,18 +407,6 @@ class TestFit:
         with pytest.raises(NumericalError, match="non-finite"), np.errstate(all="ignore"):
             fit(train_ds, valid_ds, space, enc, cfg)
 
-    def test_coupled_l2_increases_loss_but_trains(self, small_synth):
-        space, train_recs, valid_recs, _ = build_pipeline(small_synth)
-        train_ds = build_dataset(train_recs, space)
-        valid_ds = build_dataset(valid_recs, space)
-        enc = EncoderConfig(vocab_size=len(space.vocab), d_model=8, n_heads=2, n_layers=1, d_ff=8)
-        plain = fit(train_ds, valid_ds, space, enc, TrainConfig.desk(max_epochs=1, weight_decay=0.0))
-        coupled = fit(
-            train_ds, valid_ds, space, enc,
-            TrainConfig.desk(max_epochs=1, weight_decay=0.01, coupled_l2=True),
-        )
-        assert coupled.log[0].train_loss > plain.log[0].train_loss
-
 
 @pytest.fixture(scope="module")
 def trained_bundle(small_synth):
@@ -460,16 +444,18 @@ class TestCheckpoint:
         path = tmp_path / "model.bin"
         save_checkpoint(bundle, path)
         other_vocab = build_vocab(token_lists(small_synth.records), min_freq=3)
-        with pytest.raises(StaleArtifactError, match="vocabulary"):
+        with pytest.raises(StaleArtifactError, match="vocabulary") as info:
             load_checkpoint(path, other_vocab, bundle.space.embeddings)
+        assert str(path) in str(info.value)
 
     def test_stale_embeddings_rejected(self, trained_bundle, tmp_path):
         bundle, _, _ = trained_bundle
         path = tmp_path / "model.bin"
         save_checkpoint(bundle, path)
         other = train_sgns([[3, 4]], len(bundle.space.vocab), EmbeddingConfig(dim=4, epochs=1))[0]
-        with pytest.raises(StaleArtifactError, match="embeddings"):
+        with pytest.raises(StaleArtifactError, match="embeddings") as info:
             load_checkpoint(path, bundle.space.vocab, other)
+        assert str(path) in str(info.value)
 
     def test_poem_grouping(self, trained_bundle):
         bundle, test_ds, test_recs = trained_bundle

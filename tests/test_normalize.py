@@ -8,6 +8,7 @@ from verseid.corpus import Verse
 from verseid.normalize import (
     CLS_ID,
     PAD_ID,
+    RESERVED_TOKENS,
     UNK_ID,
     NormalizationConfig,
     Vocabulary,
@@ -18,6 +19,12 @@ from verseid.normalize import (
 )
 
 from conftest import make_poem, token_lists, verse_token_list
+
+# Tokens as the tokenizer emits them: non-empty, free of any whitespace
+# (so of tabs and newlines too), and never a reserved token.
+TOKENS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1).filter(
+    lambda t: t.split() == [t] and t not in RESERVED_TOKENS
+)
 
 ARABIC_YEH = "ي"
 ALEF_MAKSURA = "ى"
@@ -114,6 +121,17 @@ class TestVocabulary:
         cfg = NormalizationConfig(strip_zwnj=True)
         vocab = build_vocab(token_lists(self.records(), cfg), cfg)
         path = tmp_path / "vocab.tsv"
+        vocab.save(path)
+        again = Vocabulary.load(path)
+        assert again.token_to_id == vocab.token_to_id
+        assert again.config == vocab.config
+        assert again.content_hash() == vocab.content_hash()
+
+    @settings(max_examples=50, deadline=None)
+    @given(verses=st.lists(st.lists(TOKENS, max_size=6), max_size=8), strip_zwnj=st.booleans())
+    def test_round_trip_of_drawn_tokens(self, verses, strip_zwnj, tmp_path_factory):
+        vocab = build_vocab(verses, NormalizationConfig(strip_zwnj=strip_zwnj))
+        path = tmp_path_factory.mktemp("vocab") / "vocab.tsv"
         vocab.save(path)
         again = Vocabulary.load(path)
         assert again.token_to_id == vocab.token_to_id

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from verseid.corpus import Corpus
 from verseid.split import (
+    SPLIT_NAMES,
     LeakageError,
     SplitAssignment,
     split_records,
@@ -16,6 +17,12 @@ from verseid.split import (
 )
 
 from conftest import make_poem
+
+# Free text that leans on the characters CSV quoting must get right.
+CSV_TEXT = st.text(
+    st.one_of(st.sampled_from(',"\' \n\r،«»'), st.characters(blacklist_categories=("Cs",))),
+    max_size=12,
+)
 
 
 def corpus_of(sizes):
@@ -178,6 +185,13 @@ class TestSerializationAndRecords:
         loaded = SplitAssignment.load(tmp_path / "split.csv", tmp_path / "split_meta.json")
         assert loaded.rows == a.rows
         assert {pid for pid, _, _ in loaded.rows} == {"a,b", 'q"x', "plain"}
+
+    @settings(max_examples=50, deadline=None)
+    @given(rows=st.lists(st.tuples(CSV_TEXT, st.sampled_from(SPLIT_NAMES), CSV_TEXT), max_size=8))
+    def test_round_trip_of_drawn_ids_and_poets(self, rows, tmp_path_factory):
+        d = tmp_path_factory.mktemp("split")
+        SplitAssignment(rows, seed=3, ratios=(0.8, 0.1, 0.1)).save(d / "a.csv", d / "meta.json")
+        assert SplitAssignment.load(d / "a.csv", d / "meta.json").rows == rows
 
     def test_csv_shape(self):
         a = stratified_poem_split(corpus_of({"a": 10}), seed=0)
