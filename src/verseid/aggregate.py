@@ -11,11 +11,11 @@ Three strategies:
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
+
+from .corpus import csv_text
 
 ABSTAIN = "ABSTAIN"
 CONFIDENCE_MODES = ("mean", "sum")
@@ -156,9 +156,7 @@ def sweep_csv(rows: list[SweepRow]) -> str:
 
 def predictions_csv(preds: list[PoemPrediction], poet_names: list[str] | None = None) -> str:
     """Per-poem prediction rows: poem_id,strategy,label,confidence,abstained."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["poem_id", "strategy", "label", "confidence", "abstained"])
+    rows = [["poem_id", "strategy", "label", "confidence", "abstained"]]
     for p in preds:
         if p.predicted_poet is None:
             label = ABSTAIN
@@ -166,7 +164,7 @@ def predictions_csv(preds: list[PoemPrediction], poet_names: list[str] | None = 
             label = poet_names[p.predicted_poet]
         else:
             label = str(p.predicted_poet)
-        writer.writerow(
+        rows.append(
             [p.poem_id, p.strategy, label, f"{p.confidence:.6f}", str(p.abstained).lower()]
         )
-    return buf.getvalue()
+    return csv_text(rows)

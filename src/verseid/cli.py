@@ -23,7 +23,6 @@ byte-identical across reruns with the same inputs and seeds.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -31,7 +30,7 @@ from pathlib import Path
 
 from . import __version__
 from .aggregate import aggregate_poem, predictions_csv, sweep_csv, sweep_thresholds
-from .corpus import Corpus, CorpusError, PoemRecord, corpus_stats, filter_corpus, load_corpus, read_records, save_corpus
+from .corpus import Corpus, CorpusError, PoemRecord, corpus_stats, csv_text, filter_corpus, load_corpus, read_records, save_corpus
 from .embeddings import EmbeddingConfig, EmbeddingMatrix, train_sgns
 from .encoder import EncoderConfig
 from .metrics import classification_report
@@ -114,6 +113,20 @@ def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"not a positive number: {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
     return value
 
 
@@ -394,14 +407,11 @@ def cmd_predict(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    with open(out / "verse_predictions.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["poem_id", "verse_index", "label", "confidence",
-                         *(f"p_{p}" for p in poet_names)])
-        for pid, vi, row in zip(ds.poem_ids, ds.verse_indices, probs):
-            top = int(row.argmax())
-            writer.writerow([pid, vi, poet_names[top], f"{row[top]:.6f}",
-                             *(f"{x:.6f}" for x in row)])
+    rows = [["poem_id", "verse_index", "label", "confidence", *(f"p_{p}" for p in poet_names)]]
+    for pid, vi, row in zip(ds.poem_ids, ds.verse_indices, probs):
+        top = int(row.argmax())
+        rows.append([pid, vi, poet_names[top], f"{row[top]:.6f}", *(f"{x:.6f}" for x in row)])
+    (out / "verse_predictions.csv").write_text(csv_text(rows), encoding="utf-8")
 
     poem_ids, matrices, _ = poem_probability_groups(ds, probs)
     preds = [
@@ -474,12 +484,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--dim", type=int, default=100)
-    p.add_argument("--window", type=int, default=4)
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--lr", type=float, default=0.025)
-    p.add_argument("--min-freq", type=int, default=1)
+    p.add_argument("--dim", type=_positive_int, default=100)
+    p.add_argument("--window", type=_positive_int, default=4)
+    p.add_argument("--negatives", type=_positive_int, default=5)
+    p.add_argument("--epochs", type=_positive_int, default=5)
+    p.add_argument("--lr", type=_positive_float, default=0.025)
+    p.add_argument("--min-freq", type=_positive_int, default=1)
     p.add_argument("--strip-zwnj", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train_embeddings)

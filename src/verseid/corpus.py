@@ -13,8 +13,11 @@ irregular trailing lines.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -161,6 +164,21 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
                 "verses": [[v.hemistich_1, v.hemistich_2] for v in r.verses],
             }
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+
+
+def csv_text(rows: Iterable[Sequence]) -> str:
+    """CSV text of ``rows``, each line ended by ``"\n"``.
+
+    With ``"\n"`` as its terminator the csv writer leaves a bare ``"\r"``
+    unquoted, and a reader would end the row there; a row holding one in a
+    string field is quoted whole.
+    """
+    buf = io.StringIO()
+    plain = csv.writer(buf, lineterminator="\n")
+    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in rows:
+        (quoted if any(isinstance(f, str) and "\r" in f for f in row) else plain).writerow(row)
+    return buf.getvalue()
 
 
 def filter_corpus(corpus: Corpus, min_verses_per_poet: int = 50) -> Corpus:

@@ -6,11 +6,21 @@ with negatives drawn from the unigram distribution raised to 0.75. Updates
 are plain SGD with a linearly decaying learning rate, applied in
 deterministic minibatches (gather/scatter) so training is fast and exactly
 reproducible for a fixed seed.
+
+The scatter of each minibatch's gradients is one 1-D ``np.add.at`` on the
+flattened matrix, indexed element by element (``row * dim + column``). One id
+repeats many times within a batch, so the float32 sums depend on the order
+of the additions. numpy's 1-D ``ufunc.at`` applies them in order of
+occurrence, exactly as a row-wise ``np.add.at`` does, so the result is
+bit-identical to the row-wise scatter, and several times faster. A sort plus
+``np.add.reduceat`` is not bit-identical: it sums each run of equal ids
+pairwise.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import struct
 import warnings
@@ -100,24 +110,42 @@ class EmbeddingMatrix:
         return hashlib.sha256(self.to_bytes()).hexdigest()
 
 
+def _real_tokens(sequences) -> tuple[np.ndarray, np.ndarray]:
+    """The non-reserved ids of all sequences in one flat array, with the
+    index of the sequence each one came from."""
+    ids = np.fromiter(itertools.chain.from_iterable(sequences), dtype=np.int64)
+    seq_of = np.repeat(np.arange(len(sequences)), [len(s) for s in sequences])
+    keep = ids >= N_RESERVED
+    return ids[keep], seq_of[keep]
+
+
 def _skipgram_pairs(sequences: list[list[int]], window: int) -> np.ndarray:
-    """All (center, context) id pairs within the window, reserved ids dropped."""
-    pairs: list[tuple[int, int]] = []
-    for seq in sequences:
-        toks = [t for t in seq if t >= N_RESERVED]
-        for i, center in enumerate(toks):
-            lo = max(0, i - window)
-            hi = min(len(toks), i + window + 1)
-            for j in range(lo, hi):
-                if j != i:
-                    pairs.append((center, toks[j]))
-    if not pairs:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.asarray(pairs, dtype=np.int64)
+    """All (center, context) id pairs within the window, reserved ids dropped.
+
+    Rows come center by center in sequence order, and each center's contexts
+    from the leftmost to the rightmost, skipping the center itself.
+    """
+    ids, seq_of = _real_tokens(sequences)
+    offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
+    ctx = np.arange(len(ids))[:, None] + offsets  # (n, 2 * window)
+    valid = (ctx >= 0) & (ctx < len(ids))
+    ctx = np.where(valid, ctx, 0)  # any in-range index; the mask drops it
+    valid &= seq_of[ctx] == seq_of[:, None]
+    centers = np.broadcast_to(ids[:, None], ctx.shape)[valid]
+    return np.stack([centers, ids[ctx[valid]]], axis=1)
 
 
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -x)
+
+
+def _scatter_rows(flat: np.ndarray, rows: np.ndarray, grads: np.ndarray, cols: np.ndarray) -> None:
+    """``flat.reshape(-1, dim)[rows[i]] += grads[i]`` for each ``i`` in order.
+
+    One 1-D ``np.add.at`` over element indices; repeated rows accumulate in
+    order of occurrence, so the bits match a row-wise ``np.add.at``.
+    """
+    np.add.at(flat, (rows[:, None] * len(cols) + cols).reshape(-1), grads.reshape(-1))
 
 
 def train_sgns(
@@ -139,15 +167,13 @@ def train_sgns(
         warnings.warn("no skip-gram pairs in corpus; embeddings left at initialization")
         return EmbeddingMatrix(w_in, w_out, cfg), []
 
-    counts = np.zeros(vocab_size, dtype=np.float64)
-    for seq in sequences:
-        for t in seq:
-            if t >= N_RESERVED:
-                counts[t] += 1
+    counts = np.bincount(_real_tokens(sequences)[0], minlength=vocab_size).astype(np.float64)
     noise = counts**0.75
     noise /= noise.sum()
     cum_noise = np.cumsum(noise)
 
+    flat_in, flat_out = w_in.reshape(-1), w_out.reshape(-1)  # views
+    cols = np.arange(cfg.dim)
     total_updates = cfg.epochs * len(pairs)
     done = 0
     losses: list[float] = []
@@ -174,8 +200,8 @@ def train_sgns(
             g = ((labels - sig) * alpha).astype(np.float32)
             d_v = np.einsum("bk,bkd->bd", g, u)
             d_u = g[:, :, None] * v[:, None, :]
-            np.add.at(w_in, centers, d_v)
-            np.add.at(w_out, targets.reshape(-1), d_u.reshape(-1, cfg.dim))
+            _scatter_rows(flat_in, centers, d_v, cols)
+            _scatter_rows(flat_out, targets.reshape(-1), d_u, cols)
             done += b
         losses.append(epoch_loss / len(pairs))
     return EmbeddingMatrix(w_in, w_out, cfg), losses

@@ -9,14 +9,13 @@ ratios whenever the ratios allow it.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, StaleArtifactError
+from .corpus import Corpus, StaleArtifactError, csv_text
 
 SPLIT_NAMES = ("train", "valid", "test")
 DEFAULT_RATIOS = (0.8, 0.1, 0.1)
@@ -46,14 +45,7 @@ class SplitAssignment:
         return out
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        # With "\n" as its terminator the writer leaves a bare "\r" unquoted,
-        # and a reader would end the row there; such rows are quoted whole.
-        plain = csv.writer(buf, lineterminator="\n")
-        quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        for row in (CSV_HEADER, *self.rows):
-            (quoted if any("\r" in f for f in row) else plain).writerow(row)
-        return buf.getvalue()
+        return csv_text((CSV_HEADER, *self.rows))
 
     def meta_json(self) -> str:
         return json.dumps(

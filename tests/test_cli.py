@@ -171,17 +171,19 @@ class TestPredict:
         assert len(poem_lines) == 7
 
     def test_predict_csv_quotes_poem_ids(self, pipeline, tmp_path):
-        poems = tmp_path / "poems.jsonl"
-        record = {"poem_id": 'a,b "c"', "verses": [["گل و بلبل", "در باغ"]]}
-        poems.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        out = tmp_path / "pred"
-        assert main(["predict", "--input", str(poems), "--embeddings", str(pipeline["emb"]),
-                     "--checkpoint", str(pipeline["model"]), "--out", str(out)]) == 0
-        for name, n_rows in (("verse_predictions.csv", 1), ("poem_predictions.csv", 3)):
-            with open(out / name, newline="", encoding="utf-8") as fh:
-                header, *rows = csv.reader(fh)
-            assert len(rows) == n_rows
-            assert all(len(row) == len(header) and row[0] == 'a,b "c"' for row in rows)
+        # A bare "\r" is quoted as well as "," and '"': a reader ends a row there.
+        for i, poem_id in enumerate(['a,b "c"', "a\rb"]):
+            poems = tmp_path / f"poems{i}.jsonl"
+            record = {"poem_id": poem_id, "verses": [["گل و بلبل", "در باغ"]]}
+            poems.write_text(json.dumps(record) + "\n", encoding="utf-8")
+            out = tmp_path / f"pred{i}"
+            assert main(["predict", "--input", str(poems), "--embeddings", str(pipeline["emb"]),
+                         "--checkpoint", str(pipeline["model"]), "--out", str(out)]) == 0
+            for name, n_rows in (("verse_predictions.csv", 1), ("poem_predictions.csv", 3)):
+                with open(out / name, newline="", encoding="utf-8") as fh:
+                    header, *rows = csv.reader(fh)
+                assert len(rows) == n_rows
+                assert all(len(row) == len(header) and row[0] == poem_id for row in rows)
 
     def test_predict_from_stdin(self, pipeline, tmp_path, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(self.poems_jsonl()))
@@ -475,6 +477,27 @@ class TestExitCodes:
             main([command, *common])
         assert exc.value.code == 2
         assert "not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lr", "nan", "not a finite number"),
+        ("--lr", "inf", "not a finite number"),
+        ("--lr", "0", "not a positive number"),
+        ("--dim", "0", "not a positive integer"),
+        ("--window", "0", "not a positive integer"),
+        ("--negatives", "-1", "not a positive integer"),
+        ("--epochs", "0", "not a positive integer"),
+        ("--min-freq", "0", "not a positive integer"),
+    ])
+    def test_unusable_embedding_setting_is_usage_error(self, pipeline, tmp_path, capsys,
+                                                       flag, value, message):
+        out = tmp_path / "emb"
+        with pytest.raises(SystemExit) as exc:
+            main(["train-embeddings", "--corpus", str(pipeline["corpus"]),
+                  "--split", str(pipeline["split"]), "--out", str(out), flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and message in err
+        assert not out.exists()
 
     def test_unknown_feature_is_usage_error(self, pipeline, tmp_path, capsys):
         code, captured = run(["train", "--corpus", str(pipeline["corpus"]),

@@ -2,20 +2,91 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verseid.embeddings import (
     EmbeddingConfig,
     EmbeddingMatrix,
     train_sgns,
     verse_semantic_vector,
+    _log_sigmoid,
     _skipgram_pairs,
 )
-from verseid.normalize import CLS_ID, PAD_ID, UNK_ID
+from verseid.normalize import CLS_ID, N_RESERVED, PAD_ID, UNK_ID
 
 
 def toy_sequences():
     # Tokens 3 and 4 always co-occur; 5 and 6 always co-occur; never across.
     return [[3, 4], [4, 3], [5, 6], [6, 5]] * 30
+
+
+def reference_pairs(sequences, window):
+    """The pair list as a plain loop builds it; ``_skipgram_pairs`` must match
+    it row for row, since the training permutation indexes into it."""
+    pairs = []
+    for seq in sequences:
+        toks = [t for t in seq if t >= N_RESERVED]
+        for i, center in enumerate(toks):
+            lo = max(0, i - window)
+            hi = min(len(toks), i + window + 1)
+            for j in range(lo, hi):
+                if j != i:
+                    pairs.append((center, toks[j]))
+    if not pairs:
+        return np.empty((0, 2), dtype=np.int64)
+    return np.asarray(pairs, dtype=np.int64)
+
+
+def reference_train_sgns(sequences, vocab_size, cfg):
+    """The trainer with a per-token count loop and row-wise ``np.add.at``
+    scatters. ``train_sgns`` must reproduce its bits exactly."""
+    rng = np.random.default_rng(cfg.seed)
+    w_in = ((rng.random((vocab_size, cfg.dim)) - 0.5) / cfg.dim).astype(np.float32)
+    w_out = np.zeros((vocab_size, cfg.dim), dtype=np.float32)
+    pairs = reference_pairs(sequences, cfg.window)
+    counts = np.zeros(vocab_size, dtype=np.float64)
+    for seq in sequences:
+        for t in seq:
+            if t >= N_RESERVED:
+                counts[t] += 1
+    noise = counts**0.75
+    noise /= noise.sum()
+    cum_noise = np.cumsum(noise)
+    total_updates = cfg.epochs * len(pairs)
+    done = 0
+    losses = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(pairs))
+        epoch_loss = 0.0
+        for start in range(0, len(pairs), cfg.batch_pairs):
+            batch = pairs[order[start : start + cfg.batch_pairs]]
+            centers, contexts = batch[:, 0], batch[:, 1]
+            b = len(batch)
+            negs = np.searchsorted(cum_noise, rng.random((b, cfg.negatives)))
+            targets = np.concatenate([contexts[:, None], negs], axis=1)
+            labels = np.zeros((b, cfg.negatives + 1), dtype=np.float32)
+            labels[:, 0] = 1.0
+            v = w_in[centers]
+            u = w_out[targets]
+            scores = np.einsum("bd,bkd->bk", v, u)
+            sig = 1.0 / (1.0 + np.exp(-np.clip(scores, -30.0, 30.0)))
+            signed = np.where(labels > 0, scores, -scores).astype(np.float64)
+            epoch_loss += float(-_log_sigmoid(signed).sum())
+            alpha = cfg.lr * max(cfg.min_lr_factor, 1.0 - done / total_updates)
+            g = ((labels - sig) * alpha).astype(np.float32)
+            d_v = np.einsum("bk,bkd->bd", g, u)
+            d_u = g[:, :, None] * v[:, None, :]
+            np.add.at(w_in, centers, d_v)
+            np.add.at(w_out, targets.reshape(-1), d_u.reshape(-1, cfg.dim))
+            done += b
+        losses.append(epoch_loss / len(pairs))
+    return EmbeddingMatrix(w_in, w_out, cfg), losses
+
+
+# Sequences of few distinct ids, reserved ones among them, with empty,
+# one-token and short sequences.
+ID_SEQUENCES = st.lists(st.lists(st.integers(0, N_RESERVED + 5), max_size=7), max_size=8)
 
 
 class TestPairs:
@@ -28,6 +99,15 @@ class TestPairs:
         pairs = _skipgram_pairs([[3, 4, 5, 6]], window=2)
         assert (3, 5) in {tuple(p) for p in pairs}
         assert (3, 6) not in {tuple(p) for p in pairs}
+
+    @settings(max_examples=200, deadline=None)
+    @given(sequences=ID_SEQUENCES, window=st.integers(1, 9))
+    def test_matches_reference_loop_in_order(self, sequences, window):
+        pairs = _skipgram_pairs(sequences, window)
+        want = reference_pairs(sequences, window)
+        assert pairs.dtype == np.int64
+        assert pairs.shape == want.shape  # (0, 2) when there are no pairs
+        np.testing.assert_array_equal(pairs, want)
 
 
 class TestTraining:
@@ -58,6 +138,18 @@ class TestTraining:
         b, _ = train_sgns(toy_sequences(), 7, cfg)
         np.testing.assert_array_equal(a.w_in, b.w_in)
         np.testing.assert_array_equal(a.w_out, b.w_out)
+
+    def test_bitwise_equal_to_row_wise_scatter(self):
+        # Seven real ids in batches of 512 pairs (3,072 scatter rows with five
+        # negatives): every id repeats many times per batch, so any change in
+        # the order of the float32 additions shows in the bits.
+        rng = np.random.default_rng(5)
+        sequences = [list(rng.integers(0, N_RESERVED + 7, rng.integers(0, 12))) for _ in range(300)]
+        cfg = EmbeddingConfig(dim=8, window=3, epochs=3, lr=0.05, seed=4)
+        got, got_losses = train_sgns(sequences, N_RESERVED + 7, cfg)
+        want, want_losses = reference_train_sgns(sequences, N_RESERVED + 7, cfg)
+        assert got.to_bytes() == want.to_bytes()
+        assert got_losses == want_losses
 
     def test_no_pairs_warns(self):
         cfg = EmbeddingConfig(dim=4, epochs=1)

@@ -1,19 +1,23 @@
 """Classifier head, losses, optimizer, schedule, and the training loop."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verseid.cli import main
 from verseid.corpus import save_corpus
 from verseid.embeddings import EmbeddingConfig, train_sgns, verse_semantic_vector
-from verseid.encoder import EncoderConfig
+from verseid.encoder import EncoderConfig, init_encoder_params
 from verseid.features import one_hot_form, one_hot_meter, stylometric_features
 from verseid.model import (
     AdamW,
     FeatureSpace,
     FusionConfig,
+    ModelBundle,
     NumericalError,
     StaleArtifactError,
     TrainConfig,
@@ -27,11 +31,13 @@ from verseid.model import (
     init_head_params,
     load_checkpoint,
     lr_at_step,
+    param_manifest,
     poem_probability_groups,
     predict_proba,
     save_checkpoint,
     training_log_csv,
     weighted_cross_entropy,
+    _checkpoint_bytes,
 )
 from verseid.normalize import build_vocab, normalize_verse, tokenize_verse
 from verseid.split import LeakageError, split_records, stratified_poem_split
@@ -438,6 +444,48 @@ class TestCheckpoint:
         save_checkpoint(bundle, first)
         save_checkpoint(load_checkpoint(first, bundle.space.vocab, bundle.space.embeddings), second)
         assert first.read_bytes() == second.read_bytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        heads=st.integers(1, 3),
+        head_dim=st.integers(1, 4),
+        n_layers=st.integers(0, 2),
+        d_ff=st.integers(1, 9),
+        max_len=st.integers(1, 80),
+        head_hidden=st.integers(1, 12),
+        use_text=st.booleans(),
+        bits_seed=st.integers(0, 2**32 - 1),
+        log_summary=st.dictionaries(
+            st.text(max_size=6), st.one_of(st.integers(), st.floats(allow_nan=False)), max_size=3
+        ),
+    )
+    def test_round_trip_of_drawn_sizes(self, trained_bundle, tmp_path_factory, heads, head_dim,
+                                       n_layers, d_ff, max_len, head_hidden, use_text,
+                                       bits_seed, log_summary):
+        base = trained_bundle[0]
+        space = dataclasses.replace(base.space, fusion=FusionConfig(use_text=use_text),
+                                    max_len=max_len)
+        enc_cfg = EncoderConfig(vocab_size=len(space.vocab), d_model=heads * head_dim,
+                                n_heads=heads, n_layers=n_layers, d_ff=d_ff, max_len=max_len)
+        train_cfg = TrainConfig.desk(head_hidden=head_hidden)
+        enc_params = init_encoder_params(enc_cfg) if use_text else {}
+        head_params = init_head_params(space.concat_dim(enc_cfg.d_model), head_hidden,
+                                       space.n_classes, seed=0)
+        manifest = param_manifest(enc_params, head_params)
+        n = sum(math.prod(shape) for _, shape in manifest)
+        # Arbitrary float32 bit patterns, NaN payloads and infinities included.
+        bits = np.random.default_rng(bits_seed).integers(0, 2**32, n, dtype=np.uint32)
+        bundle = ModelBundle(space, enc_cfg, bits.view(np.float32), manifest, train_cfg,
+                             log_summary=log_summary)
+        path = tmp_path_factory.mktemp("ckpt") / "model.bin"
+        path.write_bytes(_checkpoint_bytes(bundle))
+        again = load_checkpoint(path, space.vocab, space.embeddings)
+        np.testing.assert_array_equal(again.params.view(np.uint32), bits)
+        assert again.manifest == manifest
+        assert again.enc_cfg == enc_cfg
+        assert again.train_cfg == train_cfg
+        assert again.space.to_dict() == space.to_dict()
+        assert again.log_summary == log_summary
 
     def test_stale_vocab_rejected(self, trained_bundle, tmp_path, small_synth):
         bundle, _, _ = trained_bundle
