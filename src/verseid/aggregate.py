@@ -3,10 +3,11 @@
 Three strategies:
 
 * majority: most common verse argmax; ties break by summed verse
-  confidence of the tied labels, then by smallest label id.
-* weighted: argmax of the summed verse distributions, with a confidence
-  score (mean of the summed max by default).
-* thresholded: weighted, but abstains when confidence falls below tau.
+  confidence of the tied labels, then by smallest label id. Its confidence
+  is the mean maximum of the verses that voted for the winner.
+* weighted: argmax of the summed verse distributions. Its confidence is the
+  summed maximum divided by the verse count, a probability in [0, 1].
+* thresholded: weighted, but abstains when that confidence falls below tau.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .corpus import csv_text
 
 ABSTAIN = "ABSTAIN"
-CONFIDENCE_MODES = ("mean", "sum")
+STRATEGIES = ("majority", "weighted", "thresholded")
 
 
 @dataclass
@@ -27,8 +28,6 @@ class PoemPrediction:
     strategy: str
     predicted_poet: int | None
     confidence: float
-    verse_labels: list[int]
-    verse_max_probs: list[float]
 
     @property
     def abstained(self) -> bool:
@@ -57,56 +56,44 @@ def majority_vote(labels, max_probs=None) -> int:
     return min(tied)
 
 
-def weighted_vote(verse_probs: np.ndarray, confidence: str = "mean") -> tuple[int, float]:
+def weighted_vote(verse_probs: np.ndarray) -> tuple[int, float]:
     """Sum the verse distributions; argmax wins (smallest id on ties).
 
-    ``confidence`` is the summed maximum divided by the verse count
-    ("mean", default) or left as the raw sum ("sum").
+    The confidence is the summed maximum divided by the verse count.
     """
-    if confidence not in CONFIDENCE_MODES:
-        raise ValueError(f"confidence must be one of {CONFIDENCE_MODES}")
     probs = np.asarray(verse_probs, dtype=np.float64)
     if probs.ndim != 2 or probs.shape[0] == 0:
         raise ValueError("weighted_vote needs a (n_verses, n_classes) matrix")
     s = probs.sum(axis=0)
     label = int(s.argmax())
-    conf = float(s[label])
-    if confidence == "mean":
-        conf /= probs.shape[0]
-    return label, conf
+    return label, float(s[label]) / probs.shape[0]
 
 
-def thresholded_vote(
-    verse_probs: np.ndarray, tau: float, confidence: str = "mean"
-) -> tuple[int | None, float]:
+def thresholded_vote(verse_probs: np.ndarray, tau: float) -> tuple[int | None, float]:
     """Weighted vote that abstains when confidence < tau."""
-    label, conf = weighted_vote(verse_probs, confidence)
+    label, conf = weighted_vote(verse_probs)
     if conf < tau:
         return None, conf
     return label, conf
 
 
 def aggregate_poem(
-    poem_id: str,
-    verse_probs: np.ndarray,
-    strategy: str,
-    tau: float = 0.7,
-    confidence: str = "mean",
+    poem_id: str, verse_probs: np.ndarray, strategy: str, tau: float = 0.7
 ) -> PoemPrediction:
     """Apply one strategy to a poem's verse distributions."""
     probs = np.asarray(verse_probs, dtype=np.float64)
-    verse_labels = [int(i) for i in probs.argmax(axis=1)]
-    verse_max = [float(p) for p in probs.max(axis=1)]
     if strategy == "majority":
+        verse_labels = [int(i) for i in probs.argmax(axis=1)]
+        verse_max = [float(p) for p in probs.max(axis=1)]
         label: int | None = majority_vote(verse_labels, verse_max)
         conf = float(np.mean([p for lab, p in zip(verse_labels, verse_max) if lab == label]))
     elif strategy == "weighted":
-        label, conf = weighted_vote(probs, confidence)
+        label, conf = weighted_vote(probs)
     elif strategy == "thresholded":
-        label, conf = thresholded_vote(probs, tau, confidence)
+        label, conf = thresholded_vote(probs, tau)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return PoemPrediction(poem_id, strategy, label, conf, verse_labels, verse_max)
+    return PoemPrediction(poem_id, strategy, label, conf)
 
 
 @dataclass(frozen=True)
@@ -119,10 +106,7 @@ class SweepRow:
 
 
 def sweep_thresholds(
-    poem_probs: list[np.ndarray],
-    truth: np.ndarray,
-    taus: list[float],
-    confidence: str = "mean",
+    poem_probs: list[np.ndarray], truth: np.ndarray, taus: list[float]
 ) -> list[SweepRow]:
     """Accuracy/coverage of the thresholded strategy per threshold.
 
@@ -134,7 +118,7 @@ def sweep_thresholds(
         raise ValueError("thresholds must be sorted ascending")
     truth = np.asarray(truth)
     total = len(poem_probs)
-    votes = [weighted_vote(p, confidence) for p in poem_probs]
+    votes = [weighted_vote(p) for p in poem_probs]
     rows = []
     for tau in taus:
         covered = [(lab, t) for (lab, conf), t in zip(votes, truth) if conf >= tau]

@@ -26,10 +26,11 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .aggregate import aggregate_poem, predictions_csv, sweep_csv, sweep_thresholds
+from .aggregate import STRATEGIES, aggregate_poem, predictions_csv, sweep_csv, sweep_thresholds
 from .corpus import Corpus, CorpusError, PoemRecord, corpus_stats, csv_text, filter_corpus, load_corpus, read_records, save_corpus
 from .embeddings import EmbeddingConfig, EmbeddingMatrix, train_sgns
 from .encoder import EncoderConfig
@@ -68,8 +69,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_STALE = 3
 EXIT_NUMERIC = 4
-
-STRATEGIES = ("majority", "weighted", "thresholded")
 
 
 def _write_config(out_dir: Path, command: str, payload: dict) -> None:
@@ -121,6 +120,17 @@ def _positive_float(text: str) -> float:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"not a positive number: {text!r}")
     return value
+
+
+def _float_in(low: float, high: float, *, high_open: bool = False):
+    """An argparse type for a finite number in [low, high], or in [low, high)."""
+    def parse(text: str) -> float:
+        value = _finite_float(text)
+        if not low <= value <= high or (high_open and value == high):
+            raise argparse.ArgumentTypeError(
+                f"not in [{low:g}, {high:g}{')' if high_open else ']'}: {text!r}")
+        return value
+    return parse
 
 
 def _positive_int(text: str) -> int:
@@ -222,7 +232,9 @@ def _fusion_from_arg(features: str) -> FusionConfig:
     known = {"text", "semantic", "stylometric", "form", "meter"}
     bad = wanted - known
     if bad:
-        raise ValueError(f"unknown features: {sorted(bad)} (choose from {sorted(known)})")
+        raise ValueError(f"--features: unknown features: {sorted(bad)} (choose from {sorted(known)})")
+    if not wanted:
+        raise ValueError(f"--features: no features given (choose from {sorted(known)})")
     return FusionConfig(
         use_text="text" in wanted,
         use_semantic="semantic" in wanted,
@@ -232,24 +244,21 @@ def _fusion_from_arg(features: str) -> FusionConfig:
     )
 
 
+# TrainConfig fields that a ``train`` flag of the same dest overrides.
+TRAIN_FLAGS = ("lr", "weight_decay", "batch_size", "max_epochs", "patience", "head_hidden",
+               "head_dropout")
+
+
 def cmd_train(args) -> int:
+    fusion = _fusion_from_arg(args.features)
     corpus, splits = _load_splits(args)
     vocab, emb = _load_artifacts(args.embeddings)
 
     base = TrainConfig.desk() if args.preset == "desk" else TrainConfig()
-    tcfg = TrainConfig(
-        lr=args.lr if args.lr is not None else base.lr,
-        weight_decay=args.weight_decay if args.weight_decay is not None else base.weight_decay,
-        batch_size=args.batch_size or base.batch_size,
-        max_epochs=args.epochs or base.max_epochs,
-        patience=args.patience or base.patience,
-        warmup_frac=base.warmup_frac,
-        clip_norm=base.clip_norm,
-        head_hidden=args.head_hidden or base.head_hidden,
-        head_dropout=args.head_dropout if args.head_dropout is not None else base.head_dropout,
-        class_weighting="none" if args.no_class_weights else base.class_weighting,
-        seed=args.seed,
-    )
+    given = {k: getattr(args, k) for k in TRAIN_FLAGS if getattr(args, k) is not None}
+    if args.no_class_weights:
+        given["class_weighting"] = "none"
+    tcfg = replace(base, seed=args.seed, **given)
     enc_cfg = EncoderConfig(
         vocab_size=len(vocab),
         d_model=args.d_model,
@@ -259,7 +268,6 @@ def cmd_train(args) -> int:
         max_len=args.max_len,
         seed=args.seed,
     )
-    fusion = _fusion_from_arg(args.features)
     poet_index = {p: i for i, p in enumerate(sorted({r.poet for r in corpus.records}))}
     form_index = {f: i for i, f in enumerate(sorted({r.form for r in corpus.records}))}
     space, train_ds = FeatureSpace.fit(
@@ -323,21 +331,14 @@ def cmd_evaluate(args) -> int:
     poem_ids, matrices, truth = poem_probability_groups(ds, probs)
     all_preds = []
     for strategy in STRATEGIES:
-        preds = [
-            aggregate_poem(pid, m, strategy, tau=args.tau, confidence=args.confidence)
-            for pid, m in zip(poem_ids, matrices)
-        ]
+        preds = [aggregate_poem(pid, m, strategy, tau=args.tau) for pid, m in zip(poem_ids, matrices)]
         all_preds.extend(preds)
-        if strategy == "thresholded":
-            kept = [(p.predicted_poet, t) for p, t in zip(preds, truth) if not p.abstained]
-            coverage = len(kept) / len(preds) if preds else 0.0
-            yhat = [k for k, _ in kept]
-            ytrue = [t for _, t in kept]
-            report = classification_report(ytrue, yhat, n_classes, poet_names, coverage=coverage)
-        else:
-            report = classification_report(
-                truth, [p.predicted_poet for p in preds], n_classes, poet_names
-            )
+        # Only thresholded abstains; its report covers the poems it kept.
+        kept = [(t, p.predicted_poet) for p, t in zip(preds, truth) if not p.abstained]
+        coverage = len(kept) / max(len(preds), 1) if strategy == "thresholded" else None
+        report = classification_report(
+            [t for t, _ in kept], [y for _, y in kept], n_classes, poet_names, coverage=coverage
+        )
         (out / f"eval_{strategy}.json").write_text(report.to_json() + "\n", encoding="utf-8")
         (out / f"eval_{strategy}.txt").write_text(report.to_text(), encoding="utf-8")
     (out / "poem_predictions.csv").write_text(
@@ -352,7 +353,6 @@ def cmd_evaluate(args) -> int:
             "checkpoint": str(args.checkpoint),
             "split_name": args.split_name,
             "tau": args.tau,
-            "confidence": args.confidence,
         },
     )
     print(f"verse accuracy {verse_report.accuracy:.4f} on {args.split_name}")
@@ -364,7 +364,7 @@ def cmd_sweep(args) -> int:
     ds, probs = _eval_data(args, bundle)
     _, matrices, truth = poem_probability_groups(ds, probs)
     taus = args.taus
-    rows = sweep_thresholds(matrices, truth, taus, confidence=args.confidence)
+    rows = sweep_thresholds(matrices, truth, taus)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.csv").write_text(sweep_csv(rows), encoding="utf-8")
@@ -377,7 +377,6 @@ def cmd_sweep(args) -> int:
             "checkpoint": str(args.checkpoint),
             "split_name": args.split_name,
             "taus": taus,
-            "confidence": args.confidence,
         },
     )
     for r in rows:
@@ -415,7 +414,7 @@ def cmd_predict(args) -> int:
 
     poem_ids, matrices, _ = poem_probability_groups(ds, probs)
     preds = [
-        aggregate_poem(pid, m, strategy, tau=args.tau, confidence=args.confidence)
+        aggregate_poem(pid, m, strategy, tau=args.tau)
         for strategy in STRATEGIES
         for pid, m in zip(poem_ids, matrices)
     ]
@@ -429,7 +428,6 @@ def cmd_predict(args) -> int:
             "input": str(args.input or "-"),
             "checkpoint": str(args.checkpoint),
             "tau": args.tau,
-            "confidence": args.confidence,
         },
     )
     print(f"predicted {len(poem_ids)} poems ({len(ds)} verses)")
@@ -437,6 +435,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_make_synthetic(args) -> int:
+    if args.min_verses > args.max_verses:
+        raise ValueError(f"--min-verses {args.min_verses} is greater than "
+                         f"--max-verses {args.max_verses}")
     cfg = SyntheticConfig(
         n_poets=args.poets,
         poems_per_poet=args.poems_per_poet,
@@ -500,19 +501,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--preset", choices=("desk", "full"), default="desk")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--head-hidden", type=int)
-    p.add_argument("--head-dropout", type=float)
+    p.add_argument("--lr", type=_positive_float)
+    p.add_argument("--weight-decay", type=_float_in(0.0, math.inf))
+    p.add_argument("--batch-size", type=_positive_int)
+    p.add_argument("--epochs", type=_positive_int, dest="max_epochs")
+    p.add_argument("--patience", type=_positive_int)
+    p.add_argument("--head-hidden", type=_positive_int)
+    p.add_argument("--head-dropout", type=_float_in(0.0, 1.0, high_open=True))
     p.add_argument("--no-class-weights", action="store_true")
-    p.add_argument("--d-model", type=int, default=64)
-    p.add_argument("--n-heads", type=int, default=2)
-    p.add_argument("--n-layers", type=int, default=2)
-    p.add_argument("--d-ff", type=int, default=128)
-    p.add_argument("--max-len", type=int, default=64)
+    p.add_argument("--d-model", type=_positive_int, default=64)
+    p.add_argument("--n-heads", type=_positive_int, default=2)
+    p.add_argument("--n-layers", type=_positive_int, default=2)
+    p.add_argument("--d-ff", type=_positive_int, default=128)
+    p.add_argument("--max-len", type=_positive_int, default=64)
     p.add_argument("--features", default="text,semantic,stylometric,form,meter")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
@@ -523,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--embeddings", required=True)
         p.add_argument("--checkpoint", required=True)
         p.add_argument("--split-name", choices=("train", "valid", "test"), default="test")
-        p.add_argument("--confidence", choices=("mean", "sum"), default="mean")
         p.add_argument("--out", required=True)
 
     p = sub.add_parser("evaluate", help="verse- and poem-level evaluation reports")
@@ -541,18 +541,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--tau", type=_finite_float, default=0.7)
-    p.add_argument("--confidence", choices=("mean", "sum"), default="mean")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("make-synthetic", help="generate a synthetic corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--poets", type=int, default=5)
-    p.add_argument("--poems-per-poet", type=int, default=200)
-    p.add_argument("--min-verses", type=int, default=4)
-    p.add_argument("--max-verses", type=int, default=12)
-    p.add_argument("--formulaic-rate", type=float, default=0.25)
-    p.add_argument("--contested-rate", type=float, default=0.0)
+    p.add_argument("--poets", type=_positive_int, default=5)
+    p.add_argument("--poems-per-poet", type=_positive_int, default=200)
+    p.add_argument("--min-verses", type=_positive_int, default=4)
+    p.add_argument("--max-verses", type=_positive_int, default=12)
+    p.add_argument("--formulaic-rate", type=_float_in(0.0, 1.0), default=0.25)
+    p.add_argument("--contested-rate", type=_float_in(0.0, 1.0), default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_make_synthetic)
 

@@ -33,6 +33,20 @@ class StaleArtifactError(ValueError):
     it was not built with."""
 
 
+def drop_retired(d: dict, retired: dict) -> dict:
+    """``d`` without the keys of ``retired``, which maps each setting of a
+    deleted variant to the one value an older file may still hold for it.
+
+    Raises:
+        StaleArtifactError: if ``d`` holds any other value for a retired key.
+    """
+    for key, kept in retired.items():
+        if d.get(key, kept) != kept:
+            raise StaleArtifactError(f"retired setting {key!r} is {d[key]!r}; "
+                                     f"only {kept!r} is supported")
+    return {k: v for k, v in d.items() if k not in retired}
+
+
 @dataclass(frozen=True)
 class Verse:
     """One verse as a pair of hemistichs."""

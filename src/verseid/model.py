@@ -23,12 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, PoemRecord, StaleArtifactError
+from .corpus import Corpus, PoemRecord, StaleArtifactError, drop_retired
 from .embeddings import EmbeddingMatrix, verse_semantic_vector
 from .encoder import (
     EncoderConfig,
     Params,
-    drop_retired,
     encoder_backward,
     encoder_forward,
     init_encoder_params,

@@ -4,7 +4,8 @@ Classical Persian text mixes Arabic and Persian code points for the same
 letters and carries combining marks that are editorial rather than
 authorial. Normalization maps letter variants to their Persian forms, strips
 diacritics and decoration, and canonicalizes whitespace so that downstream
-token counts compare like with like.
+token counts compare like with like. Stripping the zero-width non-joiner is
+its one option.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ import hashlib
 import json
 import re
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import StaleArtifactError, Verse
+from .corpus import StaleArtifactError, Verse, drop_retired
 
 # Letter variants.
 ARABIC_YEH = "ي"
@@ -40,52 +41,50 @@ RESERVED_TOKENS = (PAD_TOKEN, UNK_TOKEN, CLS_TOKEN)
 N_RESERVED = len(RESERVED_TOKENS)
 
 
+# Steps every config runs. ``vocab.tsv`` headers name each one, set to true,
+# so that vocabulary hashes, and the checkpoints holding them, stay valid.
+FIXED_STEPS = {
+    "map_yeh": True,
+    "map_kaf": True,
+    "strip_diacritics": True,
+    "strip_tatweel": True,
+    "strip_markup": True,
+    "collapse_whitespace": True,
+}
+
+
 @dataclass(frozen=True)
 class NormalizationConfig:
-    """Switchboard for the normalization steps.
+    """The one normalization recipe, whose only option is ZWNJ stripping.
 
-    ZWNJ is retained by default: it is linguistically meaningful in Persian
-    (it separates morphemes inside a word) and stripping it merges distinct
-    tokens.
+    Every config maps the yeh and kaf variants, strips diacritics, tatweel
+    and markup, and collapses whitespace. ZWNJ is retained by default: it is
+    linguistically meaningful in Persian (it separates morphemes inside a
+    word) and stripping it merges distinct tokens.
     """
 
-    map_yeh: bool = True
-    map_kaf: bool = True
-    strip_diacritics: bool = True
-    strip_tatweel: bool = True
-    strip_markup: bool = True
-    collapse_whitespace: bool = True
     strip_zwnj: bool = False
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**FIXED_STEPS, "strip_zwnj": self.strip_zwnj}
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormalizationConfig":
-        return cls(**d)
+        return cls(**drop_retired(d, FIXED_STEPS))
 
 
-_YEH_TABLE = str.maketrans({ARABIC_YEH: PERSIAN_YEH, ALEF_MAKSURA: PERSIAN_YEH})
-_KAF_TABLE = str.maketrans({ARABIC_KAF: PERSIAN_KAF})
+# Maps the letter variants and deletes diacritics and tatweel in one pass.
+_TABLE = str.maketrans({
+    ARABIC_YEH: PERSIAN_YEH, ALEF_MAKSURA: PERSIAN_YEH, ARABIC_KAF: PERSIAN_KAF,
+    TATWEEL: None, **dict.fromkeys(DIACRITICS),
+})
+_TABLE_STRIP_ZWNJ = {**_TABLE, ord(ZWNJ): None}
 
 
 def normalize_text(text: str, cfg: NormalizationConfig = NormalizationConfig()) -> str:
-    """Normalize one string. Idempotent for any fixed config."""
-    if cfg.map_yeh:
-        text = text.translate(_YEH_TABLE)
-    if cfg.map_kaf:
-        text = text.translate(_KAF_TABLE)
-    if cfg.strip_diacritics:
-        text = "".join(ch for ch in text if ch not in DIACRITICS)
-    if cfg.strip_tatweel:
-        text = text.replace(TATWEEL, "")
-    if cfg.strip_zwnj:
-        text = text.replace(ZWNJ, "")
-    if cfg.strip_markup:
-        text = _MARKUP_RE.sub(" ", text)
-    if cfg.collapse_whitespace:
-        text = " ".join(text.split())
-    return text
+    """Normalize one string. Idempotent for either config."""
+    text = text.translate(_TABLE_STRIP_ZWNJ if cfg.strip_zwnj else _TABLE)
+    return " ".join(_MARKUP_RE.sub(" ", text).split())
 
 
 def normalize_verse(

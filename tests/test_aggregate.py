@@ -46,12 +46,6 @@ class TestWeighted:
         assert label == 0
         assert conf == pytest.approx(0.65)
 
-    def test_sum_confidence_mode(self):
-        probs = np.array([[0.9, 0.1], [0.4, 0.6]])
-        label, conf = weighted_vote(probs, confidence="sum")
-        assert label == 0
-        assert conf == pytest.approx(1.3)
-
     def test_single_verse_matches_argmax(self):
         probs = np.array([[0.2, 0.5, 0.3]])
         label, conf = weighted_vote(probs)
@@ -61,10 +55,6 @@ class TestWeighted:
     def test_tied_sum_picks_smallest_id(self):
         label, _ = weighted_vote(np.array([[0.5, 0.5]]))
         assert label == 0
-
-    def test_bad_confidence_mode(self):
-        with pytest.raises(ValueError, match="confidence"):
-            weighted_vote(np.array([[1.0]]), confidence="median")
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError, match="matrix"):
@@ -107,7 +97,6 @@ class TestAggregatePoem:
         pred = aggregate_poem("p1", self.probs, "majority")
         # Verse argmaxes are [0, 1]: a tie, broken by max-prob mass (0.9 > 0.6).
         assert pred.predicted_poet == 0
-        assert pred.verse_labels == [0, 1]
         assert pred.confidence == pytest.approx(0.9)
         assert not pred.abstained
 

@@ -19,6 +19,14 @@ def run(argv, capsys=None):
     return code
 
 
+def exit_code(argv):
+    """The exit code of ``main``, whether it returns it or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 FAST_TRAIN = [
     "--d-model", "16", "--n-heads", "2", "--n-layers", "1", "--d-ff", "32",
     "--epochs", "2", "--seed", "0",
@@ -111,6 +119,17 @@ class TestArtifacts:
         assert 0.0 <= verse["accuracy"] <= 1.0
         thr = json.loads((pipeline["eval"] / "eval_thresholded.json").read_text())
         assert thr["coverage"] is not None
+
+    def test_evaluate_when_every_poem_abstains(self, pipeline, tmp_path):
+        # A poem's confidence is a mean probability, so no poem reaches 1.5.
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--corpus", str(pipeline["corpus"]),
+                     "--split", str(pipeline["split"]), "--embeddings", str(pipeline["emb"]),
+                     "--checkpoint", str(pipeline["model"]), "--tau", "1.5",
+                     "--out", str(out)]) == 0
+        thr = json.loads((out / "eval_thresholded.json").read_text())
+        assert thr["coverage"] == 0.0
+        assert "confidence" not in json.loads((out / "config.json").read_text())
 
     def test_sweep_outputs(self, pipeline):
         lines = (pipeline["sweep"] / "sweep.csv").read_text().splitlines()
@@ -415,6 +434,7 @@ class TestExitCodes:
         ("junk line", "line 6"),
         ("id 999", "line 6"),
         ("unknown config key", "'bogus'"),
+        ("fixed step disabled", "'map_yeh'"),
     ])
     def test_damaged_vocabulary_is_artifact_error(self, pipeline, tmp_path, capsys, damage, where):
         emb = tmp_path / "emb"
@@ -426,6 +446,8 @@ class TestExitCodes:
             lines.insert(5, "junkline")
         elif damage == "id 999":
             lines[5] = lines[5].rpartition("\t")[0] + "\t999"
+        elif damage == "fixed step disabled":
+            lines[0] = lines[0].replace('"map_yeh": true', '"map_yeh": false')
         else:
             lines[0] = lines[0].replace("{", '{"bogus": true, ', 1)
         (emb / "vocab.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -498,6 +520,62 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert flag in err and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lr", "0", "not a positive number"),
+        ("--lr", "nan", "not a finite number"),
+        ("--weight-decay", "-0.1", "not in [0, inf]"),
+        ("--weight-decay", "inf", "not a finite number"),
+        ("--batch-size", "0", "not a positive integer"),
+        ("--epochs", "0", "not a positive integer"),
+        ("--patience", "0", "not a positive integer"),
+        ("--head-hidden", "0", "not a positive integer"),
+        ("--head-dropout", "1", "not in [0, 1)"),
+        ("--head-dropout", "nan", "not a finite number"),
+        ("--d-model", "0", "not a positive integer"),
+        ("--n-heads", "0", "not a positive integer"),
+        ("--n-layers", "0", "not a positive integer"),
+        ("--d-ff", "0", "not a positive integer"),
+        ("--max-len", "0", "not a positive integer"),
+        ("--features", "", "no features given"),
+        ("--features", " , ", "no features given"),
+    ])
+    def test_unusable_train_setting_is_usage_error(self, pipeline, tmp_path, capsys,
+                                                   flag, value, message):
+        out = tmp_path / "m"
+        assert exit_code(["train", "--corpus", str(pipeline["corpus"]),
+                          "--split", str(pipeline["split"]), "--embeddings", str(pipeline["emb"]),
+                          "--out", str(out), *FAST_TRAIN, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--poets", "0"], "--poets: not a positive integer"),
+        (["--poets", "-2"], "--poets: not a positive integer"),
+        (["--poems-per-poet", "0"], "--poems-per-poet: not a positive integer"),
+        (["--min-verses", "0"], "--min-verses: not a positive integer"),
+        (["--max-verses", "0"], "--max-verses: not a positive integer"),
+        (["--formulaic-rate", "nan"], "--formulaic-rate: not a finite number"),
+        (["--formulaic-rate", "1.5"], "--formulaic-rate: not in [0, 1]"),
+        (["--contested-rate", "-0.1"], "--contested-rate: not in [0, 1]"),
+        (["--min-verses", "5", "--max-verses", "3"],
+         "--min-verses 5 is greater than --max-verses 3"),
+    ])
+    def test_unusable_synthetic_setting_is_usage_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "raw.jsonl"
+        assert exit_code(["make-synthetic", "--out", str(out), *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep-thresholds", "predict"])
+    def test_confidence_flag_is_gone(self, pipeline, tmp_path, command):
+        argv = [command, "--embeddings", str(pipeline["emb"]),
+                "--checkpoint", str(pipeline["model"]), "--out", str(tmp_path / "o"),
+                "--confidence", "mean"]
+        if command != "predict":
+            argv += ["--corpus", str(pipeline["corpus"]), "--split", str(pipeline["split"])]
+        assert exit_code(argv) == 2
 
     def test_unknown_feature_is_usage_error(self, pipeline, tmp_path, capsys):
         code, captured = run(["train", "--corpus", str(pipeline["corpus"]),

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verseid.corpus import (
     Corpus,
@@ -11,6 +13,7 @@ from verseid.corpus import (
     corpus_stats,
     filter_corpus,
     load_corpus,
+    read_records,
     save_corpus,
 )
 from verseid.synthetic import SyntheticConfig, make_synthetic_corpus
@@ -90,6 +93,33 @@ class TestLoading:
         })])
         corpus = load_corpus(path)
         assert corpus.records[0].verses[0] == Verse("only one", "")
+
+
+# Text rich in quotes, line breaks and non-ASCII letters, which JSONL must carry.
+AWKWARD_TEXT = st.text(
+    st.one_of(st.sampled_from(',"\'\r\n\t \u2028\u0085گل‌ی'),
+              st.characters(blacklist_categories=("Cs",))),
+    max_size=12,
+)
+
+
+class TestPredictInput:
+    @settings(max_examples=100, deadline=None)
+    @given(poems=st.dictionaries(
+        AWKWARD_TEXT,
+        st.lists(st.tuples(AWKWARD_TEXT, AWKWARD_TEXT), min_size=1, max_size=4),
+        min_size=1, max_size=4,
+    ))
+    def test_unlabelled_jsonl_round_trip(self, poems, tmp_path_factory):
+        path = tmp_path_factory.mktemp("predict") / "poems.jsonl"
+        lines = [json.dumps({"poem_id": pid, "verses": [list(v) for v in verses]},
+                            ensure_ascii=False) for pid, verses in poems.items()]
+        write_lines(path, lines)
+        with open(path, encoding="utf-8") as fh:
+            records = read_records(fh, labelled=False)
+        assert {r.poem_id: [(v.hemistich_1, v.hemistich_2) for v in r.verses]
+                for r in records} == poems
+        assert [r.poem_id for r in records] == list(poems)
 
 
 class TestFiltering:

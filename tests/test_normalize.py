@@ -1,5 +1,7 @@
 """Normalization, vocabulary, and tokenization contracts."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +37,31 @@ TATWEEL = "ـ"
 ZWNJ = "‌"
 FATHA = "َ"
 SHADDA = "ّ"
+DIACRITICS = "".join(chr(cp) for cp in range(0x064B, 0x0653))
+
+
+def seven_step_normalize(text, strip_zwnj):
+    """The normalizer as it was when each step had its own switch, all on."""
+    text = text.translate(str.maketrans({ARABIC_YEH: PERSIAN_YEH, ALEF_MAKSURA: PERSIAN_YEH}))
+    text = text.translate(str.maketrans({ARABIC_KAF: PERSIAN_KAF}))
+    text = "".join(ch for ch in text if ch not in DIACRITICS)
+    text = text.replace(TATWEEL, "")
+    if strip_zwnj:
+        text = text.replace(ZWNJ, "")
+    text = re.sub(r"<[^<>]*>", " ", text)
+    return " ".join(text.split())
+
+
+# Text dense in every character some step touches, among Persian letters.
+NORMALIZER_INPUT = st.text(
+    alphabet=st.sampled_from(
+        [ARABIC_YEH, ALEF_MAKSURA, PERSIAN_YEH, ARABIC_KAF, PERSIAN_KAF, TATWEEL, ZWNJ, "<", ">",
+         *DIACRITICS, "ٓ", "ٰ", "س", "ل", "م", "a", "/",
+         " ", "\t", "\n", "\r", "\x0b", "\x1c", "\x85", "\xa0", "\u2003", "\u2028", "\u3000",
+         "\u200b", "\u200d"]
+    ),
+    max_size=40,
+)
 
 
 class TestNormalizeText:
@@ -61,10 +88,11 @@ class TestNormalizeText:
     def test_whitespace_collapsed(self):
         assert normalize_text("  الف \t ب  \n پ ") == "الف ب پ"
 
-    def test_flags_can_disable_steps(self):
-        cfg = NormalizationConfig(map_yeh=False, strip_diacritics=False)
-        text = "عل" + ARABIC_YEH + FATHA
-        assert normalize_text(text, cfg) == text
+    @settings(max_examples=500)
+    @given(text=NORMALIZER_INPUT, strip_zwnj=st.booleans())
+    def test_matches_seven_step_normalizer(self, text, strip_zwnj):
+        cfg = NormalizationConfig(strip_zwnj=strip_zwnj)
+        assert normalize_text(text, cfg) == seven_step_normalize(text, strip_zwnj)
 
     @given(
         st.text(
@@ -142,6 +170,24 @@ class TestVocabulary:
         forward = build_vocab(token_lists(self.records()))
         backward = build_vocab(token_lists(reversed(self.records())))
         assert forward.token_to_id == backward.token_to_id
+
+    @pytest.mark.parametrize("strip_zwnj", [False, True])
+    def test_header_names_every_step(self, strip_zwnj):
+        # The header keeps the keys of the steps that are no longer optional,
+        # so vocabulary hashes, and the checkpoints holding them, do not move.
+        header = build_vocab([], NormalizationConfig(strip_zwnj=strip_zwnj)).serialize()
+        assert header.splitlines()[0] == (
+            '# config {"collapse_whitespace": true, "map_kaf": true, "map_yeh": true, '
+            '"strip_diacritics": true, "strip_markup": true, "strip_tatweel": true, '
+            f'"strip_zwnj": {str(strip_zwnj).lower()}}}'
+        )
+
+    def test_disabled_fixed_step_rejected(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        text = build_vocab([["گل"]]).serialize().replace('"strip_tatweel": true', '"strip_tatweel": false')
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=r"line 1: .*'strip_tatweel'"):
+            Vocabulary.load(path)
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "vocab.tsv"
