@@ -250,6 +250,8 @@ TRAIN_FLAGS = ("lr", "weight_decay", "batch_size", "max_epochs", "patience", "he
 
 
 def cmd_train(args) -> int:
+    if args.d_model % args.n_heads:
+        raise ValueError(f"--d-model {args.d_model} is not divisible by --n-heads {args.n_heads}")
     fusion = _fusion_from_arg(args.features)
     corpus, splits = _load_splits(args)
     vocab, emb = _load_artifacts(args.embeddings)

@@ -8,19 +8,30 @@ reproducible. Parameters come as a ``dict[str, np.ndarray]`` of any float
 dtype (in training, views into the model's one flat float32 buffer); backward
 returns a gradient dict with the same keys.
 
-Shapes follow the usual convention: a batch of token-id matrices ``(B, T)``
-becomes hidden states ``(B, T, D)``; the verse representation is the state
-at position 0, which always holds the sequence-start token.
+A batch of token-id matrices ``(B, T)`` becomes hidden states ``(B, T, D)``
+in every layer but the last. The verse representation is the state at
+position 0, which always holds the sequence-start ([CLS]) token, and nothing
+else is read from the last layer. So the last layer runs the same layer code
+with only row 0 as its queries: its keys and values still cover every
+position, but its attention output, ``Wo``, both layer norms and the FFN are
+computed for position 0 alone, and the encoder returns states ``(B, 1, D)``.
+This is exact in the math; the rounding differs from a full-sequence last
+layer.
+
+Every linear map folds the leading axes into one 2-D matrix product, so a
+batch costs one GEMM rather than one per verse.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
 
 from .corpus import drop_retired
+from .embeddings import _scatter_rows
 from .normalize import PAD_ID
 
 LN_EPS = 1e-5
@@ -88,13 +99,15 @@ def init_encoder_params(cfg: EncoderConfig, dtype=np.float32) -> Params:
     return params
 
 
+@lru_cache(maxsize=8)
 def sinusoidal_positions(max_len: int, d_model: int, dtype=np.float32) -> np.ndarray:
-    """Fixed sin/cos position table, shape (max_len, d_model)."""
+    """Fixed sin/cos position table, shape (max_len, d_model); cached, read-only."""
     pos = np.arange(max_len, dtype=np.float64)[:, None]
     idx = np.arange(d_model, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, (idx - idx % 2) / d_model)
-    table = np.where(idx % 2 == 0, np.sin(angle), np.cos(angle))
-    return table.astype(dtype)
+    table = np.where(idx % 2 == 0, np.sin(angle), np.cos(angle)).astype(dtype)
+    table.flags.writeable = False
+    return table
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -131,7 +144,8 @@ def ffn(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.nd
 
 
 def _linear_forward(x, w, b):
-    return x @ w + b, (x, w)
+    y = x.reshape(-1, x.shape[-1]) @ w + b
+    return y.reshape(*x.shape[:-1], w.shape[1]), (x, w)
 
 
 def _linear_backward(dy, cache):
@@ -140,7 +154,7 @@ def _linear_backward(dy, cache):
     dy2 = dy.reshape(-1, dy.shape[-1])
     dw = x2.T @ dy2
     db = dy2.sum(axis=0)
-    dx = dy @ w.T
+    dx = (dy2 @ w.T).reshape(x.shape)
     return dx, dw, db
 
 
@@ -177,8 +191,8 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dk)
 
 
-def _mha_forward(x, params, prefix, n_heads, key_mask):
-    q, cq = _linear_forward(x, params[prefix + "Wq"], params[prefix + "bq"])
+def _mha_forward(xq, x, params, prefix, n_heads, key_mask):
+    q, cq = _linear_forward(xq, params[prefix + "Wq"], params[prefix + "bq"])
     k, ck = _linear_forward(x, params[prefix + "Wk"], params[prefix + "bk"])
     v, cv = _linear_forward(x, params[prefix + "Wv"], params[prefix + "bv"])
     qh, kh, vh = (_split_heads(a, n_heads) for a in (q, k, v))
@@ -206,7 +220,7 @@ def _mha_backward(dout, cache, grads, prefix):
     dx_q, grads[prefix + "Wq"], grads[prefix + "bq"] = _linear_backward(dq, cq)
     dx_k, grads[prefix + "Wk"], grads[prefix + "bk"] = _linear_backward(dk, ck)
     dx_v, grads[prefix + "Wv"], grads[prefix + "bv"] = _linear_backward(dv, cv)
-    return dx_q + dx_k + dx_v
+    return dx_q, dx_k + dx_v
 
 
 def _ffn_forward(x, params, prefix):
@@ -224,22 +238,28 @@ def _ffn_backward(dout, cache, grads, prefix):
     return dx
 
 
-def _layer_forward(x, params, cfg, i, key_mask):
+def _layer_forward(xq, x, params, cfg, i, key_mask):
+    """Post-norm layer ``i`` for the query rows ``xq``, attending over ``x``.
+
+    ``xq`` is ``x`` itself, or its leading rows; the output has ``xq``'s shape.
+    """
     p = f"l{i}."
     cache: dict[str, Any] = {}
-    a, cache["mha"] = _mha_forward(x, params, p, cfg.n_heads, key_mask)
-    x1, cache["ln1"] = _layernorm_forward(x + a, params[p + "ln1_g"], params[p + "ln1_b"])
+    a, cache["mha"] = _mha_forward(xq, x, params, p, cfg.n_heads, key_mask)
+    x1, cache["ln1"] = _layernorm_forward(xq + a, params[p + "ln1_g"], params[p + "ln1_b"])
     f, cache["ffn"] = _ffn_forward(x1, params, p)
     out, cache["ln2"] = _layernorm_forward(x1 + f, params[p + "ln2_g"], params[p + "ln2_b"])
     return out, cache
 
 
 def _layer_backward(dout, cache, grads, i):
+    """Returns the gradients ``(dxq, dx)`` for ``_layer_forward``'s two inputs."""
     p = f"l{i}."
     dr2, grads[p + "ln2_g"], grads[p + "ln2_b"] = _layernorm_backward(dout, cache["ln2"])
     dx1 = dr2 + _ffn_backward(dr2, cache["ffn"], grads, p)
     dr1, grads[p + "ln1_g"], grads[p + "ln1_b"] = _layernorm_backward(dx1, cache["ln1"])
-    return dr1 + _mha_backward(dr1, cache["mha"], grads, p)
+    dxq, dx = _mha_backward(dr1, cache["mha"], grads, p)
+    return dr1 + dxq, dx
 
 
 def encoder_forward(ids: np.ndarray, params: Params, cfg: EncoderConfig, train: bool = False):
@@ -251,8 +271,8 @@ def encoder_forward(ids: np.ndarray, params: Params, cfg: EncoderConfig, train: 
             result is the same either way.
 
     Returns:
-        (states, cache): states is (B, T, D); the verse representation is
-        ``states[:, 0]``.
+        (states, cache): states is (B, 1, D), the position-0 states; the verse
+        representation is ``states[:, 0]``.
     """
     ids = np.asarray(ids)
     key_mask = ids != PAD_ID
@@ -260,18 +280,24 @@ def encoder_forward(ids: np.ndarray, params: Params, cfg: EncoderConfig, train: 
     x = x + sinusoidal_positions(cfg.max_len, cfg.d_model, x.dtype)[: ids.shape[1]]
     cache: dict[str, Any] = {"ids": ids, "layers": []}
     for i in range(cfg.n_layers):
-        x, lcache = _layer_forward(x, params, cfg, i, key_mask)
+        xq = x if i < cfg.n_layers - 1 else x[:, :1]
+        x, lcache = _layer_forward(xq, x, params, cfg, i, key_mask)
         cache["layers"].append(lcache)
-    return x, cache
+    return x[:, :1], cache
 
 
 def encoder_backward(d_states: np.ndarray, cache: dict, params: Params, cfg: EncoderConfig) -> Params:
-    """Backpropagate through the encoder; returns grads keyed like params."""
+    """Backpropagate ``d_states`` (B, 1, D) through the encoder.
+
+    Returns grads keyed like params.
+    """
     grads: Params = {}
     dx = d_states
     for i in reversed(range(cfg.n_layers)):
-        dx = _layer_backward(dx, cache["layers"][i], grads, i)
+        dxq, dx = _layer_backward(dx, cache["layers"][i], grads, i)
+        dx[:, : dxq.shape[1]] += dxq
+    ids = cache["ids"][:, : dx.shape[1]]  # all positions, or row 0 with no layers
     d_emb = np.zeros_like(params["tok_emb"])
-    np.add.at(d_emb, cache["ids"], dx)
+    _scatter_rows(d_emb.reshape(-1), ids.reshape(-1), dx, np.arange(dx.shape[-1]))
     grads["tok_emb"] = d_emb
     return grads

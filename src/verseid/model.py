@@ -615,10 +615,7 @@ def fit(
             hgrads, dh = head_backward(d_logits, hcache)
             egrads: Params = {}
             if space.fusion.use_text:
-                d_states = np.zeros(
-                    (ids.shape[0], ids.shape[1], enc_cfg.d_model), dtype=dh.dtype
-                )
-                d_states[:, 0] = dh[:, : enc_cfg.d_model]
+                d_states = dh[:, None, : enc_cfg.d_model]  # the [CLS] slice of the head input
                 egrads = encoder_backward(d_states, ecache, bundle.enc_params, enc_cfg)
             grads = flatten_params(egrads, hgrads)
             if not math.isfinite(clip_gradients(grads, cfg.clip_norm)):

@@ -577,6 +577,17 @@ class TestExitCodes:
             argv += ["--corpus", str(pipeline["corpus"]), "--split", str(pipeline["split"])]
         assert exit_code(argv) == 2
 
+    def test_heads_not_dividing_width_is_rejected_before_loading(self, tmp_path, capsys):
+        # The corpus, split and embeddings do not exist: the head check comes first.
+        out = tmp_path / "m"
+        code, captured = run(["train", "--corpus", str(tmp_path / "none"),
+                              "--split", str(tmp_path / "none"),
+                              "--embeddings", str(tmp_path / "none"), "--out", str(out),
+                              "--d-model", "64", "--n-heads", "3"], capsys)
+        assert code == 2
+        assert "--d-model 64 is not divisible by --n-heads 3" in captured.err
+        assert not out.exists()
+
     def test_unknown_feature_is_usage_error(self, pipeline, tmp_path, capsys):
         code, captured = run(["train", "--corpus", str(pipeline["corpus"]),
                               "--split", str(pipeline["split"]),

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from verseid import encoder
 from verseid.encoder import (
+    LN_EPS,
     EncoderConfig,
     attention,
     encoder_backward,
@@ -146,6 +148,70 @@ class TestForward:
         ids = rng.integers(2, 9, size=(4, 5))
         states, _ = encoder_forward(ids, params, cfg)
         assert np.isfinite(states).all()
+
+
+def _layer_norm(x, g, b):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    return g * (x - mu) / np.sqrt(var + LN_EPS) + b
+
+
+def full_sequence_states(ids, params, cfg):
+    """Brute-force post-norm stack over every position of every verse, one verse at a time."""
+    pe = sinusoidal_positions(cfg.max_len, cfg.d_model, np.float64)
+    dk = cfg.d_model // cfg.n_heads
+    out = []
+    for row in ids:
+        x = params["tok_emb"][row] + pe[: len(row)]
+        for i in range(cfg.n_layers):
+            p = f"l{i}."
+            q, k, v = (x @ params[p + "W" + n] + params[p + "b" + n] for n in "qkv")
+            heads = [
+                attention(q[:, h * dk : (h + 1) * dk], k[:, h * dk : (h + 1) * dk],
+                          v[:, h * dk : (h + 1) * dk], key_mask=row != 0)
+                for h in range(cfg.n_heads)
+            ]
+            a = np.concatenate(heads, axis=1) @ params[p + "Wo"] + params[p + "bo"]
+            x1 = _layer_norm(x + a, params[p + "ln1_g"], params[p + "ln1_b"])
+            f = ffn(x1, params[p + "W1"], params[p + "b1"], params[p + "W2"], params[p + "b2"])
+            x = _layer_norm(x1 + f, params[p + "ln2_g"], params[p + "ln2_b"])
+        out.append(x)
+    return np.stack(out)
+
+
+class TestClsOnlyLastLayer:
+    def test_matches_full_sequence_stack(self, rng):
+        cfg = tiny_cfg(n_layers=2)
+        params = init_encoder_params(cfg, dtype=np.float64)
+        for p in params.values():  # move biases and gains off their constants
+            p += rng.normal(scale=0.2, size=p.shape)
+        ids = np.array([[2, 4, 5, 0, 0], [2, 6, 7, 8, 3], [2, 3, 0, 0, 0]])
+        states, _ = encoder_forward(ids, params, cfg)
+        assert states.shape == (3, 1, cfg.d_model)
+        expected = full_sequence_states(ids, params, cfg)[:, 0]
+        np.testing.assert_allclose(states[:, 0], expected, rtol=0, atol=1e-12)
+
+    def test_token_gradient_equals_rowwise_add_at(self, rng, monkeypatch):
+        # float32, as in training: the order of the additions decides the bits.
+        cfg = tiny_cfg()
+        params = init_encoder_params(cfg)
+        ids = np.array([[2, 4, 4, 5, 0], [2, 5, 4, 8, 8], [2, 3, 3, 3, 0]])
+        seen = {}
+        real_scatter = encoder._scatter_rows
+
+        def spy(flat, rows, grads, cols):
+            seen["dx"] = np.array(grads)
+            real_scatter(flat, rows, grads, cols)
+
+        monkeypatch.setattr(encoder, "_scatter_rows", spy)
+        states, cache = encoder_forward(ids, params, cfg, train=True)
+        d_states = rng.normal(size=states.shape).astype(np.float32)
+        grads = encoder_backward(d_states, cache, params, cfg)
+        assert seen["dx"].shape == (*ids.shape, cfg.d_model)
+        expected = np.zeros_like(params["tok_emb"])
+        np.add.at(expected, ids, seen["dx"])
+        assert grads["tok_emb"].dtype == np.float32
+        assert grads["tok_emb"].tobytes() == expected.tobytes()
 
 
 def numeric_grad(loss_fn, tensor, idx, eps=1e-6):
