@@ -33,6 +33,10 @@ class StaleArtifactError(ValueError):
     it was not built with."""
 
 
+class NumericalError(RuntimeError):
+    """Raised when training encounters non-finite losses, gradients or weights."""
+
+
 def drop_retired(d: dict, retired: dict) -> dict:
     """``d`` without the keys of ``retired``, which maps each setting of a
     deleted variant to the one value an older file may still hold for it.

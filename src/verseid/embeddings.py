@@ -5,16 +5,16 @@ window, ``log sigmoid(u_ctx . v_center) + sum_k log sigmoid(-u_neg_k . v_center)
 with negatives drawn from the unigram distribution raised to 0.75. Updates
 are plain SGD with a linearly decaying learning rate, applied in
 deterministic minibatches (gather/scatter) so training is fast and exactly
-reproducible for a fixed seed.
+reproducible for a fixed seed with the same numpy and BLAS.
 
-The scatter of each minibatch's gradients is one 1-D ``np.add.at`` on the
-flattened matrix, indexed element by element (``row * dim + column``). One id
-repeats many times within a batch, so the float32 sums depend on the order
-of the additions. numpy's 1-D ``ufunc.at`` applies them in order of
-occurrence, exactly as a row-wise ``np.add.at`` does, so the result is
-bit-identical to the row-wise scatter, and several times faster. A sort plus
-``np.add.reduceat`` is not bit-identical: it sums each run of equal ids
-pairwise.
+Each minibatch updates ``w_out`` with one GEMM: a (batch, touched ids)
+coefficient matrix holds every pair's gradient scale, and its transpose times
+the center vectors is each touched row's whole update. That is the same sum as
+a row-wise ``np.add.at`` of the outer products, rounded differently, and
+several times faster. ``w_in`` gets one gradient row per pair, where a GEMM
+gains nothing, so it keeps a 1-D ``np.add.at`` over element indices
+(``row * dim + column``), which adds in order of occurrence and so matches a
+row-wise ``np.add.at`` bit for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import struct
 import warnings
 from dataclasses import asdict, dataclass
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import StaleArtifactError
+from .corpus import NumericalError, StaleArtifactError
 from .normalize import N_RESERVED
 
 _MAGIC = b"VEMB"
@@ -123,9 +124,12 @@ def _skipgram_pairs(sequences: list[list[int]], window: int) -> np.ndarray:
     """All (center, context) id pairs within the window, reserved ids dropped.
 
     Rows come center by center in sequence order, and each center's contexts
-    from the leftmost to the rightmost, skipping the center itself.
+    from the leftmost to the rightmost, skipping the center itself. No offset
+    reaches past the longest sequence, so the window is clamped to it: the
+    offset matrix is bounded by the corpus, whatever window is asked for.
     """
     ids, seq_of = _real_tokens(sequences)
+    window = min(window, np.bincount(seq_of).max(initial=1) - 1)
     offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
     ctx = np.arange(len(ids))[:, None] + offsets  # (n, 2 * window)
     valid = (ctx >= 0) & (ctx < len(ids))
@@ -148,6 +152,22 @@ def _scatter_rows(flat: np.ndarray, rows: np.ndarray, grads: np.ndarray, cols: n
     np.add.at(flat, (rows[:, None] * len(cols) + cols).reshape(-1), grads.reshape(-1))
 
 
+def _add_outer(w: np.ndarray, targets: np.ndarray, g: np.ndarray, v: np.ndarray) -> None:
+    """``w[targets[i, k]] += g[i, k] * v[i]`` for every ``i`` and ``k``, as one GEMM.
+
+    ``coef[i, j]`` sums ``g[i, k]`` over the ``k`` whose target is the ``j``-th
+    id the batch touches, so ``coef.T @ v`` holds each touched row's whole
+    update. Its size is bounded by the batch, not by the vocabulary.
+    """
+    hit = np.bincount(targets.reshape(-1), minlength=len(w)) > 0
+    touched = np.flatnonzero(hit)
+    col = (np.cumsum(hit) - 1)[targets]  # the coef column of each target
+    coef = np.zeros(len(targets) * len(touched), dtype=w.dtype)
+    np.add.at(coef, (np.arange(len(targets))[:, None] * len(touched) + col).reshape(-1),
+              g.reshape(-1))
+    w[touched] += coef.reshape(len(targets), -1).T @ v
+
+
 def train_sgns(
     sequences: list[list[int]],
     vocab_size: int,
@@ -157,6 +177,9 @@ def train_sgns(
 
     ``sequences`` are token-id lists (reserved ids are ignored). With no
     usable pairs the initialization is returned unchanged with a warning.
+
+    Raises:
+        NumericalError: if an epoch ends with a non-finite loss or weight.
     """
     rng = np.random.default_rng(cfg.seed)
     w_in = ((rng.random((vocab_size, cfg.dim)) - 0.5) / cfg.dim).astype(np.float32)
@@ -172,12 +195,12 @@ def train_sgns(
     noise /= noise.sum()
     cum_noise = np.cumsum(noise)
 
-    flat_in, flat_out = w_in.reshape(-1), w_out.reshape(-1)  # views
+    flat_in = w_in.reshape(-1)  # a view
     cols = np.arange(cfg.dim)
     total_updates = cfg.epochs * len(pairs)
     done = 0
     losses: list[float] = []
-    for _ in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(pairs))
         epoch_loss = 0.0
         for start in range(0, len(pairs), cfg.batch_pairs):
@@ -199,11 +222,13 @@ def train_sgns(
             alpha = cfg.lr * max(cfg.min_lr_factor, 1.0 - done / total_updates)
             g = ((labels - sig) * alpha).astype(np.float32)
             d_v = np.einsum("bk,bkd->bd", g, u)
-            d_u = g[:, :, None] * v[:, None, :]
             _scatter_rows(flat_in, centers, d_v, cols)
-            _scatter_rows(flat_out, targets.reshape(-1), d_u, cols)
+            _add_outer(w_out, targets, g, v)
             done += b
         losses.append(epoch_loss / len(pairs))
+        if not (math.isfinite(losses[-1]) and np.isfinite(w_in).all() and np.isfinite(w_out).all()):
+            raise NumericalError(f"non-finite skip-gram loss or weights at epoch {epoch}, "
+                                 f"lr {cfg.lr:.3g}")
     return EmbeddingMatrix(w_in, w_out, cfg), losses
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, PoemRecord, StaleArtifactError, drop_retired
+from .corpus import Corpus, NumericalError, PoemRecord, StaleArtifactError, drop_retired
 from .embeddings import EmbeddingMatrix, verse_semantic_vector
 from .encoder import (
     EncoderConfig,
@@ -46,10 +46,6 @@ from .split import LeakageError
 
 CHECKPOINT_FORMAT_VERSION = 1
 LOG_EPS = 1e-12
-
-
-class NumericalError(RuntimeError):
-    """Raised when training encounters non-finite losses or gradients."""
 
 
 # ---------------------------------------------------------------------------

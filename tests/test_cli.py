@@ -298,6 +298,16 @@ class TestExitCodes:
         assert code == 4
         assert "numerical failure" in captured.err
 
+    def test_divergent_embeddings_reported(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "emb"
+        with np.errstate(all="ignore"):
+            code, captured = run(["train-embeddings", "--corpus", str(pipeline["corpus"]),
+                                  "--split", str(pipeline["split"]), "--out", str(out),
+                                  "--lr", "1e30", "--epochs", "1"], capsys)
+        assert code == 4
+        assert "numerical failure: non-finite skip-gram loss or weights at epoch 1" in captured.err
+        assert not out.exists()
+
     def test_non_finite_gradient_norm_reported(self, pipeline, tmp_path, capsys, monkeypatch):
         import verseid.model
 

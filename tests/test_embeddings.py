@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from verseid.corpus import NumericalError
 from verseid.embeddings import (
     EmbeddingConfig,
     EmbeddingMatrix,
     train_sgns,
     verse_semantic_vector,
+    _add_outer,
     _log_sigmoid,
     _skipgram_pairs,
 )
@@ -40,7 +42,8 @@ def reference_pairs(sequences, window):
 
 def reference_train_sgns(sequences, vocab_size, cfg):
     """The trainer with a per-token count loop and row-wise ``np.add.at``
-    scatters. ``train_sgns`` must reproduce its bits exactly."""
+    scatters. ``train_sgns`` sums the ``w_out`` update as one GEMM instead, so
+    it follows this reference up to float32 rounding."""
     rng = np.random.default_rng(cfg.seed)
     w_in = ((rng.random((vocab_size, cfg.dim)) - 0.5) / cfg.dim).astype(np.float32)
     w_out = np.zeros((vocab_size, cfg.dim), dtype=np.float32)
@@ -100,6 +103,11 @@ class TestPairs:
         assert (3, 5) in {tuple(p) for p in pairs}
         assert (3, 6) not in {tuple(p) for p in pairs}
 
+    def test_huge_window_is_clamped_to_the_longest_sequence(self):
+        sequences = [[3, 4, 5, 6, 7], [CLS_ID, 8, 9, 3], [4]]
+        np.testing.assert_array_equal(_skipgram_pairs(sequences, 10**12),
+                                      _skipgram_pairs(sequences, 4))
+
     @settings(max_examples=200, deadline=None)
     @given(sequences=ID_SEQUENCES, window=st.integers(1, 9))
     def test_matches_reference_loop_in_order(self, sequences, window):
@@ -139,17 +147,20 @@ class TestTraining:
         np.testing.assert_array_equal(a.w_in, b.w_in)
         np.testing.assert_array_equal(a.w_out, b.w_out)
 
-    def test_bitwise_equal_to_row_wise_scatter(self):
-        # Seven real ids in batches of 512 pairs (3,072 scatter rows with five
-        # negatives): every id repeats many times per batch, so any change in
-        # the order of the float32 additions shows in the bits.
+    def test_follows_row_wise_reference(self):
+        # 40 real ids: the run converges (with 7 ids at this rate it diverges
+        # and the drift grows with the weights). Measured: weights differ by
+        # at most 3.5e-6 on magnitudes near 1, losses by 2e-9 relative.
         rng = np.random.default_rng(5)
-        sequences = [list(rng.integers(0, N_RESERVED + 7, rng.integers(0, 12))) for _ in range(300)]
+        vocab_size = N_RESERVED + 40
+        sequences = [list(rng.integers(0, vocab_size, rng.integers(0, 12))) for _ in range(300)]
         cfg = EmbeddingConfig(dim=8, window=3, epochs=3, lr=0.05, seed=4)
-        got, got_losses = train_sgns(sequences, N_RESERVED + 7, cfg)
-        want, want_losses = reference_train_sgns(sequences, N_RESERVED + 7, cfg)
-        assert got.to_bytes() == want.to_bytes()
-        assert got_losses == want_losses
+        got, got_losses = train_sgns(sequences, vocab_size, cfg)
+        want, want_losses = reference_train_sgns(sequences, vocab_size, cfg)
+        assert np.abs(want.w_out).max() > 0.5  # trained, not near the zero init
+        np.testing.assert_allclose(got.w_in, want.w_in, rtol=0, atol=2e-5)
+        np.testing.assert_allclose(got.w_out, want.w_out, rtol=0, atol=2e-5)
+        np.testing.assert_allclose(got_losses, want_losses, rtol=1e-7)
 
     def test_no_pairs_warns(self):
         cfg = EmbeddingConfig(dim=4, epochs=1)
@@ -157,6 +168,45 @@ class TestTraining:
             emb, losses = train_sgns([[3], [4]], 5, cfg)
         assert losses == []
         assert emb.w_in.shape == (5, 4)
+
+
+class TestOutputUpdate:
+    def test_one_minibatch_matches_float64_sum(self):
+        # 512 rows of six targets over 30 ids: ids repeat within a row (the
+        # context is drawn again as a negative) and across rows; ids 30-33
+        # are never drawn and must keep their bits.
+        rng = np.random.default_rng(2)
+        b, k, dim, vocab_size = 512, 6, 16, 34
+        targets = rng.integers(0, 30, (b, k))
+        targets[::3, 1] = targets[::3, 0]
+        g = rng.standard_normal((b, k)).astype(np.float32)
+        v = rng.standard_normal((b, dim)).astype(np.float32)
+        w = rng.standard_normal((vocab_size, dim)).astype(np.float32)
+
+        want = w.astype(np.float64)
+        scale = np.abs(want)
+        for i in range(b):
+            for j in range(k):
+                term = np.float64(g[i, j]) * v[i].astype(np.float64)
+                want[targets[i, j]] += term
+                scale[targets[i, j]] += np.abs(term)
+        got = w.copy()
+        _add_outer(got, targets, g, v)
+        assert got.dtype == np.float32
+        # float32 rounding of each row's sum: measured at most 1.2 eps of
+        # the summed magnitudes.
+        assert (np.abs(got - want) <= 16 * np.finfo(np.float32).eps * scale).all()
+        np.testing.assert_array_equal(got[30:], w[30:])
+
+
+class TestNumericalFailure:
+    def test_divergent_run_raises_naming_the_epoch(self):
+        # The toy corpus is one minibatch, and its first update cannot
+        # overflow (w_out starts at zero), so the second epoch is the first
+        # to end non-finite.
+        cfg = EmbeddingConfig(dim=8, epochs=3, lr=1e30, seed=0)
+        with pytest.raises(NumericalError, match="at epoch 2,"), np.errstate(all="ignore"):
+            train_sgns(toy_sequences(), 7, cfg)
 
 
 class TestSerialization:
