@@ -14,8 +14,8 @@ Typical flow::
     verseid predict --input poems.jsonl --embeddings work/emb \
         --checkpoint work/model/checkpoint.bin --out work/pred
 
-Exit codes: 0 success, 2 usage or input error, 3 stale or missing
-artifacts, 4 numerical failure. Every command writes its resolved
+Exit codes: 0 success, 2 usage or input error, 3 missing, stale or
+damaged artifacts, 4 numerical failure. Every command writes its resolved
 configuration to ``config.json`` in the output directory, and outputs are
 byte-identical across reruns with the same inputs and seeds.
 """
@@ -31,7 +31,7 @@ from pathlib import Path
 
 from . import __version__
 from .aggregate import STRATEGIES, aggregate_poem, predictions_csv, sweep_csv, sweep_thresholds
-from .corpus import Corpus, CorpusError, PoemRecord, corpus_stats, csv_text, filter_corpus, load_corpus, read_records, save_corpus
+from .corpus import Corpus, CorpusError, PoemRecord, corpus_stats, csv_text, filter_corpus, load_corpus, read_records, reading, save_corpus
 from .embeddings import EmbeddingConfig, EmbeddingMatrix, train_sgns
 from .encoder import EncoderConfig
 from .metrics import classification_report
@@ -78,34 +78,24 @@ def _write_config(out_dir: Path, command: str, payload: dict) -> None:
     )
 
 
-def _corpus_path(arg: str) -> Path:
+def _in_dir(arg: str, name: str) -> Path:
+    """The file ``name`` in directory ``arg``, or ``arg`` itself if it is not one."""
     p = Path(arg)
-    return p / CORPUS_FILE if p.is_dir() else p
-
-
-def _require(path: Path, what: str) -> Path:
-    if not path.exists():
-        raise StaleArtifactError(f"missing {what}: {path}")
-    return path
+    return p / name if p.is_dir() else p
 
 
 def _load_splits(args) -> tuple[Corpus, dict[str, list[PoemRecord]]]:
     """The corpus and its records by split name, checked for leakage once."""
-    corpus = load_corpus(_corpus_path(args.corpus))
-    p = Path(args.split)
-    csv_path = p / ASSIGNMENT_CSV if p.is_dir() else p
-    meta_path = csv_path.with_name(SPLIT_META)
-    _require(csv_path, "split assignment")
-    _require(meta_path, "split metadata")
-    assignment = SplitAssignment.load(csv_path, meta_path)
-    return corpus, dict(zip(SPLIT_NAMES, split_records(corpus, assignment)))
+    corpus = load_corpus(_in_dir(args.corpus, CORPUS_FILE))
+    csv_path = _in_dir(args.split, ASSIGNMENT_CSV)
+    assignment = SplitAssignment.load(csv_path, csv_path.with_name(SPLIT_META))
+    with reading(csv_path, "split assignment"):
+        return corpus, dict(zip(SPLIT_NAMES, split_records(corpus, assignment)))
 
 
 def _load_artifacts(emb_dir: str) -> tuple[Vocabulary, EmbeddingMatrix]:
     d = Path(emb_dir)
-    vocab = Vocabulary.load(_require(d / VOCAB_FILE, "vocabulary"))
-    emb = EmbeddingMatrix.load(_require(d / EMBEDDINGS_FILE, "embeddings"))
-    return vocab, emb
+    return Vocabulary.load(d / VOCAB_FILE), EmbeddingMatrix.load(d / EMBEDDINGS_FILE)
 
 
 def _finite_float(text: str) -> float:
@@ -150,7 +140,7 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def cmd_ingest(args) -> int:
-    corpus = load_corpus(_corpus_path(args.corpus))
+    corpus = load_corpus(_in_dir(args.corpus, CORPUS_FILE))
     filtered = filter_corpus(corpus, min_verses_per_poet=args.min_verses)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -167,7 +157,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_split(args) -> int:
-    corpus = load_corpus(_corpus_path(args.corpus))
+    corpus = load_corpus(_in_dir(args.corpus, CORPUS_FILE))
     ratios = tuple(args.ratios)
     assignment = stratified_poem_split(corpus, ratios=ratios, seed=args.seed)
     verify_no_leakage(assignment, corpus)
@@ -305,10 +295,7 @@ def cmd_train(args) -> int:
 
 def _load_bundle(args) -> ModelBundle:
     vocab, emb = _load_artifacts(args.embeddings)
-    ckpt = Path(args.checkpoint)
-    if ckpt.is_dir():
-        ckpt = ckpt / CHECKPOINT_FILE
-    return load_checkpoint(_require(ckpt, "checkpoint"), vocab, emb)
+    return load_checkpoint(_in_dir(args.checkpoint, CHECKPOINT_FILE), vocab, emb)
 
 
 def _eval_data(args, bundle: ModelBundle):
@@ -390,12 +377,12 @@ def cmd_sweep(args) -> int:
 def _read_poems(path: str | None) -> list[PoemRecord]:
     """Prediction input from a JSONL file, or stdin for ``None`` or ``-``."""
     if path in (None, "-"):
-        records = read_records(sys.stdin, labelled=False)
+        path, records = "stdin", read_records(sys.stdin, labelled=False)
     else:
-        with open(path, encoding="utf-8") as fh:
+        with reading(path, "corpus", CorpusError), open(path, encoding="utf-8") as fh:
             records = read_records(fh, labelled=False)
     if not records:
-        raise CorpusError("no poems to predict")
+        raise CorpusError(f"{path}: no poems to predict")
     return records
 
 

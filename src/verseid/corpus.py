@@ -18,6 +18,7 @@ import io
 import json
 import math
 from collections.abc import Iterable, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +36,25 @@ class StaleArtifactError(ValueError):
 
 class NumericalError(RuntimeError):
     """Raised when training encounters non-finite losses, gradients or weights."""
+
+
+@contextmanager
+def reading(path: str | Path, what: str, error: type[Exception] = StaleArtifactError):
+    """Read and parse ``path`` (a ``what``, e.g. "vocabulary") in this block.
+
+    Any failure to read or parse it becomes ``error``, its message naming
+    the file: a missing file, a missing key, and any ``ValueError``,
+    ``TypeError`` or ``AttributeError``, which covers undecodable bytes,
+    unparseable JSON and a ``StaleArtifactError`` raised inside.
+    """
+    try:
+        yield
+    except FileNotFoundError:
+        raise error(f"missing {what}: {path}") from None
+    except KeyError as exc:
+        raise error(f"{path}: {what} lacks key {exc}") from None
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise error(f"{path}: {exc}") from None
 
 
 def drop_retired(d: dict, retired: dict) -> dict:
@@ -158,13 +178,13 @@ def load_corpus(path: str | Path) -> Corpus:
     """Load a JSONL corpus file.
 
     Raises:
-        CorpusError: on malformed JSON or records (message cites the line
-            number), duplicate poem ids, or an empty corpus.
+        CorpusError: naming the file (and the line, if any) when it is missing,
+            undecodable, malformed or empty, or repeats a poem id.
     """
-    with open(path, encoding="utf-8") as fh:
+    with reading(path, "corpus", CorpusError), open(path, encoding="utf-8") as fh:
         records = read_records(fh)
-    if not records:
-        raise CorpusError(f"{path}: empty corpus")
+        if not records:
+            raise CorpusError("empty corpus")
     return Corpus(records)
 
 

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import NumericalError, StaleArtifactError
+from .corpus import NumericalError, reading
 from .normalize import N_RESERVED
 
 _MAGIC = b"VEMB"
@@ -85,25 +85,21 @@ class EmbeddingMatrix:
         """Read a file written by :meth:`save`.
 
         Raises:
-            StaleArtifactError: if the magic is wrong, the file is not exactly
-                header + config + two float32 (V, D) matrices long, or the
-                config is unreadable.
+            StaleArtifactError: naming the file, if it is missing, the magic
+                is wrong, the file is not exactly header + config + two
+                float32 (V, D) matrices long, or the config is unreadable.
         """
-        blob = Path(path).read_bytes()
-        if len(blob) < _HEADER.size or blob[:4] != _MAGIC:
-            raise StaleArtifactError(
-                f"{path}: not an embedding file (bad magic or truncated header)"
-            )
-        _, vocab_size, dim, cfg_len = _HEADER.unpack_from(blob)
-        off = _HEADER.size + cfg_len
-        n = vocab_size * dim
-        if len(blob) != off + 8 * n:
-            raise StaleArtifactError(f"{path}: embedding file is {len(blob)} bytes, but its "
-                                     f"header describes {off + 8 * n}")
-        try:
+        with reading(path, "embeddings"):
+            blob = Path(path).read_bytes()
+            if len(blob) < _HEADER.size or blob[:4] != _MAGIC:
+                raise ValueError("not an embedding file (bad magic or truncated header)")
+            _, vocab_size, dim, cfg_len = _HEADER.unpack_from(blob)
+            off = _HEADER.size + cfg_len
+            n = vocab_size * dim
+            if len(blob) != off + 8 * n:
+                raise ValueError(f"embedding file is {len(blob)} bytes, but its header "
+                                 f"describes {off + 8 * n}")
             cfg = EmbeddingConfig.from_dict(json.loads(blob[_HEADER.size : off]))
-        except (ValueError, TypeError) as exc:
-            raise StaleArtifactError(f"{path}: unreadable embedding config ({exc})") from None
         w_in, w_out = np.frombuffer(blob, dtype="<f4", offset=off).reshape(2, vocab_size, dim)
         return cls(w_in.astype(np.float32), w_out.astype(np.float32), cfg)
 

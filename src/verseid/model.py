@@ -14,6 +14,7 @@ dataset into one preallocated float32 array, one block at a time.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import struct
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, NumericalError, PoemRecord, StaleArtifactError, drop_retired
+from .corpus import Corpus, NumericalError, PoemRecord, StaleArtifactError, drop_retired, reading
 from .embeddings import EmbeddingMatrix, verse_semantic_vector
 from .encoder import (
     EncoderConfig,
@@ -68,12 +69,9 @@ def class_weights(labels, n_classes: int) -> np.ndarray:
 
 
 def weighted_cross_entropy(y_hat: np.ndarray, y: int, w: np.ndarray) -> float:
-    """Loss of a single predicted distribution: ``-w[y] * log(y_hat[y])``.
-
-    The probability is clamped below at 1e-12 before the log.
-    """
-    p = max(float(y_hat[y]), LOG_EPS)
-    return -float(w[y]) * math.log(p)
+    """Loss of a single predicted distribution, ``-w[y] * log(y_hat[y])`` with
+    the probability clamped below at 1e-12: :func:`batch_weighted_ce` on one row."""
+    return batch_weighted_ce(np.asarray(y_hat)[None], np.array([y]), np.asarray(w))[0]
 
 
 def batch_weighted_ce(probs: np.ndarray, y: np.ndarray, w: np.ndarray):
@@ -656,10 +654,18 @@ def fit(
 # Layout: 4-byte magic, u32 format version, u32 metadata length, metadata
 # JSON (includes the [name, shape] parameter manifest), then the flat
 # parameter buffer as little-endian float32, so the file has exactly
-# 12 + metadata length + 4 * (manifest sizes) bytes. Writing it by hand keeps
-# the bytes deterministic (archive formats embed timestamps).
+# 12 + metadata length + 4 * (manifest sizes) bytes. Metadata key ``sha256``
+# is the SHA-256 of the metadata JSON without that key, then the parameter
+# bytes (older checkpoints lack it). Writing it by hand keeps the bytes
+# deterministic (archive formats embed timestamps).
 
 _CKPT_MAGIC = b"VCKP"
+
+
+def _checksum(meta: dict, params) -> str:
+    digest = hashlib.sha256(json.dumps(meta, sort_keys=True).encode("utf-8"))
+    digest.update(params)  # fed in two parts: joining them would copy the body
+    return digest.hexdigest()
 
 
 def _checkpoint_bytes(bundle: ModelBundle) -> bytes:
@@ -674,9 +680,11 @@ def _checkpoint_bytes(bundle: ModelBundle) -> bytes:
         "manifest": bundle.manifest,
         "log_summary": bundle.log_summary,
     }
+    params = bundle.params.astype("<f4").tobytes()
+    meta["sha256"] = _checksum(meta, params)
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     header = _CKPT_MAGIC + struct.pack("<II", CHECKPOINT_FORMAT_VERSION, len(blob))
-    return header + blob + bundle.params.astype("<f4").tobytes()
+    return header + blob + params
 
 
 def save_checkpoint(bundle: ModelBundle, path: str | Path) -> None:
@@ -690,44 +698,37 @@ def load_checkpoint(
     """Load a checkpoint and verify it matches the supplied artifacts.
 
     Raises:
-        StaleArtifactError: if the file is not a well-formed checkpoint of a
-            known format version (wrong size, unreadable or incomplete
-            metadata), holds a retired encoder or optimizer setting other than
-            its one supported value, or the vocab or embedding hashes disagree
-            with the ones recorded at training time.
+        StaleArtifactError: naming the file, if it is missing or not a
+            well-formed checkpoint of a known format version (wrong size,
+            unreadable or incomplete metadata, a failed checksum), holds a
+            retired encoder or optimizer setting other than its one supported
+            value, or the vocab or embedding hashes disagree with the ones
+            recorded at training time.
     """
-    blob = Path(path).read_bytes()
-    if len(blob) < 12 or blob[:4] != _CKPT_MAGIC:
-        raise StaleArtifactError(f"{path}: not a checkpoint file (bad magic or truncated header)")
-    version, meta_len = struct.unpack_from("<II", blob, 4)
-    if version != CHECKPOINT_FORMAT_VERSION:
-        raise StaleArtifactError(f"{path}: unsupported checkpoint format version {version!r}")
-    body = 12 + meta_len
-    try:
+    with reading(path, "checkpoint"):
+        blob = Path(path).read_bytes()
+        if len(blob) < 12 or blob[:4] != _CKPT_MAGIC:
+            raise ValueError("not a checkpoint file (bad magic or truncated header)")
+        version, meta_len = struct.unpack_from("<II", blob, 4)
+        if version != CHECKPOINT_FORMAT_VERSION:
+            raise ValueError(f"unsupported checkpoint format version {version!r}")
+        body = 12 + meta_len
         meta = json.loads(blob[12:body].decode("utf-8"))
+        sealed = meta.pop("sha256", None)
+        if sealed is not None and sealed != _checksum(meta, memoryview(blob)[body:]):
+            raise ValueError("checksum mismatch: the file changed after it was written")
         n_values = sum(math.prod(shape) for _, shape in meta["manifest"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise StaleArtifactError(f"{path}: unreadable checkpoint metadata ({exc})") from None
-    if len(blob) != body + 4 * n_values:
-        raise StaleArtifactError(f"{path}: checkpoint is {len(blob)} bytes, but its "
-                                 f"header and manifest describe {body + 4 * n_values}")
-    params = np.frombuffer(blob, dtype="<f4", offset=body).astype(np.float32)
-    try:
-        hashes = meta["vocab_hash"], meta["embeddings_hash"]
-        bundle = _bundle_from_meta(meta, params, vocab, embeddings)
-    except KeyError as exc:
-        raise StaleArtifactError(f"{path}: checkpoint metadata lacks key {exc}") from None
-    except StaleArtifactError as exc:
-        raise StaleArtifactError(f"{path}: {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise StaleArtifactError(f"{path}: malformed checkpoint metadata ({exc})") from None
-    if hashes[0] != vocab.content_hash():
-        raise StaleArtifactError(f"{path}: the vocabulary (vocab.tsv) is not the one this "
-                                 "checkpoint was trained with (stale artifact)")
-    if hashes[1] != embeddings.content_hash():
-        raise StaleArtifactError(f"{path}: the embeddings (embeddings.bin) are not the ones "
-                                 "this checkpoint was trained with (stale artifact)")
-    return bundle
+        if len(blob) != body + 4 * n_values:
+            raise ValueError(f"checkpoint is {len(blob)} bytes, but its header and manifest "
+                             f"describe {body + 4 * n_values}")
+        if meta["vocab_hash"] != vocab.content_hash():
+            raise ValueError("the vocabulary (vocab.tsv) is not the one this checkpoint was "
+                             "trained with (stale artifact)")
+        if meta["embeddings_hash"] != embeddings.content_hash():
+            raise ValueError("the embeddings (embeddings.bin) are not the ones this checkpoint "
+                             "was trained with (stale artifact)")
+        params = np.frombuffer(blob, dtype="<f4", offset=body).astype(np.float32)
+        return _bundle_from_meta(meta, params, vocab, embeddings)
 
 
 def _bundle_from_meta(

@@ -17,7 +17,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import StaleArtifactError, Verse, drop_retired
+from .corpus import Verse, drop_retired, reading
 
 # Letter variants.
 ARABIC_YEH = "ي"
@@ -133,26 +133,27 @@ class Vocabulary:
     def load(cls, path: str | Path) -> "Vocabulary":
         """Read a file written by :meth:`save`, whose ids count up from 0 in
         line order; a damaged file raises StaleArtifactError naming the line."""
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        if not lines or not lines[0].startswith("# config "):
-            raise StaleArtifactError(f"{path}: line 1: missing vocabulary config header")
-        try:
-            cfg = NormalizationConfig.from_dict(json.loads(lines[0][len("# config "):]))
-        except (ValueError, TypeError) as exc:
-            raise StaleArtifactError(f"{path}: line 1: unreadable vocabulary config ({exc})") from None
-        token_to_id: dict[str, int] = {}
-        for lineno, line in enumerate(lines[1:], start=2):
-            tok, tab, idx = line.rpartition("\t")
-            if not tab or idx != str(len(token_to_id)):
-                raise StaleArtifactError(f"{path}: line {lineno}: expected "
-                                         f"'<token>\\t{len(token_to_id)}', got {line!r}")
-            if tok in token_to_id:
-                raise StaleArtifactError(f"{path}: line {lineno}: duplicate token {tok!r}")
-            token_to_id[tok] = len(token_to_id)
-        vocab = cls(token_to_id, cfg)
-        for tok, want in zip(RESERVED_TOKENS, range(N_RESERVED)):
-            if vocab.token_to_id.get(tok) != want:
-                raise StaleArtifactError(f"{path}: reserved token {tok!r} missing or misplaced")
+        with reading(path, "vocabulary"):
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
+            if not lines or not lines[0].startswith("# config "):
+                raise ValueError("line 1: missing vocabulary config header")
+            try:
+                cfg = NormalizationConfig.from_dict(json.loads(lines[0][len("# config "):]))
+            except (ValueError, TypeError, AttributeError) as exc:
+                raise ValueError(f"line 1: unreadable vocabulary config ({exc})") from None
+            token_to_id: dict[str, int] = {}
+            for lineno, line in enumerate(lines[1:], start=2):
+                tok, tab, idx = line.rpartition("\t")
+                if not tab or idx != str(len(token_to_id)):
+                    raise ValueError(f"line {lineno}: expected "
+                                     f"'<token>\\t{len(token_to_id)}', got {line!r}")
+                if tok in token_to_id:
+                    raise ValueError(f"line {lineno}: duplicate token {tok!r}")
+                token_to_id[tok] = len(token_to_id)
+            vocab = cls(token_to_id, cfg)
+            for tok, want in zip(RESERVED_TOKENS, range(N_RESERVED)):
+                if vocab.token_to_id.get(tok) != want:
+                    raise ValueError(f"reserved token {tok!r} missing or misplaced")
         return vocab
 
 

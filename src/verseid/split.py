@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, StaleArtifactError, csv_text
+from .corpus import Corpus, csv_text, reading
 
 SPLIT_NAMES = ("train", "valid", "test")
 DEFAULT_RATIOS = (0.8, 0.1, 0.1)
@@ -60,32 +60,24 @@ class SplitAssignment:
 
     @classmethod
     def load(cls, csv_path: str | Path, meta_path: str | Path) -> "SplitAssignment":
-        """Read the files written by :meth:`save`; a damaged one raises
-        StaleArtifactError naming the file and the line or key."""
-        with open(csv_path, encoding="utf-8", newline="") as fh:
+        """Read the files written by :meth:`save`; a missing or damaged one
+        raises StaleArtifactError naming the file and the line or key."""
+        with reading(csv_path, "split assignment"), open(csv_path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             if next(reader, None) != list(CSV_HEADER):
-                raise StaleArtifactError(f"{csv_path}: not a split assignment file")
+                raise ValueError("not a split assignment file")
             rows = []
             for row in reader:
                 if not row:
                     continue
                 if len(row) != len(CSV_HEADER):
-                    raise StaleArtifactError(f"{csv_path}: line {reader.line_num}: expected "
-                                             f"{len(CSV_HEADER)} fields, got {len(row)}")
+                    raise ValueError(f"line {reader.line_num}: expected {len(CSV_HEADER)} "
+                                     f"fields, got {len(row)}")
                 rows.append(tuple(row))
-        try:
+        with reading(meta_path, "split metadata"):
             meta = json.loads(Path(meta_path).read_text(encoding="utf-8"))
-            return cls(
-                rows,
-                seed=int(meta["seed"]),
-                ratios=tuple(meta["ratios"]),
-                warnings=list(meta.get("warnings", [])),
-            )
-        except KeyError as exc:
-            raise StaleArtifactError(f"{meta_path}: split metadata lacks key {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise StaleArtifactError(f"{meta_path}: malformed split metadata ({exc})") from None
+            return cls(rows, seed=int(meta["seed"]), ratios=tuple(meta["ratios"]),
+                       warnings=list(meta.get("warnings", [])))
 
 
 def _largest_remainder(n: int, ratios: tuple[float, ...]) -> list[int]:
@@ -156,38 +148,40 @@ def stratified_poem_split(
 
 
 def verify_no_leakage(assignment: SplitAssignment, corpus: Corpus) -> dict[str, dict[str, int]]:
-    """Check the assignment covers the corpus exactly once per poem.
+    """Check the assignment covers the corpus exactly once per poem, under
+    the poem's poet.
 
     Returns per-poet split counts on success.
 
     Raises:
         LeakageError: listing the offending poem ids if any poem appears in
-            more than one split, is missing, or is unknown to the corpus.
+            more than one split, is missing, is unknown to the corpus, or is
+            assigned under another poet than the corpus gives it.
     """
-    corpus_ids = {r.poem_id for r in corpus.records}
+    poet_of = {r.poem_id: r.poet for r in corpus.records}
     seen: dict[str, str] = {}
     duplicated: set[str] = set()
     unknown: set[str] = set()
-    for pid, split, _ in assignment.rows:
+    misattributed: set[str] = set()
+    for pid, split, poet in assignment.rows:
         if split not in SPLIT_NAMES:
             raise LeakageError(f"poem {pid!r} has unknown split {split!r}")
         if pid in seen:
             duplicated.add(pid)
         seen[pid] = split
-        if pid not in corpus_ids:
+        if pid not in poet_of:
             unknown.add(pid)
-    missing = corpus_ids - seen.keys()
-    problems = []
-    if duplicated:
-        problems.append(f"poems assigned to multiple splits: {sorted(duplicated)[:10]}")
-    if missing:
-        problems.append(f"poems missing from the assignment: {sorted(missing)[:10]}")
-    if unknown:
-        problems.append(f"assigned poems not in the corpus: {sorted(unknown)[:10]}")
+        elif poet != poet_of[pid]:
+            misattributed.add(pid)
+    missing = poet_of.keys() - seen.keys()
+    problems = [f"{what}: {sorted(ids)[:10]}" for what, ids in (
+        ("poems assigned to multiple splits", duplicated),
+        ("poems missing from the assignment", missing),
+        ("assigned poems not in the corpus", unknown),
+        ("poems assigned under another poet than in the corpus", misattributed)) if ids]
     if problems:
         raise LeakageError("; ".join(problems))
 
-    poet_of = {r.poem_id: r.poet for r in corpus.records}
     per_poet: dict[str, dict[str, int]] = {}
     for pid, split, _ in assignment.rows:
         counts = per_poet.setdefault(poet_of[pid], {name: 0 for name in SPLIT_NAMES})

@@ -1,10 +1,12 @@
 """End-to-end command-line pipeline tests."""
 
 import csv
+import hashlib
 import io
 import json
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -63,15 +65,24 @@ def pipeline(tmp_path_factory):
     return dirs
 
 
-def rewrite_metadata(src, dst, edit):
-    """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its metadata."""
+def rewrite_metadata(src, dst, edit, reseal=True):
+    """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its metadata.
+
+    With ``reseal`` the ``sha256`` key is recomputed over the edited metadata
+    (without that key) and the parameter body; without it, the key stays as
+    ``edit`` left it.
+    """
     blob = src.read_bytes()
     (meta_len,) = struct.unpack_from("<I", blob, 8)
     meta = json.loads(blob[12 : 12 + meta_len])
+    body = blob[12 + meta_len :]
     edit(meta)
+    if reseal:
+        del meta["sha256"]
+        unsealed = json.dumps(meta, sort_keys=True).encode("utf-8")
+        meta["sha256"] = hashlib.sha256(unsealed + body).hexdigest()
     new_meta = json.dumps(meta, sort_keys=True).encode("utf-8")
-    dst.write_bytes(blob[:8] + struct.pack("<I", len(new_meta)) + new_meta
-                    + blob[12 + meta_len :])
+    dst.write_bytes(blob[:8] + struct.pack("<I", len(new_meta)) + new_meta + body)
 
 
 class TestArtifacts:
@@ -381,6 +392,84 @@ class TestExitCodes:
             assert ((tmp_path / "pred-new" / csv_name).read_bytes()
                     == (tmp_path / "pred-old" / csv_name).read_bytes())
 
+    def test_unsealed_metadata_edit_is_artifact_error(self, pipeline, tmp_path, capsys):
+        ckpt = tmp_path / "checkpoint.bin"
+        rewrite_metadata(pipeline["model"] / "checkpoint.bin", ckpt,
+                         lambda meta: meta["space"].update(max_len=32), reseal=False)
+        code, captured = run(["predict", "--input", "-", "--embeddings", str(pipeline["emb"]),
+                              "--checkpoint", str(ckpt), "--out", str(tmp_path / "p")], capsys)
+        assert code == 3
+        assert f"{ckpt}: checksum mismatch" in captured.err
+
+    def test_checkpoint_without_checksum_predicts_identically(self, pipeline, tmp_path):
+        # Checkpoints written before the checksum existed load unchecked.
+        old = tmp_path / "old" / "checkpoint.bin"
+        old.parent.mkdir()
+        rewrite_metadata(pipeline["model"] / "checkpoint.bin", old,
+                         lambda meta: meta.pop("sha256"), reseal=False)
+        assert b"sha256" not in old.read_bytes()
+        for name, ckpt in (("new", pipeline["model"]), ("old", old)):
+            assert main(["predict", "--input", str(pipeline["raw"]),
+                         "--embeddings", str(pipeline["emb"]), "--checkpoint", str(ckpt),
+                         "--out", str(tmp_path / f"pred-{name}")]) == 0
+        for csv_name in ("verse_predictions.csv", "poem_predictions.csv"):
+            assert ((tmp_path / "pred-new" / csv_name).read_bytes()
+                    == (tmp_path / "pred-old" / csv_name).read_bytes())
+
+    @pytest.mark.parametrize("stage, name", [("emb", "vocab.tsv"), ("split", "assignment.csv"),
+                                             ("split", "split_meta.json")])
+    def test_non_utf8_artifact_is_artifact_error(self, pipeline, tmp_path, capsys, stage, name):
+        dirs = {key: pipeline[key] for key in ("corpus", "split", "emb", "model")}
+        dirs[stage] = tmp_path / stage
+        shutil.copytree(pipeline[stage], dirs[stage])
+        damaged = dirs[stage] / name
+        blob = damaged.read_bytes()
+        damaged.write_bytes(blob[:40] + b"\xff" + blob[41:])
+        code, captured = run(["evaluate", "--corpus", str(dirs["corpus"]),
+                              "--split", str(dirs["split"]), "--embeddings", str(dirs["emb"]),
+                              "--checkpoint", str(dirs["model"]), "--out", str(tmp_path / "e")],
+                             capsys)
+        assert code == 3
+        assert f"{damaged}: 'utf-8' codec can't decode" in captured.err
+
+    def test_assignment_under_another_poet_is_artifact_error(self, pipeline, tmp_path, capsys):
+        split = tmp_path / "split"
+        shutil.copytree(pipeline["split"], split)
+        damaged = split / "assignment.csv"
+        lines = damaged.read_text(encoding="utf-8").splitlines()
+        pid, part, poet = lines[1].split(",")
+        lines[1] = ",".join([pid, part, poet.upper()])
+        damaged.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, captured = run(["evaluate", "--corpus", str(pipeline["corpus"]),
+                              "--split", str(split), "--embeddings", str(pipeline["emb"]),
+                              "--checkpoint", str(pipeline["model"]),
+                              "--out", str(tmp_path / "e")], capsys)
+        assert code == 3
+        assert str(damaged) in captured.err
+        assert f"another poet than in the corpus: [{pid!r}]" in captured.err
+
+    @pytest.mark.parametrize("command", ["ingest", "predict"])
+    @pytest.mark.parametrize("damage, where", [
+        ("invalid JSON", "line 2: invalid JSON"),
+        ("non-UTF-8", "'utf-8' codec can't decode"),
+        ("empty", None),
+    ])
+    def test_input_error_names_the_file(self, pipeline, tmp_path, capsys, command, damage, where):
+        lines = (pipeline["corpus"] / "corpus.jsonl").read_bytes().splitlines(keepends=True)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes({"invalid JSON": lines[0] + b"{\n",
+                         "non-UTF-8": lines[0] + b"\xff\n",
+                         "empty": b"\n"}[damage])
+        argv = (["ingest", "--corpus", str(bad)] if command == "ingest" else
+                ["predict", "--input", str(bad), "--embeddings", str(pipeline["emb"]),
+                 "--checkpoint", str(pipeline["model"])])
+        code, captured = run([*argv, "--out", str(tmp_path / "o")], capsys)
+        assert code == 2
+        assert captured.err.count(str(bad)) == 1
+        if where is None:
+            where = "empty corpus" if command == "ingest" else "no poems to predict"
+        assert f"error: {bad}: {where}" in captured.err
+
     @pytest.mark.parametrize("section, key, value", [
         ("encoder_config", "norm", "pre"),
         ("encoder_config", "positional", "learned"),
@@ -606,6 +695,70 @@ class TestExitCodes:
                               *FAST_TRAIN, "--features", "text,rhyme"], capsys)
         assert code == 2
         assert "unknown features" in captured.err
+
+
+def mutate(blob, rng, kind):
+    """``blob`` cut short (kind 0), or with one bit flipped anywhere (kind 1)
+    or in its first 300 bytes (kind 2)."""
+    if kind == 0:
+        return blob[: int(rng.integers(0, len(blob)))]
+    pos = int(rng.integers(0, len(blob) if kind == 1 else min(300, len(blob))))
+    out = bytearray(blob)
+    out[pos] ^= 1 << int(rng.integers(0, 8))
+    return bytes(out)
+
+
+class TestCorruptionFuzz:
+    # Each file evaluate reads, by the pipeline directory that holds it.
+    FILES = [("vocab.tsv", "emb"), ("embeddings.bin", "emb"), ("checkpoint.bin", "model"),
+             ("assignment.csv", "split"), ("split_meta.json", "split"),
+             ("corpus.jsonl", "corpus")]
+    TRIALS = 24
+
+    def test_damage_is_reported_or_changes_nothing(self, pipeline, tmp_path, capsys):
+        """A damaged artifact exits 3 naming it, or leaves every output as it
+        was; a damaged corpus, which is user input, may also change the
+        outputs or exit 2 naming the file, but never crashes."""
+        dirs = {}
+        for stage in ("corpus", "split", "emb", "model"):
+            dirs[stage] = tmp_path / stage
+            shutil.copytree(pipeline[stage], dirs[stage])
+        out = tmp_path / "out"
+        argv = ["evaluate", "--corpus", str(dirs["corpus"]), "--split", str(dirs["split"]),
+                "--embeddings", str(dirs["emb"]), "--checkpoint", str(dirs["model"]),
+                "--out", str(out)]
+        checkpoint = str(dirs["model"] / "checkpoint.bin")
+
+        def outputs():
+            outs = {p.name: p.read_bytes() for p in out.iterdir()}
+            shutil.rmtree(out)
+            return outs
+
+        assert main(argv) == 0
+        clean = outputs()
+        rng = np.random.default_rng(0)
+        for name, stage in self.FILES:
+            target = dirs[stage] / name
+            original = target.read_bytes()
+            for trial in range(self.TRIALS):
+                damaged = mutate(original, rng, trial % 3)
+                target.write_bytes(damaged)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # e.g. verses left with no tokens
+                    code, captured = run(argv, capsys)
+                what = f"{name}, trial {trial}: exit {code}, {captured.err!r}"
+                if name == "corpus.jsonl":
+                    assert code in (0, 2, 3), what
+                    assert code != 2 or str(target) in captured.err, what
+                elif code == 3:
+                    # Damage that still parses shows as a hash the checkpoint
+                    # holds for another vocabulary or embedding matrix.
+                    assert str(target) in captured.err or (
+                        name in captured.err and checkpoint in captured.err), what
+                else:
+                    assert code == 0 and outputs() == clean, what
+                shutil.rmtree(out, ignore_errors=True)
+            target.write_bytes(original)
 
 
 class TestMisc:

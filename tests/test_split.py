@@ -156,6 +156,14 @@ class TestLeakage:
         with pytest.raises(LeakageError, match="unknown split"):
             verify_no_leakage(SplitAssignment(rows, seed=0, ratios=a.ratios), corpus)
 
+    def test_poem_under_another_poet_rejected(self):
+        corpus = corpus_of({"a": 10, "b": 10})
+        a = stratified_poem_split(corpus, seed=0)
+        pid, split, _ = a.rows[0]
+        rows = [(pid, split, "b")] + a.rows[1:]
+        with pytest.raises(LeakageError, match=f"another poet than in the corpus: \\['{pid}'\\]"):
+            verify_no_leakage(SplitAssignment(rows, seed=0, ratios=a.ratios), corpus)
+
     def test_error_lists_offending_ids(self):
         corpus = corpus_of({"a": 10})
         a = stratified_poem_split(corpus, seed=0)
