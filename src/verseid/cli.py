@@ -450,62 +450,70 @@ def cmd_make_synthetic(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``verseid`` parser. Every subcommand is listed, so top-level help
+    and usage errors read the same either way; with ``command``, only that
+    subcommand gets its arguments, which is all one command line needs.
+    """
     parser = argparse.ArgumentParser(
         prog="verseid", description="Verse-level poet attribution pipeline"
     )
     parser.add_argument("--version", action="version", version=f"verseid {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="validate, filter, and summarize a corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--min-verses", type=int, default=50)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ingest)
+    def add(name: str, func, summary: str) -> argparse.ArgumentParser | None:
+        """The subcommand's parser, or None if its arguments are not needed."""
+        needed = command in (None, name)
+        p = sub.add_parser(name, help=summary, add_help=needed)
+        p.set_defaults(func=func)
+        return p if needed else None
 
-    p = sub.add_parser("split", help="stratified poem-level train/valid/test split")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ratios", type=_parse_floats, default="0.8,0.1,0.1")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_split)
+    if p := add("ingest", cmd_ingest, "validate, filter, and summarize a corpus"):
+        p.add_argument("--corpus", required=True)
+        p.add_argument("--min-verses", type=int, default=50)
+        p.add_argument("--out", required=True)
 
-    p = sub.add_parser("train-embeddings", help="train skip-gram embeddings on the train split")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--split", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--dim", type=_positive_int, default=100)
-    p.add_argument("--window", type=_positive_int, default=4)
-    p.add_argument("--negatives", type=_positive_int, default=5)
-    p.add_argument("--epochs", type=_positive_int, default=5)
-    p.add_argument("--lr", type=_positive_float, default=0.025)
-    p.add_argument("--min-freq", type=_positive_int, default=1)
-    p.add_argument("--strip-zwnj", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_train_embeddings)
+    if p := add("split", cmd_split, "stratified poem-level train/valid/test split"):
+        p.add_argument("--corpus", required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--ratios", type=_parse_floats, default="0.8,0.1,0.1")
+        p.add_argument("--out", required=True)
 
-    p = sub.add_parser("train", help="train the verse classifier")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--split", required=True)
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--preset", choices=("desk", "full"), default="desk")
-    p.add_argument("--lr", type=_positive_float)
-    p.add_argument("--weight-decay", type=_float_in(0.0, math.inf))
-    p.add_argument("--batch-size", type=_positive_int)
-    p.add_argument("--epochs", type=_positive_int, dest="max_epochs")
-    p.add_argument("--patience", type=_positive_int)
-    p.add_argument("--head-hidden", type=_positive_int)
-    p.add_argument("--head-dropout", type=_float_in(0.0, 1.0, high_open=True))
-    p.add_argument("--no-class-weights", action="store_true")
-    p.add_argument("--d-model", type=_positive_int, default=64)
-    p.add_argument("--n-heads", type=_positive_int, default=2)
-    p.add_argument("--n-layers", type=_positive_int, default=2)
-    p.add_argument("--d-ff", type=_positive_int, default=128)
-    p.add_argument("--max-len", type=_positive_int, default=64)
-    p.add_argument("--features", default="text,semantic,stylometric,form,meter")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_train)
+    if p := add("train-embeddings", cmd_train_embeddings,
+                "train skip-gram embeddings on the train split"):
+        p.add_argument("--corpus", required=True)
+        p.add_argument("--split", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--dim", type=_positive_int, default=100)
+        p.add_argument("--window", type=_positive_int, default=4)
+        p.add_argument("--negatives", type=_positive_int, default=5)
+        p.add_argument("--epochs", type=_positive_int, default=5)
+        p.add_argument("--lr", type=_positive_float, default=0.025)
+        p.add_argument("--min-freq", type=_positive_int, default=1)
+        p.add_argument("--strip-zwnj", action="store_true")
+        p.add_argument("--seed", type=int, default=0)
+
+    if p := add("train", cmd_train, "train the verse classifier"):
+        p.add_argument("--corpus", required=True)
+        p.add_argument("--split", required=True)
+        p.add_argument("--embeddings", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--preset", choices=("desk", "full"), default="desk")
+        p.add_argument("--lr", type=_positive_float)
+        p.add_argument("--weight-decay", type=_float_in(0.0, math.inf))
+        p.add_argument("--batch-size", type=_positive_int)
+        p.add_argument("--epochs", type=_positive_int, dest="max_epochs")
+        p.add_argument("--patience", type=_positive_int)
+        p.add_argument("--head-hidden", type=_positive_int)
+        p.add_argument("--head-dropout", type=_float_in(0.0, 1.0, high_open=True))
+        p.add_argument("--no-class-weights", action="store_true")
+        p.add_argument("--d-model", type=_positive_int, default=64)
+        p.add_argument("--n-heads", type=_positive_int, default=2)
+        p.add_argument("--n-layers", type=_positive_int, default=2)
+        p.add_argument("--d-ff", type=_positive_int, default=128)
+        p.add_argument("--max-len", type=_positive_int, default=64)
+        p.add_argument("--features", default="text,semantic,stylometric,form,meter")
+        p.add_argument("--seed", type=int, default=0)
 
     def eval_common(p):
         p.add_argument("--corpus", required=True)
@@ -515,41 +523,40 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--split-name", choices=("train", "valid", "test"), default="test")
         p.add_argument("--out", required=True)
 
-    p = sub.add_parser("evaluate", help="verse- and poem-level evaluation reports")
-    eval_common(p)
-    p.add_argument("--tau", type=_finite_float, default=0.7)
-    p.set_defaults(func=cmd_evaluate)
+    if p := add("evaluate", cmd_evaluate, "verse- and poem-level evaluation reports"):
+        eval_common(p)
+        p.add_argument("--tau", type=_finite_float, default=0.7)
 
-    p = sub.add_parser("sweep-thresholds", help="accuracy/coverage across abstention thresholds")
-    eval_common(p)
-    p.add_argument("--taus", type=_parse_floats, default="0.5,0.6,0.7,0.8,0.9")
-    p.set_defaults(func=cmd_sweep)
+    if p := add("sweep-thresholds", cmd_sweep,
+                "accuracy/coverage across abstention thresholds"):
+        eval_common(p)
+        p.add_argument("--taus", type=_parse_floats, default="0.5,0.6,0.7,0.8,0.9")
 
-    p = sub.add_parser("predict", help="predict poets for new poems (JSONL or stdin)")
-    p.add_argument("--input", help="poems JSONL; '-' or omitted reads stdin")
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--tau", type=_finite_float, default=0.7)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_predict)
+    if p := add("predict", cmd_predict, "predict poets for new poems (JSONL or stdin)"):
+        p.add_argument("--input", help="poems JSONL; '-' or omitted reads stdin")
+        p.add_argument("--embeddings", required=True)
+        p.add_argument("--checkpoint", required=True)
+        p.add_argument("--tau", type=_finite_float, default=0.7)
+        p.add_argument("--out", required=True)
 
-    p = sub.add_parser("make-synthetic", help="generate a synthetic corpus")
-    p.add_argument("--out", required=True)
-    p.add_argument("--poets", type=_positive_int, default=5)
-    p.add_argument("--poems-per-poet", type=_positive_int, default=200)
-    p.add_argument("--min-verses", type=_positive_int, default=4)
-    p.add_argument("--max-verses", type=_positive_int, default=12)
-    p.add_argument("--formulaic-rate", type=_float_in(0.0, 1.0), default=0.25)
-    p.add_argument("--contested-rate", type=_float_in(0.0, 1.0), default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_make_synthetic)
+    if p := add("make-synthetic", cmd_make_synthetic, "generate a synthetic corpus"):
+        p.add_argument("--out", required=True)
+        p.add_argument("--poets", type=_positive_int, default=5)
+        p.add_argument("--poems-per-poet", type=_positive_int, default=200)
+        p.add_argument("--min-verses", type=_positive_int, default=4)
+        p.add_argument("--max-verses", type=_positive_int, default=12)
+        p.add_argument("--formulaic-rate", type=_float_in(0.0, 1.0), default=0.25)
+        p.add_argument("--contested-rate", type=_float_in(0.0, 1.0), default=0.0)
+        p.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # The top-level options take no value, so the first other word is the command.
+    command = next((a for a in argv if not a.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (StaleArtifactError, LeakageError) as exc:

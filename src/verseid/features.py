@@ -8,6 +8,7 @@ The one-hot encoders take a whole dataset's labels and return one block.
 
 from __future__ import annotations
 
+import functools
 import unicodedata
 from dataclasses import dataclass, field
 
@@ -30,6 +31,9 @@ FEATURE_NAMES = (
 PERSIAN_PUNCTUATION = ("،", "؛", "؟")  # ، ؛ ؟
 
 
+# Bounded, so a long-lived process that meets many distinct characters keeps
+# a fixed-size memo.
+@functools.lru_cache(maxsize=4096)
 def _is_punct(ch: str) -> bool:
     return ch in PERSIAN_PUNCTUATION or unicodedata.category(ch).startswith("P")
 
@@ -48,7 +52,7 @@ def stylometric_features(t1: list[str], t2: list[str]) -> tuple[float, ...]:
     # The non-whitespace characters: str.split() and str.isspace() agree on
     # what whitespace is, so no character is lost between the tokens.
     chars = "".join(tokens)
-    punct = sum(1 for ch in chars if _is_punct(ch))
+    punct = sum(map(_is_punct, chars))
 
     return (
         float(n),

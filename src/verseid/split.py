@@ -60,8 +60,9 @@ class SplitAssignment:
 
     @classmethod
     def load(cls, csv_path: str | Path, meta_path: str | Path) -> "SplitAssignment":
-        """Read the files written by :meth:`save`; a missing or damaged one
-        raises StaleArtifactError naming the file and the line or key."""
+        """Read the files written by :meth:`save`; a missing or damaged one,
+        or metadata with a key :meth:`save` does not write, raises
+        StaleArtifactError naming the file and the line or key."""
         with reading(csv_path, "split assignment"), open(csv_path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             if next(reader, None) != list(CSV_HEADER):
@@ -76,6 +77,9 @@ class SplitAssignment:
                 rows.append(tuple(row))
         with reading(meta_path, "split metadata"):
             meta = json.loads(Path(meta_path).read_text(encoding="utf-8"))
+            unknown = sorted(set(meta) - {"seed", "ratios", "warnings"})
+            if unknown:
+                raise ValueError(f"split metadata has unknown key {unknown[0]!r}")
             return cls(rows, seed=int(meta["seed"]), ratios=tuple(meta["ratios"]),
                        warnings=list(meta.get("warnings", [])))
 

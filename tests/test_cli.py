@@ -248,6 +248,46 @@ class TestPredict:
         assert message in captured.err
 
 
+class TestParser:
+    """``main`` gives only the command it runs its arguments; what a command
+    line parses to, and what help and usage errors print, stay those of the
+    parser with every subcommand's arguments."""
+
+    COMMAND_LINES = [
+        ["ingest", "--corpus", "c", "--out", "o"],
+        ["split", "--corpus", "c", "--ratios", "0.7,0.2,0.1", "--out", "o"],
+        ["train-embeddings", "--corpus", "c", "--split", "s", "--out", "o", "--strip-zwnj"],
+        ["train", "--corpus", "c", "--split", "s", "--embeddings", "e", "--out", "o",
+         "--epochs", "3", "--head-dropout", "0.2", "--features", "text,meter"],
+        ["evaluate", "--corpus", "c", "--split", "s", "--embeddings", "e",
+         "--checkpoint", "k", "--split-name", "valid", "--out", "o"],
+        ["sweep-thresholds", "--corpus", "c", "--split", "s", "--embeddings", "e",
+         "--checkpoint", "k", "--taus", "0.5,0.9", "--out", "o"],
+        ["predict", "--embeddings", "e", "--checkpoint", "k", "--tau", "0.6", "--out", "o"],
+        ["make-synthetic", "--out", "o", "--poets", "3", "--contested-rate", "0.1"],
+    ]
+
+    @pytest.mark.parametrize("argv", COMMAND_LINES, ids=lambda argv: argv[0])
+    def test_command_line_parses_the_same(self, argv):
+        from verseid.cli import build_parser
+
+        assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["-h", "predict"], ["bogus"], ["predict", "--help"], ["train", "-h"],
+        ["predict", "--bogus", "--embeddings", "e", "--checkpoint", "k", "--out", "o"],
+        ["train-embeddings", "--corpus", "c", "--split", "s", "--out", "o", "--dim", "0"],
+    ])
+    def test_help_and_usage_errors_print_the_same(self, argv, capsys):
+        from verseid.cli import build_parser
+
+        with pytest.raises(SystemExit) as full:
+            build_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        assert exit_code(argv) == full.value.code
+        assert capsys.readouterr() == expected
+
+
 class TestExitCodes:
     def test_bad_ratios_is_usage_error(self, pipeline, tmp_path, capsys):
         code, captured = run(["split", "--corpus", str(pipeline["corpus"]),
@@ -507,6 +547,7 @@ class TestExitCodes:
         ("no seed", "'seed'"),
         ("no ratios", "'ratios'"),
         ("short row", "line 2"),
+        ("renamed warnings", "'Warnings'"),
     ])
     def test_damaged_split_is_artifact_error(self, pipeline, tmp_path, capsys, damage, where):
         split = tmp_path / "split"
@@ -519,7 +560,10 @@ class TestExitCodes:
         else:
             damaged = split / "split_meta.json"
             meta = json.loads(damaged.read_text(encoding="utf-8"))
-            del meta[damage.split()[1]]
+            key = damage.split()[1]
+            value = meta.pop(key)
+            if damage.startswith("renamed"):
+                meta[key.capitalize()] = value
             damaged.write_text(json.dumps(meta), encoding="utf-8")
         code, captured = run(["train", "--corpus", str(pipeline["corpus"]), "--split", str(split),
                               "--embeddings", str(pipeline["emb"]),

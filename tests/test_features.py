@@ -10,6 +10,7 @@ from verseid.features import (
     FEATURE_NAMES,
     MeterClassMap,
     Scaler,
+    _is_punct,
     build_meter_classes,
     one_hot_form,
     one_hot_meter,
@@ -53,6 +54,18 @@ class TestStylometrics:
         f = verse_features(Verse("سلام، دوست", ""))
         # Nine non-space characters, one of them the Persian comma.
         assert feature(f, "punctuation_density") == pytest.approx(1 / 9)
+
+    def test_punctuation_density_past_the_memo_bound(self):
+        # More distinct code points than the memo holds, so it evicts while
+        # the verse is counted; counted twice, so evicted ones are read again.
+        chars = [c for c in map(chr, range(0x21, 0x21 + 2 * _is_punct.cache_info().maxsize))
+                 if not c.isspace()]
+        tokens = ["".join(chars[i : i + 50]) for i in range(0, len(chars), 50)]
+        expected = sum(map(_is_punct.__wrapped__, chars)) / len(chars)
+        assert 0 < expected < 1
+        for _ in range(2):
+            f = stylometric_features(tokens, [])
+            assert feature(f, "punctuation_density") == expected
 
     def test_feature_order_matches_names(self):
         arr = verse_features(Verse("a bb", "ccc"))
