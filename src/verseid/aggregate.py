@@ -8,6 +8,10 @@ Three strategies:
 * weighted: argmax of the summed verse distributions. Its confidence is the
   summed maximum divided by the verse count, a probability in [0, 1].
 * thresholded: weighted, but abstains when that confidence falls below tau.
+
+``aggregate_poem`` votes every poem at once: ``np.add.at`` adds each verse
+into its poem's sums in verse order, the order of a loop over that poem's
+verses. The one-poem votes are calls of it on a single poem.
 """
 
 from __future__ import annotations
@@ -22,78 +26,71 @@ ABSTAIN = "ABSTAIN"
 STRATEGIES = ("majority", "weighted", "thresholded")
 
 
-@dataclass
-class PoemPrediction:
-    poem_id: str
-    strategy: str
-    predicted_poet: int | None
-    confidence: float
+def poem_index(poem_ids) -> tuple[list[str], np.ndarray]:
+    """The distinct poem ids in first-seen order, and each verse's poem number."""
+    number: dict[str, int] = {}
+    poem_of = [number.setdefault(pid, len(number)) for pid in poem_ids]
+    return list(number), np.asarray(poem_of, dtype=np.intp)
 
-    @property
-    def abstained(self) -> bool:
-        return self.predicted_poet is None
+
+def aggregate_poem(poem_of, verse_probs, strategy: str, tau: float = 0.7):
+    """Apply one strategy to every poem at once; ``poem_of`` numbers each
+    verse row's poem from 0 with no gaps, as ``poem_index`` does. Returns
+    each poem's label (-1 where the thresholded vote abstains) and confidence.
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    probs = np.asarray(verse_probs, dtype=np.float64)
+    poem_of = np.asarray(poem_of, dtype=np.intp)
+    if probs.ndim != 2 or not len(probs) or poem_of.shape != probs.shape[:1]:
+        raise ValueError("aggregate_poem needs a (n_verses, n_classes) matrix and a poem per verse")
+    shape = (int(poem_of.max()) + 1, probs.shape[1])
+    if strategy == "majority":
+        top = probs.argmax(axis=1)
+        counts, mass = np.zeros(shape, dtype=np.int64), np.zeros(shape)
+        np.add.at(counts, (poem_of, top), 1)
+        np.add.at(mass, (poem_of, top), probs.max(axis=1))
+        # Most votes, then most mass; argmax takes the smallest id of the rest.
+        votes = counts.max(axis=1)
+        tied_mass = np.where(counts == votes[:, None], mass, -np.inf)
+        return tied_mass.argmax(axis=1), tied_mass.max(axis=1) / votes
+    sums = np.zeros(shape)
+    np.add.at(sums, poem_of, probs)
+    labels = sums.argmax(axis=1)
+    confidence = sums.max(axis=1) / np.bincount(poem_of)
+    if strategy == "thresholded":
+        labels = np.where(confidence < tau, -1, labels)
+    return labels, confidence
+
+
+def _one_poem(verse_probs, strategy: str, tau: float = 0.7) -> tuple[int, float]:
+    """``aggregate_poem`` on the verse rows of a single poem."""
+    poem_of = np.zeros(np.shape(verse_probs)[:1], dtype=np.intp)
+    labels, confidence = aggregate_poem(poem_of, verse_probs, strategy, tau)
+    return int(labels[0]), float(confidence[0])
 
 
 def majority_vote(labels, max_probs=None) -> int:
     """Most frequent verse label; see module docstring for tie-breaks."""
-    labels = list(labels)
-    if not labels:
+    labels = np.asarray(labels, dtype=np.intp).reshape(-1)
+    if not labels.size:
         raise ValueError("majority_vote needs at least one verse label")
-    counts: dict[int, int] = {}
-    for lab in labels:
-        counts[int(lab)] = counts.get(int(lab), 0) + 1
-    top = max(counts.values())
-    tied = [lab for lab, c in counts.items() if c == top]
-    if len(tied) == 1:
-        return tied[0]
-    if max_probs is not None:
-        mass = {lab: 0.0 for lab in tied}
-        for lab, p in zip(labels, max_probs):
-            if int(lab) in mass:
-                mass[int(lab)] += float(p)
-        best = max(mass.values())
-        tied = [lab for lab in tied if mass[lab] == best]
-    return min(tied)
+    # A row per verse: its maximum (1 without max_probs) at its label, -inf elsewhere.
+    probs = np.full((labels.size, labels.max() + 1), -np.inf)
+    probs[np.arange(labels.size), labels] = 1.0 if max_probs is None else max_probs
+    return _one_poem(probs, "majority")[0]
 
 
 def weighted_vote(verse_probs: np.ndarray) -> tuple[int, float]:
-    """Sum the verse distributions; argmax wins (smallest id on ties).
-
-    The confidence is the summed maximum divided by the verse count.
-    """
-    probs = np.asarray(verse_probs, dtype=np.float64)
-    if probs.ndim != 2 or probs.shape[0] == 0:
-        raise ValueError("weighted_vote needs a (n_verses, n_classes) matrix")
-    s = probs.sum(axis=0)
-    label = int(s.argmax())
-    return label, float(s[label]) / probs.shape[0]
+    """Sum the verse distributions; argmax wins (smallest id on ties). The
+    confidence is the summed maximum divided by the verse count."""
+    return _one_poem(verse_probs, "weighted")
 
 
 def thresholded_vote(verse_probs: np.ndarray, tau: float) -> tuple[int | None, float]:
-    """Weighted vote that abstains when confidence < tau."""
-    label, conf = weighted_vote(verse_probs)
-    if conf < tau:
-        return None, conf
-    return label, conf
-
-
-def aggregate_poem(
-    poem_id: str, verse_probs: np.ndarray, strategy: str, tau: float = 0.7
-) -> PoemPrediction:
-    """Apply one strategy to a poem's verse distributions."""
-    probs = np.asarray(verse_probs, dtype=np.float64)
-    if strategy == "majority":
-        verse_labels = [int(i) for i in probs.argmax(axis=1)]
-        verse_max = [float(p) for p in probs.max(axis=1)]
-        label: int | None = majority_vote(verse_labels, verse_max)
-        conf = float(np.mean([p for lab, p in zip(verse_labels, verse_max) if lab == label]))
-    elif strategy == "weighted":
-        label, conf = weighted_vote(probs)
-    elif strategy == "thresholded":
-        label, conf = thresholded_vote(probs, tau)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return PoemPrediction(poem_id, strategy, label, conf)
+    """Weighted vote that abstains (label None) when confidence < tau."""
+    label, conf = _one_poem(verse_probs, "thresholded", tau)
+    return (None if label < 0 else label), conf
 
 
 @dataclass(frozen=True)
@@ -105,27 +102,21 @@ class SweepRow:
     total: int
 
 
-def sweep_thresholds(
-    poem_probs: list[np.ndarray], truth: np.ndarray, taus: list[float]
-) -> list[SweepRow]:
-    """Accuracy/coverage of the thresholded strategy per threshold.
-
-    ``taus`` must be sorted ascending. Coverage is monotonically
-    non-increasing in tau; accuracy over covered poems is None when nothing
-    is covered.
+def sweep_thresholds(labels, confidence, truth, taus: list[float]) -> list[SweepRow]:
+    """Accuracy/coverage of the thresholded strategy per threshold, from the
+    weighted vote's per-poem labels and confidences. ``taus`` must be sorted
+    ascending. Coverage is monotonically non-increasing in tau; accuracy over
+    covered poems is None when nothing is covered.
     """
     if list(taus) != sorted(taus):
         raise ValueError("thresholds must be sorted ascending")
-    truth = np.asarray(truth)
-    total = len(poem_probs)
-    votes = [weighted_vote(p) for p in poem_probs]
+    correct, confidence = np.asarray(labels) == np.asarray(truth), np.asarray(confidence)
+    total = len(confidence)
     rows = []
     for tau in taus:
-        covered = [(lab, t) for (lab, conf), t in zip(votes, truth) if conf >= tau]
-        n_cov = len(covered)
-        acc = (
-            sum(1 for lab, t in covered if lab == int(t)) / n_cov if n_cov else None
-        )
+        kept = confidence >= tau
+        n_cov = int(kept.sum())
+        acc = int(correct[kept].sum()) / n_cov if n_cov else None
         rows.append(SweepRow(float(tau), acc, n_cov / total if total else 0.0, n_cov, total))
     return rows
 
@@ -138,17 +129,12 @@ def sweep_csv(rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def predictions_csv(preds: list[PoemPrediction], poet_names: list[str] | None = None) -> str:
-    """Per-poem prediction rows: poem_id,strategy,label,confidence,abstained."""
+def predictions_csv(poem_ids: list[str], votes: dict, poet_names: list[str] | None = None) -> str:
+    """Per-poem prediction rows: poem_id,strategy,label,confidence,abstained.
+    ``votes`` maps each strategy to its ``aggregate_poem`` labels and confidences."""
     rows = [["poem_id", "strategy", "label", "confidence", "abstained"]]
-    for p in preds:
-        if p.predicted_poet is None:
-            label = ABSTAIN
-        elif poet_names is not None:
-            label = poet_names[p.predicted_poet]
-        else:
-            label = str(p.predicted_poet)
-        rows.append(
-            [p.poem_id, p.strategy, label, f"{p.confidence:.6f}", str(p.abstained).lower()]
-        )
+    for strategy, (labels, confidence) in votes.items():
+        for pid, label, conf in zip(poem_ids, labels.tolist(), confidence.tolist()):
+            name = ABSTAIN if label < 0 else str(label) if poet_names is None else poet_names[label]
+            rows.append([pid, strategy, name, f"{conf:.6f}", str(label < 0).lower()])
     return csv_text(rows)

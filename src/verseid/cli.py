@@ -29,8 +29,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .aggregate import STRATEGIES, aggregate_poem, predictions_csv, sweep_csv, sweep_thresholds
+from .aggregate import STRATEGIES, aggregate_poem, poem_index, predictions_csv, sweep_csv, sweep_thresholds
 from .corpus import Corpus, CorpusError, PoemRecord, corpus_stats, csv_text, filter_corpus, load_corpus, read_records, reading, save_corpus
 from .embeddings import EmbeddingConfig, EmbeddingMatrix, train_sgns
 from .encoder import EncoderConfig
@@ -45,7 +47,6 @@ from .model import (
     build_dataset,
     fit,
     load_checkpoint,
-    poem_probability_groups,
     predict_proba,
     save_checkpoint,
     training_log_csv,
@@ -132,6 +133,15 @@ def _positive_int(text: str) -> int:
 
 def _parse_floats(text: str) -> list[float]:
     return [_finite_float(x) for x in text.split(",") if x.strip()]
+
+
+def _thresholds(text: str) -> list[float]:
+    taus = _parse_floats(text)
+    if not taus:
+        raise argparse.ArgumentTypeError(f"no thresholds given: {text!r}")
+    if taus != sorted(taus):
+        raise argparse.ArgumentTypeError(f"not sorted ascending: {text!r}")
+    return taus
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +309,23 @@ def _load_bundle(args) -> ModelBundle:
 
 
 def _eval_data(args, bundle: ModelBundle):
+    """The split's dataset, verse distributions, poem ids, verse poem numbers
+    and poem poets; a poet the checkpoint does not know is a stale artifact."""
     _, splits = _load_splits(args)
-    ds = build_dataset(splits[args.split_name], bundle.space)
-    probs = predict_proba(ds, bundle)
-    return ds, probs
+    records = splits[args.split_name]
+    if unknown := next((r for r in records if r.poet not in bundle.space.poet_index), None):
+        raise StaleArtifactError(
+            f"{_in_dir(args.checkpoint, CHECKPOINT_FILE)}: checkpoint has no poet "
+            f"{unknown.poet!r} (poem {unknown.poem_id!r} of the {args.split_name} split)")
+    ds = build_dataset(records, bundle.space)
+    poem_ids, poem_of = poem_index(ds.poem_ids)
+    truth = ds.labels[np.unique(poem_of, return_index=True)[1]]
+    return ds, predict_proba(ds, bundle), poem_ids, poem_of, truth
 
 
 def cmd_evaluate(args) -> int:
     bundle = _load_bundle(args)
-    ds, probs = _eval_data(args, bundle)
+    ds, probs, poem_ids, poem_of, truth = _eval_data(args, bundle)
     poet_names = bundle.space.poet_names
     n_classes = len(poet_names)
     out = Path(args.out)
@@ -317,22 +335,17 @@ def cmd_evaluate(args) -> int:
     (out / "eval_verse.json").write_text(verse_report.to_json() + "\n", encoding="utf-8")
     (out / "eval_verse.txt").write_text(verse_report.to_text(), encoding="utf-8")
 
-    poem_ids, matrices, truth = poem_probability_groups(ds, probs)
-    all_preds = []
-    for strategy in STRATEGIES:
-        preds = [aggregate_poem(pid, m, strategy, tau=args.tau) for pid, m in zip(poem_ids, matrices)]
-        all_preds.extend(preds)
+    votes = {s: aggregate_poem(poem_of, probs, s, tau=args.tau) for s in STRATEGIES}
+    for strategy, (labels, _) in votes.items():
         # Only thresholded abstains; its report covers the poems it kept.
-        kept = [(t, p.predicted_poet) for p, t in zip(preds, truth) if not p.abstained]
-        coverage = len(kept) / max(len(preds), 1) if strategy == "thresholded" else None
-        report = classification_report(
-            [t for t, _ in kept], [y for _, y in kept], n_classes, poet_names, coverage=coverage
-        )
+        kept = labels >= 0
+        coverage = int(kept.sum()) / len(kept) if strategy == "thresholded" else None
+        report = classification_report(truth[kept], labels[kept], n_classes, poet_names,
+                                       coverage=coverage)
         (out / f"eval_{strategy}.json").write_text(report.to_json() + "\n", encoding="utf-8")
         (out / f"eval_{strategy}.txt").write_text(report.to_text(), encoding="utf-8")
-    (out / "poem_predictions.csv").write_text(
-        predictions_csv(all_preds, poet_names), encoding="utf-8"
-    )
+    poem_csv = predictions_csv(poem_ids, votes, poet_names)
+    (out / "poem_predictions.csv").write_text(poem_csv, encoding="utf-8")
     _write_config(
         out,
         "evaluate",
@@ -350,10 +363,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     bundle = _load_bundle(args)
-    ds, probs = _eval_data(args, bundle)
-    _, matrices, truth = poem_probability_groups(ds, probs)
-    taus = args.taus
-    rows = sweep_thresholds(matrices, truth, taus)
+    _, probs, _, poem_of, truth = _eval_data(args, bundle)
+    rows = sweep_thresholds(*aggregate_poem(poem_of, probs, "weighted"), truth, args.taus)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.csv").write_text(sweep_csv(rows), encoding="utf-8")
@@ -365,7 +376,7 @@ def cmd_sweep(args) -> int:
             "split": str(args.split),
             "checkpoint": str(args.checkpoint),
             "split_name": args.split_name,
-            "taus": taus,
+            "taus": args.taus,
         },
     )
     for r in rows:
@@ -401,15 +412,10 @@ def cmd_predict(args) -> int:
         rows.append([pid, vi, poet_names[top], f"{row[top]:.6f}", *(f"{x:.6f}" for x in row)])
     (out / "verse_predictions.csv").write_text(csv_text(rows), encoding="utf-8")
 
-    poem_ids, matrices, _ = poem_probability_groups(ds, probs)
-    preds = [
-        aggregate_poem(pid, m, strategy, tau=args.tau)
-        for strategy in STRATEGIES
-        for pid, m in zip(poem_ids, matrices)
-    ]
-    (out / "poem_predictions.csv").write_text(
-        predictions_csv(preds, poet_names), encoding="utf-8"
-    )
+    poem_ids, poem_of = poem_index(ds.poem_ids)
+    votes = {s: aggregate_poem(poem_of, probs, s, tau=args.tau) for s in STRATEGIES}
+    poem_csv = predictions_csv(poem_ids, votes, poet_names)
+    (out / "poem_predictions.csv").write_text(poem_csv, encoding="utf-8")
     _write_config(
         out,
         "predict",
@@ -530,7 +536,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if p := add("sweep-thresholds", cmd_sweep,
                 "accuracy/coverage across abstention thresholds"):
         eval_common(p)
-        p.add_argument("--taus", type=_parse_floats, default="0.5,0.6,0.7,0.8,0.9")
+        p.add_argument("--taus", type=_thresholds, default="0.5,0.6,0.7,0.8,0.9")
 
     if p := add("predict", cmd_predict, "predict poets for new poems (JSONL or stdin)"):
         p.add_argument("--input", help="poems JSONL; '-' or omitted reads stdin")

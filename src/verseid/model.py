@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .aggregate import poem_index
 from .corpus import Corpus, NumericalError, PoemRecord, StaleArtifactError, drop_retired, reading
 from .embeddings import EmbeddingMatrix, verse_semantic_vector
 from .encoder import (
@@ -523,18 +524,10 @@ def poem_probability_groups(ds: FeatureDataset, probs: np.ndarray):
 
     Returns (poem_ids, list of (n_verses_i, C) arrays, labels per poem).
     """
-    order: list[str] = []
-    groups: dict[str, list[int]] = {}
-    label_of: dict[str, int] = {}
-    for i, pid in enumerate(ds.poem_ids):
-        if pid not in groups:
-            groups[pid] = []
-            order.append(pid)
-            label_of[pid] = int(ds.labels[i])
-        groups[pid].append(i)
-    matrices = [probs[groups[pid]] for pid in order]
-    labels = np.asarray([label_of[pid] for pid in order], dtype=np.int64)
-    return order, matrices, labels
+    poem_ids, poem_of = poem_index(ds.poem_ids)
+    order = np.argsort(poem_of, kind="stable")
+    matrices = np.split(probs[order], np.cumsum(np.bincount(poem_of))[:-1])
+    return poem_ids, matrices, ds.labels[np.unique(poem_of, return_index=True)[1]]
 
 
 def fit(

@@ -1,5 +1,7 @@
 """Poem-level aggregation strategies and the threshold sweep."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,10 @@ from hypothesis import strategies as st
 
 from verseid.aggregate import (
     ABSTAIN,
+    STRATEGIES,
     aggregate_poem,
     majority_vote,
+    poem_index,
     predictions_csv,
     sweep_csv,
     sweep_thresholds,
@@ -92,34 +96,106 @@ class TestThresholded:
 
 class TestAggregatePoem:
     probs = np.array([[0.9, 0.1], [0.4, 0.6]])
+    poem_of = [0, 0]
 
     def test_majority_strategy(self):
-        pred = aggregate_poem("p1", self.probs, "majority")
+        labels, conf = aggregate_poem(self.poem_of, self.probs, "majority")
         # Verse argmaxes are [0, 1]: a tie, broken by max-prob mass (0.9 > 0.6).
-        assert pred.predicted_poet == 0
-        assert pred.confidence == pytest.approx(0.9)
-        assert not pred.abstained
+        assert labels.tolist() == [0]
+        assert conf[0] == pytest.approx(0.9)
 
     def test_weighted_strategy(self):
-        pred = aggregate_poem("p1", self.probs, "weighted")
-        assert (pred.predicted_poet, pred.confidence) == (0, pytest.approx(0.65))
+        labels, conf = aggregate_poem(self.poem_of, self.probs, "weighted")
+        assert (labels.tolist(), conf[0]) == ([0], pytest.approx(0.65))
 
     def test_thresholded_strategy_abstains(self):
-        pred = aggregate_poem("p1", self.probs, "thresholded", tau=0.7)
-        assert pred.predicted_poet is None
-        assert pred.abstained
+        labels, _ = aggregate_poem(self.poem_of, self.probs, "thresholded", tau=0.7)
+        assert labels.tolist() == [-1]
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown strategy"):
-            aggregate_poem("p1", self.probs, "plurality")
+            aggregate_poem(self.poem_of, self.probs, "plurality")
 
     def test_strategies_agree_on_unanimous_poem(self):
         probs = np.array([[0.8, 0.2], [0.7, 0.3], [0.9, 0.1]])
         labels = {
-            aggregate_poem("p", probs, s).predicted_poet
+            int(aggregate_poem([0, 0, 0], probs, s)[0][0])
             for s in ("majority", "weighted")
         }
         assert labels == {0}
+
+
+def oracle_votes(poem_ids, rows, tau):
+    """The first-seen poem ids and each strategy's (labels, confidences),
+    by explicit loops over every poem's verse rows."""
+    verses = {}
+    for pid, row in zip(poem_ids, rows):
+        verses.setdefault(pid, []).append([float(x) for x in row])
+    votes = {s: ([], []) for s in STRATEGIES}
+    for rows_of_poem in verses.values():
+        n_classes = len(rows_of_poem[0])
+        sums = [0.0] * n_classes
+        for row in rows_of_poem:
+            for j in range(n_classes):
+                sums[j] += row[j]
+        tops = [max(range(n_classes), key=lambda j: (row[j], -j)) for row in rows_of_poem]
+        counts = [tops.count(j) for j in range(n_classes)]
+        # fsum rounds the exact sum once; float32 maxima add exactly in float64.
+        mass = [math.fsum(row[j] for row, top in zip(rows_of_poem, tops) if top == j)
+                for j in range(n_classes)]
+        majority = max(range(n_classes), key=lambda j: (counts[j], mass[j], -j))
+        weighted = max(range(n_classes), key=lambda j: (sums[j], -j))
+        confidence = sums[weighted] / len(rows_of_poem)
+        for strategy, label, conf in (
+            ("majority", majority, mass[majority] / counts[majority]),
+            ("weighted", weighted, confidence),
+            ("thresholded", weighted if confidence >= tau else -1, confidence),
+        ):
+            votes[strategy][0].append(label)
+            votes[strategy][1].append(conf)
+    return list(verses), votes
+
+
+def random_poems(rng, dtype):
+    """Verse rows of a few poems, interleaved, with majority ties in about
+    half the poems: their verses split evenly between two labels, each
+    label's verses sharing one maximum, equal for both labels or not."""
+    n_poems, n_classes = int(rng.integers(1, 10)), int(rng.integers(2, 6))
+    sizes = rng.integers(1, 9, size=n_poems)
+    poem_of = rng.permutation(np.repeat(np.arange(n_poems), sizes))
+    rows = rng.dirichlet(np.ones(n_classes), size=len(poem_of))
+    for p in range(n_poems):
+        where = np.flatnonzero(poem_of == p)
+        if len(where) % 2 or rng.random() < 0.5:
+            continue
+        for label, half in zip(rng.choice(n_classes, 2, replace=False), np.split(where, 2)):
+            top = rng.choice([0.6, 0.7])
+            rows[half] = (1 - top) / (n_classes - 1)
+            rows[half, label] = top
+    names = [f"poem-{k}" for k in rng.permutation(n_poems)]
+    return [names[p] for p in poem_of], rows.astype(dtype)
+
+
+class TestBatchedVote:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_matches_explicit_loops(self, seed, dtype):
+        rng = np.random.default_rng(seed)
+        poem_ids, rows = random_poems(rng, dtype)
+        order, poem_of = poem_index(poem_ids)
+        # A tau equal to one poem's confidence checks that the vote keeps it.
+        tau = float(rng.choice(oracle_votes(poem_ids, rows, 0.0)[1]["weighted"][1]))
+        want_order, want = oracle_votes(poem_ids, rows, tau)
+        assert order == want_order
+        assert [order[i] for i in poem_of] == poem_ids
+        for strategy in STRATEGIES:
+            labels, conf = aggregate_poem(poem_of, rows, strategy, tau=tau)
+            assert labels.tolist() == want[strategy][0], strategy
+            if strategy != "majority" or dtype == np.float32:
+                assert conf.tolist() == want[strategy][1], strategy
+            else:
+                assert conf.tolist() == pytest.approx(want[strategy][1], rel=1e-15), strategy
 
 
 def poem_set():
@@ -134,10 +210,16 @@ def poem_set():
     )
 
 
+def weighted_votes(poems):
+    """The weighted vote's labels and confidences over per-poem verse matrices."""
+    poem_of = np.repeat(np.arange(len(poems)), [len(p) for p in poems])
+    return aggregate_poem(poem_of, np.concatenate(poems), "weighted")
+
+
 class TestSweep:
     def test_rows_match_hand_computation(self):
         poems, truth = poem_set()
-        rows = sweep_thresholds(poems, truth, [0.0, 0.6, 0.7, 0.9])
+        rows = sweep_thresholds(*weighted_votes(poems), truth, [0.0, 0.6, 0.7, 0.9])
         assert [(r.covered, r.coverage) for r in rows] == [
             (3, 1.0),
             (2, pytest.approx(2 / 3)),
@@ -151,18 +233,18 @@ class TestSweep:
 
     def test_coverage_never_increases(self):
         poems, truth = poem_set()
-        rows = sweep_thresholds(poems, truth, [i / 20 for i in range(21)])
+        rows = sweep_thresholds(*weighted_votes(poems), truth, [i / 20 for i in range(21)])
         covs = [r.coverage for r in rows]
         assert all(a >= b for a, b in zip(covs, covs[1:]))
 
     def test_unsorted_taus_rejected(self):
         poems, truth = poem_set()
         with pytest.raises(ValueError, match="sorted ascending"):
-            sweep_thresholds(poems, truth, [0.5, 0.2])
+            sweep_thresholds(*weighted_votes(poems), truth, [0.5, 0.2])
 
     def test_tau_zero_matches_weighted_vote(self):
         poems, truth = poem_set()
-        row = sweep_thresholds(poems, truth, [0.0])[0]
+        row = sweep_thresholds(*weighted_votes(poems), truth, [0.0])[0]
         preds = [weighted_vote(p)[0] for p in poems]
         acc = sum(int(p == t) for p, t in zip(preds, truth)) / len(truth)
         assert row.accuracy == pytest.approx(acc)
@@ -170,7 +252,7 @@ class TestSweep:
 
     def test_csv_rendering_with_na(self):
         poems, truth = poem_set()
-        text = sweep_csv(sweep_thresholds(poems, truth, [0.0, 0.9]))
+        text = sweep_csv(sweep_thresholds(*weighted_votes(poems), truth, [0.0, 0.9]))
         lines = text.splitlines()
         assert lines[0] == "threshold,accuracy,coverage,covered,total"
         assert lines[1].startswith("0,0.666667,1.000000,3,3")
@@ -179,15 +261,16 @@ class TestSweep:
 
 class TestPredictionsCsv:
     def test_numeric_and_named_labels(self):
-        preds = [
-            aggregate_poem("p1", np.array([[0.9, 0.1]]), "weighted"),
-            aggregate_poem("p2", np.array([[0.5, 0.5]]), "thresholded", tau=0.9),
-        ]
-        numeric = predictions_csv(preds).splitlines()
+        probs = np.array([[0.9, 0.1], [0.5, 0.5]])
+        votes = {
+            "weighted": aggregate_poem([0, 1], probs, "weighted"),
+            "thresholded": aggregate_poem([0, 1], probs, "thresholded", tau=0.9),
+        }
+        numeric = predictions_csv(["p1", "p2"], votes).splitlines()
         assert numeric[0] == "poem_id,strategy,label,confidence,abstained"
         assert numeric[1] == "p1,weighted,0,0.900000,false"
-        assert numeric[2] == f"p2,thresholded,{ABSTAIN},0.500000,true"
-        named = predictions_csv(preds, poet_names=["hafez", "saadi"]).splitlines()
+        assert numeric[4] == f"p2,thresholded,{ABSTAIN},0.500000,true"
+        named = predictions_csv(["p1", "p2"], votes, poet_names=["hafez", "saadi"]).splitlines()
         assert named[1].startswith("p1,weighted,hafez,")
         # Abstentions keep the sentinel even when names are supplied.
-        assert named[2].split(",")[2] == ABSTAIN
+        assert named[4].split(",")[2] == ABSTAIN

@@ -150,6 +150,111 @@ class TestArtifacts:
         assert all(a >= b for a, b in zip(covs, covs[1:]))
 
 
+def argmax(values):
+    """The index of the largest value, the smallest index on ties."""
+    return max(range(len(values)), key=lambda j: (values[j], -j))
+
+
+def oracle_votes(ds, probs):
+    """Each poem's (poem_id, truth, {strategy: (label, confidence)}), in
+    first-seen order, by plain loops over the verse distributions."""
+    poems = {}
+    for pid, truth, row in zip(ds.poem_ids, ds.labels, probs):
+        poems.setdefault(pid, (int(truth), []))[1].append([float(x) for x in row])
+    out = []
+    for pid, (truth, rows) in poems.items():
+        n_classes = len(rows[0])
+        sums, counts, mass = [0.0] * n_classes, [0] * n_classes, [0.0] * n_classes
+        for row in rows:
+            top = argmax(row)
+            counts[top] += 1
+            mass[top] += row[top]
+            for j in range(n_classes):
+                sums[j] += row[j]
+        weighted = argmax(sums)
+        majority = max(range(n_classes), key=lambda j: (counts[j], mass[j], -j))
+        out.append((pid, truth, {"majority": (majority, mass[majority] / counts[majority]),
+                                 "weighted": (weighted, sums[weighted] / len(rows))}))
+    return out
+
+
+class TestPoemOutputs:
+    """The poem-level outputs of evaluate, predict and sweep-thresholds,
+    recomputed from ``predict_proba`` by plain Python loops."""
+
+    TAU = 0.7
+
+    @pytest.fixture(scope="class")
+    def test_split(self, pipeline):
+        from verseid.corpus import load_corpus
+        from verseid.embeddings import EmbeddingMatrix
+        from verseid.model import build_dataset, load_checkpoint, predict_proba
+        from verseid.normalize import Vocabulary
+        from verseid.split import SplitAssignment, split_records
+
+        vocab = Vocabulary.load(pipeline["emb"] / "vocab.tsv")
+        emb = EmbeddingMatrix.load(pipeline["emb"] / "embeddings.bin")
+        bundle = load_checkpoint(pipeline["model"] / "checkpoint.bin", vocab, emb)
+        corpus = load_corpus(pipeline["corpus"] / "corpus.jsonl")
+        assignment = SplitAssignment.load(pipeline["split"] / "assignment.csv",
+                                          pipeline["split"] / "split_meta.json")
+        records = split_records(corpus, assignment)[2]
+        ds = build_dataset(records, bundle.space)
+        return records, oracle_votes(ds, predict_proba(ds, bundle)), bundle.space.poet_names
+
+    def expected_predictions(self, votes, names):
+        lines = ["poem_id,strategy,label,confidence,abstained"]
+        for strategy in ("majority", "weighted", "thresholded"):
+            for pid, _, by in votes:
+                label, conf = by["weighted" if strategy == "thresholded" else strategy]
+                abstained = strategy == "thresholded" and conf < self.TAU
+                name = "ABSTAIN" if abstained else names[label]
+                lines.append(f"{pid},{strategy},{name},{conf:.6f},{str(abstained).lower()}")
+        return "\n".join(lines) + "\n"
+
+    def test_evaluate_poem_predictions(self, pipeline, test_split):
+        _, votes, names = test_split
+        got = (pipeline["eval"] / "poem_predictions.csv").read_bytes().decode("utf-8")
+        assert got == self.expected_predictions(votes, names)
+
+    def test_predict_poem_predictions(self, pipeline, test_split, tmp_path):
+        records, votes, names = test_split
+        poems = tmp_path / "poems.jsonl"
+        poems.write_text("".join(
+            json.dumps({"poem_id": r.poem_id, "form": r.form, "meter": r.meter,
+                        "verses": [[v.hemistich_1, v.hemistich_2] for v in r.verses]}) + "\n"
+            for r in records), encoding="utf-8")
+        out = tmp_path / "pred"
+        assert main(["predict", "--input", str(poems), "--embeddings", str(pipeline["emb"]),
+                     "--checkpoint", str(pipeline["model"]), "--tau", str(self.TAU),
+                     "--out", str(out)]) == 0
+        got = (out / "poem_predictions.csv").read_bytes().decode("utf-8")
+        assert got == self.expected_predictions(votes, names)
+
+    def test_evaluate_reports(self, pipeline, test_split):
+        _, votes, _ = test_split
+        for strategy in ("majority", "weighted", "thresholded"):
+            vote = "weighted" if strategy == "thresholded" else strategy
+            kept = [(by[vote][0], truth) for _, truth, by in votes
+                    if strategy != "thresholded" or by[vote][1] >= self.TAU]
+            accuracy = sum(label == truth for label, truth in kept) / len(kept) if kept else 0.0
+            coverage = len(kept) / len(votes) if strategy == "thresholded" else None
+            text = (pipeline["eval"] / f"eval_{strategy}.json").read_text(encoding="utf-8")
+            assert f'"accuracy": {json.dumps(accuracy)},' in text, strategy
+            assert f'"coverage": {json.dumps(coverage)},' in text, strategy
+
+    def test_sweep_csv(self, pipeline, test_split):
+        _, votes, _ = test_split
+        lines = ["threshold,accuracy,coverage,covered,total"]
+        for tau in (0.4, 0.6, 0.8):
+            kept = [(by["weighted"][0], truth) for _, truth, by in votes
+                    if by["weighted"][1] >= tau]
+            accuracy = (f"{sum(label == truth for label, truth in kept) / len(kept):.6f}"
+                        if kept else "NA")
+            lines.append(f"{tau:g},{accuracy},{len(kept) / len(votes):.6f},{len(kept)},{len(votes)}")
+        assert (pipeline["sweep"] / "sweep.csv").read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
+
 class TestDeterminism:
     def test_split_reruns_byte_identical(self, pipeline, tmp_path):
         again = tmp_path / "split2"
@@ -488,6 +593,34 @@ class TestExitCodes:
         assert str(damaged) in captured.err
         assert f"another poet than in the corpus: [{pid!r}]" in captured.err
 
+    @pytest.mark.parametrize("command", ["evaluate", "sweep-thresholds"])
+    def test_poet_unknown_to_checkpoint_is_artifact_error(self, pipeline, tmp_path, capsys,
+                                                          command):
+        # One test poem's poet renamed in both the corpus and the assignment.
+        data, split = tmp_path / "corpus", tmp_path / "split"
+        shutil.copytree(pipeline["corpus"], data)
+        shutil.copytree(pipeline["split"], split)
+        rows = (split / "assignment.csv").read_text(encoding="utf-8").splitlines()
+        i = next(i for i, row in enumerate(rows) if row.split(",")[1] == "test")
+        pid, part, poet = rows[i].split(",")
+        rows[i] = ",".join([pid, part, "stranger"])
+        (split / "assignment.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        records = [json.loads(line) for line in
+                   (data / "corpus.jsonl").read_text(encoding="utf-8").splitlines()]
+        for record in records:
+            if record["poem_id"] == pid:
+                record["poet"] = "stranger"
+        (data / "corpus.jsonl").write_text(
+            "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8")
+        out = tmp_path / "o"
+        code, captured = run([command, "--corpus", str(data), "--split", str(split),
+                              "--embeddings", str(pipeline["emb"]),
+                              "--checkpoint", str(pipeline["model"]), "--out", str(out)], capsys)
+        assert code == 3
+        assert str(pipeline["model"] / "checkpoint.bin") in captured.err
+        assert "'stranger'" in captured.err and repr(pid) in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["ingest", "predict"])
     @pytest.mark.parametrize("damage, where", [
         ("invalid JSON", "line 2: invalid JSON"),
@@ -627,21 +760,28 @@ class TestExitCodes:
             assert main(argv) == 0
             assert len(calls) == 1, argv[0]
 
-    @pytest.mark.parametrize("command, flag, value", [
-        ("evaluate", "--tau", "nan"),
-        ("predict", "--tau", "inf"),
-        ("sweep-thresholds", "--taus", "0.5,nan"),
-    ])
+    THRESHOLD_ERRORS = [
+        ("evaluate", "--tau", "nan", "not a finite number"),
+        ("predict", "--tau", "inf", "not a finite number"),
+        ("sweep-thresholds", "--taus", "0.5,nan", "not a finite number"),
+        ("sweep-thresholds", "--taus", ",", "no thresholds given"),
+        ("sweep-thresholds", "--taus", "0.9,0.5", "not sorted ascending"),
+    ]
+
+    @pytest.mark.parametrize("command, flag, value, message", THRESHOLD_ERRORS,
+                             ids=["-".join(case[:3]) for case in THRESHOLD_ERRORS])
     def test_non_finite_threshold_is_usage_error(self, pipeline, tmp_path, capsys,
-                                                 command, flag, value):
+                                                 command, flag, value, message):
+        out = tmp_path / "o"
         common = ["--embeddings", str(pipeline["emb"]), "--checkpoint", str(pipeline["model"]),
-                  "--out", str(tmp_path / "o"), flag, value]
+                  "--out", str(out), flag, value]
         if command != "predict":
             common += ["--corpus", str(pipeline["corpus"]), "--split", str(pipeline["split"])]
         with pytest.raises(SystemExit) as exc:
             main([command, *common])
         assert exc.value.code == 2
-        assert "not a finite number" in capsys.readouterr().err
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--lr", "nan", "not a finite number"),
