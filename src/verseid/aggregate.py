@@ -122,11 +122,9 @@ def sweep_thresholds(labels, confidence, truth, taus: list[float]) -> list[Sweep
 
 
 def sweep_csv(rows: list[SweepRow]) -> str:
-    lines = ["threshold,accuracy,coverage,covered,total"]
-    for r in rows:
-        acc = "NA" if r.accuracy is None else f"{r.accuracy:.6f}"
-        lines.append(f"{r.threshold:g},{acc},{r.coverage:.6f},{r.covered},{r.total}")
-    return "\n".join(lines) + "\n"
+    return csv_text([("threshold", "accuracy", "coverage", "covered", "total")] + [
+        (f"{r.threshold:g}", "NA" if r.accuracy is None else f"{r.accuracy:.6f}",
+         f"{r.coverage:.6f}", r.covered, r.total) for r in rows])
 
 
 def predictions_csv(poem_ids: list[str], votes: dict, poet_names: list[str] | None = None) -> str:

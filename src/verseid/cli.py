@@ -52,7 +52,7 @@ from .model import (
     training_log_csv,
 )
 from .normalize import NormalizationConfig, Vocabulary, build_vocab, normalize_verse
-from .split import SPLIT_NAMES, LeakageError, SplitAssignment, split_records, stratified_poem_split, verify_no_leakage
+from .split import SPLIT_NAMES, LeakageError, SplitAssignment, split_records, stratified_poem_split, valid_ratios, verify_no_leakage
 from .synthetic import SyntheticConfig, make_synthetic_corpus
 
 CORPUS_FILE = "corpus.jsonl"
@@ -131,8 +131,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return value
+
+
 def _parse_floats(text: str) -> list[float]:
     return [_finite_float(x) for x in text.split(",") if x.strip()]
+
+
+def _ratios(text: str) -> list[float]:
+    ratios = _parse_floats(text)
+    if not valid_ratios(ratios):
+        raise argparse.ArgumentTypeError(f"not three positive numbers summing to 1: {text!r}")
+    return ratios
 
 
 def _thresholds(text: str) -> list[float]:
@@ -352,6 +366,7 @@ def cmd_evaluate(args) -> int:
         {
             "corpus": str(args.corpus),
             "split": str(args.split),
+            "embeddings": str(args.embeddings),
             "checkpoint": str(args.checkpoint),
             "split_name": args.split_name,
             "tau": args.tau,
@@ -374,6 +389,7 @@ def cmd_sweep(args) -> int:
         {
             "corpus": str(args.corpus),
             "split": str(args.split),
+            "embeddings": str(args.embeddings),
             "checkpoint": str(args.checkpoint),
             "split_name": args.split_name,
             "taus": args.taus,
@@ -421,6 +437,7 @@ def cmd_predict(args) -> int:
         "predict",
         {
             "input": str(args.input or "-"),
+            "embeddings": str(args.embeddings),
             "checkpoint": str(args.checkpoint),
             "tau": args.tau,
         },
@@ -476,13 +493,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     if p := add("ingest", cmd_ingest, "validate, filter, and summarize a corpus"):
         p.add_argument("--corpus", required=True)
-        p.add_argument("--min-verses", type=int, default=50)
+        p.add_argument("--min-verses", type=_non_negative_int, default=50)
         p.add_argument("--out", required=True)
 
     if p := add("split", cmd_split, "stratified poem-level train/valid/test split"):
         p.add_argument("--corpus", required=True)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--ratios", type=_parse_floats, default="0.8,0.1,0.1")
+        p.add_argument("--seed", type=_non_negative_int, default=0)
+        p.add_argument("--ratios", type=_ratios, default="0.8,0.1,0.1")
         p.add_argument("--out", required=True)
 
     if p := add("train-embeddings", cmd_train_embeddings,
@@ -497,7 +514,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--lr", type=_positive_float, default=0.025)
         p.add_argument("--min-freq", type=_positive_int, default=1)
         p.add_argument("--strip-zwnj", action="store_true")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_non_negative_int, default=0)
 
     if p := add("train", cmd_train, "train the verse classifier"):
         p.add_argument("--corpus", required=True)
@@ -519,7 +536,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--d-ff", type=_positive_int, default=128)
         p.add_argument("--max-len", type=_positive_int, default=64)
         p.add_argument("--features", default="text,semantic,stylometric,form,meter")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_non_negative_int, default=0)
 
     def eval_common(p):
         p.add_argument("--corpus", required=True)
@@ -553,7 +570,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--max-verses", type=_positive_int, default=12)
         p.add_argument("--formulaic-rate", type=_float_in(0.0, 1.0), default=0.25)
         p.add_argument("--contested-rate", type=_float_in(0.0, 1.0), default=0.0)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_non_negative_int, default=0)
 
     return parser
 

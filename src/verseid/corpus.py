@@ -19,7 +19,7 @@ import json
 import math
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 ATTRIBUTION_STATUSES = ("confirmed", "attributed", "disputed", "apocryphal")
@@ -255,21 +255,7 @@ class StatsReport:
     meters_per_poet: dict[str, int]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_poems": self.n_poems,
-                "n_verses": self.n_verses,
-                "n_poets": self.n_poets,
-                "poems_per_poet": self.poems_per_poet,
-                "verses_per_poem": self.verses_per_poem,
-                "form_distribution": self.form_distribution,
-                "meter_distribution": self.meter_distribution,
-                "meters_per_poet": self.meters_per_poet,
-            },
-            ensure_ascii=False,
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), ensure_ascii=False, indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         lines = [

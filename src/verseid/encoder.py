@@ -18,8 +18,11 @@ computed for position 0 alone, and the encoder returns states ``(B, 1, D)``.
 This is exact in the math; the rounding differs from a full-sequence last
 layer.
 
-Every linear map folds the leading axes into one 2-D matrix product, so a
-batch costs one GEMM rather than one per verse.
+Each numerical block is written once: ``softmax``, the scaled dot-product
+``attention_weights`` and the linear map ``_linear_forward``/``_linear_backward``,
+which folds the leading axes into one 2-D matrix product, so a batch costs
+one GEMM rather than one per verse. The layers, the public ``attention`` and
+``ffn``, and the classifier head in ``model.py`` all run these blocks.
 """
 
 from __future__ import annotations
@@ -65,6 +68,11 @@ class EncoderConfig:
 Params = dict[str, np.ndarray]
 
 
+def fan_in_normal(rng: np.random.Generator, shape: tuple[int, int], dtype=np.float32) -> np.ndarray:
+    """A weight matrix drawn zero-mean normal and scaled by 1/sqrt(fan_in)."""
+    return (rng.standard_normal(shape) / np.sqrt(shape[0])).astype(dtype)
+
+
 def init_encoder_params(cfg: EncoderConfig, dtype=np.float32) -> Params:
     """Seeded initialization.
 
@@ -74,25 +82,18 @@ def init_encoder_params(cfg: EncoderConfig, dtype=np.float32) -> Params:
     """
     rng = np.random.default_rng(cfg.seed)
     d, f = cfg.d_model, cfg.d_ff
-
-    def uniform(shape):
-        return rng.uniform(-0.05, 0.05, shape).astype(dtype)
-
-    def fan_in_normal(shape):
-        return (rng.standard_normal(shape) / np.sqrt(shape[0])).astype(dtype)
-
-    params: Params = {"tok_emb": uniform((cfg.vocab_size, d))}
+    params: Params = {"tok_emb": rng.uniform(-0.05, 0.05, (cfg.vocab_size, d)).astype(dtype)}
     for i in range(cfg.n_layers):
         p = f"l{i}."
         for name in ("Wq", "Wk", "Wv", "Wo"):
-            params[p + name] = fan_in_normal((d, d))
+            params[p + name] = fan_in_normal(rng, (d, d), dtype)
         for name in ("bq", "bk", "bv", "bo"):
             params[p + name] = np.zeros(d, dtype=dtype)
         params[p + "ln1_g"] = np.ones(d, dtype=dtype)
         params[p + "ln1_b"] = np.zeros(d, dtype=dtype)
-        params[p + "W1"] = fan_in_normal((d, f))
+        params[p + "W1"] = fan_in_normal(rng, (d, f), dtype)
         params[p + "b1"] = np.zeros(f, dtype=dtype)
-        params[p + "W2"] = fan_in_normal((f, d))
+        params[p + "W2"] = fan_in_normal(rng, (f, d), dtype)
         params[p + "b2"] = np.zeros(d, dtype=dtype)
         params[p + "ln2_g"] = np.ones(d, dtype=dtype)
         params[p + "ln2_b"] = np.zeros(d, dtype=dtype)
@@ -116,25 +117,27 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def attention(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, key_mask: np.ndarray | None = None
-) -> np.ndarray:
-    """Scaled dot-product attention: ``softmax(q k^T / sqrt(d_k)) v``.
+def attention_weights(q: np.ndarray, k: np.ndarray, key_mask: np.ndarray | None = None) -> np.ndarray:
+    """Attention weights ``softmax(q k^T / sqrt(d_k))`` over any leading batch axes.
 
-    Works on any leading batch dimensions; ``key_mask`` (broadcastable to the
-    score matrix's key axis, True = attend) turns masked keys' weights into
-    exact zeros via a large negative score bias.
+    ``key_mask`` (broadcastable to the score matrix, True = attend) adds
+    ``MASK_BIAS`` to masked keys' scores, so their weights are exact zeros.
     """
-    dk = q.shape[-1]
-    scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(np.asarray(dk, dtype=q.dtype))
+    scale = 1.0 / np.sqrt(np.asarray(q.shape[-1], dtype=q.dtype))
+    scores = (q @ np.swapaxes(k, -1, -2)) * scale
     if key_mask is not None:
-        scores = np.where(key_mask, scores, np.asarray(MASK_BIAS, dtype=scores.dtype))
-    return softmax(scores, axis=-1) @ v
+        scores = scores + np.where(key_mask, 0.0, MASK_BIAS).astype(q.dtype)
+    return softmax(scores, axis=-1)
+
+
+def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, key_mask: np.ndarray | None = None) -> np.ndarray:
+    """Scaled dot-product attention: ``softmax(q k^T / sqrt(d_k)) v``."""
+    return attention_weights(q, k, key_mask) @ v
 
 
 def ffn(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray) -> np.ndarray:
     """Position-wise feed-forward: ``relu(x w1 + b1) w2 + b2``."""
-    return np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
+    return _ffn_forward(x, {"W1": w1, "b1": b1, "W2": w2, "b2": b2}, "")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -196,23 +199,19 @@ def _mha_forward(xq, x, params, prefix, n_heads, key_mask):
     k, ck = _linear_forward(x, params[prefix + "Wk"], params[prefix + "bk"])
     v, cv = _linear_forward(x, params[prefix + "Wv"], params[prefix + "bv"])
     qh, kh, vh = (_split_heads(a, n_heads) for a in (q, k, v))
-    scale = 1.0 / np.sqrt(np.asarray(qh.shape[-1], dtype=x.dtype))
-    scores = (qh @ np.swapaxes(kh, -1, -2)) * scale
-    if key_mask is not None:
-        bias = np.where(key_mask, 0.0, MASK_BIAS).astype(x.dtype)
-        scores = scores + bias[:, None, None, :]
-    attn_w = softmax(scores, axis=-1)
+    attn_w = attention_weights(qh, kh, key_mask[:, None, None, :])
     ctx = _merge_heads(attn_w @ vh)
     out, co = _linear_forward(ctx, params[prefix + "Wo"], params[prefix + "bo"])
-    return out, (cq, ck, cv, qh, kh, vh, attn_w, scale, co, n_heads)
+    return out, (cq, ck, cv, qh, kh, vh, attn_w, co, n_heads)
 
 
 def _mha_backward(dout, cache, grads, prefix):
-    cq, ck, cv, qh, kh, vh, attn_w, scale, co, n_heads = cache
+    cq, ck, cv, qh, kh, vh, attn_w, co, n_heads = cache
     dctx, grads[prefix + "Wo"], grads[prefix + "bo"] = _linear_backward(dout, co)
     dctxh = _split_heads(dctx, n_heads)
     dattn = dctxh @ np.swapaxes(vh, -1, -2)
     dvh = np.swapaxes(attn_w, -1, -2) @ dctxh
+    scale = 1.0 / np.sqrt(np.asarray(qh.shape[-1], dtype=qh.dtype))
     dscores = _softmax_backward(dattn, attn_w) * scale
     dqh = dscores @ kh
     dkh = np.swapaxes(dscores, -1, -2) @ qh

@@ -25,14 +25,18 @@ from pathlib import Path
 import numpy as np
 
 from .aggregate import poem_index
-from .corpus import Corpus, NumericalError, PoemRecord, StaleArtifactError, drop_retired, reading
+from .corpus import Corpus, NumericalError, PoemRecord, StaleArtifactError, csv_text, drop_retired, reading
 from .embeddings import EmbeddingMatrix, verse_semantic_vector
 from .encoder import (
     EncoderConfig,
     Params,
+    _linear_backward,
+    _linear_forward,
     encoder_backward,
     encoder_forward,
+    fan_in_normal,
     init_encoder_params,
+    softmax,
 )
 from .features import (
     FEATURE_NAMES,
@@ -101,9 +105,9 @@ def batch_weighted_ce(probs: np.ndarray, y: np.ndarray, w: np.ndarray):
 def init_head_params(d_in: int, hidden: int, n_classes: int, seed: int, dtype=np.float32) -> Params:
     rng = np.random.default_rng(seed)
     return {
-        "W1": (rng.standard_normal((d_in, hidden)) / np.sqrt(d_in)).astype(dtype),
+        "W1": fan_in_normal(rng, (d_in, hidden), dtype),
         "b1": np.zeros(hidden, dtype=dtype),
-        "W2": (rng.standard_normal((hidden, n_classes)) / np.sqrt(hidden)).astype(dtype),
+        "W2": fan_in_normal(rng, (hidden, n_classes), dtype),
         "b2": np.zeros(n_classes, dtype=dtype),
     }
 
@@ -116,34 +120,23 @@ def head_forward(
     rng: np.random.Generator | None = None,
 ):
     """softmax(W2 . dropout(relu(W1 h + b1)) + b2) for a batch of rows."""
-    z1 = h @ params["W1"] + params["b1"]
+    z1, c1 = _linear_forward(h, params["W1"], params["b1"])
     a = np.maximum(z1, 0.0)
+    keep = None
     if train and dropout > 0.0:
         keep = (rng.random(a.shape) >= dropout).astype(a.dtype) / (1.0 - dropout)
-        a_drop = a * keep
-    else:
-        keep = None
-        a_drop = a
-    logits = a_drop @ params["W2"] + params["b2"]
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=-1, keepdims=True)
-    return probs, (h, z1, a_drop, keep, params)
+        a = a * keep
+    logits, c2 = _linear_forward(a, params["W2"], params["b2"])
+    return softmax(logits), (c1, z1, keep, c2)
 
 
 def head_backward(d_logits: np.ndarray, cache) -> tuple[Params, np.ndarray]:
-    h, z1, a_drop, keep, params = cache
-    grads: Params = {
-        "W2": a_drop.T @ d_logits,
-        "b2": d_logits.sum(axis=0),
-    }
-    da = d_logits @ params["W2"].T
+    c1, z1, keep, c2 = cache
+    grads: Params = {}
+    da, grads["W2"], grads["b2"] = _linear_backward(d_logits, c2)
     if keep is not None:
         da = da * keep
-    dz1 = da * (z1 > 0)
-    grads["W1"] = h.T @ dz1
-    grads["b1"] = dz1.sum(axis=0)
-    dh = dz1 @ params["W1"].T
+    dh, grads["W1"], grads["b1"] = _linear_backward(da * (z1 > 0), c1)
     return grads, dh
 
 
@@ -461,11 +454,8 @@ class EpochLog:
 
 
 def training_log_csv(rows: list[EpochLog]) -> str:
-    lines = ["epoch,train_loss,valid_accuracy,lr"]
-    lines += [
-        f"{r.epoch},{r.train_loss:.6f},{r.valid_accuracy:.6f},{r.lr:.8g}" for r in rows
-    ]
-    return "\n".join(lines) + "\n"
+    return csv_text([("epoch", "train_loss", "valid_accuracy", "lr")] + [
+        (r.epoch, f"{r.train_loss:.6f}", f"{r.valid_accuracy:.6f}", f"{r.lr:.8g}") for r in rows])
 
 
 @dataclass

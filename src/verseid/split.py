@@ -22,6 +22,11 @@ DEFAULT_RATIOS = (0.8, 0.1, 0.1)
 CSV_HEADER = ("poem_id", "split", "poet")
 
 
+def valid_ratios(ratios) -> bool:
+    """Whether ``ratios`` are three positive numbers summing to 1."""
+    return len(ratios) == 3 and abs(sum(ratios) - 1.0) <= 1e-9 and min(ratios) > 0
+
+
 class LeakageError(ValueError):
     """Raised when a split assignment lets poems cross split boundaries."""
 
@@ -110,7 +115,7 @@ def stratified_poem_split(
     the overfullest split donates one (also warned, since it bends the exact
     ratios).
     """
-    if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9 or min(ratios) <= 0:
+    if not valid_ratios(ratios):
         raise ValueError(f"ratios must be three positive numbers summing to 1, got {ratios}")
     rng = np.random.default_rng(seed)
 

@@ -91,6 +91,28 @@ class TestArtifacts:
             cfg = json.loads((pipeline[stage] / "config.json").read_text())
             assert "command" in cfg and "version" in cfg
 
+    def test_every_config_names_each_input_path(self, pipeline, tmp_path):
+        pred = tmp_path / "predict"
+        assert main(["predict", "--input", str(pipeline["raw"]),
+                     "--embeddings", str(pipeline["emb"]),
+                     "--checkpoint", str(pipeline["model"]), "--out", str(pred)]) == 0
+        pipeline = {**pipeline, "predict": pred}
+        split_inputs = {"corpus": "corpus", "split": "split"}
+        eval_inputs = {**split_inputs, "embeddings": "emb", "checkpoint": "model"}
+        given = {
+            "corpus": {"corpus": "raw"},
+            "split": {"corpus": "corpus"},
+            "emb": split_inputs,
+            "model": {**split_inputs, "embeddings": "emb"},
+            "eval": eval_inputs,
+            "sweep": eval_inputs,
+            "predict": {"input": "raw", "embeddings": "emb", "checkpoint": "model"},
+        }
+        for stage, inputs in given.items():
+            cfg = json.loads((pipeline[stage] / "config.json").read_text())
+            for key, name in inputs.items():
+                assert cfg[key] == str(pipeline[name]), (stage, key)
+
     def test_ingest_outputs(self, pipeline):
         assert (pipeline["corpus"] / "corpus.jsonl").exists()
         stats = json.loads((pipeline["corpus"] / "stats.json").read_text())
@@ -395,10 +417,10 @@ class TestParser:
 
 class TestExitCodes:
     def test_bad_ratios_is_usage_error(self, pipeline, tmp_path, capsys):
-        code, captured = run(["split", "--corpus", str(pipeline["corpus"]),
-                              "--ratios", "0.9,0.2,0.1", "--out", str(tmp_path / "s")], capsys)
-        assert code == 2
-        assert "ratios" in captured.err
+        # Rejected by the parser, which exits rather than returning a code.
+        assert exit_code(["split", "--corpus", str(pipeline["corpus"]),
+                          "--ratios", "0.9,0.2,0.1", "--out", str(tmp_path / "s")]) == 2
+        assert "--ratios" in capsys.readouterr().err
 
     def test_missing_corpus_is_usage_error(self, tmp_path):
         assert main(["ingest", "--corpus", str(tmp_path / "nope.jsonl"),
@@ -792,6 +814,7 @@ class TestExitCodes:
         ("--negatives", "-1", "not a positive integer"),
         ("--epochs", "0", "not a positive integer"),
         ("--min-freq", "0", "not a positive integer"),
+        ("--seed", "-1", "not a non-negative integer"),
     ])
     def test_unusable_embedding_setting_is_usage_error(self, pipeline, tmp_path, capsys,
                                                        flag, value, message):
@@ -822,6 +845,7 @@ class TestExitCodes:
         ("--max-len", "0", "not a positive integer"),
         ("--features", "", "no features given"),
         ("--features", " , ", "no features given"),
+        ("--seed", "-1", "not a non-negative integer"),
     ])
     def test_unusable_train_setting_is_usage_error(self, pipeline, tmp_path, capsys,
                                                    flag, value, message):
@@ -844,10 +868,27 @@ class TestExitCodes:
         (["--contested-rate", "-0.1"], "--contested-rate: not in [0, 1]"),
         (["--min-verses", "5", "--max-verses", "3"],
          "--min-verses 5 is greater than --max-verses 3"),
+        (["--seed", "-1"], "--seed: not a non-negative integer"),
     ])
     def test_unusable_synthetic_setting_is_usage_error(self, tmp_path, capsys, flags, message):
         out = tmp_path / "raw.jsonl"
         assert exit_code(["make-synthetic", "--out", str(out), *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["split", "--seed", "-1"], "--seed: not a non-negative integer: '-1'"),
+        (["split", "--ratios", "0.5,0.5"],
+         "--ratios: not three positive numbers summing to 1: '0.5,0.5'"),
+        (["split", "--ratios", "0.9,0.2,-0.1"],
+         "--ratios: not three positive numbers summing to 1: '0.9,0.2,-0.1'"),
+        (["ingest", "--min-verses", "-4"], "--min-verses: not a non-negative integer: '-4'"),
+    ])
+    def test_unusable_corpus_setting_is_rejected_before_loading(self, tmp_path, capsys,
+                                                                 argv, message):
+        # The corpus does not exist: the flag check comes first.
+        out = tmp_path / "o"
+        assert exit_code([*argv, "--corpus", str(tmp_path / "none"), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 from verseid import encoder
 from verseid.encoder import (
     LN_EPS,
+    MASK_BIAS,
     EncoderConfig,
     attention,
+    attention_weights,
     encoder_backward,
     encoder_forward,
     ffn,
@@ -70,6 +72,21 @@ class TestAttentionOp:
         out = attention(q, k, v, key_mask=mask)
         expected = attention(q[:, :], k[:2], v[:2], key_mask=None)
         np.testing.assert_allclose(out, expected, atol=1e-12)
+
+    def test_batched_float32_bits_match_explicit_formula(self, rng):
+        # The encoder's per-head weights, (B, H, T, T) with a (B, 1, 1, T)
+        # key mask, to the bit of the explicit scaled, biased softmax.
+        q, k = (rng.normal(size=(3, 2, 5, 8)).astype(np.float32) for _ in range(2))
+        mask = np.ones((3, 5), dtype=bool)
+        mask[0, 3:] = mask[2, 1:] = False
+        got = attention_weights(q, k, mask[:, None, None, :])
+        scale = 1.0 / np.sqrt(np.float32(8))
+        bias = np.where(mask, 0.0, MASK_BIAS).astype(np.float32)
+        scores = (q @ np.swapaxes(k, -1, -2)) * scale + bias[:, None, None, :]
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, e / e.sum(axis=-1, keepdims=True))
+        assert (got[0, :, :, 3:] == 0).all() and (got[2, :, :, 0] == 1).all()
 
 
 class TestFFNOp:

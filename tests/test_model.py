@@ -183,6 +183,33 @@ class TestHead:
                 fd = (lp - lm) / (2 * eps)
                 assert gflat[i] == pytest.approx(fd, abs=1e-6), name
 
+    @pytest.mark.parametrize("train", [False, True])
+    def test_float32_bits_match_explicit_formulas(self, rng, train):
+        # The head runs the encoder's linear map and softmax; in float32 its
+        # results must be the explicit formulas' to the bit, dropout included.
+        params = init_head_params(12, 16, 5, seed=5)
+        h = rng.normal(size=(9, 12)).astype(np.float32)
+        d_logits = rng.normal(size=(9, 5)).astype(np.float32)
+        probs, cache = head_forward(h, params, 0.3, train, np.random.default_rng(1))
+        grads, dh = head_backward(d_logits, cache)
+
+        a = np.maximum(h @ params["W1"] + params["b1"], 0.0)
+        keep = None
+        if train:
+            keep = (np.random.default_rng(1).random(a.shape) >= 0.3).astype(np.float32) / 0.7
+            a = a * keep
+        logits = a @ params["W2"] + params["b2"]
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        np.testing.assert_array_equal(probs, e / e.sum(axis=-1, keepdims=True))
+        np.testing.assert_array_equal(grads["W2"], a.T @ d_logits)
+        np.testing.assert_array_equal(grads["b2"], d_logits.sum(axis=0))
+        da = d_logits @ params["W2"].T
+        dz1 = (da if keep is None else da * keep) * (h @ params["W1"] + params["b1"] > 0)
+        np.testing.assert_array_equal(grads["W1"], h.T @ dz1)
+        np.testing.assert_array_equal(grads["b1"], dz1.sum(axis=0))
+        np.testing.assert_array_equal(dh, dz1 @ params["W1"].T)
+        assert probs.dtype == dh.dtype == np.float32
+
 
 class TestOptimizerAndSchedule:
     def test_adamw_single_step_hand_computed(self):
