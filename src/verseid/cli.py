@@ -139,7 +139,15 @@ def _non_negative_int(text: str) -> int:
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [_finite_float(x) for x in text.split(",") if x.strip()]
+    """The comma-separated finite numbers of ``text``; an empty item among
+    them is a usage error, and a list of empty items is the empty list."""
+    items = text.split(",")
+    filled = [bool(x.strip()) for x in items]
+    if not any(filled):
+        return []
+    if not all(filled):
+        raise argparse.ArgumentTypeError(f"empty item in list: {text!r}")
+    return [_finite_float(x) for x in items]
 
 
 def _ratios(text: str) -> list[float]:
@@ -423,9 +431,10 @@ def cmd_predict(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     rows = [["poem_id", "verse_index", "label", "confidence", *(f"p_{p}" for p in poet_names)]]
-    for pid, vi, row in zip(ds.poem_ids, ds.verse_indices, probs):
-        top = int(row.argmax())
-        rows.append([pid, vi, poet_names[top], f"{row[top]:.6f}", *(f"{x:.6f}" for x in row)])
+    for pid, vi, top, row in zip(ds.poem_ids, ds.verse_indices, probs.argmax(axis=1).tolist(),
+                                 probs.tolist()):
+        cells = [f"{x:.6f}" for x in row]
+        rows.append([pid, vi, poet_names[top], cells[top], *cells])
     (out / "verse_predictions.csv").write_text(csv_text(rows), encoding="utf-8")
 
     poem_ids, poem_of = poem_index(ds.poem_ids)

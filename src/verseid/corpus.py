@@ -211,8 +211,14 @@ def csv_text(rows: Iterable[Sequence]) -> str:
     unquoted, and a reader would end the row there; a row holding one in a
     string field is quoted whole.
     """
+    rows = list(rows)
     buf = io.StringIO()
     plain = csv.writer(buf, lineterminator="\n")
+    plain.writerows(rows)
+    if "\r" not in buf.getvalue():  # no field holds one: the common case
+        return buf.getvalue()
+    buf.seek(0)
+    buf.truncate()
     quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
     for row in rows:
         (quoted if any(isinstance(f, str) and "\r" in f for f in row) else plain).writerow(row)

@@ -15,6 +15,11 @@ several times faster. ``w_in`` gets one gradient row per pair, where a GEMM
 gains nothing, so it keeps a 1-D ``np.add.at`` over element indices
 (``row * dim + column``), which adds in order of occurrence and so matches a
 row-wise ``np.add.at`` bit for bit.
+
+A verse's semantic vector is the mean ``w_in`` row of its non-reserved ids.
+:func:`semantic_vectors` computes it for every row of a padded id matrix,
+adding one column at a time so that each verse sums its tokens in token
+order; :func:`verse_semantic_vector` is its one-verse call.
 """
 
 from __future__ import annotations
@@ -228,9 +233,36 @@ def train_sgns(
     return EmbeddingMatrix(w_in, w_out, cfg), losses
 
 
+# Vector elements gathered at once (1 MiB of float32), whatever the batch.
+_SEMANTIC_BLOCK = 1 << 18
+
+
+def semantic_vectors(ids: np.ndarray, emb: EmbeddingMatrix) -> np.ndarray:
+    """Mean input vector of the non-reserved ids of each row of the padded
+    (n, T) id matrix ``ids``, as float32 rows (zeros for a row with none).
+
+    Each block of rows gathers its (rows, T, dim) vectors, with zeros for
+    reserved ids, and adds them one column at a time, so each row sums its
+    tokens in token order, as a row-wise ``mean`` over its gathered vectors
+    does. A zero changes no sum: the sums start at +0.0, and a sum is -0.0
+    only if both its terms are.
+    """
+    n, width = ids.shape
+    out = np.zeros((n, emb.dim), dtype=np.float32)
+    step = max(1, _SEMANTIC_BLOCK // max(1, width * emb.dim))
+    for start in range(0, n, step):
+        block = ids[start : start + step]
+        vectors = emb.w_in[block]
+        vectors[block < N_RESERVED] = 0.0
+        sums = out[start : start + step]  # a view
+        for col in range(width):
+            sums += vectors[:, col]
+    # A row with no such ids is zeros, and zeros over 1 stay zeros.
+    out /= np.maximum(np.count_nonzero(ids >= N_RESERVED, axis=1), 1)[:, None].astype(np.float32)
+    return out
+
+
 def verse_semantic_vector(token_ids, emb: EmbeddingMatrix) -> np.ndarray:
-    """Mean input vector of the verse's non-reserved tokens (zeros if none)."""
-    ids = [t for t in token_ids if t >= N_RESERVED]
-    if not ids:
-        return np.zeros(emb.dim, dtype=np.float32)
-    return emb.w_in[ids].mean(axis=0)
+    """Mean input vector of the verse's non-reserved tokens (zeros if none);
+    the one-verse call of :func:`semantic_vectors`."""
+    return semantic_vectors(np.asarray(token_ids, dtype=np.int64).reshape(1, -1), emb)[0]

@@ -161,11 +161,16 @@ def _linear_backward(dy, cache):
     return dx, dw, db
 
 
+def _mean_last(x):
+    """``x.mean(axis=-1, keepdims=True)``, bit for bit, without the wrapper:
+    the same sum, divided by the count."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 def _layernorm_forward(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
+    xc = x - _mean_last(x)
+    inv = 1.0 / np.sqrt(_mean_last(xc * xc) + LN_EPS)
+    xhat = xc * inv
     return g * xhat + b, (xhat, inv, g)
 
 
@@ -174,9 +179,7 @@ def _layernorm_backward(dy, cache):
     dg = (dy * xhat).reshape(-1, dy.shape[-1]).sum(axis=0)
     db = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
     dxhat = dy * g
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - m1 - xhat * m2)
+    dx = inv * (dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat))
     return dx, dg, db
 
 

@@ -3,7 +3,9 @@
 Stylometrics are computed from a verse's normalized hemistich tokens, so the
 same verse written with Arabic or Persian letter variants yields identical
 features; the caller normalizes each verse once and passes the tokens in.
-The one-hot encoders take a whole dataset's labels and return one block.
+:func:`stylometric_rows` computes every verse of a ``TokenTable`` in array
+passes, and :func:`stylometric_features` is its one-verse call. The one-hot
+encoders take a whole dataset's labels and return one block.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus
+from .normalize import TokenTable
 
 FEATURE_NAMES = (
     "word_count",
@@ -38,31 +41,46 @@ def _is_punct(ch: str) -> bool:
     return ch in PERSIAN_PUNCTUATION or unicodedata.category(ch).startswith("P")
 
 
+def stylometric_rows(table: TokenTable) -> np.ndarray:
+    """The seven surface features of every verse of ``table``, one float64
+    row per verse in ``FEATURE_NAMES`` order.
+
+    Each feature is an integer count over an integer count, divided in
+    float64; a ratio whose denominator is 0 is 0.0. Character and
+    punctuation counts are taken once per distinct token. A verse's
+    characters are its non-whitespace ones: ``str.split()`` and
+    ``str.isspace()`` agree on what whitespace is, so no character is lost
+    between the tokens.
+    """
+    n_verses = len(table.first)
+    n = table.n_tokens
+
+    def per_verse(per_type: list[int]) -> np.ndarray:
+        """Exact integer sums, in float64, of a per-token count over each verse."""
+        weights = np.asarray(per_type, dtype=np.float64)[table.local]
+        return np.bincount(table.verse_of, weights, minlength=n_verses)
+
+    chars = per_verse([len(t) for t in table.types])
+    punct = per_verse([sum(map(_is_punct, t)) for t in table.types])
+    # One key per (verse, distinct token) and how often that token occurs in it.
+    width = max(1, len(table.types))
+    keys, occurrences = np.unique(table.verse_of * width + table.local, return_counts=True)
+    rows = np.empty((n_verses, len(FEATURE_NAMES)))
+    rows[:, 0] = n
+    rows[:, 1] = np.bincount(keys // width, minlength=n_verses)
+    rows[:, 2] = chars / np.maximum(n, 1)
+    rows[:, 3] = np.bincount(keys[occurrences == 1] // width, minlength=n_verses) / np.maximum(n, 1)
+    rows[:, 4] = n / 2.0
+    rows[:, 5] = punct / np.maximum(chars, 1)
+    rows[:, 6] = table.first / np.maximum(table.second, 1)
+    return rows
+
+
 def stylometric_features(t1: list[str], t2: list[str]) -> tuple[float, ...]:
     """The seven surface features of one verse, in ``FEATURE_NAMES`` order,
-    from the whitespace tokens of its two normalized hemistichs."""
-    tokens = t1 + t2
-    n = len(tokens)
-
-    counts: dict[str, int] = {}
-    for t in tokens:
-        counts[t] = counts.get(t, 0) + 1
-    hapaxes = sum(1 for c in counts.values() if c == 1)
-
-    # The non-whitespace characters: str.split() and str.isspace() agree on
-    # what whitespace is, so no character is lost between the tokens.
-    chars = "".join(tokens)
-    punct = sum(map(_is_punct, chars))
-
-    return (
-        float(n),
-        float(len(counts)),
-        (sum(len(t) for t in tokens) / n) if n else 0.0,
-        (hapaxes / n) if n else 0.0,
-        (len(t1) + len(t2)) / 2.0,
-        (punct / len(chars)) if chars else 0.0,
-        len(t1) / max(1, len(t2)),
-    )
+    from the whitespace tokens of its two normalized hemistichs; the
+    one-verse call of :func:`stylometric_rows`."""
+    return tuple(stylometric_rows(TokenTable.of([(t1, t2)]))[0].tolist())
 
 
 @dataclass

@@ -8,8 +8,10 @@ decay, global-norm gradient clipping, class-weighted cross-entropy, and
 early stopping on validation verse accuracy.
 
 :func:`build_dataset` (and :meth:`FeatureSpace.fit`, for the train split)
-normalizes each verse once, then fills the non-text inputs of the whole
-dataset into one preallocated float32 array, one block at a time.
+normalizes each verse once into one ``TokenTable``, builds the encoder ids,
+stylometrics and semantic vectors of every verse from it in array passes
+(bit for bit the per-verse formulas), then fills the non-text inputs of the
+whole dataset into one preallocated float32 array, one block at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .aggregate import poem_index
 from .corpus import Corpus, NumericalError, PoemRecord, StaleArtifactError, csv_text, drop_retired, reading
-from .embeddings import EmbeddingMatrix, verse_semantic_vector
+from .embeddings import EmbeddingMatrix, semantic_vectors
 from .encoder import (
     EncoderConfig,
     Params,
@@ -45,9 +47,9 @@ from .features import (
     build_meter_classes,
     one_hot_form,
     one_hot_meter,
-    stylometric_features,
+    stylometric_rows,
 )
-from .normalize import Vocabulary, normalize_verse, tokenize_verse
+from .normalize import PAD_ID, TokenTable, Vocabulary, encoder_ids, normalize_verse
 from .split import LeakageError
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -272,11 +274,11 @@ class FeatureSpace:
         """Fit the scaler (on every train verse, empty ones included) and the
         meter map; returns the space and ``build_dataset(train_records, space)``,
         both from one normalization pass."""
-        token_ids, stylo, verses = _scan(train_records, vocab, max_len)
+        ids, stylo, verses = _scan(train_records, vocab, max_len)
         meter_map = build_meter_classes(Corpus(list(train_records)))
         space = cls(vocab, embeddings, Scaler().fit(stylo), meter_map, form_index, poet_index,
                     fusion, max_len)
-        return space, _dataset(token_ids, stylo, verses, space)
+        return space, _dataset(ids, stylo, verses, space)
 
     @property
     def n_classes(self) -> int:
@@ -331,29 +333,21 @@ class FeatureDataset:
 
 
 def _scan(records: list[PoemRecord], vocab: Vocabulary, max_len: int):
-    """Normalize each verse once (its tokens live only inside the loop).
+    """Normalize each verse once into one :class:`TokenTable`.
 
-    Returns the token ids of each verse with tokens, the ``(n_verses, 7)``
-    stylometric rows of every verse, empty ones included, and a
-    ``(record, verse index, stylometric row)`` triple per token id tuple.
+    Returns the encoder id matrix of the verses with tokens, the
+    ``(n_verses, 7)`` stylometric rows of every verse, empty ones included,
+    and a ``(record, verse index, stylometric row)`` triple per id row.
     """
-    stylo = np.empty((sum(r.n_verses for r in records), len(FEATURE_NAMES)))
-    token_ids: list[tuple[int, ...]] = []
-    verses: list[tuple[PoemRecord, int, int]] = []
-    row = 0
-    for r in records:
-        for vi, verse in enumerate(r.verses):
-            t1, t2 = normalize_verse(verse, vocab.config)
-            stylo[row] = stylometric_features(t1, t2)
-            if t1 or t2:
-                token_ids.append(tokenize_verse(t1 + t2, vocab, max_len))
-                verses.append((r, vi, row))
-            row += 1
-    return token_ids, stylo, verses
+    table = TokenTable.of(normalize_verse(v, vocab.config) for r in records for v in r.verses)
+    kept = np.flatnonzero(table.n_tokens)
+    everywhere = [(r, vi) for r in records for vi in range(r.n_verses)]
+    verses = [(*everywhere[row], row) for row in kept.tolist()]
+    return encoder_ids(table, vocab, max_len)[kept], stylometric_rows(table), verses
 
 
 def _dataset(
-    token_ids: list[tuple[int, ...]],
+    ids: np.ndarray,
     stylo: np.ndarray,
     verses: list[tuple[PoemRecord, int, int]],
     space: FeatureSpace,
@@ -369,8 +363,7 @@ def _dataset(
     col = 0
     if fusion.use_semantic:
         col = space.embeddings.dim
-        for row, ids in zip(aux, token_ids):
-            row[:col] = verse_semantic_vector(ids, space.embeddings)
+        aux[:, :col] = semantic_vectors(ids, space.embeddings)
     if fusion.use_stylometric:
         rows = [i for _, _, i in verses]
         aux[:, col : col + len(FEATURE_NAMES)] = space.scaler.transform(stylo[rows])
@@ -383,9 +376,17 @@ def _dataset(
         aux[:, col:] = one_hot_meter([r.meter for r in records], space.meter_map)
     labels = np.asarray([space.poet_index.get(r.poet, -1) for r in records], dtype=np.int64)
     return FeatureDataset(
-        token_ids, aux, labels, [r.poem_id for r in records], [vi for _, vi, _ in verses],
+        _token_tuples(ids), aux, labels, [r.poem_id for r in records], [vi for _, vi, _ in verses],
         space.n_classes,
     )
+
+
+def _token_tuples(ids: np.ndarray) -> list[tuple[int, ...]]:
+    """Each row of a padded id matrix without its padding."""
+    real = ids != PAD_ID
+    ends = np.cumsum(np.count_nonzero(real, axis=1)).tolist()
+    flat = ids[real].tolist()
+    return [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 def build_dataset(records: list[PoemRecord], space: FeatureSpace) -> FeatureDataset:

@@ -6,6 +6,13 @@ authorial. Normalization maps letter variants to their Persian forms, strips
 diacritics and decoration, and canonicalizes whitespace so that downstream
 token counts compare like with like. Stripping the zero-width non-joiner is
 its one option.
+
+Featurization reads many verses at once through a :class:`TokenTable`, which
+holds every token of them in one flat array of per-call type ids, so that the
+work done per token string (the vocabulary lookup here, and the stylometric
+counts in ``features``) runs once per distinct token. :func:`encoder_ids`
+turns a table into the encoder's padded id matrix, and :func:`tokenize_verse`
+is its one-verse call.
 """
 
 from __future__ import annotations
@@ -13,9 +20,13 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from array import array
+from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .corpus import Verse, drop_retired, reading
 
@@ -177,14 +188,75 @@ def build_vocab(
     return Vocabulary(token_to_id, cfg)
 
 
+@dataclass(frozen=True)
+class TokenTable:
+    """The whitespace tokens of many verses, each verse's two hemistichs in
+    reading order, as one flat array.
+
+    ``types`` lists each distinct token once, in order of first occurrence,
+    and ``local[k]`` is the index in ``types`` of the ``k``-th token;
+    ``verse_of[k]`` is the verse it belongs to. ``first[i]`` and ``second[i]``
+    count the tokens of verse ``i``'s two hemistichs.
+    """
+
+    types: list[str]
+    local: np.ndarray
+    verse_of: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+
+    @classmethod
+    def of(cls, verses: Iterable[tuple[list[str], list[str]]]) -> "TokenTable":
+        """The table of each verse's ``(hemistich 1, hemistich 2)`` tokens.
+
+        ``verses`` may be a generator: each verse's strings are dropped once
+        its ids are recorded, so only the distinct tokens stay in memory.
+        """
+        # A missing token gets the next id: the factory runs before the insert.
+        index: defaultdict[str, int] = defaultdict()
+        index.default_factory = index.__len__
+        local, first, second = array("q"), array("q"), array("q")
+        for t1, t2 in verses:
+            local.extend(map(index.__getitem__, t1))
+            local.extend(map(index.__getitem__, t2))
+            first.append(len(t1))
+            second.append(len(t2))
+        first, second = np.frombuffer(first, np.int64), np.frombuffer(second, np.int64)
+        verse_of = np.repeat(np.arange(len(first)), first + second)
+        return cls(list(index), np.frombuffer(local, np.int64), verse_of, first, second)
+
+    @property
+    def n_tokens(self) -> np.ndarray:
+        """The token count of each verse."""
+        return self.first + self.second
+
+
+def encoder_ids(table: TokenTable, vocab: Vocabulary, max_len: int = 64) -> np.ndarray:
+    """Encoder input ids of every verse of ``table``: ``[CLS] + tokens``,
+    truncated to ``max_len``, as rows of one matrix padded with ``PAD_ID``.
+
+    A verse with no tokens gets the row ``[CLS]``; the matrix is as wide as
+    its longest row.
+    """
+    n = table.n_tokens
+    # The column of each token: one past its position in its verse.
+    col = np.arange(1, len(table.local) + 1) - (np.cumsum(n) - n)[table.verse_of]
+    keep = col < max_len
+    type_ids = np.fromiter(map(vocab.id_of, table.types), np.int64, len(table.types))
+    ids = np.zeros((len(n), min(max_len, int(n.max(initial=0)) + 1)), np.int64)
+    ids[:, 0] = CLS_ID
+    ids[table.verse_of[keep], col[keep]] = type_ids[table.local[keep]]
+    return ids
+
+
 def tokenize_verse(tokens: list[str], vocab: Vocabulary, max_len: int = 64) -> tuple[int, ...]:
     """Encoder input ids for a verse's normalized tokens (both hemistichs in
-    reading order): ``[CLS] + tokens``, truncated to ``max_len``.
+    reading order): ``[CLS] + tokens``, truncated to ``max_len``; the
+    one-verse call of :func:`encoder_ids`.
 
     Raises:
         ValueError: if the verse has no tokens after normalization.
     """
     if not tokens:
         raise ValueError("empty verse: no tokens after normalization")
-    ids = [CLS_ID] + [vocab.id_of(t) for t in tokens]
-    return tuple(ids[:max_len])
+    return tuple(encoder_ids(TokenTable.of([(tokens, [])]), vocab, max_len)[0].tolist())

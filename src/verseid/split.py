@@ -66,8 +66,11 @@ class SplitAssignment:
     @classmethod
     def load(cls, csv_path: str | Path, meta_path: str | Path) -> "SplitAssignment":
         """Read the files written by :meth:`save`; a missing or damaged one,
-        or metadata with a key :meth:`save` does not write, raises
-        StaleArtifactError naming the file and the line or key."""
+        or metadata with a key :meth:`save` does not write or a value it
+        cannot have written (a seed that is not a non-negative integer,
+        ratios that ``valid_ratios`` rejects, warnings that are not a list
+        of strings), raises StaleArtifactError naming the file and the line
+        or key."""
         with reading(csv_path, "split assignment"), open(csv_path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             if next(reader, None) != list(CSV_HEADER):
@@ -85,8 +88,23 @@ class SplitAssignment:
             unknown = sorted(set(meta) - {"seed", "ratios", "warnings"})
             if unknown:
                 raise ValueError(f"split metadata has unknown key {unknown[0]!r}")
-            return cls(rows, seed=int(meta["seed"]), ratios=tuple(meta["ratios"]),
-                       warnings=list(meta.get("warnings", [])))
+            seed, ratios, notes = meta["seed"], meta["ratios"], meta.get("warnings", [])
+            for key, ok in (
+                ("seed", _is_int(seed) and seed >= 0),
+                ("ratios", isinstance(ratios, list)
+                 and all(isinstance(r, float) or _is_int(r) for r in ratios)
+                 and valid_ratios(ratios)),
+                ("warnings", isinstance(notes, list) and all(isinstance(w, str) for w in notes)),
+            ):
+                if not ok:
+                    raise ValueError(f"split metadata key {key!r} has an invalid value "
+                                     f"{meta[key]!r}")
+            return cls(rows, seed=seed, ratios=tuple(ratios), warnings=notes)
+
+
+def _is_int(x) -> bool:
+    """Whether ``x`` is an int but not a bool (JSON ``true`` loads as one)."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _largest_remainder(n: int, ratios: tuple[float, ...]) -> list[int]:

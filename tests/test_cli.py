@@ -327,6 +327,41 @@ class TestPredict:
         # three strategies x two poems
         assert len(poem_lines) == 7
 
+    def test_verse_csv_cells_at_rounding_ties(self, pipeline, tmp_path, monkeypatch):
+        # j/128 for odd j ends in 5 at the seventh decimal: a tie at six
+        # decimals, in float32 exactly. Its float32 neighbours are not ties.
+        ties = np.float32([1, 3, 5, 127, 129]) / np.float32(128)
+        # The float32 nearest to a decimal tie is off it, but prints as it,
+        # so rounding its shortest repr, or np.round, picks the wrong side.
+        near = np.float32([0.2697865, 0.0409735, 0.6369615, 0.8506245])
+        values = np.concatenate([ties, np.nextafter(ties, np.float32(0)),
+                                 np.nextafter(ties, np.float32(2)), near])
+        seen = {}
+
+        def fake_predict_proba(ds, bundle):
+            seen["ds"], seen["names"] = ds, bundle.space.poet_names
+            seen["probs"] = np.resize(values, (len(ds), bundle.space.n_classes))
+            return seen["probs"]
+
+        monkeypatch.setattr("verseid.cli.predict_proba", fake_predict_proba)
+        poems = tmp_path / "poems.jsonl"
+        # As many verses as values, so each value fills at least one cell.
+        record = {"poem_id": "ties", "verses": [["گل و بلبل", "در باغ"]] * len(values)}
+        poems.write_text(self.poems_jsonl() + json.dumps(record) + "\n", encoding="utf-8")
+        out = tmp_path / "pred"
+        assert main(["predict", "--input", str(poems), "--embeddings", str(pipeline["emb"]),
+                     "--checkpoint", str(pipeline["model"]), "--out", str(out)]) == 0
+        ds, names = seen["ds"], seen["names"]
+        # Each float32 formatted on its own, as the rows once were.
+        expected = ["poem_id,verse_index,label,confidence," + ",".join(f"p_{p}" for p in names)]
+        for pid, vi, row in zip(ds.poem_ids, ds.verse_indices, seen["probs"]):
+            top = int(row.argmax())
+            expected.append(",".join([pid, str(vi), names[top], f"{row[top]:.6f}",
+                                      *(f"{x:.6f}" for x in row)]))
+        text = (out / "verse_predictions.csv").read_text(encoding="utf-8")
+        assert text.splitlines() == expected
+        assert "0.007812" in text and "0.023438" in text  # ties round to even
+
     def test_predict_csv_quotes_poem_ids(self, pipeline, tmp_path):
         # A bare "\r" is quoted as well as "," and '"': a reader ends a row there.
         for i, poem_id in enumerate(['a,b "c"', "a\rb"]):
@@ -727,6 +762,28 @@ class TestExitCodes:
         assert str(damaged) in captured.err
         assert where in captured.err
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 7.9), ("seed", "7"), ("seed", -1), ("seed", True), ("seed", None),
+        ("ratios", [0.5, 0.5]), ("ratios", [0.8, 0.2, 0.1]), ("ratios", [0.8, 0.1, "0.1"]),
+        ("ratios", "0.8,0.1,0.1"), ("ratios", [1, 0, 0]),
+        ("warnings", "none"), ("warnings", ["ok", 3]), ("warnings", {}),
+    ])
+    def test_invalid_split_metadata_value_is_artifact_error(self, pipeline, tmp_path, capsys,
+                                                            key, value):
+        split = tmp_path / "split"
+        shutil.copytree(pipeline["split"], split)
+        damaged = split / "split_meta.json"
+        meta = json.loads(damaged.read_text(encoding="utf-8"))
+        meta[key] = value
+        damaged.write_text(json.dumps(meta), encoding="utf-8")
+        code, captured = run(["evaluate", "--corpus", str(pipeline["corpus"]),
+                              "--split", str(split), "--embeddings", str(pipeline["emb"]),
+                              "--checkpoint", str(pipeline["model"]),
+                              "--out", str(tmp_path / "e")], capsys)
+        assert code == 3
+        assert str(damaged) in captured.err
+        assert f"key {key!r}" in captured.err
+
     @pytest.mark.parametrize("damage, where", [
         ("no header", "line 1"),
         ("junk line", "line 6"),
@@ -890,6 +947,23 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert exit_code([*argv, "--corpus", str(tmp_path / "none"), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("split", "--ratios", "0.8,,0.1,0.1"),
+        ("split", "--ratios", ",0.8,0.1,0.1"),
+        ("sweep-thresholds", "--taus", "0.5,,0.9,"),
+        ("sweep-thresholds", "--taus", "0.5, ,0.9"),
+    ])
+    def test_empty_list_item_is_rejected_before_loading(self, tmp_path, capsys,
+                                                        command, flag, value):
+        # No input exists: the flag check comes first.
+        none, out = str(tmp_path / "none"), tmp_path / "o"
+        argv = [command, "--corpus", none, "--out", str(out), flag, value]
+        if command == "sweep-thresholds":
+            argv += ["--split", none, "--embeddings", none, "--checkpoint", none]
+        assert exit_code(argv) == 2
+        assert f"{flag}: empty item in list: {value!r}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "sweep-thresholds", "predict"])

@@ -173,6 +173,36 @@ def _layer_norm(x, g, b):
     return g * (x - mu) / np.sqrt(var + LN_EPS) + b
 
 
+class TestLayerNorm:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(3, 5, 8), (4, 1, 64), (7, 3)])
+    def test_bits_match_explicit_formula(self, rng, dtype, shape):
+        # Forward and backward, to the bit of the formula written with
+        # ``mean`` and a second ``x - mu``, in the dtype training runs in.
+        x = (rng.normal(size=shape) * 3 + 1).astype(dtype)
+        g, b = (rng.normal(size=shape[-1]).astype(dtype) for _ in range(2))
+        dy = rng.normal(size=shape).astype(dtype)
+        y, cache = encoder._layernorm_forward(x, g, b)
+        dx, dg, db = encoder._layernorm_backward(dy, cache)
+
+        mu = x.mean(axis=-1, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + LN_EPS)
+        xhat = (x - mu) * inv
+        dxhat = dy * g
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        expected = {
+            "y": g * xhat + b,
+            "dx": inv * (dxhat - m1 - xhat * m2),
+            "dg": (dy * xhat).reshape(-1, shape[-1]).sum(axis=0),
+            "db": dy.reshape(-1, shape[-1]).sum(axis=0),
+        }
+        for name, got in {"y": y, "dx": dx, "dg": dg, "db": db}.items():
+            assert got.dtype == dtype, name
+            assert got.tobytes() == expected[name].tobytes(), name
+
+
 def full_sequence_states(ids, params, cfg):
     """Brute-force post-norm stack over every position of every verse, one verse at a time."""
     pe = sinusoidal_positions(cfg.max_len, cfg.d_model, np.float64)

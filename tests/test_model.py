@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,10 +11,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verseid.cli import main
-from verseid.corpus import save_corpus
-from verseid.embeddings import EmbeddingConfig, train_sgns, verse_semantic_vector
+from verseid.corpus import Corpus, save_corpus
+from verseid.embeddings import (
+    EmbeddingConfig,
+    EmbeddingMatrix,
+    semantic_vectors,
+    train_sgns,
+    verse_semantic_vector,
+)
 from verseid.encoder import EncoderConfig, init_encoder_params
-from verseid.features import one_hot_form, one_hot_meter, stylometric_features
+from verseid.features import (
+    Scaler,
+    _is_punct,
+    build_meter_classes,
+    one_hot_form,
+    one_hot_meter,
+    stylometric_features,
+)
 from verseid.model import (
     AdamW,
     FeatureSpace,
@@ -38,8 +53,16 @@ from verseid.model import (
     training_log_csv,
     weighted_cross_entropy,
     _checkpoint_bytes,
+    _scan,
 )
-from verseid.normalize import build_vocab, normalize_verse, tokenize_verse
+from verseid.normalize import (
+    CLS_ID,
+    N_RESERVED,
+    NormalizationConfig,
+    build_vocab,
+    normalize_verse,
+    tokenize_verse,
+)
 from verseid.split import LeakageError, split_records, stratified_poem_split
 from verseid.synthetic import SyntheticConfig, make_synthetic_corpus
 
@@ -328,18 +351,19 @@ class TestFeatureSpace:
         space, train_recs, _, _ = build_pipeline(small_synth)
         calls = {}
 
-        def count(module, name):
+        def count(module, name, weight=lambda *args: 1):
             real = getattr(module, name)
 
             def counting(*args, **kwargs):
-                calls[name] += 1
+                calls[name] += weight(*args)
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counting)
 
         count(verseid.normalize, "normalize_text")
-        count(verseid.model, "stylometric_features")
-        calls.update(normalize_text=0, stylometric_features=0)
+        # The verses whose stylometrics are computed, a whole table per call.
+        count(verseid.model, "stylometric_rows", lambda table: len(table.first))
+        calls.update(normalize_text=0, stylometric_rows=0)
         build_dataset(train_recs, space)
         # normalize_verse calls normalize_text once per hemistich.
         assert calls["normalize_text"] == 2 * sum(r.n_verses for r in train_recs)
@@ -348,16 +372,16 @@ class TestFeatureSpace:
         save_corpus(make_synthetic_corpus(SyntheticConfig()), tmp_path / "desk.jsonl")
         data, split, emb = (str(tmp_path / name) for name in ("desk.jsonl", "split", "emb"))
         assert main(["split", "--corpus", data, "--seed", "0", "--out", split]) == 0
-        calls.update(normalize_text=0, stylometric_features=0)
+        calls.update(normalize_text=0, stylometric_rows=0)
         assert main(["train-embeddings", "--corpus", data, "--split", split, "--out", emb,
                      "--dim", "8", "--epochs", "1", "--window", "1"]) == 0
-        assert calls == {"normalize_text": 13_022, "stylometric_features": 0}
-        calls.update(normalize_text=0, stylometric_features=0)
+        assert calls == {"normalize_text": 13_022, "stylometric_rows": 0}
+        calls.update(normalize_text=0, stylometric_rows=0)
         assert main(["train", "--corpus", data, "--split", split, "--embeddings", emb,
                      "--out", str(tmp_path / "model"), "--epochs", "1", "--d-model", "8",
                      "--n-heads", "2", "--n-layers", "1", "--d-ff", "8",
                      "--head-hidden", "8"]) == 0
-        assert calls == {"normalize_text": 14_642, "stylometric_features": 7_321}
+        assert calls == {"normalize_text": 14_642, "stylometric_rows": 7_321}
 
     def test_fit_returns_the_train_dataset(self, small_synth):
         space, train_recs, _, _ = build_pipeline(small_synth)
@@ -387,6 +411,93 @@ class TestFeatureSpace:
         first = train_recs[0]
         assert ds.poem_ids[: first.n_verses] == [first.poem_id] * first.n_verses
         assert ds.labels[0] == space.poet_index[first.poet]
+
+
+# Pieces of hemistich text: letters and their Arabic variants, diacritics,
+# tatweel and ZWNJ, Arabic, Persian and Latin punctuation, markup (whole and
+# broken) and whitespace, so drawn verses can be markup only or empty.
+TEXT_PIECES = ["گل", "باغ", "دل", "بلبل", "ي", "ك", "ى", "ـ", "\u200c", "\u064e", "،", "؛",
+               "؟", "٫", "«", "»", "!", ".", "-", "…", "<b>", "</b>", "<br/>", "<", ">",
+               " ", " ", "\t", "a", "Bc"]
+hemistich_text = st.lists(st.sampled_from(TEXT_PIECES), max_size=10).map("".join)
+
+
+def per_verse_stylometrics(t1, t2):
+    """The per-verse stylometric formulas that the batch code replaced."""
+    tokens = t1 + t2
+    n = len(tokens)
+    counts = {}
+    for t in tokens:
+        counts[t] = counts.get(t, 0) + 1
+    hapaxes = sum(1 for c in counts.values() if c == 1)
+    chars = "".join(tokens)
+    punct = sum(map(_is_punct, chars))
+    return (
+        float(n),
+        float(len(counts)),
+        (sum(len(t) for t in tokens) / n) if n else 0.0,
+        (hapaxes / n) if n else 0.0,
+        (len(t1) + len(t2)) / 2.0,
+        (punct / len(chars)) if chars else 0.0,
+        len(t1) / max(1, len(t2)),
+    )
+
+
+def per_verse_ids(tokens, vocab, max_len):
+    return tuple(([CLS_ID] + [vocab.id_of(t) for t in tokens])[:max_len])
+
+
+def per_verse_semantic(ids, emb):
+    ids = [t for t in ids if t >= N_RESERVED]
+    return emb.w_in[ids].mean(axis=0) if ids else np.zeros(emb.dim, dtype=np.float32)
+
+
+class TestBatchFeaturization:
+    @settings(max_examples=150, deadline=None)
+    @given(poems=st.lists(st.lists(st.tuples(hemistich_text, hemistich_text), min_size=1,
+                                   max_size=4), min_size=1, max_size=5),
+           strip_zwnj=st.booleans(), max_len=st.integers(1, 8), seed=st.integers(0, 2**16))
+    def test_matches_per_verse_formulas(self, poems, strip_zwnj, max_len, seed):
+        records = [make_poem(f"p{i}", "a", verses) for i, verses in enumerate(poems)]
+        cfg = NormalizationConfig(strip_zwnj=strip_zwnj)
+        verses = [normalize_verse(v, cfg) for r in records for v in r.verses]
+        # Every other verse's tokens, so the rest meet tokens the vocabulary lacks.
+        vocab = build_vocab([t1 + t2 for t1, t2 in verses[::2]], cfg)
+        rng = np.random.default_rng(seed)
+        w_in = rng.normal(size=(len(vocab), 3)).astype(np.float32)
+        w_in[rng.random(w_in.shape) < 0.2] = -0.0
+        emb = EmbeddingMatrix(w_in, np.zeros_like(w_in), EmbeddingConfig(dim=3))
+
+        stylo = np.array([per_verse_stylometrics(*v) for v in verses])
+        assert _scan(records, vocab, max_len)[1].tobytes() == stylo.tobytes()
+        ids = [per_verse_ids(t1 + t2, vocab, max_len) for t1, t2 in verses if t1 or t2]
+        semantic = np.array([per_verse_semantic(t, emb) for t in ids]).reshape(-1, 3)
+        for v, row in zip(verses, stylo):
+            assert stylometric_features(*v) == tuple(row)
+        for (t1, t2), t in zip([v for v in verses if v[0] or v[1]], ids):
+            assert tokenize_verse(t1 + t2, vocab, max_len) == t
+        for t, row in zip(ids, semantic):
+            assert verse_semantic_vector(t, emb).tobytes() == row.tobytes()
+
+        space = FeatureSpace(vocab, emb, Scaler().fit(stylo), build_meter_classes(Corpus(records)),
+                             {"ghazal": 0}, {"a": 0}, max_len=max_len)
+        skipped = len(verses) - len(ids)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if not ids:
+                with pytest.raises(ValueError, match="no usable verses"):
+                    build_dataset(records, space)
+            else:
+                ds = build_dataset(records, space)
+        assert [str(w.message) for w in caught] == (
+            [f"skipped {skipped} verses with no tokens after normalization"] if skipped else [])
+        if ids:
+            assert ds.token_ids == ids
+            assert ds.aux[:, :3].tobytes() == semantic.tobytes()
+            # Blocks of as few as two rows give the same bits.
+            with mock.patch("verseid.embeddings._SEMANTIC_BLOCK", 2 * 3 * max_len):
+                blocks = semantic_vectors(_scan(records, vocab, max_len)[0], emb)
+            assert blocks.tobytes() == semantic.tobytes()
 
 
 class TestFit:

@@ -6,7 +6,13 @@ default flags everywhere else:
     make-synthetic --seed 0, ingest, split --seed 0, train-embeddings,
     train (all features) and train --features text,semantic,stylometric,form,
     evaluate each model on the test split, sweep-thresholds and predict
-    (on the ingested corpus) with the full model.
+    (on the ingested corpus) with the full model, then predict with the full
+    model on ``edge.jsonl``, a few poems this script writes.
+
+The synthetic corpus has no punctuation, markup, diacritics, tatweel, ZWNJ or
+verse longer than the encoder's ``max_len``, and every verse has tokens, so
+``edge.jsonl`` holds all of these, words the vocabulary lacks, and verses that
+normalize to nothing.
 
 It then prints ``sha256  path`` for every file under DIR, sorted by path.
 Every path a command is given is relative to DIR, so the recorded
@@ -23,7 +29,9 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
+import warnings
 import sys
 from pathlib import Path
 
@@ -54,6 +62,30 @@ def desk_pipeline() -> None:
     _run("sweep-thresholds", *common, "--checkpoint", "full", "--out", "sweep")
     _run("predict", "--input", "corpus/corpus.jsonl", "--embeddings", "emb",
          "--checkpoint", "full", "--out", "predict")
+    Path("edge.jsonl").write_text(edge_poems(), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the verses with no tokens are reported
+        _run("predict", "--input", "edge.jsonl", "--embeddings", "emb",
+             "--checkpoint", "full", "--out", "predict_edge")
+
+
+def edge_poems() -> str:
+    """Predict input in the corpus's words that reaches the branches its
+    verses do not, one JSON line per poem."""
+    first = json.loads(Path("corpus/corpus.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    (a, b), (c, d) = first["verses"][:2]
+    poems = [
+        ("edge-marks", [[f"<b>{a}</b>، {b}!", f"«{c}» ؛ {d}؟"],
+                        [f"{a}٫ {a} - {a}…", f"({b}) <i class='x'>{d}</i>."]]),
+        ("edge-letters", [[a.replace("ی", "ي").replace("ک", "ك"), f"{b}ـ\u064e{c}"],
+                          [f"{a}\u200c{b}", f"{c} \u200c {d}"]]),
+        ("edge-unknown", [["qwerty ناشناخته", f"{a} zz zz zz"], [f"{b} xq", "xq xq"]]),
+        ("edge-empty", [["<br/>", "ـ \u064e"], [" ", ""], [f"{a} {b}", "<p></p>"]]),
+        ("edge-only-markup", [["<hr/>", "<b></b>"]]),
+        ("edge-long", [[" ".join([a, b] * 40), " ".join([c, "qq", d] * 10)], [a, ""]]),
+    ]
+    return "".join(json.dumps({"poem_id": pid, "verses": verses}, ensure_ascii=False) + "\n"
+                   for pid, verses in poems)
 
 
 def hashes(root: Path) -> list[str]:
