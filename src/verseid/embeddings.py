@@ -169,6 +169,49 @@ def _add_outer(w: np.ndarray, targets: np.ndarray, g: np.ndarray, v: np.ndarray)
     w[touched] += coef.reshape(len(targets), -1).T @ v
 
 
+# Noise-table buckets per real id, rounded up to a power of two. At the desk
+# vocabulary (400 real ids) 16 per id leaves 4.9% of the draws to search and
+# 64 per id 1.2%, which saves about 1 ms per chunk for four times the table.
+_BUCKETS_PER_ID = 16
+# Minibatches whose pairs, negatives and targets are built at once. Nothing
+# but the negatives draws from the generator inside an epoch, so one draw per
+# chunk is the stream of one draw per batch.
+_CHUNK_BATCHES = 64
+
+
+def _noise_sampler(counts: np.ndarray):
+    """A function mapping uniform draws in [0, 1) to negative-sample ids,
+    drawn by the unigram counts raised to 0.75.
+
+    A draw ``u`` gets the first real id whose cumulative noise reaches ``u``:
+    ``np.searchsorted(cum, u)`` over the noise CDF of every id, whose reserved
+    ids count 0. Two draws are mended: ``u = 0`` gets the first real id, not
+    ``PAD_ID``, and a draw at or above the CDF's last entry, which rounds
+    below 1.0 for about half of all count vectors, gets the last id with a
+    count instead of ``vocab_size``. Every other draw gets the same id.
+
+    The table is word2vec's unigram table made exact: ``[0, 1)`` is cut into
+    a power of two of buckets, and ``edge[j]`` holds the search result at
+    ``j / buckets``. The search is monotone in ``u``, so a draw in a bucket
+    whose two edges agree takes that id, and only draws in the buckets that
+    hold a CDF step are searched.
+    """
+    noise = counts**0.75
+    cum = np.cumsum(noise / noise.sum())[N_RESERVED:]
+    cum[cum >= cum[-1]] = 1.0
+    buckets = 1 << (len(cum) * _BUCKETS_PER_ID - 1).bit_length()
+    edge = N_RESERVED + np.searchsorted(cum, np.arange(buckets + 1) / buckets)
+
+    def sample(u: np.ndarray) -> np.ndarray:
+        j = (u * buckets).astype(np.intp)  # exact: buckets is a power of two
+        ids = edge[j]
+        split = ids != edge[j + 1]
+        ids[split] = N_RESERVED + np.searchsorted(cum, u[split])
+        return ids
+
+    return sample
+
+
 def train_sgns(
     sequences: list[list[int]],
     vocab_size: int,
@@ -191,41 +234,43 @@ def train_sgns(
         warnings.warn("no skip-gram pairs in corpus; embeddings left at initialization")
         return EmbeddingMatrix(w_in, w_out, cfg), []
 
-    counts = np.bincount(_real_tokens(sequences)[0], minlength=vocab_size).astype(np.float64)
-    noise = counts**0.75
-    noise /= noise.sum()
-    cum_noise = np.cumsum(noise)
+    sample_noise = _noise_sampler(np.bincount(_real_tokens(sequences)[0], minlength=vocab_size)
+                                  .astype(np.float64))
+    labels = np.zeros((cfg.batch_pairs, cfg.negatives + 1), dtype=np.float32)
+    labels[:, 0] = 1.0
 
     flat_in = w_in.reshape(-1)  # a view
     cols = np.arange(cfg.dim)
+    chunk_pairs = _CHUNK_BATCHES * cfg.batch_pairs
     total_updates = cfg.epochs * len(pairs)
     done = 0
     losses: list[float] = []
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(pairs))
         epoch_loss = 0.0
-        for start in range(0, len(pairs), cfg.batch_pairs):
-            batch = pairs[order[start : start + cfg.batch_pairs]]
-            centers, contexts = batch[:, 0], batch[:, 1]
-            b = len(batch)
-            negs = np.searchsorted(cum_noise, rng.random((b, cfg.negatives)))
-            targets = np.concatenate([contexts[:, None], negs], axis=1)
-            labels = np.zeros((b, cfg.negatives + 1), dtype=np.float32)
-            labels[:, 0] = 1.0
+        for chunk_start in range(0, len(pairs), chunk_pairs):
+            chunk = pairs[order[chunk_start : chunk_start + chunk_pairs]]
+            negs = sample_noise(rng.random((len(chunk), cfg.negatives)))
+            chunk_targets = np.concatenate([chunk[:, 1:], negs], axis=1)
+            for start in range(0, len(chunk), cfg.batch_pairs):
+                centers = chunk[start : start + cfg.batch_pairs, 0]
+                targets = chunk_targets[start : start + cfg.batch_pairs]
+                b = len(centers)
+                label = labels[:b]
 
-            v = w_in[centers]  # (b, d)
-            u = w_out[targets]  # (b, k+1, d)
-            scores = np.einsum("bd,bkd->bk", v, u)
-            sig = 1.0 / (1.0 + np.exp(-np.clip(scores, -30.0, 30.0)))
-            signed = np.where(labels > 0, scores, -scores).astype(np.float64)
-            epoch_loss += float(-_log_sigmoid(signed).sum())
+                v = w_in[centers]  # (b, d)
+                u = w_out[targets]  # (b, k+1, d)
+                scores = np.einsum("bd,bkd->bk", v, u)
+                sig = 1.0 / (1.0 + np.exp(-np.clip(scores, -30.0, 30.0)))
+                signed = np.where(label > 0, scores, -scores).astype(np.float64)
+                epoch_loss += float(-_log_sigmoid(signed).sum())
 
-            alpha = cfg.lr * max(cfg.min_lr_factor, 1.0 - done / total_updates)
-            g = ((labels - sig) * alpha).astype(np.float32)
-            d_v = np.einsum("bk,bkd->bd", g, u)
-            _scatter_rows(flat_in, centers, d_v, cols)
-            _add_outer(w_out, targets, g, v)
-            done += b
+                alpha = cfg.lr * max(cfg.min_lr_factor, 1.0 - done / total_updates)
+                g = ((label - sig) * alpha).astype(np.float32)
+                d_v = np.einsum("bk,bkd->bd", g, u)
+                _scatter_rows(flat_in, centers, d_v, cols)
+                _add_outer(w_out, targets, g, v)
+                done += b
         losses.append(epoch_loss / len(pairs))
         if not (math.isfinite(losses[-1]) and np.isfinite(w_in).all() and np.isfinite(w_out).all()):
             raise NumericalError(f"non-finite skip-gram loss or weights at epoch {epoch}, "

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from verseid.corpus import NumericalError
 from verseid.embeddings import (
+    _CHUNK_BATCHES,
     EmbeddingConfig,
     EmbeddingMatrix,
     train_sgns,
     verse_semantic_vector,
     _add_outer,
     _log_sigmoid,
+    _noise_sampler,
     _skipgram_pairs,
 )
 from verseid.normalize import CLS_ID, N_RESERVED, PAD_ID, UNK_ID
@@ -162,12 +164,73 @@ class TestTraining:
         np.testing.assert_allclose(got.w_out, want.w_out, rtol=0, atol=2e-5)
         np.testing.assert_allclose(got_losses, want_losses, rtol=1e-7)
 
+    def test_follows_reference_across_chunk_and_batch_boundaries(self):
+        # Batches of 11 pairs: each epoch spans several chunks of batches and
+        # ends on a short batch, so the chunked draws and targets must line
+        # up with the reference's per-batch ones.
+        rng = np.random.default_rng(5)
+        vocab_size = N_RESERVED + 40
+        sequences = [list(rng.integers(0, vocab_size, rng.integers(0, 12))) for _ in range(300)]
+        cfg = EmbeddingConfig(dim=8, window=3, epochs=3, lr=0.05, batch_pairs=11, seed=4)
+        n_pairs = len(_skipgram_pairs(sequences, cfg.window))
+        assert n_pairs > 3 * _CHUNK_BATCHES * cfg.batch_pairs and n_pairs % cfg.batch_pairs
+        got, got_losses = train_sgns(sequences, vocab_size, cfg)
+        want, want_losses = reference_train_sgns(sequences, vocab_size, cfg)
+        assert np.abs(want.w_out).max() > 0.5
+        np.testing.assert_allclose(got.w_in, want.w_in, rtol=0, atol=2e-5)
+        np.testing.assert_allclose(got.w_out, want.w_out, rtol=0, atol=2e-5)
+        np.testing.assert_allclose(got_losses, want_losses, rtol=1e-7)
+
     def test_no_pairs_warns(self):
         cfg = EmbeddingConfig(dim=4, epochs=1)
         with pytest.warns(UserWarning, match="no skip-gram pairs"):
             emb, losses = train_sgns([[3], [4]], 5, cfg)
         assert losses == []
         assert emb.w_in.shape == (5, 4)
+
+
+class TestNoiseSampler:
+    @staticmethod
+    def full_cdf(counts):
+        noise = counts**0.75
+        return np.cumsum(noise / noise.sum())
+
+    def test_draws_match_searchsorted_and_stay_in_the_real_ids(self):
+        # Random count vectors with zero counts inside and at the end; in
+        # about half of them the CDF's last entry rounds below 1.0.
+        rng = np.random.default_rng(11)
+        short_total = 0
+        edges = np.arange(1 << 16) / (1 << 16)  # every bucket edge of these tables
+        for _ in range(60):
+            real = rng.integers(0, 40, rng.integers(1, 50)).astype(np.float64)
+            real[0] = 1.0 + rng.integers(0, 40)
+            counts = np.concatenate([np.zeros(N_RESERVED), real])
+            cum = self.full_cdf(counts)
+            short_total += cum[-1] < 1.0
+            sample = _noise_sampler(counts)
+            last = np.flatnonzero(counts)[-1]
+
+            inside = cum[(cum > 0.0) & (cum <= cum[-1])]
+            u = np.concatenate([rng.random(5000), inside, np.nextafter(inside, 0.0),
+                                edges[1:], np.nextafter(edges[1:], 0.0)])
+            u = u[(u <= cum[-1]) & (u < 1.0)]
+            np.testing.assert_array_equal(sample(u), np.searchsorted(cum, u))
+
+            # The largest draw, and the smallest past the CDF's last entry,
+            # where searchsorted returns len(cum), one past the vocabulary.
+            tail = np.array([np.nextafter(1.0, 0.0), np.nextafter(cum[-1], 1.0)])
+            tail = tail[tail < 1.0]
+            np.testing.assert_array_equal(sample(tail), np.full(len(tail), last))
+            assert sample(np.zeros(3)).tolist() == [N_RESERVED] * 3
+        assert short_total > 0
+
+    def test_two_dimensional_draws_keep_their_shape(self):
+        counts = np.array([0, 0, 0, 5, 1, 0, 9], dtype=np.float64)
+        u = np.random.default_rng(0).random((50, 5))
+        got = _noise_sampler(counts)(u)
+        assert got.shape == (50, 5)
+        np.testing.assert_array_equal(got, np.searchsorted(self.full_cdf(counts), u))
+        assert not np.isin(got, [PAD_ID, CLS_ID, UNK_ID, 5]).any()
 
 
 class TestOutputUpdate:
