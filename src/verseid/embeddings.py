@@ -7,14 +7,21 @@ are plain SGD with a linearly decaying learning rate, applied in
 deterministic minibatches (gather/scatter) so training is fast and exactly
 reproducible for a fixed seed with the same numpy and BLAS.
 
-Each minibatch updates ``w_out`` with one GEMM: a (batch, touched ids)
-coefficient matrix holds every pair's gradient scale, and its transpose times
-the center vectors is each touched row's whole update. That is the same sum as
-a row-wise ``np.add.at`` of the outer products, rounded differently, and
-several times faster. ``w_in`` gets one gradient row per pair, where a GEMM
-gains nothing, so it keeps a 1-D ``np.add.at`` over element indices
-(``row * dim + column``), which adds in order of occurrence and so matches a
-row-wise ``np.add.at`` bit for bit.
+Each epoch walks its permutation a chunk of minibatches at a time: the
+pairs, the uniform draws for the negatives and the target ids of the whole
+chunk are built at once, in the generator's order, so the draws are those of
+one draw per minibatch. The negatives come from an exact bucket table over
+the noise CDF (:func:`_noise_sampler`).
+
+Each minibatch updates ``w_out`` with one GEMM. Every row of one center has
+the same ``v``, gathered before any update, so a (touched ids, distinct
+centers) coefficient matrix holds the gradient scales summed per center, and
+it times the distinct center vectors is each touched row's whole update. That
+is the same sum as a row-wise ``np.add.at`` of the outer products, rounded
+differently, and several times faster. ``w_in`` gets one gradient row per
+pair, where a GEMM gains nothing, so it keeps a 1-D ``np.add.at`` over
+element indices (``row * dim + column``), which adds in order of occurrence
+and so matches a row-wise ``np.add.at`` bit for bit.
 
 A verse's semantic vector is the mean ``w_in`` row of its non-reserved ids.
 :func:`semantic_vectors` computes it for every row of a padded id matrix,
@@ -153,20 +160,27 @@ def _scatter_rows(flat: np.ndarray, rows: np.ndarray, grads: np.ndarray, cols: n
     np.add.at(flat, (rows[:, None] * len(cols) + cols).reshape(-1), grads.reshape(-1))
 
 
-def _add_outer(w: np.ndarray, targets: np.ndarray, g: np.ndarray, v: np.ndarray) -> None:
-    """``w[targets[i, k]] += g[i, k] * v[i]`` for every ``i`` and ``k``, as one GEMM.
+def _distinct(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``ids`` (each below ``size``) in ascending
+    order, and the position of each element's value among them."""
+    hit = np.bincount(ids.reshape(-1), minlength=size) > 0
+    return np.flatnonzero(hit), (np.cumsum(hit) - 1)[ids]
 
-    ``coef[i, j]`` sums ``g[i, k]`` over the ``k`` whose target is the ``j``-th
-    id the batch touches, so ``coef.T @ v`` holds each touched row's whole
-    update. Its size is bounded by the batch, not by the vocabulary.
+
+def _add_outer(w: np.ndarray, targets: np.ndarray, g: np.ndarray, rows: np.ndarray,
+               x: np.ndarray) -> None:
+    """``w[targets[i, k]] += g[i, k] * x[rows[i]]`` for every ``i`` and ``k``,
+    as one GEMM.
+
+    ``coef[j, c]`` sums ``g[i, k]`` over the ``(i, k)`` whose target is the
+    ``j``-th id the batch touches and whose row is ``c``, so ``coef @ x``
+    holds each touched row's whole update. Its size is bounded by the batch,
+    not by the vocabulary.
     """
-    hit = np.bincount(targets.reshape(-1), minlength=len(w)) > 0
-    touched = np.flatnonzero(hit)
-    col = (np.cumsum(hit) - 1)[targets]  # the coef column of each target
-    coef = np.zeros(len(targets) * len(touched), dtype=w.dtype)
-    np.add.at(coef, (np.arange(len(targets))[:, None] * len(touched) + col).reshape(-1),
-              g.reshape(-1))
-    w[touched] += coef.reshape(len(targets), -1).T @ v
+    touched, col = _distinct(targets, len(w))  # col: the coef row of each target
+    coef = np.zeros(len(touched) * len(x), dtype=w.dtype)
+    np.add.at(coef, (col * len(x) + rows[:, None]).reshape(-1), g.reshape(-1))
+    w[touched] += coef.reshape(len(touched), -1) @ x
 
 
 # Noise-table buckets per real id, rounded up to a power of two. At the desk
@@ -186,9 +200,9 @@ def _noise_sampler(counts: np.ndarray):
     A draw ``u`` gets the first real id whose cumulative noise reaches ``u``:
     ``np.searchsorted(cum, u)`` over the noise CDF of every id, whose reserved
     ids count 0. Two draws are mended: ``u = 0`` gets the first real id, not
-    ``PAD_ID``, and a draw at or above the CDF's last entry, which rounds
-    below 1.0 for about half of all count vectors, gets the last id with a
-    count instead of ``vocab_size``. Every other draw gets the same id.
+    ``PAD_ID``, and a draw above the CDF's last entry, which rounds below 1.0
+    for about half of all count vectors, gets the last id with a count
+    instead of ``vocab_size``. Every other draw gets the same id.
 
     The table is word2vec's unigram table made exact: ``[0, 1)`` is cut into
     a power of two of buckets, and ``edge[j]`` holds the search result at
@@ -234,8 +248,7 @@ def train_sgns(
         warnings.warn("no skip-gram pairs in corpus; embeddings left at initialization")
         return EmbeddingMatrix(w_in, w_out, cfg), []
 
-    sample_noise = _noise_sampler(np.bincount(_real_tokens(sequences)[0], minlength=vocab_size)
-                                  .astype(np.float64))
+    sample_noise = _noise_sampler(np.bincount(_real_tokens(sequences)[0], minlength=vocab_size))
     labels = np.zeros((cfg.batch_pairs, cfg.negatives + 1), dtype=np.float32)
     labels[:, 0] = 1.0
 
@@ -258,7 +271,9 @@ def train_sgns(
                 b = len(centers)
                 label = labels[:b]
 
-                v = w_in[centers]  # (b, d)
+                center_ids, center_row = _distinct(centers, vocab_size)
+                x = w_in[center_ids]  # (distinct centers, d)
+                v = x[center_row]  # (b, d)
                 u = w_out[targets]  # (b, k+1, d)
                 scores = np.einsum("bd,bkd->bk", v, u)
                 sig = 1.0 / (1.0 + np.exp(-np.clip(scores, -30.0, 30.0)))
@@ -269,7 +284,7 @@ def train_sgns(
                 g = ((label - sig) * alpha).astype(np.float32)
                 d_v = np.einsum("bk,bkd->bd", g, u)
                 _scatter_rows(flat_in, centers, d_v, cols)
-                _add_outer(w_out, targets, g, v)
+                _add_outer(w_out, targets, g, center_row, x)
                 done += b
         losses.append(epoch_loss / len(pairs))
         if not (math.isfinite(losses[-1]) and np.isfinite(w_in).all() and np.isfinite(w_out).all()):

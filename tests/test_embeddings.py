@@ -43,9 +43,11 @@ def reference_pairs(sequences, window):
 
 
 def reference_train_sgns(sequences, vocab_size, cfg):
-    """The trainer with a per-token count loop and row-wise ``np.add.at``
-    scatters. ``train_sgns`` sums the ``w_out`` update as one GEMM instead, so
-    it follows this reference up to float32 rounding."""
+    """The trainer with a per-token count loop, one ``searchsorted`` draw of
+    negatives per batch, and row-wise ``np.add.at`` scatters of every pair's
+    outer products. ``train_sgns`` draws the same negatives a chunk of batches
+    at a time, and sums the ``w_out`` update per distinct center in one GEMM,
+    so it follows this reference up to float32 rounding."""
     rng = np.random.default_rng(cfg.seed)
     w_in = ((rng.random((vocab_size, cfg.dim)) - 0.5) / cfg.dim).astype(np.float32)
     w_out = np.zeros((vocab_size, cfg.dim), dtype=np.float32)
@@ -149,37 +151,32 @@ class TestTraining:
         np.testing.assert_array_equal(a.w_in, b.w_in)
         np.testing.assert_array_equal(a.w_out, b.w_out)
 
-    def test_follows_row_wise_reference(self):
+    @staticmethod
+    def check_follows_reference(batch_pairs):
         # 40 real ids: the run converges (with 7 ids at this rate it diverges
         # and the drift grows with the weights). Measured: weights differ by
-        # at most 3.5e-6 on magnitudes near 1, losses by 2e-9 relative.
+        # at most 3.3e-6 on magnitudes near 1, losses by 1.7e-9 relative.
         rng = np.random.default_rng(5)
         vocab_size = N_RESERVED + 40
         sequences = [list(rng.integers(0, vocab_size, rng.integers(0, 12))) for _ in range(300)]
-        cfg = EmbeddingConfig(dim=8, window=3, epochs=3, lr=0.05, seed=4)
+        cfg = EmbeddingConfig(dim=8, window=3, epochs=3, lr=0.05, batch_pairs=batch_pairs, seed=4)
         got, got_losses = train_sgns(sequences, vocab_size, cfg)
         want, want_losses = reference_train_sgns(sequences, vocab_size, cfg)
         assert np.abs(want.w_out).max() > 0.5  # trained, not near the zero init
         np.testing.assert_allclose(got.w_in, want.w_in, rtol=0, atol=2e-5)
         np.testing.assert_allclose(got.w_out, want.w_out, rtol=0, atol=2e-5)
         np.testing.assert_allclose(got_losses, want_losses, rtol=1e-7)
+        return len(_skipgram_pairs(sequences, cfg.window))
+
+    def test_follows_row_wise_reference(self):
+        self.check_follows_reference(EmbeddingConfig().batch_pairs)
 
     def test_follows_reference_across_chunk_and_batch_boundaries(self):
         # Batches of 11 pairs: each epoch spans several chunks of batches and
         # ends on a short batch, so the chunked draws and targets must line
         # up with the reference's per-batch ones.
-        rng = np.random.default_rng(5)
-        vocab_size = N_RESERVED + 40
-        sequences = [list(rng.integers(0, vocab_size, rng.integers(0, 12))) for _ in range(300)]
-        cfg = EmbeddingConfig(dim=8, window=3, epochs=3, lr=0.05, batch_pairs=11, seed=4)
-        n_pairs = len(_skipgram_pairs(sequences, cfg.window))
-        assert n_pairs > 3 * _CHUNK_BATCHES * cfg.batch_pairs and n_pairs % cfg.batch_pairs
-        got, got_losses = train_sgns(sequences, vocab_size, cfg)
-        want, want_losses = reference_train_sgns(sequences, vocab_size, cfg)
-        assert np.abs(want.w_out).max() > 0.5
-        np.testing.assert_allclose(got.w_in, want.w_in, rtol=0, atol=2e-5)
-        np.testing.assert_allclose(got.w_out, want.w_out, rtol=0, atol=2e-5)
-        np.testing.assert_allclose(got_losses, want_losses, rtol=1e-7)
+        n_pairs = self.check_follows_reference(11)
+        assert n_pairs > 3 * _CHUNK_BATCHES * 11 and n_pairs % 11
 
     def test_no_pairs_warns(self):
         cfg = EmbeddingConfig(dim=4, epochs=1)
@@ -234,32 +231,44 @@ class TestNoiseSampler:
 
 
 class TestOutputUpdate:
-    def test_one_minibatch_matches_float64_sum(self):
+    @staticmethod
+    def check_one_minibatch(n_centers):
         # 512 rows of six targets over 30 ids: ids repeat within a row (the
         # context is drawn again as a negative) and across rows; ids 30-33
-        # are never drawn and must keep their bits.
+        # are never drawn and must keep their bits. Rows of one center share
+        # its vector.
         rng = np.random.default_rng(2)
         b, k, dim, vocab_size = 512, 6, 16, 34
         targets = rng.integers(0, 30, (b, k))
         targets[::3, 1] = targets[::3, 0]
         g = rng.standard_normal((b, k)).astype(np.float32)
-        v = rng.standard_normal((b, dim)).astype(np.float32)
+        rows = np.arange(b) if n_centers == b else rng.integers(0, n_centers, b)
+        x = rng.standard_normal((n_centers, dim)).astype(np.float32)
         w = rng.standard_normal((vocab_size, dim)).astype(np.float32)
 
         want = w.astype(np.float64)
         scale = np.abs(want)
         for i in range(b):
             for j in range(k):
-                term = np.float64(g[i, j]) * v[i].astype(np.float64)
+                term = np.float64(g[i, j]) * x[rows[i]].astype(np.float64)
                 want[targets[i, j]] += term
                 scale[targets[i, j]] += np.abs(term)
         got = w.copy()
-        _add_outer(got, targets, g, v)
+        _add_outer(got, targets, g, rows, x)
         assert got.dtype == np.float32
-        # float32 rounding of each row's sum: measured at most 1.2 eps of
-        # the summed magnitudes.
+        # float32 rounding of each row's sum: measured at most 0.94 eps of
+        # the summed magnitudes over the three tests.
         assert (np.abs(got - want) <= 16 * np.finfo(np.float32).eps * scale).all()
         np.testing.assert_array_equal(got[30:], w[30:])
+
+    def test_one_minibatch_matches_float64_sum(self):
+        self.check_one_minibatch(40)  # centers repeat
+
+    def test_every_center_distinct(self):
+        self.check_one_minibatch(512)
+
+    def test_one_center_fills_the_batch(self):
+        self.check_one_minibatch(1)
 
 
 class TestNumericalFailure:
