@@ -233,8 +233,9 @@ def train_sgns(
 ) -> tuple[EmbeddingMatrix, list[float]]:
     """Train embeddings; returns the matrix and mean per-pair loss by epoch.
 
-    ``sequences`` are token-id lists (reserved ids are ignored). With no
-    usable pairs the initialization is returned unchanged with a warning.
+    ``sequences`` holds each verse's vocabulary ids (reserved ids are
+    ignored). With no usable pairs the initialization is returned unchanged
+    with a warning.
 
     Raises:
         NumericalError: if an epoch ends with a non-finite loss or weight.

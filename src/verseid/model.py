@@ -11,7 +11,9 @@ early stopping on validation verse accuracy.
 normalizes each verse once into one ``TokenTable``, builds the encoder ids,
 stylometrics and semantic vectors of every verse from it in array passes
 (bit for bit the per-verse formulas), then fills the non-text inputs of the
-whole dataset into one preallocated float32 array, one block at a time.
+whole dataset into one preallocated float32 array, one block at a time. The
+dataset keeps the encoder ids as that padded matrix; each batch is its rows
+cut to the longest of them.
 """
 
 from __future__ import annotations
@@ -319,9 +321,10 @@ class FeatureSpace:
 
 @dataclass
 class FeatureDataset:
-    """Featurized verses ready for batching."""
+    """Featurized verses ready for batching; ``ids`` is their padded encoder
+    id matrix (``normalize.encoder_ids``), as wide as its longest row."""
 
-    token_ids: list[tuple[int, ...]]
+    ids: np.ndarray
     aux: np.ndarray
     labels: np.ndarray
     poem_ids: list[str]
@@ -329,7 +332,7 @@ class FeatureDataset:
     n_classes: int
 
     def __len__(self) -> int:
-        return len(self.token_ids)
+        return len(self.ids)
 
 
 def _scan(records: list[PoemRecord], vocab: Vocabulary, max_len: int):
@@ -376,17 +379,9 @@ def _dataset(
         aux[:, col:] = one_hot_meter([r.meter for r in records], space.meter_map)
     labels = np.asarray([space.poet_index.get(r.poet, -1) for r in records], dtype=np.int64)
     return FeatureDataset(
-        _token_tuples(ids), aux, labels, [r.poem_id for r in records], [vi for _, vi, _ in verses],
+        ids, aux, labels, [r.poem_id for r in records], [vi for _, vi, _ in verses],
         space.n_classes,
     )
-
-
-def _token_tuples(ids: np.ndarray) -> list[tuple[int, ...]]:
-    """Each row of a padded id matrix without its padding."""
-    real = ids != PAD_ID
-    ends = np.cumsum(np.count_nonzero(real, axis=1)).tolist()
-    flat = ids[real].tolist()
-    return [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 def build_dataset(records: list[PoemRecord], space: FeatureSpace) -> FeatureDataset:
@@ -398,12 +393,9 @@ def build_dataset(records: list[PoemRecord], space: FeatureSpace) -> FeatureData
     return _dataset(*_scan(records, space.vocab, space.max_len), space)
 
 
-def _pad_batch(token_ids: list[tuple[int, ...]], dtype=np.int64) -> np.ndarray:
-    width = max(len(t) for t in token_ids)
-    out = np.zeros((len(token_ids), width), dtype=dtype)
-    for i, ids in enumerate(token_ids):
-        out[i, : len(ids)] = ids
-    return out
+def _batch_ids(ids: np.ndarray) -> np.ndarray:
+    """Rows of a padded id matrix cut to the longest of them."""
+    return ids[:, : np.count_nonzero(ids != PAD_ID, axis=1).max()]
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +495,7 @@ def predict_proba(
     """Class distributions for every verse in the dataset, in order."""
     out = []
     for start in range(0, len(ds), batch_size):
-        ids = _pad_batch(ds.token_ids[start : start + batch_size])
+        ids = _batch_ids(ds.ids[start : start + batch_size])
         aux = ds.aux[start : start + batch_size]
         probs, _ = _forward_probs(ids, aux, bundle, train=False)
         out.append(probs)
@@ -576,7 +568,7 @@ def fit(
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
-            ids = _pad_batch([train_ds.token_ids[i] for i in sel])
+            ids = _batch_ids(train_ds.ids[sel])
             aux = train_ds.aux[sel]
             y = train_ds.labels[sel]
             step += 1

@@ -7,12 +7,15 @@ diacritics and decoration, and canonicalizes whitespace so that downstream
 token counts compare like with like. Stripping the zero-width non-joiner is
 its one option.
 
-Featurization reads many verses at once through a :class:`TokenTable`, which
-holds every token of them in one flat array of per-call type ids, so that the
-work done per token string (the vocabulary lookup here, and the stylometric
-counts in ``features``) runs once per distinct token. :func:`encoder_ids`
-turns a table into the encoder's padded id matrix, and :func:`tokenize_verse`
-is its one-verse call.
+Every consumer of tokens reads many verses at once through a
+:class:`TokenTable`, which holds every token of them in one flat array of
+per-call type ids, so that the work done per token string (the counting and
+vocabulary lookup here, and the stylometric counts in ``features``) runs once
+per distinct token. :func:`table_vocab` builds a vocabulary from a table's
+token counts (:func:`build_vocab` is its token-list call), :func:`table_ids`
+maps a table's tokens to vocabulary ids, the skip-gram input, and
+:func:`encoder_ids` lays those ids out as the encoder's padded id matrix
+(:func:`tokenize_verse` is its one-verse call).
 """
 
 from __future__ import annotations
@@ -168,26 +171,6 @@ class Vocabulary:
         return vocab
 
 
-def build_vocab(
-    verse_tokens: Iterable[list[str]],
-    cfg: NormalizationConfig = NormalizationConfig(),
-    min_freq: int = 1,
-) -> Vocabulary:
-    """Build a vocabulary over each verse's tokens, normalized with ``cfg``."""
-    counts: dict[str, int] = {}
-    for tokens in verse_tokens:
-        for tok in tokens:
-            counts[tok] = counts.get(tok, 0) + 1
-    ordered = sorted(
-        (t for t, c in counts.items() if c >= min_freq),
-        key=lambda t: (-counts[t], t),
-    )
-    token_to_id = {tok: i for i, tok in enumerate(RESERVED_TOKENS)}
-    for offset, tok in enumerate(ordered):
-        token_to_id[tok] = N_RESERVED + offset
-    return Vocabulary(token_to_id, cfg)
-
-
 @dataclass(frozen=True)
 class TokenTable:
     """The whitespace tokens of many verses, each verse's two hemistichs in
@@ -231,6 +214,27 @@ class TokenTable:
         return self.first + self.second
 
 
+def table_vocab(table: TokenTable, cfg: NormalizationConfig = NormalizationConfig(),
+                min_freq: int = 1) -> Vocabulary:
+    """The vocabulary of the tokens of ``table`` seen at least ``min_freq`` times."""
+    counts = np.bincount(table.local, minlength=len(table.types)).tolist()
+    ranked = sorted((-c, tok) for tok, c in zip(table.types, counts) if c >= min_freq)
+    tokens = [*RESERVED_TOKENS, *(tok for _, tok in ranked)]
+    return Vocabulary({tok: i for i, tok in enumerate(tokens)}, cfg)
+
+
+def build_vocab(verse_tokens: Iterable[list[str]], cfg: NormalizationConfig = NormalizationConfig(),
+                min_freq: int = 1) -> Vocabulary:
+    """The vocabulary of each verse's token list; the token-list call of :func:`table_vocab`."""
+    return table_vocab(TokenTable.of((tokens, []) for tokens in verse_tokens), cfg, min_freq)
+
+
+def table_ids(table: TokenTable, vocab: Vocabulary) -> np.ndarray:
+    """The vocabulary id of every token of ``table``, in table order."""
+    type_ids = np.fromiter(map(vocab.id_of, table.types), np.int64, len(table.types))
+    return type_ids[table.local]
+
+
 def encoder_ids(table: TokenTable, vocab: Vocabulary, max_len: int = 64) -> np.ndarray:
     """Encoder input ids of every verse of ``table``: ``[CLS] + tokens``,
     truncated to ``max_len``, as rows of one matrix padded with ``PAD_ID``.
@@ -242,10 +246,9 @@ def encoder_ids(table: TokenTable, vocab: Vocabulary, max_len: int = 64) -> np.n
     # The column of each token: one past its position in its verse.
     col = np.arange(1, len(table.local) + 1) - (np.cumsum(n) - n)[table.verse_of]
     keep = col < max_len
-    type_ids = np.fromiter(map(vocab.id_of, table.types), np.int64, len(table.types))
     ids = np.zeros((len(n), min(max_len, int(n.max(initial=0)) + 1)), np.int64)
     ids[:, 0] = CLS_ID
-    ids[table.verse_of[keep], col[keep]] = type_ids[table.local[keep]]
+    ids[table.verse_of[keep], col[keep]] = table_ids(table, vocab)[keep]
     return ids
 
 

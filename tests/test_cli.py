@@ -11,7 +11,13 @@ import warnings
 import numpy as np
 import pytest
 
+import verseid.cli
 from verseid.cli import main
+from verseid.corpus import Corpus, load_corpus, save_corpus
+from verseid.normalize import UNK_ID, NormalizationConfig, build_vocab
+from verseid.split import SplitAssignment, split_records
+
+from conftest import make_poem, token_lists
 
 
 def run(argv, capsys=None):
@@ -131,6 +137,38 @@ class TestArtifacts:
         assert (pipeline["emb"] / "embeddings.bin").exists()
         cfg = json.loads((pipeline["emb"] / "config.json").read_text())
         assert len(cfg["loss_by_epoch"]) == 2
+
+    def test_embedding_inputs_match_the_per_verse_loop(self, tmp_path, monkeypatch):
+        # ZWNJ-joined words, words seen once (under --min-freq 2) and a verse
+        # that normalizes to nothing, in every poem.
+        words = ["گل", "باغ", "می\u200cرود", "دل\u200cها", "بلبل"]
+        poems = [make_poem(f"p{i}", "ab"[i % 2], [(f"{words[i % 5]} {words[(i + 2) % 5]} واژه{i}", "گل"),
+                                                  ("ـ", "<b></b>")])
+                 for i in range(12)]
+        corpus, split, emb = tmp_path / "corpus.jsonl", tmp_path / "split", tmp_path / "emb"
+        save_corpus(Corpus(poems), corpus)
+        assert main(["split", "--corpus", str(corpus), "--seed", "0", "--out", str(split)]) == 0
+        recorded = []
+        real = verseid.cli.train_sgns
+
+        def recording(sequences, vocab_size, cfg):
+            recorded.append(sequences)
+            return real(sequences, vocab_size, cfg)
+
+        monkeypatch.setattr(verseid.cli, "train_sgns", recording)
+        assert main(["train-embeddings", "--corpus", str(corpus), "--split", str(split),
+                     "--out", str(emb), "--min-freq", "2", "--strip-zwnj", "--dim", "4",
+                     "--epochs", "1"]) == 0
+        assignment = SplitAssignment.load(split / "assignment.csv", split / "split_meta.json")
+        train = split_records(load_corpus(corpus), assignment)[0]
+        cfg = NormalizationConfig(strip_zwnj=True)
+        tokens = token_lists(train, cfg)
+        vocab = build_vocab(tokens, cfg, min_freq=2)
+        assert (emb / "vocab.tsv").read_text(encoding="utf-8") == vocab.serialize()
+        # The id lists of the per-verse loop that the token table replaced.
+        assert [list(s) for s in recorded[0]] == [[vocab.id_of(t) for t in toks] for toks in tokens]
+        assert [] in recorded[0] and UNK_ID in {i for s in recorded[0] for i in s}
+        assert "میرود" in vocab.token_to_id and "می\u200cرود" not in vocab.token_to_id
 
     def test_train_outputs(self, pipeline):
         assert (pipeline["model"] / "checkpoint.bin").exists()

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import verseid.model
 from verseid.cli import main
 from verseid.corpus import Corpus, save_corpus
 from verseid.embeddings import (
@@ -393,7 +394,11 @@ class TestFeatureSpace:
             )
         with pytest.warns(UserWarning, match="skipped 1 verses"):
             rebuilt = build_dataset(records, fitted)
-        assert train_ds.token_ids == rebuilt.token_ids
+        np.testing.assert_array_equal(train_ds.ids, rebuilt.ids)
+        want = [per_verse_ids(t1 + t2, fitted.vocab, fitted.max_len)
+                for t1, t2 in (normalize_verse(v) for r in records for v in r.verses) if t1 or t2]
+        assert strip_padding(train_ds.ids) == want
+        assert train_ds.ids.shape[1] == max(map(len, want))
         np.testing.assert_array_equal(train_ds.aux, rebuilt.aux)
         np.testing.assert_array_equal(train_ds.labels, rebuilt.labels)
         assert train_ds.poem_ids == rebuilt.poem_ids
@@ -447,6 +452,19 @@ def per_verse_ids(tokens, vocab, max_len):
     return tuple(([CLS_ID] + [vocab.id_of(t) for t in tokens])[:max_len])
 
 
+def strip_padding(ids):
+    """Each row of a padded id matrix without its trailing ``PAD_ID`` entries."""
+    return [tuple(np.trim_zeros(row, "b").tolist()) for row in ids]
+
+
+def zero_pad(rows):
+    """The rows padded with zeros to the longest of them, one row at a time."""
+    out = np.zeros((len(rows), max(map(len, rows))), dtype=np.int64)
+    for i, row in enumerate(rows):
+        out[i, : len(row)] = row
+    return out
+
+
 def per_verse_semantic(ids, emb):
     ids = [t for t in ids if t >= N_RESERVED]
     return emb.w_in[ids].mean(axis=0) if ids else np.zeros(emb.dim, dtype=np.float32)
@@ -492,12 +510,66 @@ class TestBatchFeaturization:
         assert [str(w.message) for w in caught] == (
             [f"skipped {skipped} verses with no tokens after normalization"] if skipped else [])
         if ids:
-            assert ds.token_ids == ids
+            assert strip_padding(ds.ids) == ids
+            assert ds.ids.shape[1] == max(map(len, ids))
             assert ds.aux[:, :3].tobytes() == semantic.tobytes()
             # Blocks of as few as two rows give the same bits.
             with mock.patch("verseid.embeddings._SEMANTIC_BLOCK", 2 * 3 * max_len):
                 blocks = semantic_vectors(_scan(records, vocab, max_len)[0], emb)
             assert blocks.tobytes() == semantic.tobytes()
+
+
+WORDS = ["گل", "باغ", "دل", "بلبل", "می", "رود"]
+
+
+class TestEncoderBatches:
+    @settings(max_examples=40, deadline=None)
+    @given(poems=st.lists(st.lists(st.tuples(st.lists(st.sampled_from(WORDS), min_size=1, max_size=9),
+                                             st.lists(st.sampled_from(WORDS), max_size=9)),
+                                   min_size=1, max_size=4), min_size=3, max_size=6),
+           max_len=st.integers(1, 8), data=st.data())
+    def test_each_batch_is_its_rows_zero_padded_to_the_longest(self, poems, max_len, data):
+        records = [make_poem(f"p{i}", "ab"[i % 2], [(" ".join(a), " ".join(b)) for a, b in verses])
+                   for i, verses in enumerate(poems)]
+        valid = [dataclasses.replace(r, poem_id=f"v{r.poem_id}") for r in records]
+        vocab = build_vocab(token_lists(records[::2]))
+        rows = [per_verse_ids(a + b, vocab, max_len) for verses in poems for a, b in verses]
+        n = len(rows)
+        # At least one full batch and a short last one.
+        batch_size = data.draw(st.integers(2, n - 1).filter(lambda b: n % b), "batch_size")
+        emb = EmbeddingMatrix(np.ones((len(vocab), 2), np.float32), np.zeros((len(vocab), 2), np.float32),
+                              EmbeddingConfig(dim=2))
+        space, train_ds = FeatureSpace.fit(records, vocab, emb, {"ghazal": 0}, {"a": 0, "b": 1},
+                                           max_len=max_len)
+        enc_cfg = EncoderConfig(vocab_size=len(vocab), d_model=4, n_heads=1, n_layers=1, d_ff=4,
+                                max_len=max_len)
+        cfg = TrainConfig.desk(batch_size=batch_size, max_epochs=2, patience=2, head_hidden=4)
+        seen = []
+        real = verseid.model.encoder_forward
+
+        def recording(ids, params, enc, train=False):
+            seen.append((np.array(ids), train))
+            return real(ids, params, enc, train)
+
+        with mock.patch("verseid.model.encoder_forward", recording):
+            bundle = fit(train_ds, build_dataset(valid, space), space, enc_cfg, cfg)
+            steps = [ids for ids, train in seen if train]
+            seen.clear()
+            predict_proba(train_ds, bundle, batch_size=batch_size)
+
+        # fit: each epoch's batches hold every row once, each batch padded to its longest row.
+        assert len(steps) == 2 * math.ceil(n / batch_size)
+        for epoch in (steps[: len(steps) // 2], steps[len(steps) // 2 :]):
+            assert len(epoch[-1]) == n % batch_size
+            assert sorted(row for ids in epoch for row in strip_padding(ids)) == sorted(rows)
+            for ids in epoch:
+                want = zero_pad(strip_padding(ids))
+                assert ids.shape == want.shape and (ids == want).all()
+        # predict_proba: the rows in dataset order, batch by batch.
+        assert [train for _, train in seen] == [False] * math.ceil(n / batch_size)
+        for k, (ids, _) in enumerate(seen):
+            want = zero_pad(rows[k * batch_size : (k + 1) * batch_size])
+            assert ids.shape == want.shape and (ids == want).all()
 
 
 class TestFit:

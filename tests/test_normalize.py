@@ -13,10 +13,13 @@ from verseid.normalize import (
     RESERVED_TOKENS,
     UNK_ID,
     NormalizationConfig,
+    TokenTable,
     Vocabulary,
     build_vocab,
     normalize_text,
     normalize_verse,
+    table_ids,
+    table_vocab,
     tokenize_verse,
 )
 
@@ -118,6 +121,16 @@ class TestNormalizeText:
         assert not any("ً" <= ch <= "ْ" for ch in out)
 
 
+def dict_counted_vocab(verse_tokens, cfg, min_freq):
+    """The vocabulary by the dict-counting formula that the table builder replaced."""
+    counts = {}
+    for tokens in verse_tokens:
+        for tok in tokens:
+            counts[tok] = counts.get(tok, 0) + 1
+    ordered = sorted((t for t, c in counts.items() if c >= min_freq), key=lambda t: (-counts[t], t))
+    return Vocabulary({tok: i for i, tok in enumerate([*RESERVED_TOKENS, *ordered])}, cfg)
+
+
 class TestVocabulary:
     def records(self):
         return [
@@ -165,6 +178,19 @@ class TestVocabulary:
         assert again.token_to_id == vocab.token_to_id
         assert again.config == vocab.config
         assert again.content_hash() == vocab.content_hash()
+
+    @settings(max_examples=100, deadline=None)
+    @given(verses=st.lists(st.lists(st.sampled_from(["گل", "باغ", "a", "b", "B", "ab"]) | TOKENS,
+                                    max_size=8), max_size=10),
+           min_freq=st.integers(1, 3), strip_zwnj=st.booleans())
+    def test_table_builder_matches_dict_counting(self, verses, min_freq, strip_zwnj):
+        cfg = NormalizationConfig(strip_zwnj=strip_zwnj)
+        want = dict_counted_vocab(verses, cfg, min_freq)
+        table = TokenTable.of((tokens, []) for tokens in verses)
+        for vocab in (table_vocab(table, cfg, min_freq), build_vocab(verses, cfg, min_freq)):
+            assert vocab.id_to_token == want.id_to_token
+            assert vocab.serialize() == want.serialize()
+        assert table_ids(table, want).tolist() == [want.id_of(t) for tokens in verses for t in tokens]
 
     def test_order_invariance(self):
         forward = build_vocab(token_lists(self.records()))
