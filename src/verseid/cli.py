@@ -26,7 +26,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from contextlib import nullcontext
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,7 @@ from .model import (
     training_log_csv,
 )
 from .normalize import NormalizationConfig, TokenTable, Vocabulary, normalize_verse, table_ids, table_vocab
-from .split import SPLIT_NAMES, LeakageError, SplitAssignment, split_records, stratified_poem_split, valid_ratios, verify_no_leakage
+from .split import DEFAULT_RATIOS, SPLIT_NAMES, LeakageError, SplitAssignment, split_records, stratified_poem_split, valid_ratios, verify_no_leakage
 from .synthetic import SyntheticConfig, make_synthetic_corpus
 
 CORPUS_FILE = "corpus.jsonl"
@@ -71,9 +72,29 @@ EXIT_USAGE = 2
 EXIT_STALE = 3
 EXIT_NUMERIC = 4
 
+INPUT_ARGS = ("corpus", "split", "embeddings", "checkpoint")
 
-def _write_config(out_dir: Path, command: str, payload: dict) -> None:
-    payload = {"command": command, "version": __version__, **payload}
+# The ``train --features`` names, one per ``use_<name>`` field of FusionConfig.
+FEATURES = tuple(f.name.removeprefix("use_") for f in fields(FusionConfig))
+
+
+def _given(cls, args) -> dict:
+    """The fields of dataclass ``cls`` that a parsed argument of the same
+    name sets; a ``None`` argument leaves its field to the dataclass."""
+    return {f.name: v for f in fields(cls) if (v := getattr(args, f.name, None)) is not None}
+
+
+def _out_dir(args) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_config(out_dir: Path, args, payload: dict) -> None:
+    """``config.json``: the command, the version, every input path the
+    command was given, and ``payload``."""
+    inputs = {k: str(v) for k in INPUT_ARGS if (v := getattr(args, k, None)) is not None}
+    payload = {"command": args.command, "version": __version__, **inputs, **payload}
     (out_dir / CONFIG_FILE).write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -174,13 +195,12 @@ def _thresholds(text: str) -> list[float]:
 def cmd_ingest(args) -> int:
     corpus = load_corpus(_in_dir(args.corpus, CORPUS_FILE))
     filtered = filter_corpus(corpus, min_verses_per_poet=args.min_verses)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     save_corpus(filtered, out / CORPUS_FILE)
     stats = corpus_stats(filtered)
     (out / STATS_JSON).write_text(stats.to_json() + "\n", encoding="utf-8")
     (out / STATS_TEXT).write_text(stats.to_text(), encoding="utf-8")
-    _write_config(out, "ingest", {"corpus": str(args.corpus), "min_verses": args.min_verses})
+    _write_config(out, args, {"min_verses": args.min_verses})
     print(
         f"ingested {len(corpus)} poems -> kept {len(filtered)} "
         f"({stats.n_poets} poets, {stats.n_verses} verses)"
@@ -193,12 +213,9 @@ def cmd_split(args) -> int:
     ratios = tuple(args.ratios)
     assignment = stratified_poem_split(corpus, ratios=ratios, seed=args.seed)
     verify_no_leakage(assignment, corpus)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     assignment.save(out / ASSIGNMENT_CSV, out / SPLIT_META)
-    _write_config(
-        out, "split", {"corpus": str(args.corpus), "seed": args.seed, "ratios": list(ratios)}
-    )
+    _write_config(out, args, {"seed": args.seed, "ratios": list(ratios)})
     counts = assignment.counts()
     print(
         f"split {len(assignment.rows)} poems: "
@@ -217,25 +234,15 @@ def cmd_train_embeddings(args) -> int:
     ids, ends = table_ids(table, vocab).tolist(), np.cumsum(table.n_tokens).tolist()
     sequences = [ids[a:b] for a, b in zip([0, *ends], ends)]
     del table, ids, ends  # held through SGNS, they raise its peak RSS (1.3 MB at desk scale)
-    emb_cfg = EmbeddingConfig(
-        dim=args.dim,
-        window=args.window,
-        negatives=args.negatives,
-        epochs=args.epochs,
-        lr=args.lr,
-        seed=args.seed,
-    )
+    emb_cfg = EmbeddingConfig(**_given(EmbeddingConfig, args))
     emb, losses = train_sgns(sequences, len(vocab), emb_cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     vocab.save(out / VOCAB_FILE)
     emb.save(out / EMBEDDINGS_FILE)
     _write_config(
         out,
-        "train-embeddings",
+        args,
         {
-            "corpus": str(args.corpus),
-            "split": str(args.split),
             "embedding": emb_cfg.to_dict(),
             "normalization": norm_cfg.to_dict(),
             "min_freq": args.min_freq,
@@ -248,24 +255,13 @@ def cmd_train_embeddings(args) -> int:
 
 def _fusion_from_arg(features: str) -> FusionConfig:
     wanted = {f.strip() for f in features.split(",") if f.strip()}
-    known = {"text", "semantic", "stylometric", "form", "meter"}
-    bad = wanted - known
+    known = sorted(FEATURES)
+    bad = wanted - set(FEATURES)
     if bad:
-        raise ValueError(f"--features: unknown features: {sorted(bad)} (choose from {sorted(known)})")
+        raise ValueError(f"--features: unknown features: {sorted(bad)} (choose from {known})")
     if not wanted:
-        raise ValueError(f"--features: no features given (choose from {sorted(known)})")
-    return FusionConfig(
-        use_text="text" in wanted,
-        use_semantic="semantic" in wanted,
-        use_stylometric="stylometric" in wanted,
-        use_form="form" in wanted,
-        use_meter="meter" in wanted,
-    )
-
-
-# TrainConfig fields that a ``train`` flag of the same dest overrides.
-TRAIN_FLAGS = ("lr", "weight_decay", "batch_size", "max_epochs", "patience", "head_hidden",
-               "head_dropout")
+        raise ValueError(f"--features: no features given (choose from {known})")
+    return FusionConfig(**{f"use_{name}": name in wanted for name in FEATURES})
 
 
 def cmd_train(args) -> int:
@@ -276,19 +272,11 @@ def cmd_train(args) -> int:
     vocab, emb = _load_artifacts(args.embeddings)
 
     base = TrainConfig.desk() if args.preset == "desk" else TrainConfig()
-    given = {k: getattr(args, k) for k in TRAIN_FLAGS if getattr(args, k) is not None}
+    given = _given(TrainConfig, args)
     if args.no_class_weights:
         given["class_weighting"] = "none"
-    tcfg = replace(base, seed=args.seed, **given)
-    enc_cfg = EncoderConfig(
-        vocab_size=len(vocab),
-        d_model=args.d_model,
-        n_heads=args.n_heads,
-        n_layers=args.n_layers,
-        d_ff=args.d_ff,
-        max_len=args.max_len,
-        seed=args.seed,
-    )
+    tcfg = replace(base, **given)
+    enc_cfg = EncoderConfig(vocab_size=len(vocab), **_given(EncoderConfig, args))
     poet_index = {p: i for i, p in enumerate(sorted({r.poet for r in corpus.records}))}
     form_index = {f: i for i, f in enumerate(sorted({r.form for r in corpus.records}))}
     space, train_ds = FeatureSpace.fit(
@@ -297,17 +285,13 @@ def cmd_train(args) -> int:
     valid_ds = build_dataset(splits["valid"], space)
     bundle = fit(train_ds, valid_ds, space, enc_cfg, tcfg)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     save_checkpoint(bundle, out / CHECKPOINT_FILE)
     (out / TRAINLOG_CSV).write_text(training_log_csv(bundle.log), encoding="utf-8")
     _write_config(
         out,
-        "train",
+        args,
         {
-            "corpus": str(args.corpus),
-            "split": str(args.split),
-            "embeddings": str(args.embeddings),
             "train": tcfg.to_dict(),
             "encoder": enc_cfg.to_dict(),
             "fusion": fusion.to_dict(),
@@ -347,8 +331,7 @@ def cmd_evaluate(args) -> int:
     ds, probs, poem_ids, poem_of, truth = _eval_data(args, bundle)
     poet_names = bundle.space.poet_names
     n_classes = len(poet_names)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
 
     verse_report = classification_report(ds.labels, probs.argmax(axis=1), n_classes, poet_names)
     (out / "eval_verse.json").write_text(verse_report.to_json() + "\n", encoding="utf-8")
@@ -365,18 +348,7 @@ def cmd_evaluate(args) -> int:
         (out / f"eval_{strategy}.txt").write_text(report.to_text(), encoding="utf-8")
     poem_csv = predictions_csv(poem_ids, votes, poet_names)
     (out / "poem_predictions.csv").write_text(poem_csv, encoding="utf-8")
-    _write_config(
-        out,
-        "evaluate",
-        {
-            "corpus": str(args.corpus),
-            "split": str(args.split),
-            "embeddings": str(args.embeddings),
-            "checkpoint": str(args.checkpoint),
-            "split_name": args.split_name,
-            "tau": args.tau,
-        },
-    )
+    _write_config(out, args, {"split_name": args.split_name, "tau": args.tau})
     print(f"verse accuracy {verse_report.accuracy:.4f} on {args.split_name}")
     return EXIT_OK
 
@@ -385,21 +357,9 @@ def cmd_sweep(args) -> int:
     bundle = _load_bundle(args)
     _, probs, _, poem_of, truth = _eval_data(args, bundle)
     rows = sweep_thresholds(*aggregate_poem(poem_of, probs, "weighted"), truth, args.taus)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     (out / "sweep.csv").write_text(sweep_csv(rows), encoding="utf-8")
-    _write_config(
-        out,
-        "sweep-thresholds",
-        {
-            "corpus": str(args.corpus),
-            "split": str(args.split),
-            "embeddings": str(args.embeddings),
-            "checkpoint": str(args.checkpoint),
-            "split_name": args.split_name,
-            "taus": args.taus,
-        },
-    )
+    _write_config(out, args, {"split_name": args.split_name, "taus": args.taus})
     for r in rows:
         acc = "NA" if r.accuracy is None else f"{r.accuracy:.4f}"
         print(f"tau={r.threshold:g} accuracy={acc} coverage={r.coverage:.4f}")
@@ -408,13 +368,12 @@ def cmd_sweep(args) -> int:
 
 def _read_poems(path: str | None) -> list[PoemRecord]:
     """Prediction input from a JSONL file, or stdin for ``None`` or ``-``."""
-    if path in (None, "-"):
-        path, records = "stdin", read_records(sys.stdin, labelled=False)
-    else:
-        with reading(path, "corpus", CorpusError), open(path, encoding="utf-8") as fh:
+    stdin = path in (None, "-")
+    with reading("stdin" if stdin else path, "corpus", CorpusError):
+        with nullcontext(sys.stdin) if stdin else open(path, encoding="utf-8") as fh:
             records = read_records(fh, labelled=False)
-    if not records:
-        raise CorpusError(f"{path}: no poems to predict")
+        if not records:
+            raise CorpusError("no poems to predict")
     return records
 
 
@@ -424,8 +383,7 @@ def cmd_predict(args) -> int:
     ds = build_dataset(records, bundle.space)
     probs = predict_proba(ds, bundle)
     poet_names = bundle.space.poet_names
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
 
     rows = [["poem_id", "verse_index", "label", "confidence", *(f"p_{p}" for p in poet_names)]]
     for pid, vi, top, row in zip(ds.poem_ids, ds.verse_indices, probs.argmax(axis=1).tolist(),
@@ -438,16 +396,7 @@ def cmd_predict(args) -> int:
     votes = {s: aggregate_poem(poem_of, probs, s, tau=args.tau) for s in STRATEGIES}
     poem_csv = predictions_csv(poem_ids, votes, poet_names)
     (out / "poem_predictions.csv").write_text(poem_csv, encoding="utf-8")
-    _write_config(
-        out,
-        "predict",
-        {
-            "input": str(args.input or "-"),
-            "embeddings": str(args.embeddings),
-            "checkpoint": str(args.checkpoint),
-            "tau": args.tau,
-        },
-    )
+    _write_config(out, args, {"input": str(args.input or "-"), "tau": args.tau})
     print(f"predicted {len(poem_ids)} poems ({len(ds)} verses)")
     return EXIT_OK
 
@@ -456,19 +405,9 @@ def cmd_make_synthetic(args) -> int:
     if args.min_verses > args.max_verses:
         raise ValueError(f"--min-verses {args.min_verses} is greater than "
                          f"--max-verses {args.max_verses}")
-    cfg = SyntheticConfig(
-        n_poets=args.poets,
-        poems_per_poet=args.poems_per_poet,
-        min_verses=args.min_verses,
-        max_verses=args.max_verses,
-        formulaic_rate=args.formulaic_rate,
-        contested_rate=args.contested_rate,
-        seed=args.seed,
-    )
-    corpus = make_synthetic_corpus(cfg)
+    corpus = make_synthetic_corpus(SyntheticConfig(**_given(SyntheticConfig, args)))
     out = Path(args.out)
-    if out.parent != Path("."):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     save_corpus(corpus, out)
     print(f"wrote {len(corpus)} poems ({corpus.n_verses} verses) to {out}")
     return EXIT_OK
@@ -505,7 +444,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if p := add("split", cmd_split, "stratified poem-level train/valid/test split"):
         p.add_argument("--corpus", required=True)
         p.add_argument("--seed", type=_non_negative_int, default=0)
-        p.add_argument("--ratios", type=_ratios, default="0.8,0.1,0.1")
+        p.add_argument("--ratios", type=_ratios, default=DEFAULT_RATIOS)
         p.add_argument("--out", required=True)
 
     if p := add("train-embeddings", cmd_train_embeddings,
@@ -513,14 +452,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--corpus", required=True)
         p.add_argument("--split", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--dim", type=_positive_int, default=100)
-        p.add_argument("--window", type=_positive_int, default=4)
-        p.add_argument("--negatives", type=_positive_int, default=5)
-        p.add_argument("--epochs", type=_positive_int, default=5)
-        p.add_argument("--lr", type=_positive_float, default=0.025)
+        p.add_argument("--dim", type=_positive_int, default=EmbeddingConfig.dim)
+        p.add_argument("--window", type=_positive_int, default=EmbeddingConfig.window)
+        p.add_argument("--negatives", type=_positive_int, default=EmbeddingConfig.negatives)
+        p.add_argument("--epochs", type=_positive_int, default=EmbeddingConfig.epochs)
+        p.add_argument("--lr", type=_positive_float, default=EmbeddingConfig.lr)
         p.add_argument("--min-freq", type=_positive_int, default=1)
         p.add_argument("--strip-zwnj", action="store_true")
-        p.add_argument("--seed", type=_non_negative_int, default=0)
+        p.add_argument("--seed", type=_non_negative_int, default=EmbeddingConfig.seed)
 
     if p := add("train", cmd_train, "train the verse classifier"):
         p.add_argument("--corpus", required=True)
@@ -536,13 +475,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--head-hidden", type=_positive_int)
         p.add_argument("--head-dropout", type=_float_in(0.0, 1.0, high_open=True))
         p.add_argument("--no-class-weights", action="store_true")
-        p.add_argument("--d-model", type=_positive_int, default=64)
-        p.add_argument("--n-heads", type=_positive_int, default=2)
-        p.add_argument("--n-layers", type=_positive_int, default=2)
-        p.add_argument("--d-ff", type=_positive_int, default=128)
-        p.add_argument("--max-len", type=_positive_int, default=64)
-        p.add_argument("--features", default="text,semantic,stylometric,form,meter")
-        p.add_argument("--seed", type=_non_negative_int, default=0)
+        p.add_argument("--d-model", type=_positive_int, default=EncoderConfig.d_model)
+        p.add_argument("--n-heads", type=_positive_int, default=EncoderConfig.n_heads)
+        p.add_argument("--n-layers", type=_positive_int, default=EncoderConfig.n_layers)
+        p.add_argument("--d-ff", type=_positive_int, default=EncoderConfig.d_ff)
+        p.add_argument("--max-len", type=_positive_int, default=EncoderConfig.max_len)
+        p.add_argument("--features", default=",".join(FEATURES))
+        # Seeds TrainConfig and EncoderConfig; unset, each keeps its own default.
+        p.add_argument("--seed", type=_non_negative_int)
 
     def eval_common(p):
         p.add_argument("--corpus", required=True)
@@ -570,13 +510,17 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     if p := add("make-synthetic", cmd_make_synthetic, "generate a synthetic corpus"):
         p.add_argument("--out", required=True)
-        p.add_argument("--poets", type=_positive_int, default=5)
-        p.add_argument("--poems-per-poet", type=_positive_int, default=200)
-        p.add_argument("--min-verses", type=_positive_int, default=4)
-        p.add_argument("--max-verses", type=_positive_int, default=12)
-        p.add_argument("--formulaic-rate", type=_float_in(0.0, 1.0), default=0.25)
-        p.add_argument("--contested-rate", type=_float_in(0.0, 1.0), default=0.0)
-        p.add_argument("--seed", type=_non_negative_int, default=0)
+        p.add_argument("--poets", type=_positive_int, dest="n_poets",
+                       default=SyntheticConfig.n_poets)
+        p.add_argument("--poems-per-poet", type=_positive_int,
+                       default=SyntheticConfig.poems_per_poet)
+        p.add_argument("--min-verses", type=_positive_int, default=SyntheticConfig.min_verses)
+        p.add_argument("--max-verses", type=_positive_int, default=SyntheticConfig.max_verses)
+        p.add_argument("--formulaic-rate", type=_float_in(0.0, 1.0),
+                       default=SyntheticConfig.formulaic_rate)
+        p.add_argument("--contested-rate", type=_float_in(0.0, 1.0),
+                       default=SyntheticConfig.contested_rate)
+        p.add_argument("--seed", type=_non_negative_int, default=SyntheticConfig.seed)
 
     return parser
 

@@ -6,9 +6,9 @@ A corpus file is JSON Lines, one poem per line::
      "meter": "ramal", "status": "confirmed",
      "verses": [["hemistich 1a", "hemistich 1b"], ...]}
 
-``title`` is optional; prediction input may also omit the label keys. Each
-verse is a pair of hemistichs; the second may be an empty string for
-irregular trailing lines.
+``title`` is optional; prediction input may also omit the label keys. Every
+key but ``verses`` holds a string. Each verse is a pair of hemistichs; the
+second may be an empty string for irregular trailing lines.
 """
 
 from __future__ import annotations
@@ -124,6 +124,9 @@ def _parse_record(obj: dict, lineno: int, labelled: bool = True) -> PoemRecord:
         for key in ("poet", "form", "meter", "status"):
             if key not in obj:
                 raise CorpusError(f"line {lineno}: missing required key {key!r}")
+    for key in ("poem_id", "poet", "form", "meter", "status", "title"):
+        if not isinstance(obj.get(key, ""), str):
+            raise CorpusError(f"line {lineno}: {key!r} must be a string")
     raw_verses = obj["verses"]
     if not isinstance(raw_verses, list) or not raw_verses:
         raise CorpusError(f"line {lineno}: 'verses' must be a non-empty list")
@@ -140,13 +143,13 @@ def _parse_record(obj: dict, lineno: int, labelled: bool = True) -> PoemRecord:
         verses.append(Verse(h1, h2))
     try:
         return PoemRecord(
-            poem_id=str(obj["poem_id"]),
-            poet=str(obj.get("poet", "")),
-            form=str(obj.get("form", "")),
-            meter=str(obj.get("meter", "")),
-            attribution_status=str(obj.get("status", "confirmed")),
+            poem_id=obj["poem_id"],
+            poet=obj.get("poet", ""),
+            form=obj.get("form", ""),
+            meter=obj.get("meter", ""),
+            attribution_status=obj.get("status", "confirmed"),
             verses=verses,
-            title=str(obj.get("title", "")),
+            title=obj.get("title", ""),
         )
     except CorpusError as exc:
         raise CorpusError(f"line {lineno}: {exc}") from None

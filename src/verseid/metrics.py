@@ -121,8 +121,6 @@ def classification_report(
         denom = precision[c] + recall[c]
         if denom > 0:
             f1[c] = 2 * precision[c] * recall[c] / denom
-        elif pred_totals[c] == 0 and true_totals[c] == 0:
-            zero_div.add(c)
 
     total = int(cm.sum())
     return EvalReport(

@@ -12,10 +12,14 @@ import numpy as np
 import pytest
 
 import verseid.cli
-from verseid.cli import main
+from verseid.cli import build_parser, main
 from verseid.corpus import Corpus, load_corpus, save_corpus
+from verseid.embeddings import EmbeddingConfig
+from verseid.encoder import EncoderConfig
+from verseid.model import FusionConfig, TrainConfig
 from verseid.normalize import UNK_ID, NormalizationConfig, build_vocab
 from verseid.split import SplitAssignment, split_records
+from verseid.synthetic import SyntheticConfig
 
 from conftest import make_poem, token_lists
 
@@ -422,6 +426,22 @@ class TestPredict:
                      "--checkpoint", str(pipeline["model"]), "--out", str(out)]) == 0
         assert (out / "verse_predictions.csv").exists()
 
+    @pytest.mark.parametrize("stdin_flag", [[], ["--input", "-"]], ids=["omitted", "dash"])
+    @pytest.mark.parametrize("data, where", [
+        (b"{\n", "line 1: invalid JSON"),
+        (b"\xff\n", "'utf-8' codec can't decode"),
+        (b"\n", "no poems to predict"),
+    ], ids=["invalid-json", "non-utf8", "empty"])
+    def test_stdin_error_names_stdin(self, pipeline, tmp_path, monkeypatch, capsys,
+                                     stdin_flag, data, where):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        out = tmp_path / "pred"
+        code, captured = run(["predict", *stdin_flag, "--embeddings", str(pipeline["emb"]),
+                              "--checkpoint", str(pipeline["model"]), "--out", str(out)], capsys)
+        assert code == 2
+        assert captured.err.startswith(f"error: stdin: {where}")
+        assert not out.exists()
+
     def test_predict_rejects_verseless_input(self, pipeline, tmp_path, capsys):
         poems = tmp_path / "poems.jsonl"
         poems.write_text('{"poem_id": "x"}\n', encoding="utf-8")
@@ -486,6 +506,79 @@ class TestParser:
         expected = capsys.readouterr()
         assert exit_code(argv) == full.value.code
         assert capsys.readouterr() == expected
+
+
+class Stop(Exception):
+    """Raised by a stand-in once it has recorded the configs it was given."""
+
+
+class TestConfigFlags:
+    """Each flag that sets a config field reaches that field, and its parser
+    default is the field's dataclass default or None."""
+
+    # Per config class: flag -> (field, a value that is no default or preset value).
+    EMBEDDING = {"--dim": ("dim", 7), "--window": ("window", 3), "--negatives": ("negatives", 2),
+                 "--epochs": ("epochs", 4), "--lr": ("lr", 0.5), "--seed": ("seed", 9)}
+    TRAIN = {"--lr": ("lr", 0.125), "--weight-decay": ("weight_decay", 0.5),
+             "--batch-size": ("batch_size", 5), "--epochs": ("max_epochs", 7),
+             "--patience": ("patience", 6), "--head-hidden": ("head_hidden", 9),
+             "--head-dropout": ("head_dropout", 0.25), "--seed": ("seed", 11)}
+    ENCODER = {"--d-model": ("d_model", 24), "--n-heads": ("n_heads", 3),
+               "--n-layers": ("n_layers", 3), "--d-ff": ("d_ff", 40), "--max-len": ("max_len", 20),
+               "--seed": ("seed", 11)}
+    SYNTHETIC = {"--poets": ("n_poets", 2), "--poems-per-poet": ("poems_per_poet", 3),
+                 "--min-verses": ("min_verses", 2), "--max-verses": ("max_verses", 5),
+                 "--formulaic-rate": ("formulaic_rate", 0.5),
+                 "--contested-rate": ("contested_rate", 0.5), "--seed": ("seed", 9)}
+    # Per command: the function given its configs, the configs, and its input flags.
+    COMMANDS = {
+        "train-embeddings": ("train_sgns", {EmbeddingConfig: EMBEDDING}, ("corpus", "split")),
+        "train": ("fit", {TrainConfig: TRAIN, EncoderConfig: ENCODER},
+                  ("corpus", "split", "emb")),
+        "make-synthetic": ("make_synthetic_corpus", {SyntheticConfig: SYNTHETIC}, ()),
+    }
+
+    def required(self, command, pipeline, tmp_path):
+        flag = {"corpus": "--corpus", "split": "--split", "emb": "--embeddings"}
+        inputs = self.COMMANDS[command][2]
+        return [*(x for name in inputs for x in (flag[name], str(pipeline[name]))),
+                "--out", str(tmp_path / "o")]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_each_flag_reaches_its_field(self, pipeline, tmp_path, monkeypatch, command):
+        target, groups, _ = self.COMMANDS[command]
+        given = []
+
+        def stand_in(*args):
+            given.extend(args)
+            raise Stop
+
+        monkeypatch.setattr(verseid.cli, target, stand_in)
+        flags = {flag: value for group in groups.values() for flag, (_, value) in group.items()}
+        argv = [command, *self.required(command, pipeline, tmp_path),
+                *(x for flag, value in flags.items() for x in (flag, str(value)))]
+        if command == "train":
+            argv.append("--no-class-weights")
+        with pytest.raises(Stop):
+            main(argv)
+        configs = {type(a): a for a in given}
+        for cls, group in groups.items():
+            for flag, (field, value) in group.items():
+                assert getattr(configs[cls], field) == value, (command, flag)
+        if command == "train":
+            assert configs[TrainConfig].class_weighting == "none"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_each_flag_defaults_to_its_field(self, pipeline, tmp_path, command):
+        groups = self.COMMANDS[command][1]
+        args = build_parser(command).parse_args(
+            [command, *self.required(command, pipeline, tmp_path)])
+        for cls, group in groups.items():
+            for flag, (field, _) in group.items():
+                default = getattr(args, field)
+                assert default is None or default == getattr(cls, field), (command, flag)
+        if command == "train":
+            assert verseid.cli._fusion_from_arg(args.features) == FusionConfig()
 
 
 class TestExitCodes:
@@ -737,6 +830,25 @@ class TestExitCodes:
         if where is None:
             where = "empty corpus" if command == "ingest" else "no poems to predict"
         assert f"error: {bad}: {where}" in captured.err
+
+    @pytest.mark.parametrize("command", ["ingest", "predict"])
+    @pytest.mark.parametrize("key", ["poem_id", "poet", "form", "meter", "status", "title"])
+    @pytest.mark.parametrize("value", [None, 7, ["a"], {"a": "b"}, True],
+                             ids=["null", "number", "list", "object", "true"])
+    def test_non_string_label_is_usage_error(self, pipeline, tmp_path, capsys,
+                                             command, key, value):
+        first = (pipeline["corpus"] / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[0]
+        record = {**json.loads(first), key: value}
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+        argv = (["ingest", "--corpus", str(bad)] if command == "ingest" else
+                ["predict", "--input", str(bad), "--embeddings", str(pipeline["emb"]),
+                 "--checkpoint", str(pipeline["model"])])
+        out = tmp_path / "o"
+        code, captured = run([*argv, "--out", str(out)], capsys)
+        assert code == 2
+        assert f"error: {bad}: line 1: {key!r} must be a string" in captured.err
+        assert not out.exists()
 
     @pytest.mark.parametrize("section, key, value", [
         ("encoder_config", "norm", "pre"),
