@@ -26,7 +26,6 @@ import argparse
 import json
 import math
 import sys
-from contextlib import nullcontext
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -34,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .aggregate import STRATEGIES, aggregate_poem, poem_index, predictions_csv, sweep_csv, sweep_thresholds
-from .corpus import Corpus, CorpusError, PoemRecord, corpus_stats, csv_text, filter_corpus, load_corpus, read_records, reading, save_corpus
+from .corpus import Corpus, CorpusError, PoemRecord, corpus_stats, csv_text, filter_corpus, load_corpus, reading, save_corpus
 from .embeddings import EmbeddingConfig, EmbeddingMatrix, train_sgns
 from .encoder import EncoderConfig
 from .metrics import classification_report
@@ -117,7 +116,11 @@ def _load_splits(args) -> tuple[Corpus, dict[str, list[PoemRecord]]]:
 
 def _load_artifacts(emb_dir: str) -> tuple[Vocabulary, EmbeddingMatrix]:
     d = Path(emb_dir)
-    return Vocabulary.load(d / VOCAB_FILE), EmbeddingMatrix.load(d / EMBEDDINGS_FILE)
+    vocab, emb = Vocabulary.load(d / VOCAB_FILE), EmbeddingMatrix.load(d / EMBEDDINGS_FILE)
+    if emb.w_in.shape[0] != len(vocab):
+        raise StaleArtifactError(f"{d / EMBEDDINGS_FILE} has {emb.w_in.shape[0]} rows, but "
+                                 f"{d / VOCAB_FILE} has {len(vocab)} ids (mismatched pair)")
+    return vocab, emb
 
 
 def _finite_float(text: str) -> float:
@@ -368,13 +371,7 @@ def cmd_sweep(args) -> int:
 
 def _read_poems(path: str | None) -> list[PoemRecord]:
     """Prediction input from a JSONL file, or stdin for ``None`` or ``-``."""
-    stdin = path in (None, "-")
-    with reading("stdin" if stdin else path, "corpus", CorpusError):
-        with nullcontext(sys.stdin) if stdin else open(path, encoding="utf-8") as fh:
-            records = read_records(fh, labelled=False)
-        if not records:
-            raise CorpusError("no poems to predict")
-    return records
+    return load_corpus(None if path in (None, "-") else path, labelled=False).records
 
 
 def cmd_predict(args) -> int:

@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import sys
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -155,39 +156,39 @@ def _parse_record(obj: dict, lineno: int, labelled: bool = True) -> PoemRecord:
         raise CorpusError(f"line {lineno}: {exc}") from None
 
 
-def read_records(lines, labelled: bool = True) -> list[PoemRecord]:
-    """Parse JSONL poem records, skipping blank lines; ``labelled=False``
-    reads prediction input, where only poem_id and verses are required."""
-    records: list[PoemRecord] = []
-    seen: set[str] = set()
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-        if not isinstance(obj, dict):
-            raise CorpusError(f"line {lineno}: expected a JSON object")
-        record = _parse_record(obj, lineno, labelled)
-        if record.poem_id in seen:
-            raise CorpusError(f"line {lineno}: duplicate poem_id {record.poem_id!r}")
-        seen.add(record.poem_id)
-        records.append(record)
-    return records
-
-
-def load_corpus(path: str | Path) -> Corpus:
-    """Load a JSONL corpus file.
+def load_corpus(path: str | Path | None, labelled: bool = True) -> Corpus:
+    """Load a JSONL corpus file, or stdin for ``path=None``, as strict UTF-8,
+    skipping blank lines; ``labelled=False`` reads prediction input, where
+    only poem_id and verses are required.
 
     Raises:
-        CorpusError: naming the file (and the line, if any) when it is missing,
-            undecodable, malformed or empty, or repeats a poem id.
+        CorpusError: naming the file or stdin (and the line, if any) when it
+            is missing, undecodable, malformed or empty, or repeats a poem id.
     """
-    with reading(path, "corpus", CorpusError), open(path, encoding="utf-8") as fh:
-        records = read_records(fh)
+    records: list[PoemRecord] = []
+    seen: set[str] = set()
+    with reading("stdin" if path is None else path, "corpus", CorpusError), (
+        open(path, encoding="utf-8") if path is not None
+        # The bytes of the process's stdin, which stays open; Python's own
+        # sys.stdin would let undecodable bytes through as surrogates.
+        else io.TextIOWrapper(io.BytesIO(sys.stdin.buffer.read()), encoding="utf-8")
+    ) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+            if not isinstance(obj, dict):
+                raise CorpusError(f"line {lineno}: expected a JSON object")
+            record = _parse_record(obj, lineno, labelled)
+            if record.poem_id in seen:
+                raise CorpusError(f"line {lineno}: duplicate poem_id {record.poem_id!r}")
+            seen.add(record.poem_id)
+            records.append(record)
         if not records:
-            raise CorpusError("empty corpus")
+            raise CorpusError("no poems")
     return Corpus(records)
 
 

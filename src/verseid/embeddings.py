@@ -99,7 +99,7 @@ class EmbeddingMatrix:
         Raises:
             StaleArtifactError: naming the file, if it is missing, the magic
                 is wrong, the file is not exactly header + config + two
-                float32 (V, D) matrices long, or the config is unreadable.
+                float32 (V, D) matrices long, or the config is not UTF-8 JSON.
         """
         with reading(path, "embeddings"):
             blob = Path(path).read_bytes()
@@ -111,7 +111,7 @@ class EmbeddingMatrix:
             if len(blob) != off + 8 * n:
                 raise ValueError(f"embedding file is {len(blob)} bytes, but its header "
                                  f"describes {off + 8 * n}")
-            cfg = EmbeddingConfig.from_dict(json.loads(blob[_HEADER.size : off]))
+            cfg = EmbeddingConfig.from_dict(json.loads(blob[_HEADER.size : off].decode("utf-8")))
         w_in, w_out = np.frombuffer(blob, dtype="<f4", offset=off).reshape(2, vocab_size, dim)
         return cls(w_in.astype(np.float32), w_out.astype(np.float32), cfg)
 

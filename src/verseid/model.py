@@ -676,10 +676,11 @@ def load_checkpoint(
     Raises:
         StaleArtifactError: naming the file, if it is missing or not a
             well-formed checkpoint of a known format version (wrong size,
-            unreadable or incomplete metadata, a failed checksum), holds a
-            retired encoder or optimizer setting other than its one supported
-            value, or the vocab or embedding hashes disagree with the ones
-            recorded at training time.
+            unreadable or incomplete metadata, a failed checksum, two
+            ``max_len`` values that disagree), holds a retired encoder or
+            optimizer setting other than its one supported value, or the
+            vocab or embedding hashes disagree with the ones recorded at
+            training time.
     """
     with reading(path, "checkpoint"):
         blob = Path(path).read_bytes()
@@ -710,7 +711,10 @@ def load_checkpoint(
 def _bundle_from_meta(
     meta: dict, params: np.ndarray, vocab: Vocabulary, embeddings: EmbeddingMatrix
 ) -> ModelBundle:
-    sp = meta["space"]
+    sp, enc_cfg = meta["space"], EncoderConfig.from_dict(meta["encoder_config"])
+    if int(sp["max_len"]) != enc_cfg.max_len:
+        raise ValueError(f"space max_len {sp['max_len']!r} disagrees with encoder_config "
+                         f"max_len {enc_cfg.max_len!r}")
     space = FeatureSpace(
         vocab=vocab,
         embeddings=embeddings,
@@ -723,7 +727,7 @@ def _bundle_from_meta(
     )
     return ModelBundle(
         space=space,
-        enc_cfg=EncoderConfig.from_dict(meta["encoder_config"]),
+        enc_cfg=enc_cfg,
         params=params,
         manifest=meta["manifest"],
         train_cfg=TrainConfig.from_dict(meta["train_config"]),

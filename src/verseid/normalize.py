@@ -14,8 +14,7 @@ vocabulary lookup here, and the stylometric counts in ``features``) runs once
 per distinct token. :func:`table_vocab` builds a vocabulary from a table's
 token counts (:func:`build_vocab` is its token-list call), :func:`table_ids`
 maps a table's tokens to vocabulary ids, the skip-gram input, and
-:func:`encoder_ids` lays those ids out as the encoder's padded id matrix
-(:func:`tokenize_verse` is its one-verse call).
+:func:`encoder_ids` lays those ids out as the encoder's padded id matrix.
 """
 
 from __future__ import annotations
@@ -250,16 +249,3 @@ def encoder_ids(table: TokenTable, vocab: Vocabulary, max_len: int = 64) -> np.n
     ids[:, 0] = CLS_ID
     ids[table.verse_of[keep], col[keep]] = table_ids(table, vocab)[keep]
     return ids
-
-
-def tokenize_verse(tokens: list[str], vocab: Vocabulary, max_len: int = 64) -> tuple[int, ...]:
-    """Encoder input ids for a verse's normalized tokens (both hemistichs in
-    reading order): ``[CLS] + tokens``, truncated to ``max_len``; the
-    one-verse call of :func:`encoder_ids`.
-
-    Raises:
-        ValueError: if the verse has no tokens after normalization.
-    """
-    if not tokens:
-        raise ValueError("empty verse: no tokens after normalization")
-    return tuple(encoder_ids(TokenTable.of([(tokens, [])]), vocab, max_len)[0].tolist())

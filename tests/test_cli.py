@@ -4,9 +4,13 @@ import csv
 import hashlib
 import io
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ import pytest
 import verseid.cli
 from verseid.cli import build_parser, main
 from verseid.corpus import Corpus, load_corpus, save_corpus
-from verseid.embeddings import EmbeddingConfig
+from verseid.embeddings import EmbeddingConfig, EmbeddingMatrix
 from verseid.encoder import EncoderConfig
 from verseid.model import FusionConfig, TrainConfig
 from verseid.normalize import UNK_ID, NormalizationConfig, build_vocab
@@ -420,7 +424,8 @@ class TestPredict:
                 assert all(len(row) == len(header) and row[0] == poem_id for row in rows)
 
     def test_predict_from_stdin(self, pipeline, tmp_path, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(self.poems_jsonl()))
+        stdin = io.TextIOWrapper(io.BytesIO(self.poems_jsonl().encode("utf-8")), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
         out = tmp_path / "pred"
         assert main(["predict", "--embeddings", str(pipeline["emb"]),
                      "--checkpoint", str(pipeline["model"]), "--out", str(out)]) == 0
@@ -430,7 +435,7 @@ class TestPredict:
     @pytest.mark.parametrize("data, where", [
         (b"{\n", "line 1: invalid JSON"),
         (b"\xff\n", "'utf-8' codec can't decode"),
-        (b"\n", "no poems to predict"),
+        (b"\n", "no poems"),
     ], ids=["invalid-json", "non-utf8", "empty"])
     def test_stdin_error_names_stdin(self, pipeline, tmp_path, monkeypatch, capsys,
                                      stdin_flag, data, where):
@@ -441,6 +446,42 @@ class TestPredict:
         assert code == 2
         assert captured.err.startswith(f"error: stdin: {where}")
         assert not out.exists()
+
+    def predict_through_pipe(self, pipeline, data, out):
+        """``verseid predict`` run as its own process, with ``data`` on its stdin.
+
+        Under the C locale Python decodes its own ``sys.stdin`` with
+        ``errors="surrogateescape"``, which lets undecodable bytes through.
+        """
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+        src = str(Path(verseid.cli.__file__).parents[1])
+        env.update(LC_ALL="C", PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+        return subprocess.run(
+            [sys.executable, "-m", "verseid.cli", "predict", "--embeddings", str(pipeline["emb"]),
+             "--checkpoint", str(pipeline["model"]), "--out", str(out)],
+            input=data, capture_output=True, env=env, timeout=120)
+
+    @pytest.mark.parametrize("data", [
+        b'{"poem_id": "x1", "verses": [["a\xff b", "c"]]}\n',
+        b'{"poem_id": "x\xff1", "verses": [["a b", "c"]]}\n',
+    ], ids=["hemistich", "poem_id"])
+    def test_undecodable_pipe_names_stdin(self, pipeline, tmp_path, data):
+        out = tmp_path / "pred"
+        proc = self.predict_through_pipe(pipeline, data, out)
+        assert proc.returncode == 2
+        assert proc.stderr.decode("utf-8").startswith(
+            "error: stdin: 'utf-8' codec can't decode")
+        assert not out.exists()
+
+    def test_pipe_predicts_as_the_file(self, pipeline, tmp_path):
+        poems = tmp_path / "poems.jsonl"
+        poems.write_text(self.poems_jsonl(), encoding="utf-8")
+        assert main(["predict", "--input", str(poems), "--embeddings", str(pipeline["emb"]),
+                     "--checkpoint", str(pipeline["model"]), "--out", str(tmp_path / "file")]) == 0
+        proc = self.predict_through_pipe(pipeline, poems.read_bytes(), tmp_path / "pipe")
+        assert proc.returncode == 0, proc.stderr
+        for name in ("verse_predictions.csv", "poem_predictions.csv"):
+            assert (tmp_path / "pipe" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
 
     def test_predict_rejects_verseless_input(self, pipeline, tmp_path, capsys):
         poems = tmp_path / "poems.jsonl"
@@ -734,6 +775,41 @@ class TestExitCodes:
         assert code == 3
         assert f"{ckpt}: checksum mismatch" in captured.err
 
+    def test_unsealed_max_len_disagreement_is_artifact_error(self, pipeline, tmp_path, capsys):
+        def edit(meta):
+            del meta["sha256"]
+            meta["space"]["max_len"] = 100
+
+        ckpt = tmp_path / "checkpoint.bin"
+        rewrite_metadata(pipeline["model"] / "checkpoint.bin", ckpt, edit, reseal=False)
+        code, captured = run(["predict", "--input", str(pipeline["raw"]),
+                              "--embeddings", str(pipeline["emb"]), "--checkpoint", str(ckpt),
+                              "--out", str(tmp_path / "p")], capsys)
+        assert code == 3
+        assert (f"{ckpt}: space max_len 100 disagrees with encoder_config max_len 64"
+                in captured.err)
+
+    @pytest.mark.parametrize("extra_rows", [-1, 1], ids=["fewer-rows", "more-rows"])
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_mismatched_vocab_and_embeddings_is_artifact_error(self, pipeline, tmp_path, capsys,
+                                                               command, extra_rows):
+        emb_dir = tmp_path / "emb"
+        shutil.copytree(pipeline["emb"], emb_dir)
+        emb = EmbeddingMatrix.load(emb_dir / "embeddings.bin")
+        n_rows = emb.w_in.shape[0] + extra_rows
+        EmbeddingMatrix(np.vstack([emb.w_in, emb.w_in[:1]])[:n_rows],
+                        np.vstack([emb.w_out, emb.w_out[:1]])[:n_rows],
+                        emb.config).save(emb_dir / "embeddings.bin")
+        out = tmp_path / "o"
+        argv = ([command, "--corpus", str(pipeline["corpus"]), "--split", str(pipeline["split"]),
+                 *FAST_TRAIN] if command == "train" else
+                [command, "--input", str(pipeline["raw"]), "--checkpoint", str(pipeline["model"])])
+        code, captured = run([*argv, "--embeddings", str(emb_dir), "--out", str(out)], capsys)
+        assert code == 3
+        assert f"{emb_dir / 'embeddings.bin'} has {n_rows} rows" in captured.err
+        assert str(emb_dir / "vocab.tsv") in captured.err
+        assert not out.exists()
+
     def test_checkpoint_without_checksum_predicts_identically(self, pipeline, tmp_path):
         # Checkpoints written before the checksum existed load unchecked.
         old = tmp_path / "old" / "checkpoint.bin"
@@ -749,7 +825,8 @@ class TestExitCodes:
             assert ((tmp_path / "pred-new" / csv_name).read_bytes()
                     == (tmp_path / "pred-old" / csv_name).read_bytes())
 
-    @pytest.mark.parametrize("stage, name", [("emb", "vocab.tsv"), ("split", "assignment.csv"),
+    @pytest.mark.parametrize("stage, name", [("emb", "vocab.tsv"), ("emb", "embeddings.bin"),
+                                             ("split", "assignment.csv"),
                                              ("split", "split_meta.json")])
     def test_non_utf8_artifact_is_artifact_error(self, pipeline, tmp_path, capsys, stage, name):
         dirs = {key: pipeline[key] for key in ("corpus", "split", "emb", "model")}
@@ -757,7 +834,15 @@ class TestExitCodes:
         shutil.copytree(pipeline[stage], dirs[stage])
         damaged = dirs[stage] / name
         blob = damaged.read_bytes()
-        damaged.write_bytes(blob[:40] + b"\xff" + blob[41:])
+        if name == "embeddings.bin":
+            # The config JSON re-encoded as UTF-16 (with its byte-order mark,
+            # 0xff 0xfe), which json.loads would read from bytes.
+            magic, rows, dim, cfg_len = struct.unpack_from("<4sIII", blob)
+            cfg = blob[16 : 16 + cfg_len].decode("utf-8").encode("utf-16")
+            damaged.write_bytes(struct.pack("<4sIII", magic, rows, dim, len(cfg)) + cfg
+                                + blob[16 + cfg_len :])
+        else:
+            damaged.write_bytes(blob[:40] + b"\xff" + blob[41:])
         code, captured = run(["evaluate", "--corpus", str(dirs["corpus"]),
                               "--split", str(dirs["split"]), "--embeddings", str(dirs["emb"]),
                               "--checkpoint", str(dirs["model"]), "--out", str(tmp_path / "e")],
@@ -828,7 +913,7 @@ class TestExitCodes:
         assert code == 2
         assert captured.err.count(str(bad)) == 1
         if where is None:
-            where = "empty corpus" if command == "ingest" else "no poems to predict"
+            where = "no poems"
         assert f"error: {bad}: {where}" in captured.err
 
     @pytest.mark.parametrize("command", ["ingest", "predict"])

@@ -13,7 +13,6 @@ from verseid.corpus import (
     corpus_stats,
     filter_corpus,
     load_corpus,
-    read_records,
     save_corpus,
 )
 from verseid.synthetic import SyntheticConfig, make_synthetic_corpus
@@ -70,7 +69,7 @@ class TestLoading:
     def test_empty_corpus(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text("", encoding="utf-8")
-        with pytest.raises(CorpusError, match="empty corpus"):
+        with pytest.raises(CorpusError, match="no poems"):
             load_corpus(path)
 
     def test_unknown_status(self, tmp_path):
@@ -115,8 +114,7 @@ class TestPredictInput:
         lines = [json.dumps({"poem_id": pid, "verses": [list(v) for v in verses]},
                             ensure_ascii=False) for pid, verses in poems.items()]
         write_lines(path, lines)
-        with open(path, encoding="utf-8") as fh:
-            records = read_records(fh, labelled=False)
+        records = load_corpus(path, labelled=False).records
         assert {r.poem_id: [(v.hemistich_1, v.hemistich_2) for v in r.verses]
                 for r in records} == poems
         assert [r.poem_id for r in records] == list(poems)

@@ -62,7 +62,6 @@ from verseid.normalize import (
     NormalizationConfig,
     build_vocab,
     normalize_verse,
-    tokenize_verse,
 )
 from verseid.split import LeakageError, split_records, stratified_poem_split
 from verseid.synthetic import SyntheticConfig, make_synthetic_corpus
@@ -329,7 +328,7 @@ class TestFeatureSpace:
         for r in records:
             for v in r.verses:
                 t1, t2 = normalize_verse(v, space.vocab.config)
-                ids = tokenize_verse(t1 + t2, space.vocab, space.max_len)
+                ids = per_verse_ids(t1 + t2, space.vocab, space.max_len)
                 stylo = np.array([stylometric_features(t1, t2)])
                 rows.append(np.concatenate([
                     verse_semantic_vector(ids, space.embeddings).astype(np.float64),
@@ -492,8 +491,6 @@ class TestBatchFeaturization:
         semantic = np.array([per_verse_semantic(t, emb) for t in ids]).reshape(-1, 3)
         for v, row in zip(verses, stylo):
             assert stylometric_features(*v) == tuple(row)
-        for (t1, t2), t in zip([v for v in verses if v[0] or v[1]], ids):
-            assert tokenize_verse(t1 + t2, vocab, max_len) == t
         for t, row in zip(ids, semantic):
             assert verse_semantic_vector(t, emb).tobytes() == row.tobytes()
 

@@ -16,11 +16,11 @@ from verseid.normalize import (
     TokenTable,
     Vocabulary,
     build_vocab,
+    encoder_ids,
     normalize_text,
     normalize_verse,
     table_ids,
     table_vocab,
-    tokenize_verse,
 )
 
 from conftest import make_poem, token_lists, verse_token_list
@@ -226,26 +226,25 @@ class TestTokenize:
     def vocab(self):
         return build_vocab(token_lists([make_poem("p1", "a", [("گل باغ", "بلبل")])]))
 
+    def ids(self, verse, max_len=64):
+        table = TokenTable.of([(verse_token_list(verse), [])])
+        return encoder_ids(table, self.vocab(), max_len)[0].tolist()
+
     def test_cls_then_tokens(self):
-        vocab = self.vocab()
-        ids = tokenize_verse(verse_token_list(Verse("گل باغ", "بلبل")), vocab)
+        ids = self.ids(Verse("گل باغ", "بلبل"))
         assert ids[0] == CLS_ID
         assert list(ids).count(CLS_ID) == 1
         assert PAD_ID not in ids
         assert len(ids) == 4
 
     def test_oov_maps_to_unk(self):
-        ids = tokenize_verse(verse_token_list(Verse("ناشناخته", "گل")), self.vocab())
+        ids = self.ids(Verse("ناشناخته", "گل"))
         assert ids[1] == UNK_ID
 
     def test_truncation(self):
         words = " ".join(f"w{i}" for i in range(100))
-        ids = tokenize_verse(verse_token_list(Verse(words, "")), self.vocab(), max_len=64)
+        ids = self.ids(Verse(words, ""), max_len=64)
         assert len(ids) == 64
-
-    def test_empty_verse_rejected(self):
-        with pytest.raises(ValueError, match="empty verse"):
-            tokenize_verse(verse_token_list(Verse("", "  ")), self.vocab())
 
     def test_tokens_cross_hemistichs(self):
         assert normalize_verse(Verse("الف ب", "پ")) == (["الف", "ب"], ["پ"])
