@@ -285,7 +285,7 @@ def cmd_train(args) -> int:
     space, train_ds = FeatureSpace.fit(
         splits["train"], vocab, emb, form_index, poet_index, fusion, max_len=args.max_len
     )
-    valid_ds = build_dataset(splits["valid"], space)
+    valid_ds = build_dataset(splits["valid"], space, "the valid split")
     bundle = fit(train_ds, valid_ds, space, enc_cfg, tcfg)
 
     out = _out_dir(args)
@@ -323,7 +323,7 @@ def _eval_data(args, bundle: ModelBundle):
         raise StaleArtifactError(
             f"{_in_dir(args.checkpoint, CHECKPOINT_FILE)}: checkpoint has no poet "
             f"{unknown.poet!r} (poem {unknown.poem_id!r} of the {args.split_name} split)")
-    ds = build_dataset(records, bundle.space)
+    ds = build_dataset(records, bundle.space, f"the {args.split_name} split")
     poem_ids, poem_of = poem_index(ds.poem_ids)
     truth = ds.labels[np.unique(poem_of, return_index=True)[1]]
     return ds, predict_proba(ds, bundle), poem_ids, poem_of, truth
@@ -377,7 +377,7 @@ def _read_poems(path: str | None) -> list[PoemRecord]:
 def cmd_predict(args) -> int:
     bundle = _load_bundle(args)
     records = _read_poems(args.input)
-    ds = build_dataset(records, bundle.space)
+    ds = build_dataset(records, bundle.space, "stdin" if args.input in (None, "-") else args.input)
     probs = predict_proba(ds, bundle)
     poet_names = bundle.space.poet_names
     out = _out_dir(args)

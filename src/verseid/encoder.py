@@ -100,10 +100,13 @@ def init_encoder_params(cfg: EncoderConfig, dtype=np.float32) -> Params:
     return params
 
 
-@lru_cache(maxsize=8)
-def sinusoidal_positions(max_len: int, d_model: int, dtype=np.float32) -> np.ndarray:
-    """Fixed sin/cos position table, shape (max_len, d_model); cached, read-only."""
-    pos = np.arange(max_len, dtype=np.float64)[:, None]
+# One table per batch width, d_model and dtype; 128 holds every width up to
+# the default max_len in both float dtypes.
+@lru_cache(maxsize=128)
+def sinusoidal_positions(length: int, d_model: int, dtype=np.float32) -> np.ndarray:
+    """Fixed sin/cos position table, shape (length, d_model), whose row t does
+    not depend on ``length``; cached, read-only."""
+    pos = np.arange(length, dtype=np.float64)[:, None]
     idx = np.arange(d_model, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, (idx - idx % 2) / d_model)
     table = np.where(idx % 2 == 0, np.sin(angle), np.cos(angle)).astype(dtype)
@@ -268,7 +271,7 @@ def encoder_forward(ids: np.ndarray, params: Params, cfg: EncoderConfig, train: 
     """Run the encoder over a padded id batch.
 
     Args:
-        ids: int array (B, T); padding id 0 marks unused key positions.
+        ids: int array (B, T), T <= ``cfg.max_len``; padding id 0 marks unused keys.
         train: marks a training call; the encoder has no dropout, so the
             result is the same either way.
 
@@ -277,9 +280,11 @@ def encoder_forward(ids: np.ndarray, params: Params, cfg: EncoderConfig, train: 
         representation is ``states[:, 0]``.
     """
     ids = np.asarray(ids)
+    if ids.shape[1] > cfg.max_len:
+        raise ValueError(f"a batch of {ids.shape[1]} positions is wider than max_len {cfg.max_len}")
     key_mask = ids != PAD_ID
     x = params["tok_emb"][ids]
-    x = x + sinusoidal_positions(cfg.max_len, cfg.d_model, x.dtype)[: ids.shape[1]]
+    x = x + sinusoidal_positions(ids.shape[1], cfg.d_model, x.dtype)
     cache: dict[str, Any] = {"ids": ids, "layers": []}
     for i in range(cfg.n_layers):
         xq = x if i < cfg.n_layers - 1 else x[:, :1]

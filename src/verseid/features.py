@@ -10,9 +10,8 @@ encoders take a whole dataset's labels and return one block.
 
 from __future__ import annotations
 
-import functools
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +33,6 @@ FEATURE_NAMES = (
 PERSIAN_PUNCTUATION = ("،", "؛", "؟")  # ، ؛ ؟
 
 
-# Bounded, so a long-lived process that meets many distinct characters keeps
-# a fixed-size memo.
-@functools.lru_cache(maxsize=4096)
 def _is_punct(ch: str) -> bool:
     return ch in PERSIAN_PUNCTUATION or unicodedata.category(ch).startswith("P")
 
@@ -83,7 +79,7 @@ def stylometric_features(t1: list[str], t2: list[str]) -> tuple[float, ...]:
     return tuple(stylometric_rows(TokenTable.of([(t1, t2)]))[0].tolist())
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scaler:
     """Per-dimension z-scoring fitted on training data only.
 
@@ -91,29 +87,23 @@ class Scaler:
     transform stays finite; their indices are recorded in ``constant_dims``.
     """
 
-    mean_: np.ndarray | None = None
-    std_: np.ndarray | None = None
-    constant_dims: list[int] = field(default_factory=list)
+    mean_: np.ndarray
+    std_: np.ndarray
+    constant_dims: list[int]
 
-    def fit(self, x: np.ndarray) -> "Scaler":
+    @classmethod
+    def fit(cls, x: np.ndarray) -> "Scaler":
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] == 0:
             raise ValueError("Scaler.fit expects a non-empty 2-D array")
-        self.mean_ = x.mean(axis=0)
         std = x.std(axis=0)
-        self.constant_dims = [int(i) for i in np.flatnonzero(std == 0.0)]
-        std = np.where(std == 0.0, 1.0, std)
-        self.std_ = std
-        return self
+        constant_dims = [int(i) for i in np.flatnonzero(std == 0.0)]
+        return cls(x.mean(axis=0), np.where(std == 0.0, 1.0, std), constant_dims)
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        if self.mean_ is None or self.std_ is None:
-            raise ValueError("Scaler is not fitted")
         return (np.asarray(x, dtype=np.float64) - self.mean_) / self.std_
 
     def to_dict(self) -> dict:
-        if self.mean_ is None or self.std_ is None:
-            raise ValueError("Scaler is not fitted")
         return {
             "mean": self.mean_.tolist(),
             "std": self.std_.tolist(),
@@ -122,11 +112,8 @@ class Scaler:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scaler":
-        s = cls()
-        s.mean_ = np.asarray(d["mean"], dtype=np.float64)
-        s.std_ = np.asarray(d["std"], dtype=np.float64)
-        s.constant_dims = [int(i) for i in d["constant_dims"]]
-        return s
+        return cls(np.asarray(d["mean"], dtype=np.float64), np.asarray(d["std"], dtype=np.float64),
+                   [int(i) for i in d["constant_dims"]])
 
 
 DEFAULT_TOP_METERS = 14

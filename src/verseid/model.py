@@ -277,10 +277,12 @@ class FeatureSpace:
         meter map; returns the space and ``build_dataset(train_records, space)``,
         both from one normalization pass."""
         ids, stylo, verses = _scan(train_records, vocab, max_len)
+        if not verses:  # before the meter map and the scaler, which need a train verse
+            raise ValueError("no usable verses in the train split")
         meter_map = build_meter_classes(Corpus(list(train_records)))
-        space = cls(vocab, embeddings, Scaler().fit(stylo), meter_map, form_index, poet_index,
+        space = cls(vocab, embeddings, Scaler.fit(stylo), meter_map, form_index, poet_index,
                     fusion, max_len)
-        return space, _dataset(ids, stylo, verses, space)
+        return space, _dataset(ids, stylo, verses, space, "the train split")
 
     @property
     def n_classes(self) -> int:
@@ -354,12 +356,14 @@ def _dataset(
     stylo: np.ndarray,
     verses: list[tuple[PoemRecord, int, int]],
     space: FeatureSpace,
+    source: str,
 ) -> FeatureDataset:
-    """The scanned verses that have tokens, with their aux inputs."""
+    """The scanned verses that have tokens, with their aux inputs; none is an
+    error that names ``source``."""
     if len(verses) < len(stylo):
         warnings.warn(f"skipped {len(stylo) - len(verses)} verses with no tokens after normalization")
     if not verses:
-        raise ValueError("no usable verses in dataset")
+        raise ValueError(f"no usable verses in {source}")
     fusion = space.fusion
     records = [r for r, _, _ in verses]
     aux = np.empty((len(records), space.aux_dim), dtype=np.float32)
@@ -384,13 +388,14 @@ def _dataset(
     )
 
 
-def build_dataset(records: list[PoemRecord], space: FeatureSpace) -> FeatureDataset:
+def build_dataset(records: list[PoemRecord], space: FeatureSpace, source: str = "dataset") -> FeatureDataset:
     """Featurize every verse of every record.
 
-    Verses that normalize to nothing are skipped with a warning; poems whose
-    poet is missing from the index get label -1 (prediction-only data).
+    Verses that normalize to nothing are skipped with a warning, and none
+    left is an error that names ``source`` (a file, stdin or a split); poems
+    whose poet is missing from the index get label -1 (prediction-only data).
     """
-    return _dataset(*_scan(records, space.vocab, space.max_len), space)
+    return _dataset(*_scan(records, space.vocab, space.max_len), space, source)
 
 
 def _batch_ids(ids: np.ndarray) -> np.ndarray:

@@ -493,6 +493,23 @@ class TestPredict:
         assert code == 2
         assert "poem_id and verses" in captured.err
 
+    @pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+    def test_no_usable_verse_names_the_input(self, pipeline, tmp_path, monkeypatch, capsys,
+                                             from_stdin):
+        data = '{"poem_id": "x1", "verses": [["<b></b>", ""]]}\n'
+        poems = tmp_path / "poems.jsonl"
+        poems.write_text(data, encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data.encode()), encoding="utf-8"))
+        out = tmp_path / "pred"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the skipped verse is reported
+            code, captured = run(["predict", "--input", "-" if from_stdin else str(poems),
+                                  "--embeddings", str(pipeline["emb"]),
+                                  "--checkpoint", str(pipeline["model"]), "--out", str(out)], capsys)
+        assert code == 2
+        assert captured.err == f"error: no usable verses in {'stdin' if from_stdin else poems}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("lines, message", [
         (['{"poem_id": "a", "verses": ["abc def"]}'], "line 1: verse 0 must be a list"),
         (['{"poem_id": "a", "verses": [["x", "y"]]}', '{"poem_id": "a", "verses": [["z"]]}'],
@@ -628,6 +645,25 @@ class TestExitCodes:
         assert exit_code(["split", "--corpus", str(pipeline["corpus"]),
                           "--ratios", "0.9,0.2,0.1", "--out", str(tmp_path / "s")]) == 2
         assert "--ratios" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, emptied", [
+        ("train", "train"), ("train", "valid"), ("evaluate", "test"), ("sweep-thresholds", "test"),
+    ])
+    def test_empty_split_is_named(self, pipeline, tmp_path, capsys, command, emptied):
+        # A hand-edited assignment that moves every poem of one split to another.
+        split = tmp_path / "split"
+        shutil.copytree(pipeline["split"], split)
+        csv_path = split / "assignment.csv"
+        other = "valid" if emptied == "train" else "train"
+        csv_path.write_text(csv_path.read_text(encoding="utf-8").replace(f",{emptied},", f",{other},"),
+                            encoding="utf-8")
+        argv = [command, "--corpus", str(pipeline["corpus"]), "--split", str(split),
+                "--embeddings", str(pipeline["emb"]), "--out", str(tmp_path / "o")]
+        if command != "train":
+            argv += ["--checkpoint", str(pipeline["model"])]
+        code, captured = run(argv, capsys)
+        assert code == 2
+        assert captured.err == f"error: no usable verses in the {emptied} split\n"
 
     def test_missing_corpus_is_usage_error(self, tmp_path):
         assert main(["ingest", "--corpus", str(tmp_path / "nope.jsonl"),

@@ -121,6 +121,41 @@ class TestPositions:
         assert pe[3, 1] == pytest.approx(np.cos(3.0))
         assert pe[3, 2] == pytest.approx(np.sin(3.0 / 100.0))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d_model", [8, 64, 100])
+    def test_short_table_is_a_prefix_of_a_long_one(self, dtype, d_model):
+        long = sinusoidal_positions(512, d_model, dtype)
+        for length in (1, 2, 7, 63, 64, 65, 512):
+            assert sinusoidal_positions(length, d_model, dtype).tobytes() == long[:length].tobytes()
+
+    def test_encoder_asks_for_the_batch_width_only(self, rng, monkeypatch):
+        # The table is as long as the batch is wide, whatever max_len allows,
+        # and states and gradients are the same bits for every max_len.
+        asked = []
+
+        def spy(length, d_model, dtype=np.float32):
+            asked.append(length)
+            return sinusoidal_positions(length, d_model, dtype)
+
+        monkeypatch.setattr(encoder, "sinusoidal_positions", spy)
+        ids = rng.integers(2, 9, size=(3, 5))
+        ids[1, 2:] = 0
+        d_states = rng.normal(size=(3, 1, 8))
+        outputs = []
+        for max_len in (5, 64, 10_000):
+            cfg = tiny_cfg(max_len=max_len)
+            params = init_encoder_params(cfg, dtype=np.float64)
+            states, cache = encoder_forward(ids, params, cfg)
+            grads = encoder_backward(d_states, cache, params, cfg)
+            outputs.append([states.tobytes(), *(grads[k].tobytes() for k in sorted(grads))])
+        assert asked == [5, 5, 5]
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_batch_wider_than_max_len_rejected(self):
+        cfg = tiny_cfg(max_len=4)
+        with pytest.raises(ValueError, match="wider than max_len 4"):
+            encoder_forward(np.ones((2, 5), dtype=np.int64), init_encoder_params(cfg), cfg)
+
 
 class TestInit:
     def test_shapes_and_constants(self):

@@ -494,7 +494,7 @@ class TestBatchFeaturization:
         for t, row in zip(ids, semantic):
             assert verse_semantic_vector(t, emb).tobytes() == row.tobytes()
 
-        space = FeatureSpace(vocab, emb, Scaler().fit(stylo), build_meter_classes(Corpus(records)),
+        space = FeatureSpace(vocab, emb, Scaler.fit(stylo), build_meter_classes(Corpus(records)),
                              {"ghazal": 0}, {"a": 0}, max_len=max_len)
         skipped = len(verses) - len(ids)
         with warnings.catch_warnings(record=True) as caught:

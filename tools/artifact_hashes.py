@@ -49,9 +49,9 @@ def _run(*argv: str) -> None:
         raise SystemExit(f"verseid {' '.join(argv)} exited {code}")
 
 
-def desk_pipeline() -> None:
-    """Every desk stage, writing into the current directory."""
-    _run("make-synthetic", "--out", "raw.jsonl", "--seed", "0")
+def desk_pipeline(seed: int = 0) -> None:
+    """Every desk stage on corpus seed ``seed``, writing into the current directory."""
+    _run("make-synthetic", "--out", "raw.jsonl", "--seed", str(seed))
     _run("ingest", "--corpus", "raw.jsonl", "--out", "corpus")
     _run("split", "--corpus", "corpus", "--seed", "0", "--out", "split")
     common = ("--corpus", "corpus", "--split", "split", "--embeddings", "emb")
@@ -95,6 +95,16 @@ def hashes(root: Path) -> list[str]:
             for p in files]
 
 
+def run_in(root: Path, seed: int = 0) -> None:
+    """Run :func:`desk_pipeline` inside ``root``, then return to this directory."""
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        desk_pipeline(seed)
+    finally:
+        os.chdir(cwd)
+
+
 def cli() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("dir", type=Path, help="an empty or new directory to run in")
@@ -103,12 +113,7 @@ def cli() -> None:
     root.mkdir(parents=True, exist_ok=True)
     if any(root.iterdir()):
         raise SystemExit(f"{root} is not empty")
-    cwd = os.getcwd()
-    os.chdir(root)
-    try:
-        desk_pipeline()
-    finally:
-        os.chdir(cwd)
+    run_in(root)
     print("\n".join(hashes(root)))
 
 

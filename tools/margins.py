@@ -1,16 +1,15 @@
 """Meter-ablation margin table: test verse accuracy with and without meter.
 
-For each corpus seed this runs the desk pipeline through the command line,
-with default flags everywhere else:
-
-    make-synthetic --seed s, ingest, split --seed 0, train-embeddings,
-    train (all features) and train --features text,semantic,stylometric,form,
-    then evaluate each model on the test split.
+For each corpus seed this runs the desk pipeline of ``artifact_hashes.py``
+(``run_in``) in a temporary directory and reads the test verse accuracy of
+its two models, all features and ``--features text,semantic,stylometric,form``,
+from ``eval_full`` and ``eval_nometer``: the table comes from the run whose
+artifacts that tool hashes.
 
 It prints one markdown row per seed: full accuracy, no-meter accuracy and the
 drop between them (criterion 6 asks for a drop of at least 0.03 at seed 0).
 A change to the training numerics quotes this table for the code before and
-after it. Each seed takes one to two minutes on two cores.
+after it. Each seed takes about 25 s on two cores.
 
     python3 tools/margins.py --seeds 0-4
 """
@@ -18,25 +17,14 @@ after it. Each seed takes one to two minutes on two cores.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
 import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from verseid.cli import main as verseid  # noqa: E402
-
-NO_METER = "text,semantic,stylometric,form"
-
-
-def _run(*argv: str) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = verseid(list(argv))
-    if code != 0:
-        raise SystemExit(f"verseid {' '.join(argv)} exited {code}")
+from artifact_hashes import run_in  # noqa: E402
 
 
 def _seeds(text: str) -> list[int]:
@@ -45,20 +33,11 @@ def _seeds(text: str) -> list[int]:
 
 
 def margins(seed: int, root: Path) -> tuple[float, float]:
-    """Test verse accuracy (full, no meter) for one corpus seed."""
-    raw, corpus, split, emb = (str(root / n) for n in ("raw.jsonl", "corpus", "split", "emb"))
-    _run("make-synthetic", "--out", raw, "--seed", str(seed))
-    _run("ingest", "--corpus", raw, "--out", corpus)
-    _run("split", "--corpus", corpus, "--seed", "0", "--out", split)
-    _run("train-embeddings", "--corpus", corpus, "--split", split, "--out", emb)
-    accs = []
-    for name, extra in (("full", ()), ("nometer", ("--features", NO_METER))):
-        model, ev = str(root / name), str(root / f"eval_{name}")
-        common = ("--corpus", corpus, "--split", split, "--embeddings", emb)
-        _run("train", *common, "--out", model, *extra)
-        _run("evaluate", *common, "--checkpoint", model, "--out", ev)
-        accs.append(json.loads((Path(ev) / "eval_verse.json").read_text())["accuracy"])
-    return accs[0], accs[1]
+    """Test verse accuracy (full, no meter) for one corpus seed, run in ``root``."""
+    run_in(root, seed)
+    full, nometer = (json.loads((root / f"eval_{name}" / "eval_verse.json").read_text())["accuracy"]
+                     for name in ("full", "nometer"))
+    return full, nometer
 
 
 def cli() -> None:
