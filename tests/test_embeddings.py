@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from verseid import embeddings
 from verseid.corpus import NumericalError
 from verseid.embeddings import (
-    _CHUNK_BATCHES,
     EmbeddingConfig,
     EmbeddingMatrix,
     train_sgns,
@@ -45,9 +45,9 @@ def reference_pairs(sequences, window):
 def reference_train_sgns(sequences, vocab_size, cfg):
     """The trainer with a per-token count loop, one ``searchsorted`` draw of
     negatives per batch, and row-wise ``np.add.at`` scatters of every pair's
-    outer products. ``train_sgns`` draws the same negatives a chunk of batches
-    at a time, and sums the ``w_out`` update per distinct center in one GEMM,
-    so it follows this reference up to float32 rounding."""
+    outer products. ``train_sgns`` draws the same negatives from a bucket
+    table, and sums the ``w_out`` update per distinct center in one GEMM, so
+    it follows this reference up to float32 rounding."""
     rng = np.random.default_rng(cfg.seed)
     w_in = ((rng.random((vocab_size, cfg.dim)) - 0.5) / cfg.dim).astype(np.float32)
     w_out = np.zeros((vocab_size, cfg.dim), dtype=np.float32)
@@ -171,12 +171,32 @@ class TestTraining:
     def test_follows_row_wise_reference(self):
         self.check_follows_reference(EmbeddingConfig().batch_pairs)
 
-    def test_follows_reference_across_chunk_and_batch_boundaries(self):
-        # Batches of 11 pairs: each epoch spans several chunks of batches and
-        # ends on a short batch, so the chunked draws and targets must line
-        # up with the reference's per-batch ones.
+    def test_follows_reference_across_batch_boundaries(self):
+        # Batches of 11 pairs: each epoch ends on a short batch, whose draws
+        # and targets must line up with the reference's.
         n_pairs = self.check_follows_reference(11)
-        assert n_pairs > 3 * _CHUNK_BATCHES * 11 and n_pairs % 11
+        assert n_pairs % 11
+
+    def test_each_minibatch_draws_only_its_own_negatives(self, monkeypatch):
+        draws = []
+        make_sampler = embeddings._noise_sampler
+
+        def counting_sampler(counts):
+            sample = make_sampler(counts)
+
+            def counted(u):
+                draws.append(u.shape)
+                return sample(u)
+
+            return counted
+
+        monkeypatch.setattr(embeddings, "_noise_sampler", counting_sampler)
+        cfg = EmbeddingConfig(dim=4, window=2, negatives=3, epochs=2, batch_pairs=7, seed=1)
+        n_pairs = len(_skipgram_pairs(toy_sequences(), cfg.window))
+        assert n_pairs > 7 * 4 and n_pairs % 7  # several batches, a short last one
+        train_sgns(toy_sequences(), 7, cfg)
+        assert all(rows <= cfg.batch_pairs and k == cfg.negatives for rows, k in draws)
+        assert sum(rows * k for rows, k in draws) == cfg.epochs * n_pairs * cfg.negatives
 
     def test_no_pairs_warns(self):
         cfg = EmbeddingConfig(dim=4, epochs=1)
