@@ -389,8 +389,16 @@ def cmd_predict(args) -> int:
         rows.append([pid, vi, poet_names[top], cells[top], *cells])
     (out / "verse_predictions.csv").write_text(csv_text(rows), encoding="utf-8")
 
-    poem_ids, poem_of = poem_index(ds.poem_ids)
-    votes = {s: aggregate_poem(poem_of, probs, s, tau=args.tau) for s in STRATEGIES}
+    # Every input poem gets a row; one with no usable verse abstains with confidence 0.
+    poem_ids = [r.poem_id for r in records]
+    voted, poem_of = poem_index(ds.poem_ids)
+    rows_of = {pid: i for i, pid in enumerate(poem_ids)}
+    at = [rows_of[pid] for pid in voted]
+    votes = {}
+    for strategy in STRATEGIES:
+        labels, confidence = np.full(len(poem_ids), -1), np.zeros(len(poem_ids))
+        labels[at], confidence[at] = aggregate_poem(poem_of, probs, strategy, tau=args.tau)
+        votes[strategy] = labels, confidence
     poem_csv = predictions_csv(poem_ids, votes, poet_names)
     (out / "poem_predictions.csv").write_text(poem_csv, encoding="utf-8")
     _write_config(out, args, {"input": str(args.input or "-"), "tau": args.tau})

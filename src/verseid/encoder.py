@@ -52,6 +52,11 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("vocab_size", "d_model", "n_heads", "d_ff", "max_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}={getattr(self, name)} is below 1")
+        if self.n_layers < 0:
+            raise ValueError(f"n_layers={self.n_layers} is below 0")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
@@ -68,36 +73,43 @@ class EncoderConfig:
 Params = dict[str, np.ndarray]
 
 
-def fan_in_normal(rng: np.random.Generator, shape: tuple[int, int], dtype=np.float32) -> np.ndarray:
-    """A weight matrix drawn zero-mean normal and scaled by 1/sqrt(fan_in)."""
-    return (rng.standard_normal(shape) / np.sqrt(shape[0])).astype(dtype)
+def encoder_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of every encoder parameter, in the order they are drawn."""
+    d, f = cfg.d_model, cfg.d_ff
+    shapes = {"tok_emb": (cfg.vocab_size, d)}
+    for i in range(cfg.n_layers):
+        p = f"l{i}."
+        shapes |= {p + name: (d, d) for name in ("Wq", "Wk", "Wv", "Wo")}
+        shapes |= {p + name: (d,) for name in ("bq", "bk", "bv", "bo", "ln1_g", "ln1_b")}
+        shapes |= {p + "W1": (d, f), p + "b1": (f,), p + "W2": (f, d)}
+        shapes |= {p + name: (d,) for name in ("b2", "ln2_g", "ln2_b")}
+    return shapes
+
+
+def init_params(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator,
+                dtype=np.float32) -> Params:
+    """Parameters of the given shapes, drawn in their order; the last part
+    of a name picks the draw.
+
+    ``tok_emb`` is uniform(-0.05, 0.05), a ``W*`` matrix is zero-mean normal
+    scaled by 1/sqrt(fan_in), a ``*_g`` layer-norm gain is one and every
+    other parameter (the biases) is zero.
+    """
+    params: Params = {}
+    for name, shape in shapes.items():
+        key = name.rsplit(".", 1)[-1]
+        if key == "tok_emb":
+            params[name] = rng.uniform(-0.05, 0.05, shape).astype(dtype)
+        elif key.startswith("W"):
+            params[name] = (rng.standard_normal(shape) / np.sqrt(shape[0])).astype(dtype)
+        else:
+            params[name] = (np.ones if key.endswith("_g") else np.zeros)(shape, dtype=dtype)
+    return params
 
 
 def init_encoder_params(cfg: EncoderConfig, dtype=np.float32) -> Params:
-    """Seeded initialization.
-
-    Token embeddings are uniform(-0.05, 0.05);
-    projection matrices are zero-mean normal scaled by 1/sqrt(fan_in);
-    biases start at zero and layer-norm gains at one.
-    """
-    rng = np.random.default_rng(cfg.seed)
-    d, f = cfg.d_model, cfg.d_ff
-    params: Params = {"tok_emb": rng.uniform(-0.05, 0.05, (cfg.vocab_size, d)).astype(dtype)}
-    for i in range(cfg.n_layers):
-        p = f"l{i}."
-        for name in ("Wq", "Wk", "Wv", "Wo"):
-            params[p + name] = fan_in_normal(rng, (d, d), dtype)
-        for name in ("bq", "bk", "bv", "bo"):
-            params[p + name] = np.zeros(d, dtype=dtype)
-        params[p + "ln1_g"] = np.ones(d, dtype=dtype)
-        params[p + "ln1_b"] = np.zeros(d, dtype=dtype)
-        params[p + "W1"] = fan_in_normal(rng, (d, f), dtype)
-        params[p + "b1"] = np.zeros(f, dtype=dtype)
-        params[p + "W2"] = fan_in_normal(rng, (f, d), dtype)
-        params[p + "b2"] = np.zeros(d, dtype=dtype)
-        params[p + "ln2_g"] = np.ones(d, dtype=dtype)
-        params[p + "ln2_b"] = np.zeros(d, dtype=dtype)
-    return params
+    """Seeded initialization of :func:`encoder_shapes`, by :func:`init_params`."""
+    return init_params(encoder_shapes(cfg), np.random.default_rng(cfg.seed), dtype)
 
 
 # One table per batch width, d_model and dtype; 128 holds every width up to

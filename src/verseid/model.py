@@ -38,8 +38,8 @@ from .encoder import (
     _linear_forward,
     encoder_backward,
     encoder_forward,
-    fan_in_normal,
-    init_encoder_params,
+    encoder_shapes,
+    init_params,
     softmax,
 )
 from .features import (
@@ -106,14 +106,13 @@ def batch_weighted_ce(probs: np.ndarray, y: np.ndarray, w: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+def head_shapes(d_in: int, hidden: int, n_classes: int) -> dict[str, tuple[int, ...]]:
+    """The shape of every head parameter, in the order they are drawn."""
+    return {"W1": (d_in, hidden), "b1": (hidden,), "W2": (hidden, n_classes), "b2": (n_classes,)}
+
+
 def init_head_params(d_in: int, hidden: int, n_classes: int, seed: int, dtype=np.float32) -> Params:
-    rng = np.random.default_rng(seed)
-    return {
-        "W1": fan_in_normal(rng, (d_in, hidden), dtype),
-        "b1": np.zeros(hidden, dtype=dtype),
-        "W2": fan_in_normal(rng, (hidden, n_classes), dtype),
-        "b2": np.zeros(n_classes, dtype=dtype),
-    }
+    return init_params(head_shapes(d_in, hidden, n_classes), np.random.default_rng(seed), dtype)
 
 
 def head_forward(
@@ -199,11 +198,12 @@ def clip_gradients(grads: np.ndarray, max_norm: float) -> float:
     return total
 
 
-def param_manifest(enc_params: Params, head_params: Params) -> list[list]:
+def param_manifest(enc: dict, head: dict) -> list[list]:
     """Layout of the one flat float32 parameter buffer as ``[name, shape]``
-    pairs: sorted encoder names, then sorted head names."""
-    groups = (("enc", enc_params), ("head", head_params))
-    return [[f"{g}.{k}", list(d[k].shape)] for g, d in groups for k in sorted(d)]
+    pairs: sorted encoder names, then sorted head names. ``enc`` and ``head``
+    map names to parameters or to their shapes."""
+    groups = (("enc", enc), ("head", head))
+    return [[f"{g}.{k}", list(getattr(d[k], "shape", d[k]))] for g, d in groups for k in sorted(d)]
 
 
 def flatten_params(enc_params: Params, head_params: Params) -> np.ndarray:
@@ -331,7 +331,6 @@ class FeatureDataset:
     labels: np.ndarray
     poem_ids: list[str]
     verse_indices: list[int]
-    n_classes: int
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -382,10 +381,7 @@ def _dataset(
     if fusion.use_meter:
         aux[:, col:] = one_hot_meter([r.meter for r in records], space.meter_map)
     labels = np.asarray([space.poet_index.get(r.poet, -1) for r in records], dtype=np.int64)
-    return FeatureDataset(
-        ids, aux, labels, [r.poem_id for r in records], [vi for _, vi, _ in verses],
-        space.n_classes,
-    )
+    return FeatureDataset(ids, aux, labels, [r.poem_id for r in records], [vi for _, vi, _ in verses])
 
 
 def build_dataset(records: list[PoemRecord], space: FeatureSpace, source: str = "dataset") -> FeatureDataset:
@@ -474,6 +470,13 @@ class ModelBundle:
         self.enc_params, self.head_params = param_views(self.params, self.manifest)
 
 
+def model_shapes(space: FeatureSpace, enc_cfg: EncoderConfig, cfg: TrainConfig) -> tuple[dict, dict]:
+    """The encoder and head parameter shapes these configs imply. With text
+    ablated the encoder is never run, so it gets no parameters."""
+    return (encoder_shapes(enc_cfg) if space.fusion.use_text else {},
+            head_shapes(space.concat_dim(enc_cfg.d_model), cfg.head_hidden, space.n_classes))
+
+
 def _forward_probs(
     ids_batch: np.ndarray,
     aux_batch: np.ndarray,
@@ -536,17 +539,15 @@ def fit(
         raise LeakageError(f"poems in both train and validation: {sorted(shared)[:5]}")
 
     n = len(train_ds)
-    n_classes = train_ds.n_classes
+    n_classes = space.n_classes
     master = np.random.default_rng(cfg.seed)
     shuffle_rng, dropout_rng = master.spawn(2)
 
-    # With text ablated the encoder is never run, so it gets no parameters.
-    enc_params = init_encoder_params(enc_cfg) if space.fusion.use_text else {}
-    head_params = init_head_params(
-        space.concat_dim(enc_cfg.d_model), cfg.head_hidden, n_classes, seed=cfg.seed + 1
-    )
+    enc_shapes, hd_shapes = model_shapes(space, enc_cfg, cfg)
+    enc_params = init_params(enc_shapes, np.random.default_rng(enc_cfg.seed))
+    head_params = init_params(hd_shapes, np.random.default_rng(cfg.seed + 1))
     params = flatten_params(enc_params, head_params)
-    bundle = ModelBundle(space, enc_cfg, params, param_manifest(enc_params, head_params), cfg)
+    bundle = ModelBundle(space, enc_cfg, params, param_manifest(enc_shapes, hd_shapes), cfg)
 
     if cfg.class_weighting == "inverse_frequency":
         w = class_weights(train_ds.labels, n_classes)
@@ -682,10 +683,11 @@ def load_checkpoint(
         StaleArtifactError: naming the file, if it is missing or not a
             well-formed checkpoint of a known format version (wrong size,
             unreadable or incomplete metadata, a failed checksum, two
-            ``max_len`` values that disagree), holds a retired encoder or
-            optimizer setting other than its one supported value, or the
-            vocab or embedding hashes disagree with the ones recorded at
-            training time.
+            ``max_len`` values that disagree, a parameter layout other than
+            the one its configs and the vocabulary imply), holds a retired
+            encoder or optimizer setting other than its one supported value,
+            or the vocab or embedding hashes disagree with the ones recorded
+            at training time.
     """
     with reading(path, "checkpoint"):
         blob = Path(path).read_bytes()
@@ -716,10 +718,15 @@ def load_checkpoint(
 def _bundle_from_meta(
     meta: dict, params: np.ndarray, vocab: Vocabulary, embeddings: EmbeddingMatrix
 ) -> ModelBundle:
+    """The bundle the metadata describes, whose configs and vocabulary must
+    imply its manifest, checked from shapes alone: nothing is initialised."""
     sp, enc_cfg = meta["space"], EncoderConfig.from_dict(meta["encoder_config"])
     if int(sp["max_len"]) != enc_cfg.max_len:
         raise ValueError(f"space max_len {sp['max_len']!r} disagrees with encoder_config "
                          f"max_len {enc_cfg.max_len!r}")
+    if enc_cfg.vocab_size != len(vocab):
+        raise ValueError(f"encoder_config vocab_size {enc_cfg.vocab_size} disagrees with the "
+                         f"{len(vocab)} ids of the vocabulary")
     space = FeatureSpace(
         vocab=vocab,
         embeddings=embeddings,
@@ -730,12 +737,20 @@ def _bundle_from_meta(
         fusion=FusionConfig.from_dict(sp["fusion"]),
         max_len=int(sp["max_len"]),
     )
+    train_cfg = TrainConfig.from_dict(meta["train_config"])
+    manifest = param_manifest(*model_shapes(space, enc_cfg, train_cfg))
+    if meta["manifest"] != manifest:
+        got, want = dict(meta["manifest"]), dict(manifest)
+        name = next((k for k in {**want, **got} if got.get(k) != want.get(k)), None)
+        raise ValueError("the parameter layout disagrees with the configs: " + (
+            f"{name} is {got.get(name, 'absent')} in the manifest and "
+            f"{want.get(name, 'absent')} by the configs" if name else "its order differs"))
     return ModelBundle(
         space=space,
         enc_cfg=enc_cfg,
         params=params,
-        manifest=meta["manifest"],
-        train_cfg=TrainConfig.from_dict(meta["train_config"]),
+        manifest=manifest,
+        train_cfg=train_cfg,
         log_summary=meta["log_summary"],
     )
 

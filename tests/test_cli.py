@@ -483,6 +483,30 @@ class TestPredict:
         for name in ("verse_predictions.csv", "poem_predictions.csv"):
             assert (tmp_path / "pipe" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
 
+    def test_poem_with_no_usable_verse_abstains_in_its_place(self, pipeline, tmp_path, capsys):
+        markup = json.dumps({"poem_id": "markup", "verses": [["<hr/>", "<b></b>"]]}) + "\n"
+        poems = tmp_path / "poems.jsonl"
+        poems.write_text(markup + self.poems_jsonl().splitlines(keepends=True)[1], encoding="utf-8")
+        out = tmp_path / "pred"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the skipped verse is reported
+            code, captured = run(["predict", "--input", str(poems),
+                                  "--embeddings", str(pipeline["emb"]),
+                                  "--checkpoint", str(pipeline["model"]),
+                                  "--out", str(out)], capsys)
+        assert code == 0
+        assert "predicted 2 poems (2 verses)" in captured.out
+        poem_lines = (out / "poem_predictions.csv").read_text().splitlines()
+        assert len(poem_lines) == 7
+        rows = list(csv.reader(poem_lines[1:]))
+        assert [(r[0], r[1]) for r in rows] == [
+            (pid, strategy) for strategy in ("majority", "weighted", "thresholded")
+            for pid in ("markup", "new-2")]
+        for row in rows[::2]:
+            assert row[2:] == ["ABSTAIN", "0.000000", "true"]
+        verse_rows = list(csv.reader((out / "verse_predictions.csv").read_text().splitlines()[1:]))
+        assert [r[0] for r in verse_rows] == ["new-2", "new-2"]
+
     def test_predict_rejects_verseless_input(self, pipeline, tmp_path, capsys):
         poems = tmp_path / "poems.jsonl"
         poems.write_text('{"poem_id": "x"}\n', encoding="utf-8")
@@ -801,6 +825,41 @@ class TestExitCodes:
         for csv_name in ("verse_predictions.csv", "poem_predictions.csv"):
             assert ((tmp_path / "pred-new" / csv_name).read_bytes()
                     == (tmp_path / "pred-old" / csv_name).read_bytes())
+
+    # Config edits that no longer describe the parameters of the fixture's
+    # model (one layer of width 16, every feature, a 512-wide head).
+    LAYOUT_EDITS = {
+        "n_heads-0": ("encoder_config", "n_heads", 0),
+        "fewer-layers": ("encoder_config", "n_layers", 0),
+        "more-layers": ("encoder_config", "n_layers", 3),
+        "d_model-32": ("encoder_config", "d_model", 32),
+        "no-meter": ("fusion", "use_meter", False),
+        "no-text": ("fusion", "use_text", False),
+        "head_hidden-256": ("train_config", "head_hidden", 256),
+    }
+
+    @pytest.mark.parametrize("sealed", [True, False], ids=["resealed", "without-checksum"])
+    @pytest.mark.parametrize("case", sorted(LAYOUT_EDITS))
+    def test_configs_disagreeing_with_parameters_is_artifact_error(self, pipeline, tmp_path,
+                                                                   capsys, case, sealed):
+        section, key, value = self.LAYOUT_EDITS[case]
+
+        def edit(meta):
+            (meta["space"] if section == "fusion" else meta)[section][key] = value
+            if not sealed:
+                del meta["sha256"]
+
+        ckpt = tmp_path / "checkpoint.bin"
+        rewrite_metadata(pipeline["model"] / "checkpoint.bin", ckpt, edit, reseal=sealed)
+        poems = tmp_path / "poems.jsonl"
+        poems.write_text(json.dumps({"poem_id": "p", "verses": [["گل و بلبل", "در باغ"]]}) + "\n",
+                         encoding="utf-8")
+        out = tmp_path / "p"
+        code, captured = run(["predict", "--input", str(poems), "--embeddings", str(pipeline["emb"]),
+                              "--checkpoint", str(ckpt), "--out", str(out)], capsys)
+        assert code == 3
+        assert str(ckpt) in captured.err
+        assert not out.exists()
 
     def test_unsealed_metadata_edit_is_artifact_error(self, pipeline, tmp_path, capsys):
         ckpt = tmp_path / "checkpoint.bin"

@@ -171,6 +171,14 @@ class TestInit:
         b = init_encoder_params(tiny_cfg())
         np.testing.assert_array_equal(a["l0.Wq"], b["l0.Wq"])
 
+    @pytest.mark.parametrize("field, value", [
+        ("vocab_size", 0), ("d_model", 0), ("n_heads", 0), ("n_heads", -2), ("d_ff", 0),
+        ("max_len", 0), ("n_layers", -1),
+    ])
+    def test_sizes_it_cannot_run_with_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field}={value} is below"):
+            EncoderConfig(**{"vocab_size": 5, field: value})
+
     def test_head_divisibility_enforced(self):
         with pytest.raises(ValueError, match="divisible"):
             EncoderConfig(vocab_size=5, d_model=10, n_heads=3)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import verseid.encoder
 import verseid.model
 from verseid.cli import main
 from verseid.corpus import Corpus, save_corpus
@@ -644,6 +645,24 @@ class TestCheckpoint:
         assert again.space.poet_index == bundle.space.poet_index
         assert again.train_cfg == bundle.train_cfg
         assert again.enc_cfg == bundle.enc_cfg
+
+    def test_load_initialises_nothing_and_draws_no_random_numbers(self, trained_bundle, tmp_path,
+                                                                 monkeypatch):
+        bundle, _, _ = trained_bundle
+        path = tmp_path / "model.bin"
+        save_checkpoint(bundle, path)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("loading a checkpoint drew random numbers or initialised parameters")
+
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        for module in (verseid.model, verseid.encoder):
+            for name in ("init_params", "init_encoder_params", "init_head_params"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        again = load_checkpoint(path, bundle.space.vocab, bundle.space.embeddings)
+        np.testing.assert_array_equal(again.params, bundle.params)
+        assert again.manifest == bundle.manifest
 
     def test_load_then_save_is_byte_identical(self, trained_bundle, tmp_path):
         bundle, _, _ = trained_bundle
