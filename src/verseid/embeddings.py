@@ -10,6 +10,12 @@ reproducible for a fixed seed with the same numpy and BLAS.
 The negatives come from an exact bucket table over the noise CDF
 (:func:`_noise_sampler`).
 
+The pair list is built without any (tokens x 2 window) index matrix: one
+boolean mask per offset marks the centers whose context at that offset is
+in their verse, the masks count each center's contexts, and each offset then
+writes its pairs into a preallocated array at each center's running slot
+(:func:`_skipgram_pairs`).
+
 Each minibatch updates ``w_out`` with one GEMM. Every row of one center has
 the same ``v``, gathered before any update, so a (touched ids, distinct
 centers) coefficient matrix holds the gradient scales summed per center, and
@@ -131,17 +137,31 @@ def _skipgram_pairs(sequences: list[list[int]], window: int) -> np.ndarray:
     Rows come center by center in sequence order, and each center's contexts
     from the leftmost to the rightmost, skipping the center itself. No offset
     reaches past the longest sequence, so the window is clamped to it: the
-    offset matrix is bounded by the corpus, whatever window is asked for.
+    offsets are bounded by the corpus, whatever window is asked for.
+
+    ``masks[j, i]`` is True when token ``i`` has a context at ``offsets[j]``
+    in its own sequence. Each center's rows start at the running total of the
+    contexts before it, and the offsets fill them left to right.
     """
     ids, seq_of = _real_tokens(sequences)
     window = min(window, np.bincount(seq_of).max(initial=1) - 1)
-    offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
-    ctx = np.arange(len(ids))[:, None] + offsets  # (n, 2 * window)
-    valid = (ctx >= 0) & (ctx < len(ids))
-    ctx = np.where(valid, ctx, 0)  # any in-range index; the mask drops it
-    valid &= seq_of[ctx] == seq_of[:, None]
-    centers = np.broadcast_to(ids[:, None], ctx.shape)[valid]
-    return np.stack([centers, ids[ctx[valid]]], axis=1)
+    offsets = [*range(-window, 0), *range(1, window + 1)]
+    masks = np.zeros((len(offsets), len(ids)), dtype=bool)
+    for mask, o in zip(masks, offsets):  # the sequences are runs of seq_of
+        if o < 0:
+            mask[-o:] = seq_of[-o:] == seq_of[:o]
+        else:
+            mask[:-o] = seq_of[:-o] == seq_of[o:]
+    counts = masks.sum(axis=0)
+    slot = np.cumsum(counts) - counts  # each center's next row
+    pairs = np.empty((int(counts.sum()), 2), dtype=np.int64)
+    for mask, o in zip(masks, offsets):
+        at = np.flatnonzero(mask)
+        rows = slot[at]
+        pairs[rows, 0] = ids[at]
+        pairs[rows, 1] = ids[at + o]
+        slot[at] += 1
+    return pairs
 
 
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -277,6 +297,7 @@ def train_sgns(
             _scatter_rows(flat_in, centers, d_v, cols)
             _add_outer(w_out, targets, g, center_row, x)
             done += b
+        del order  # the next permutation is drawn without this one alive
         losses.append(epoch_loss / len(pairs))
         if not (math.isfinite(losses[-1]) and np.isfinite(w_in).all() and np.isfinite(w_out).all()):
             raise NumericalError(f"non-finite skip-gram loss or weights at epoch {epoch}, "
@@ -288,9 +309,12 @@ def train_sgns(
 _SEMANTIC_BLOCK = 1 << 18
 
 
-def semantic_vectors(ids: np.ndarray, emb: EmbeddingMatrix) -> np.ndarray:
+def semantic_vectors(ids: np.ndarray, emb: EmbeddingMatrix, out: np.ndarray | None = None) -> np.ndarray:
     """Mean input vector of the non-reserved ids of each row of the padded
     (n, T) id matrix ``ids``, as float32 rows (zeros for a row with none).
+
+    The rows are written into ``out``, an (n, dim) float32 array or view (a
+    column block of a wider array, say), if it is given, and returned.
 
     Each block of rows gathers its (rows, T, dim) vectors, with zeros for
     reserved ids, and adds them one column at a time, so each row sums its
@@ -299,17 +323,20 @@ def semantic_vectors(ids: np.ndarray, emb: EmbeddingMatrix) -> np.ndarray:
     only if both its terms are.
     """
     n, width = ids.shape
-    out = np.zeros((n, emb.dim), dtype=np.float32)
+    if out is None:
+        out = np.empty((n, emb.dim), dtype=np.float32)
+    # A row with no such ids is zeros, and zeros over 1 stay zeros.
+    counts = np.maximum(np.count_nonzero(ids >= N_RESERVED, axis=1), 1)[:, None].astype(np.float32)
     step = max(1, _SEMANTIC_BLOCK // max(1, width * emb.dim))
     for start in range(0, n, step):
         block = ids[start : start + step]
         vectors = emb.w_in[block]
         vectors[block < N_RESERVED] = 0.0
-        sums = out[start : start + step]  # a view
+        # Summed in a contiguous buffer: adding into a strided ``out`` is slower.
+        sums = np.zeros((len(block), emb.dim), dtype=np.float32)
         for col in range(width):
             sums += vectors[:, col]
-    # A row with no such ids is zeros, and zeros over 1 stay zeros.
-    out /= np.maximum(np.count_nonzero(ids >= N_RESERVED, axis=1), 1)[:, None].astype(np.float32)
+        np.divide(sums, counts[start : start + step], out=out[start : start + step])
     return out
 
 

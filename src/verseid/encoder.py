@@ -18,6 +18,12 @@ computed for position 0 alone, and the encoder returns states ``(B, 1, D)``.
 This is exact in the math; the rounding differs from a full-sequence last
 layer.
 
+A training forward (``train=True``) keeps every layer's intermediates in a
+cache for :func:`encoder_backward`, which frees each layer's part once it has
+used it. An eval forward (``train=False``) keeps no cache, so a layer's
+intermediates are freed as soon as the next layer has its input, and its
+memory does not grow with the layer count.
+
 Each numerical block is written once: ``softmax``, the scaled dot-product
 ``attention_weights`` and the linear map ``_linear_forward``/``_linear_backward``,
 which folds the leading axes into one 2-D matrix product, so a batch costs
@@ -279,17 +285,19 @@ def _layer_backward(dout, cache, grads, i):
     return dr1 + dxq, dx
 
 
-def encoder_forward(ids: np.ndarray, params: Params, cfg: EncoderConfig, train: bool = False):
+def encoder_forward(ids: np.ndarray, params: Params, cfg: EncoderConfig, train: bool = True):
     """Run the encoder over a padded id batch.
 
     Args:
         ids: int array (B, T), T <= ``cfg.max_len``; padding id 0 marks unused keys.
-        train: marks a training call; the encoder has no dropout, so the
-            result is the same either way.
+        train: keep the cache that :func:`encoder_backward` needs. An eval
+            forward (False) keeps none: each layer's intermediates are freed
+            once the next layer has its input. The encoder has no dropout, so
+            the states are the same bits either way.
 
     Returns:
         (states, cache): states is (B, 1, D), the position-0 states; the verse
-        representation is ``states[:, 0]``.
+        representation is ``states[:, 0]``. The cache is None when not ``train``.
     """
     ids = np.asarray(ids)
     if ids.shape[1] > cfg.max_len:
@@ -297,23 +305,29 @@ def encoder_forward(ids: np.ndarray, params: Params, cfg: EncoderConfig, train: 
     key_mask = ids != PAD_ID
     x = params["tok_emb"][ids]
     x = x + sinusoidal_positions(ids.shape[1], cfg.d_model, x.dtype)
-    cache: dict[str, Any] = {"ids": ids, "layers": []}
+    layers: list[dict[str, Any]] = []
     for i in range(cfg.n_layers):
         xq = x if i < cfg.n_layers - 1 else x[:, :1]
         x, lcache = _layer_forward(xq, x, params, cfg, i, key_mask)
-        cache["layers"].append(lcache)
-    return x[:, :1], cache
+        if train:
+            layers.append(lcache)
+        del xq, lcache  # nothing of a finished layer is bound during the next one
+    return x[:, :1], ({"ids": ids, "layers": layers} if train else None)
 
 
 def encoder_backward(d_states: np.ndarray, cache: dict, params: Params, cfg: EncoderConfig) -> Params:
     """Backpropagate ``d_states`` (B, 1, D) through the encoder.
 
+    Consumes the cache of a training :func:`encoder_forward`: each layer's
+    part is dropped once it has been used, so the cache cannot be used twice.
+
     Returns grads keyed like params.
     """
     grads: Params = {}
     dx = d_states
+    layers = cache["layers"]
     for i in reversed(range(cfg.n_layers)):
-        dxq, dx = _layer_backward(dx, cache["layers"][i], grads, i)
+        dxq, dx = _layer_backward(dx, layers.pop(), grads, i)
         dx[:, : dxq.shape[1]] += dxq
     ids = cache["ids"][:, : dx.shape[1]]  # all positions, or row 0 with no layers
     d_emb = np.zeros_like(params["tok_emb"])

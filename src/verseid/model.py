@@ -369,7 +369,7 @@ def _dataset(
     col = 0
     if fusion.use_semantic:
         col = space.embeddings.dim
-        aux[:, :col] = semantic_vectors(ids, space.embeddings)
+        semantic_vectors(ids, space.embeddings, out=aux[:, :col])
     if fusion.use_stylometric:
         rows = [i for _, _, i in verses]
         aux[:, col : col + len(FEATURE_NAMES)] = space.scaler.transform(stylo[rows])
@@ -505,8 +505,7 @@ def predict_proba(
     for start in range(0, len(ds), batch_size):
         ids = _batch_ids(ds.ids[start : start + batch_size])
         aux = ds.aux[start : start + batch_size]
-        probs, _ = _forward_probs(ids, aux, bundle, train=False)
-        out.append(probs)
+        out.append(_forward_probs(ids, aux, bundle, train=False)[0])
     return np.concatenate(out, axis=0)
 
 
@@ -519,6 +518,31 @@ def poem_probability_groups(ds: FeatureDataset, probs: np.ndarray):
     order = np.argsort(poem_of, kind="stable")
     matrices = np.split(probs[order], np.cumsum(np.bincount(poem_of))[:-1])
     return poem_ids, matrices, ds.labels[np.unique(poem_of, return_index=True)[1]]
+
+
+def _gradient(bundle: ModelBundle, ds: FeatureDataset, sel: np.ndarray, w: np.ndarray,
+              rng: np.random.Generator, where: str) -> tuple[float, int, np.ndarray]:
+    """The loss of the training batch ``ds[sel]``, its clamp count and its
+    flat gradient.
+
+    Nothing else the step makes outlives this call: the forward caches, the
+    probabilities, the logit and input gradients and the per-block gradient
+    dicts are freed at return, before the optimizer runs.
+
+    Raises:
+        NumericalError: on a non-finite loss, naming ``where``.
+    """
+    ids, aux = _batch_ids(ds.ids[sel]), ds.aux[sel]
+    probs, (ecache, hcache) = _forward_probs(ids, aux, bundle, train=True, rng=rng)
+    loss, d_logits, n_clamped = batch_weighted_ce(probs, ds.labels[sel], w)
+    if not math.isfinite(loss):
+        raise NumericalError(f"non-finite loss at {where}")
+    hgrads, dh = head_backward(d_logits, hcache)
+    egrads: Params = {}
+    if ecache is not None:
+        d_states = dh[:, None, : bundle.enc_cfg.d_model]  # the [CLS] slice of the head input
+        egrads = encoder_backward(d_states, ecache, bundle.enc_params, bundle.enc_cfg)
+    return loss, n_clamped, flatten_params(egrads, hgrads)
 
 
 def fit(
@@ -574,31 +598,15 @@ def fit(
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
-            ids = _batch_ids(train_ds.ids[sel])
-            aux = train_ds.aux[sel]
-            y = train_ds.labels[sel]
             step += 1
             lr = lr_at_step(step, total_steps, cfg.warmup_frac, cfg.lr)
-
-            probs, (ecache, hcache) = _forward_probs(ids, aux, bundle, train=True, rng=dropout_rng)
-            loss, d_logits, n_clamped = batch_weighted_ce(probs, y, w)
+            where = f"epoch {epoch}, step {step}, lr {lr:.3g}"
+            loss, n_clamped, grads = _gradient(bundle, train_ds, sel, w, dropout_rng, where)
             clamp_events += n_clamped
-            if not math.isfinite(loss):
-                raise NumericalError(
-                    f"non-finite loss at epoch {epoch}, step {step}, lr {lr:.3g}"
-                )
-
-            hgrads, dh = head_backward(d_logits, hcache)
-            egrads: Params = {}
-            if space.fusion.use_text:
-                d_states = dh[:, None, : enc_cfg.d_model]  # the [CLS] slice of the head input
-                egrads = encoder_backward(d_states, ecache, bundle.enc_params, enc_cfg)
-            grads = flatten_params(egrads, hgrads)
             if not math.isfinite(clip_gradients(grads, cfg.clip_norm)):
-                raise NumericalError(
-                    f"non-finite gradient norm at epoch {epoch}, step {step}, lr {lr:.3g}"
-                )
+                raise NumericalError(f"non-finite gradient norm at {where}")
             opt.step(params, grads, lr)
+            del grads  # freed before the next step's forward and the validation pass
             loss_sum += loss * len(sel)
 
         valid_probs = predict_proba(valid_ds, bundle, batch_size=max(cfg.batch_size, 64))

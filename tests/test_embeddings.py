@@ -1,5 +1,7 @@
 """Skip-gram embedding training and serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from verseid.corpus import NumericalError
 from verseid.embeddings import (
     EmbeddingConfig,
     EmbeddingMatrix,
+    semantic_vectors,
     train_sgns,
     verse_semantic_vector,
     _add_outer,
@@ -120,6 +123,20 @@ class TestPairs:
         assert pairs.dtype == np.int64
         assert pairs.shape == want.shape  # (0, 2) when there are no pairs
         np.testing.assert_array_equal(pairs, want)
+
+
+    def test_peak_is_at_most_twice_the_pairs(self):
+        # About 20k tokens in verses of 0 to 15 ids, reserved ones among them:
+        # no (tokens x 2 window) int64 matrix is built on the way.
+        rng = np.random.default_rng(0)
+        sequences = [rng.integers(0, 400, rng.integers(0, 16)).tolist() for _ in range(2600)]
+        tracemalloc.start()
+        try:
+            pairs = _skipgram_pairs(sequences, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * pairs.nbytes
 
 
 class TestTraining:
@@ -337,3 +354,14 @@ class TestVerseVector:
         np.testing.assert_array_equal(
             verse_semantic_vector([], self.emb()), np.zeros(4, dtype=np.float32)
         )
+
+    def test_out_block_gets_the_returned_bytes(self, rng):
+        emb = EmbeddingMatrix(rng.normal(size=(9, 4)).astype(np.float32),
+                              np.zeros((9, 4), np.float32), EmbeddingConfig(dim=4))
+        ids = rng.integers(0, 9, size=(6, 5))
+        ids[2] = PAD_ID  # a row of reserved ids only
+        wide = np.full((6, 7), np.nan, dtype=np.float32)
+        got = semantic_vectors(ids, emb, out=wide[:, 1:5])  # a strided column block
+        assert got.base is wide
+        assert np.ascontiguousarray(wide[:, 1:5]).tobytes() == semantic_vectors(ids, emb).tobytes()
+        assert np.isnan(wide[:, [0, 5, 6]]).all()  # nothing outside the block is written

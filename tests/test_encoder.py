@@ -7,6 +7,8 @@ structurally zero (a shared key bias shifts every score in a softmax row
 equally), where a pure ratio would only measure finite-difference noise.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,6 +210,43 @@ class TestForward:
         ids = rng.integers(2, 9, size=(4, 5))
         states, _ = encoder_forward(ids, params, cfg)
         assert np.isfinite(states).all()
+
+
+class TestEvalForward:
+    def test_keeps_no_cache_and_gives_the_training_states(self, rng):
+        cfg = tiny_cfg(n_layers=3)
+        params = init_encoder_params(cfg)
+        ids = rng.integers(2, 9, size=(4, 5))
+        ids[1, 3:] = 0
+        states, cache = encoder_forward(ids, params, cfg, train=False)
+        trained, train_cache = encoder_forward(ids, params, cfg)  # train by default
+        assert cache is None
+        assert len(train_cache["layers"]) == 3
+        assert states.tobytes() == trained.tobytes()
+
+    def test_backward_consumes_the_cache(self, rng):
+        cfg = tiny_cfg(n_layers=3)
+        params = init_encoder_params(cfg)
+        states, cache = encoder_forward(rng.integers(2, 9, size=(2, 4)), params, cfg)
+        encoder_backward(np.ones_like(states), cache, params, cfg)
+        assert cache["layers"] == []
+
+    def test_peak_does_not_grow_with_the_layers(self, rng):
+        # One 64 x 20 batch at the default width: each layer's intermediates
+        # are freed once the next layer has its input.
+        ids = rng.integers(3, 400, size=(64, 20))
+
+        def peak(n_layers):
+            cfg = EncoderConfig(vocab_size=400, n_layers=n_layers)
+            params = init_encoder_params(cfg)
+            tracemalloc.start()
+            try:
+                encoder_forward(ids, params, cfg, train=False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8) <= 1.05 * peak(4)
 
 
 def _layer_norm(x, g, b):

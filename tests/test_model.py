@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -611,6 +612,43 @@ class TestFit:
         csv = training_log_csv(bundle.log)
         assert csv.splitlines()[0] == "epoch,train_loss,valid_accuracy,lr"
         assert len(csv.splitlines()) == len(bundle.log) + 1
+
+    def test_no_step_array_outlives_its_step(self, small_synth):
+        # Every array a training forward cached, parameters aside, is freed
+        # before the epoch's validation pass starts.
+        space, train_recs, valid_recs, _ = build_pipeline(small_synth)
+        train_ds = build_dataset(train_recs, space)
+        valid_ds = build_dataset(valid_recs, space)
+        enc = EncoderConfig(vocab_size=len(space.vocab), d_model=8, n_heads=2, n_layers=2, d_ff=8)
+        cfg = TrainConfig.desk(max_epochs=2, patience=2, seed=0)
+        cached, alive_at_validation = [], []
+        real_forward, real_predict = verseid.model.encoder_forward, verseid.model.predict_proba
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, (list, tuple)):
+                for item in obj:
+                    yield from arrays(item)
+            elif isinstance(obj, dict):
+                yield from arrays(list(obj.values()))
+
+        def recording_forward(ids, params, enc_cfg, train=True):
+            states, cache = real_forward(ids, params, enc_cfg, train)
+            if train:
+                kept = {id(p) for p in params.values()}
+                cached.extend(weakref.ref(a) for a in arrays(cache) if id(a) not in kept)
+            return states, cache
+
+        def checking_predict(*args, **kwargs):
+            alive_at_validation.append(sum(ref() is not None for ref in cached))
+            return real_predict(*args, **kwargs)
+
+        with mock.patch("verseid.model.encoder_forward", recording_forward), \
+                mock.patch("verseid.model.predict_proba", checking_predict):
+            fit(train_ds, valid_ds, space, enc, cfg)
+        assert cached
+        assert alive_at_validation == [0, 0]
 
     def test_numerical_blowup_raises(self, small_synth):
         space, train_recs, valid_recs, _ = build_pipeline(small_synth)
