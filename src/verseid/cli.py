@@ -314,6 +314,16 @@ def _load_bundle(args) -> ModelBundle:
     return load_checkpoint(_in_dir(args.checkpoint, CHECKPOINT_FILE), vocab, emb)
 
 
+def _distributions(ds, bundle: ModelBundle, args) -> np.ndarray:
+    """``predict_proba`` of the dataset; parameters that give any verse a
+    non-finite distribution make the checkpoint a damaged artifact."""
+    probs = predict_proba(ds, bundle)
+    if bad := int(np.count_nonzero(~np.isfinite(probs).all(axis=1))):
+        raise StaleArtifactError(f"{_in_dir(args.checkpoint, CHECKPOINT_FILE)}: its parameters "
+                                 f"give {bad} of {len(probs)} verses a non-finite distribution")
+    return probs
+
+
 def _eval_data(args, bundle: ModelBundle):
     """The split's dataset, verse distributions, poem ids, verse poem numbers
     and poem poets; a poet the checkpoint does not know is a stale artifact."""
@@ -326,7 +336,7 @@ def _eval_data(args, bundle: ModelBundle):
     ds = build_dataset(records, bundle.space, f"the {args.split_name} split")
     poem_ids, poem_of = poem_index(ds.poem_ids)
     truth = ds.labels[np.unique(poem_of, return_index=True)[1]]
-    return ds, predict_proba(ds, bundle), poem_ids, poem_of, truth
+    return ds, _distributions(ds, bundle, args), poem_ids, poem_of, truth
 
 
 def cmd_evaluate(args) -> int:
@@ -378,7 +388,7 @@ def cmd_predict(args) -> int:
     bundle = _load_bundle(args)
     records = _read_poems(args.input)
     ds = build_dataset(records, bundle.space, "stdin" if args.input in (None, "-") else args.input)
-    probs = predict_proba(ds, bundle)
+    probs = _distributions(ds, bundle, args)
     poet_names = bundle.space.poet_names
     out = _out_dir(args)
 

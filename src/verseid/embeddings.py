@@ -40,7 +40,7 @@ import json
 import math
 import struct
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -73,11 +73,16 @@ class EmbeddingConfig:
 
 @dataclass
 class EmbeddingMatrix:
-    """Input and output vectors for every vocabulary id."""
+    """Input and output vectors for every vocabulary id.
+
+    ``file_sha256`` is the SHA-256 of the file :meth:`load` parsed, and None
+    for a matrix built in memory.
+    """
 
     w_in: np.ndarray
     w_out: np.ndarray
     config: EmbeddingConfig
+    file_sha256: str | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -116,10 +121,14 @@ class EmbeddingMatrix:
                                  f"describes {off + 8 * n}")
             cfg = EmbeddingConfig.from_dict(json.loads(blob[_HEADER.size : off].decode("utf-8")))
         w_in, w_out = np.frombuffer(blob, dtype="<f4", offset=off).reshape(2, vocab_size, dim)
-        return cls(w_in.astype(np.float32), w_out.astype(np.float32), cfg)
+        return cls(w_in.astype(np.float32), w_out.astype(np.float32), cfg,
+                   hashlib.sha256(blob).hexdigest())
 
     def content_hash(self) -> str:
-        return hashlib.sha256(self.to_bytes()).hexdigest()
+        """SHA-256 of the bytes read by :meth:`load`, or of :meth:`to_bytes`
+        for a matrix built in memory; the two agree for a file :meth:`save`
+        wrote."""
+        return self.file_sha256 or hashlib.sha256(self.to_bytes()).hexdigest()
 
 
 def _real_tokens(sequences) -> tuple[np.ndarray, np.ndarray]:

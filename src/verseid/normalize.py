@@ -113,11 +113,13 @@ class Vocabulary:
 
     Ids 0..2 are reserved for padding, unknown, and the sequence-start
     token; real tokens start at 3 ordered by descending corpus frequency
-    with lexicographic tie-break.
+    with lexicographic tie-break. ``file_sha256`` is the SHA-256 of the file
+    :meth:`load` parsed, and None for a vocabulary built in memory.
     """
 
     token_to_id: dict[str, int]
     config: NormalizationConfig = field(default_factory=NormalizationConfig)
+    file_sha256: str | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.id_to_token = [""] * len(self.token_to_id)
@@ -137,7 +139,10 @@ class Vocabulary:
         return "\n".join(lines) + "\n"
 
     def content_hash(self) -> str:
-        return hashlib.sha256(self.serialize().encode("utf-8")).hexdigest()
+        """SHA-256 of the bytes read by :meth:`load`, or of :meth:`serialize`
+        for a vocabulary built in memory; the two agree for a file
+        :meth:`save` wrote."""
+        return self.file_sha256 or hashlib.sha256(self.serialize().encode("utf-8")).hexdigest()
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.serialize(), encoding="utf-8")
@@ -147,7 +152,8 @@ class Vocabulary:
         """Read a file written by :meth:`save`, whose ids count up from 0 in
         line order; a damaged file raises StaleArtifactError naming the line."""
         with reading(path, "vocabulary"):
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
+            data = Path(path).read_bytes()
+            lines = data.decode("utf-8").splitlines()
             if not lines or not lines[0].startswith("# config "):
                 raise ValueError("line 1: missing vocabulary config header")
             try:
@@ -163,7 +169,7 @@ class Vocabulary:
                 if tok in token_to_id:
                     raise ValueError(f"line {lineno}: duplicate token {tok!r}")
                 token_to_id[tok] = len(token_to_id)
-            vocab = cls(token_to_id, cfg)
+            vocab = cls(token_to_id, cfg, hashlib.sha256(data).hexdigest())
             for tok, want in zip(RESERVED_TOKENS, range(N_RESERVED)):
                 if vocab.token_to_id.get(tok) != want:
                     raise ValueError(f"reserved token {tok!r} missing or misplaced")

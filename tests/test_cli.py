@@ -79,8 +79,9 @@ def pipeline(tmp_path_factory):
     return dirs
 
 
-def rewrite_metadata(src, dst, edit, reseal=True):
-    """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its metadata.
+def rewrite_metadata(src, dst, edit, reseal=True, params=None):
+    """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its metadata,
+    and with its parameter body mapped by ``params`` if that is given.
 
     With ``reseal`` the ``sha256`` key is recomputed over the edited metadata
     (without that key) and the parameter body; without it, the key stays as
@@ -90,6 +91,8 @@ def rewrite_metadata(src, dst, edit, reseal=True):
     (meta_len,) = struct.unpack_from("<I", blob, 8)
     meta = json.loads(blob[12 : 12 + meta_len])
     body = blob[12 + meta_len :]
+    if params is not None:
+        body = params(np.frombuffer(body, dtype="<f4")).astype("<f4").tobytes()
     edit(meta)
     if reseal:
         del meta["sha256"]
@@ -860,6 +863,45 @@ class TestExitCodes:
         assert code == 3
         assert str(ckpt) in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "sweep-thresholds"])
+    def test_non_finite_parameters_are_artifact_error(self, pipeline, tmp_path, capsys, command):
+        # Resealed, so only the distributions it gives can tell it from a trained one.
+        ckpt = tmp_path / "checkpoint.bin"
+        rewrite_metadata(pipeline["model"] / "checkpoint.bin", ckpt, lambda meta: None,
+                         params=lambda values: np.full_like(values, np.nan))
+        assert main(["predict", "--input", str(pipeline["raw"]), "--embeddings",
+                     str(pipeline["emb"]), "--checkpoint", str(pipeline["model"]),
+                     "--out", str(tmp_path / "trained")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "o"
+        argv = ([command, "--input", str(pipeline["raw"])] if command == "predict" else
+                [command, "--corpus", str(pipeline["corpus"]), "--split", str(pipeline["split"])])
+        with np.errstate(all="ignore"):
+            code, captured = run([*argv, "--embeddings", str(pipeline["emb"]),
+                                  "--checkpoint", str(ckpt), "--out", str(out)], capsys)
+        assert code == 3
+        assert f"{ckpt}: its parameters give" in captured.err
+        assert "a non-finite distribution" in captured.err
+        assert not out.exists()
+
+    def test_vocabulary_not_as_saved_is_artifact_error(self, pipeline, tmp_path, capsys):
+        # CRLF line ends parse to the same vocabulary, but the checkpoint
+        # records the digest of the bytes train-embeddings wrote.
+        emb = tmp_path / "emb"
+        shutil.copytree(pipeline["emb"], emb)
+        lf = (emb / "vocab.tsv").read_bytes()
+        (emb / "vocab.tsv").write_bytes(lf.replace(b"\n", b"\r\n"))
+        out = tmp_path / "p"
+        code, captured = run(["predict", "--input", str(pipeline["raw"]), "--embeddings", str(emb),
+                              "--checkpoint", str(pipeline["model"]), "--out", str(out)], capsys)
+        assert code == 3
+        assert "the vocabulary (vocab.tsv) is not the one" in captured.err
+        assert str(pipeline["model"] / "checkpoint.bin") in captured.err
+        assert not out.exists()
+        (emb / "vocab.tsv").write_bytes(lf)
+        assert run(["predict", "--input", str(pipeline["raw"]), "--embeddings", str(emb),
+                    "--checkpoint", str(pipeline["model"]), "--out", str(out)]) == 0
 
     def test_unsealed_metadata_edit_is_artifact_error(self, pipeline, tmp_path, capsys):
         ckpt = tmp_path / "checkpoint.bin"

@@ -1,5 +1,6 @@
 """Skip-gram embedding training and serialization."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -329,6 +330,15 @@ class TestSerialization:
         np.testing.assert_array_equal(again.w_out, emb.w_out)
         assert again.config == emb.config
         assert again.content_hash() == emb.content_hash()
+
+    def test_loaded_hash_is_the_digest_of_the_file(self, tmp_path, monkeypatch):
+        emb, _ = train_sgns(toy_sequences(), 7, EmbeddingConfig(dim=8, epochs=1, seed=2))
+        assert emb.content_hash() == hashlib.sha256(emb.to_bytes()).hexdigest()
+        path = tmp_path / "emb.bin"
+        emb.save(path)
+        again = EmbeddingMatrix.load(path)
+        monkeypatch.setattr(EmbeddingMatrix, "to_bytes", None)  # not re-serialized
+        assert again.content_hash() == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "emb.bin"

@@ -1,5 +1,6 @@
 """Normalization, vocabulary, and tokenization contracts."""
 
+import hashlib
 import re
 
 import pytest
@@ -167,6 +168,18 @@ class TestVocabulary:
         assert again.token_to_id == vocab.token_to_id
         assert again.config == vocab.config
         assert again.content_hash() == vocab.content_hash()
+
+    def test_loaded_hash_is_the_digest_of_the_file(self, tmp_path, monkeypatch):
+        vocab = build_vocab(token_lists(self.records()))
+        path = tmp_path / "vocab.tsv"
+        vocab.save(path)
+        saved = vocab.content_hash()
+        assert saved == hashlib.sha256(path.read_bytes()).hexdigest()
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        again = Vocabulary.load(path)
+        assert again.token_to_id == vocab.token_to_id  # it parses the same,
+        monkeypatch.setattr(Vocabulary, "serialize", None)  # is not re-serialized,
+        assert again.content_hash() == hashlib.sha256(path.read_bytes()).hexdigest() != saved
 
     @settings(max_examples=50, deadline=None)
     @given(verses=st.lists(st.lists(TOKENS, max_size=6), max_size=8), strip_zwnj=st.booleans())

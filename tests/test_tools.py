@@ -1,10 +1,11 @@
 """The tools beside the package: ``tools/margins.py`` reads its table from
 the desk run of ``tools/artifact_hashes.py``, whose edge input reaches the
-cases its docstring names.
+cases its docstring names, and ``tools/peak_memory.py`` traces each command
+of that run.
 
 This loads each tool by path without installing it, and replaces the desk
 run with one that writes the two ``eval_verse.json`` files the table is read
-from.
+from, or with a few commands that hold known amounts of memory.
 """
 
 import importlib.util
@@ -86,3 +87,62 @@ def test_edge_input_holds_the_cases_it_promises(tmp_path, monkeypatch):
                 for p in poems]
     assert any(not any(counts) for counts in n_tokens)  # every verse normalizes to nothing
     assert max(map(max, n_tokens)) > EncoderConfig.max_len
+
+
+@pytest.fixture
+def peak_memory():
+    return load_tool("peak_memory")
+
+
+def fake_desk_run(hashes, monkeypatch, exit_code=0):
+    """Three commands through ``hashes._run``, each holding a known amount
+    of memory while it runs; returns those amounts by command."""
+    sizes = {"ingest": 1_000_000, "train": 3_000_000}
+
+    def verseid(argv):
+        held = bytearray(sizes[argv[0]])  # noqa: F841 (freed at return)
+        return exit_code
+
+    def desk_pipeline(seed=0):
+        hashes._run("ingest", "--corpus", "raw.jsonl", "--out", "corpus")
+        hashes._run("train", "--out", "full")
+        hashes._run("train", "--out", "nometer")
+
+    monkeypatch.setattr(hashes, "verseid", verseid)
+    monkeypatch.setattr(hashes, "desk_pipeline", desk_pipeline)
+    return sizes
+
+
+def test_peak_memory_traces_each_command_of_the_desk_run(peak_memory, monkeypatch, tmp_path):
+    hashes = peak_memory.artifact_hashes
+    run = hashes._run
+    sizes = fake_desk_run(hashes, monkeypatch)
+    rows = peak_memory.peaks(tmp_path)
+    assert [row[:2] for row in rows] == [("ingest", "corpus"), ("train", "full"),
+                                         ("train", "nometer")]
+    for command, _, peak in rows:
+        assert sizes[command] <= peak < sizes[command] + 100_000
+    again = peak_memory.peaks(tmp_path)  # in one process, up to the interpreter's own caches
+    assert [row[:2] for row in again] == [row[:2] for row in rows]
+    assert all(abs(a[2] - b[2]) < 1_000 for a, b in zip(again, rows))
+    assert hashes._run is run
+
+
+def test_peak_memory_restores_the_runner_when_a_command_fails(peak_memory, monkeypatch, tmp_path):
+    hashes = peak_memory.artifact_hashes
+    run = hashes._run
+    fake_desk_run(hashes, monkeypatch, exit_code=3)
+    with pytest.raises(SystemExit, match="verseid ingest .* exited 3"):
+        peak_memory.peaks(tmp_path)
+    assert hashes._run is run
+
+
+def test_peak_memory_prints_one_row_per_command(peak_memory, monkeypatch, capsys):
+    monkeypatch.setattr(peak_memory, "peaks", lambda root: [("train", "full", 17_670_000)])
+    monkeypatch.setattr(sys, "argv", ["peak_memory.py"])
+    peak_memory.cli()
+    assert capsys.readouterr().out.splitlines() == [
+        "| command | --out | traced peak (MB) |",
+        "| --- | --- | --- |",
+        "| `train` | full | 17.67 |",
+    ]
