@@ -125,9 +125,8 @@ class EmbeddingMatrix:
                    hashlib.sha256(blob).hexdigest())
 
     def content_hash(self) -> str:
-        """SHA-256 of the bytes read by :meth:`load`, or of :meth:`to_bytes`
-        for a matrix built in memory; the two agree for a file :meth:`save`
-        wrote."""
+        """``file_sha256``, or for a matrix built in memory the SHA-256 of
+        :meth:`to_bytes`, which is the digest of the file :meth:`save` writes."""
         return self.file_sha256 or hashlib.sha256(self.to_bytes()).hexdigest()
 
 

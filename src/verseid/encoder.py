@@ -290,10 +290,9 @@ def encoder_forward(ids: np.ndarray, params: Params, cfg: EncoderConfig, train: 
 
     Args:
         ids: int array (B, T), T <= ``cfg.max_len``; padding id 0 marks unused keys.
-        train: keep the cache that :func:`encoder_backward` needs. An eval
-            forward (False) keeps none: each layer's intermediates are freed
-            once the next layer has its input. The encoder has no dropout, so
-            the states are the same bits either way.
+        train: keep the cache that :func:`encoder_backward` needs; an eval
+            forward (False) keeps none. The encoder has no dropout, so the
+            states are the same bits either way.
 
     Returns:
         (states, cache): states is (B, 1, D), the position-0 states; the verse

@@ -522,15 +522,10 @@ def poem_probability_groups(ds: FeatureDataset, probs: np.ndarray):
 
 def _gradient(bundle: ModelBundle, ds: FeatureDataset, sel: np.ndarray, w: np.ndarray,
               rng: np.random.Generator, where: str) -> tuple[float, int, np.ndarray]:
-    """The loss of the training batch ``ds[sel]``, its clamp count and its
-    flat gradient.
+    """Loss, clamp count and flat gradient of the training batch ``ds[sel]``.
 
-    Nothing else the step makes outlives this call: the forward caches, the
-    probabilities, the logit and input gradients and the per-block gradient
-    dicts are freed at return, before the optimizer runs.
-
-    Raises:
-        NumericalError: on a non-finite loss, naming ``where``.
+    The caches, probabilities and per-block gradients die at return, before
+    the optimizer runs. A non-finite loss raises NumericalError naming ``where``.
     """
     ids, aux = _batch_ids(ds.ids[sel]), ds.aux[sel]
     probs, (ecache, hcache) = _forward_probs(ids, aux, bundle, train=True, rng=rng)

@@ -139,9 +139,8 @@ class Vocabulary:
         return "\n".join(lines) + "\n"
 
     def content_hash(self) -> str:
-        """SHA-256 of the bytes read by :meth:`load`, or of :meth:`serialize`
-        for a vocabulary built in memory; the two agree for a file
-        :meth:`save` wrote."""
+        """``file_sha256``, or for a vocabulary built in memory the SHA-256 of
+        :meth:`serialize`, which is the digest of the file :meth:`save` writes."""
         return self.file_sha256 or hashlib.sha256(self.serialize().encode("utf-8")).hexdigest()
 
     def save(self, path: str | Path) -> None:
