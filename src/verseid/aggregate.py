@@ -12,6 +12,10 @@ Three strategies:
 ``aggregate_poem`` votes every poem at once: ``np.add.at`` adds each verse
 into its poem's sums in verse order, the order of a loop over that poem's
 verses. The one-poem votes are calls of it on a single poem.
+
+``vote_poems``, the vote of every command, gives each poem asked about a row:
+one with no verse row abstains (label -1, confidence 0) under every strategy,
+and ``sweep_thresholds`` never counts it as covered.
 """
 
 from __future__ import annotations
@@ -63,6 +67,21 @@ def aggregate_poem(poem_of, verse_probs, strategy: str, tau: float = 0.7):
     return labels, confidence
 
 
+def vote_poems(poem_ids, verse_poem_ids, verse_probs, tau: float = 0.7) -> dict:
+    """Each strategy's labels and confidences for every id of ``poem_ids``,
+    in its order, from the verse rows ``verse_poem_ids`` and ``verse_probs``;
+    a poem with no verse row gets label -1 and confidence 0."""
+    row_of = {pid: i for i, pid in enumerate(poem_ids)}
+    voted, poem_of = poem_index(verse_poem_ids)
+    at = [row_of[pid] for pid in voted]
+    votes = {}
+    for strategy in STRATEGIES:
+        labels, confidence = np.full(len(poem_ids), -1), np.zeros(len(poem_ids))
+        labels[at], confidence[at] = aggregate_poem(poem_of, verse_probs, strategy, tau)
+        votes[strategy] = labels, confidence
+    return votes
+
+
 def _one_poem(verse_probs, strategy: str, tau: float = 0.7) -> tuple[int, float]:
     """``aggregate_poem`` on the verse rows of a single poem."""
     poem_of = np.zeros(np.shape(verse_probs)[:1], dtype=np.intp)
@@ -104,17 +123,17 @@ class SweepRow:
 
 def sweep_thresholds(labels, confidence, truth, taus: list[float]) -> list[SweepRow]:
     """Accuracy/coverage of the thresholded strategy per threshold, from the
-    weighted vote's per-poem labels and confidences. ``taus`` must be sorted
-    ascending. Coverage is monotonically non-increasing in tau; accuracy over
-    covered poems is None when nothing is covered.
+    weighted vote's per-poem labels and confidences; a label of -1 is never
+    covered. ``taus`` must be sorted ascending. Coverage is monotonically
+    non-increasing in tau; accuracy over covered poems is None when nothing is covered.
     """
     if list(taus) != sorted(taus):
         raise ValueError("thresholds must be sorted ascending")
-    correct, confidence = np.asarray(labels) == np.asarray(truth), np.asarray(confidence)
-    total = len(confidence)
+    labels, confidence = np.asarray(labels), np.asarray(confidence)
+    correct, voted, total = labels == np.asarray(truth), labels >= 0, len(labels)
     rows = []
     for tau in taus:
-        kept = confidence >= tau
+        kept = voted & (confidence >= tau)
         n_cov = int(kept.sum())
         acc = int(correct[kept].sum()) / n_cov if n_cov else None
         rows.append(SweepRow(float(tau), acc, n_cov / total if total else 0.0, n_cov, total))
@@ -129,7 +148,7 @@ def sweep_csv(rows: list[SweepRow]) -> str:
 
 def predictions_csv(poem_ids: list[str], votes: dict, poet_names: list[str] | None = None) -> str:
     """Per-poem prediction rows: poem_id,strategy,label,confidence,abstained.
-    ``votes`` maps each strategy to its ``aggregate_poem`` labels and confidences."""
+    ``votes`` maps each strategy to its labels and confidences, as ``vote_poems`` does."""
     rows = [["poem_id", "strategy", "label", "confidence", "abstained"]]
     for strategy, (labels, confidence) in votes.items():
         for pid, label, conf in zip(poem_ids, labels.tolist(), confidence.tolist()):

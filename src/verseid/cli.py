@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .aggregate import STRATEGIES, aggregate_poem, poem_index, predictions_csv, sweep_csv, sweep_thresholds
+from .aggregate import predictions_csv, sweep_csv, sweep_thresholds, vote_poems
 from .corpus import Corpus, CorpusError, PoemRecord, corpus_stats, csv_text, filter_corpus, load_corpus, reading, save_corpus
 from .embeddings import EmbeddingConfig, EmbeddingMatrix, train_sgns
 from .encoder import EncoderConfig
@@ -283,7 +283,7 @@ def cmd_train(args) -> int:
     poet_index = {p: i for i, p in enumerate(sorted({r.poet for r in corpus.records}))}
     form_index = {f: i for i, f in enumerate(sorted({r.form for r in corpus.records}))}
     space, train_ds = FeatureSpace.fit(
-        splits["train"], vocab, emb, form_index, poet_index, fusion, max_len=args.max_len
+        splits["train"], vocab, emb, form_index, poet_index, fusion, max_len=enc_cfg.max_len
     )
     valid_ds = build_dataset(splits["valid"], space, "the valid split")
     bundle = fit(train_ds, valid_ds, space, enc_cfg, tcfg)
@@ -325,8 +325,8 @@ def _distributions(ds, bundle: ModelBundle, args) -> np.ndarray:
 
 
 def _eval_data(args, bundle: ModelBundle):
-    """The split's dataset, verse distributions, poem ids, verse poem numbers
-    and poem poets; a poet the checkpoint does not know is a stale artifact."""
+    """The split's records, dataset, verse distributions and each record's
+    poet id; a poet the checkpoint does not know is a stale artifact."""
     _, splits = _load_splits(args)
     records = splits[args.split_name]
     if unknown := next((r for r in records if r.poet not in bundle.space.poet_index), None):
@@ -334,14 +334,13 @@ def _eval_data(args, bundle: ModelBundle):
             f"{_in_dir(args.checkpoint, CHECKPOINT_FILE)}: checkpoint has no poet "
             f"{unknown.poet!r} (poem {unknown.poem_id!r} of the {args.split_name} split)")
     ds = build_dataset(records, bundle.space, f"the {args.split_name} split")
-    poem_ids, poem_of = poem_index(ds.poem_ids)
-    truth = ds.labels[np.unique(poem_of, return_index=True)[1]]
-    return ds, _distributions(ds, bundle, args), poem_ids, poem_of, truth
+    truth = np.array([bundle.space.poet_index[r.poet] for r in records])
+    return records, ds, _distributions(ds, bundle, args), truth
 
 
 def cmd_evaluate(args) -> int:
     bundle = _load_bundle(args)
-    ds, probs, poem_ids, poem_of, truth = _eval_data(args, bundle)
+    records, ds, probs, truth = _eval_data(args, bundle)
     poet_names = bundle.space.poet_names
     n_classes = len(poet_names)
     out = _out_dir(args)
@@ -350,9 +349,10 @@ def cmd_evaluate(args) -> int:
     (out / "eval_verse.json").write_text(verse_report.to_json() + "\n", encoding="utf-8")
     (out / "eval_verse.txt").write_text(verse_report.to_text(), encoding="utf-8")
 
-    votes = {s: aggregate_poem(poem_of, probs, s, tau=args.tau) for s in STRATEGIES}
+    poem_ids = [r.poem_id for r in records]
+    votes = vote_poems(poem_ids, ds.poem_ids, probs, tau=args.tau)
     for strategy, (labels, _) in votes.items():
-        # Only thresholded abstains; its report covers the poems it kept.
+        # Each report covers the poems its strategy labelled; coverage is over the split.
         kept = labels >= 0
         coverage = int(kept.sum()) / len(kept) if strategy == "thresholded" else None
         report = classification_report(truth[kept], labels[kept], n_classes, poet_names,
@@ -368,8 +368,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     bundle = _load_bundle(args)
-    _, probs, _, poem_of, truth = _eval_data(args, bundle)
-    rows = sweep_thresholds(*aggregate_poem(poem_of, probs, "weighted"), truth, args.taus)
+    records, ds, probs, truth = _eval_data(args, bundle)
+    votes = vote_poems([r.poem_id for r in records], ds.poem_ids, probs)
+    rows = sweep_thresholds(*votes["weighted"], truth, args.taus)
     out = _out_dir(args)
     (out / "sweep.csv").write_text(sweep_csv(rows), encoding="utf-8")
     _write_config(out, args, {"split_name": args.split_name, "taus": args.taus})
@@ -399,16 +400,8 @@ def cmd_predict(args) -> int:
         rows.append([pid, vi, poet_names[top], cells[top], *cells])
     (out / "verse_predictions.csv").write_text(csv_text(rows), encoding="utf-8")
 
-    # Every input poem gets a row; one with no usable verse abstains with confidence 0.
     poem_ids = [r.poem_id for r in records]
-    voted, poem_of = poem_index(ds.poem_ids)
-    rows_of = {pid: i for i, pid in enumerate(poem_ids)}
-    at = [rows_of[pid] for pid in voted]
-    votes = {}
-    for strategy in STRATEGIES:
-        labels, confidence = np.full(len(poem_ids), -1), np.zeros(len(poem_ids))
-        labels[at], confidence[at] = aggregate_poem(poem_of, probs, strategy, tau=args.tau)
-        votes[strategy] = labels, confidence
+    votes = vote_poems(poem_ids, ds.poem_ids, probs, tau=args.tau)
     poem_csv = predictions_csv(poem_ids, votes, poet_names)
     (out / "poem_predictions.csv").write_text(poem_csv, encoding="utf-8")
     _write_config(out, args, {"input": str(args.input or "-"), "tau": args.tau})

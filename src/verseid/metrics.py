@@ -105,22 +105,10 @@ def classification_report(
     pred_totals = cm.sum(axis=0).astype(np.float64)
     true_totals = cm.sum(axis=1).astype(np.float64)
 
-    zero_div: set[int] = set()
-    precision = np.zeros(n_classes)
-    recall = np.zeros(n_classes)
-    f1 = np.zeros(n_classes)
-    for c in range(n_classes):
-        if pred_totals[c] > 0:
-            precision[c] = tp[c] / pred_totals[c]
-        else:
-            zero_div.add(c)
-        if true_totals[c] > 0:
-            recall[c] = tp[c] / true_totals[c]
-        else:
-            zero_div.add(c)
-        denom = precision[c] + recall[c]
-        if denom > 0:
-            f1[c] = 2 * precision[c] * recall[c] / denom
+    precision = np.divide(tp, pred_totals, out=np.zeros(n_classes), where=pred_totals > 0)
+    recall = np.divide(tp, true_totals, out=np.zeros(n_classes), where=true_totals > 0)
+    denom = precision + recall
+    f1 = np.divide(2 * precision * recall, denom, out=np.zeros(n_classes), where=denom > 0)
 
     total = int(cm.sum())
     return EvalReport(
@@ -132,7 +120,7 @@ def classification_report(
         macro_precision=float(precision.mean()),
         macro_recall=float(recall.mean()),
         macro_f1=float(f1.mean()),
-        zero_division_classes=sorted(zero_div),
+        zero_division_classes=np.flatnonzero((pred_totals == 0) | (true_totals == 0)).tolist(),
         class_names=class_names,
         coverage=coverage,
     )

@@ -153,10 +153,9 @@ class AdamW:
     one flat buffer in place: the decay shrinks the parameters directly and
     never enters the loss or the gradients."""
 
-    def __init__(self, params: np.ndarray, weight_decay: float = 0.0,
-                 betas=(0.9, 0.999), eps: float = 1e-8):
-        self.b1, self.b2 = betas
-        self.eps = eps
+    B1, B2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: np.ndarray, weight_decay: float = 0.0):
         self.weight_decay = weight_decay
         self.t = 0
         self.m = np.zeros_like(params)
@@ -164,16 +163,16 @@ class AdamW:
 
     def step(self, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
         self.t += 1
-        bc1 = 1.0 - self.b1**self.t
-        bc2 = 1.0 - self.b2**self.t
+        bc1 = 1.0 - self.B1**self.t
+        bc2 = 1.0 - self.B2**self.t
         m, v = self.m, self.v
-        m *= self.b1
-        m += (1.0 - self.b1) * grads
-        v *= self.b2
-        v += (1.0 - self.b2) * grads * grads
+        m *= self.B1
+        m += (1.0 - self.B1) * grads
+        v *= self.B2
+        v += (1.0 - self.B2) * grads * grads
         if self.weight_decay:
             params -= (lr * self.weight_decay) * params
-        params -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        params -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
 
 
 def lr_at_step(step: int, total_steps: int, warmup_frac: float, lr_max: float) -> float:

@@ -22,6 +22,10 @@ FORMS = ("ghazal", "qasideh", "masnavi", "robai")
 
 # Raw-text noise: Persian -> Arabic letter variants the normalizer undoes.
 VARIANT_OF = {"ی": "ي", "ک": "ك"}
+VARIANT_RATE = 0.05  # share of tokens respelled with a variant
+CORE_TOKEN_RATE = 0.45  # share of a non-formulaic verse's tokens from the poet's core
+METER_LOYALTY = 0.85  # share of a poet's poems in one of its signature meters
+SIGNATURE_METERS, EXTRA_METERS = 3, 3  # meters per poet; meters no poet owns
 
 
 @dataclass(frozen=True)
@@ -33,11 +37,6 @@ class SyntheticConfig:
     core_size: int = 40
     shared_size: int | None = None  # defaults to n_poets * core_size (50% shared)
     formulaic_rate: float = 0.25
-    core_token_rate: float = 0.45
-    meter_loyalty: float = 0.85
-    signature_meters: int = 3
-    extra_meters: int = 3
-    variant_rate: float = 0.05
     contested_rate: float = 0.0
     zipf_s: float = 1.05
     seed: int = 0
@@ -76,11 +75,11 @@ def make_synthetic_corpus(cfg: SyntheticConfig = SyntheticConfig()) -> Corpus:
     shared_w = _zipf_weights(len(shared), cfg.zipf_s)
     core_w = _zipf_weights(cfg.core_size, cfg.zipf_s)
 
-    n_meters = cfg.n_poets * cfg.signature_meters + cfg.extra_meters
+    n_meters = cfg.n_poets * SIGNATURE_METERS + EXTRA_METERS
     meters = [f"bahr_{i:02d}" for i in range(n_meters)]
 
     def emit_token(word: str) -> str:
-        if cfg.variant_rate and rng.random() < cfg.variant_rate:
+        if rng.random() < VARIANT_RATE:
             for persian, arabic in VARIANT_OF.items():
                 if persian in word:
                     return word.replace(persian, arabic, 1)
@@ -89,7 +88,7 @@ def make_synthetic_corpus(cfg: SyntheticConfig = SyntheticConfig()) -> Corpus:
     def hemistich(poet: int, formulaic: bool, length: int) -> str:
         words = []
         for _ in range(length):
-            if formulaic or rng.random() >= cfg.core_token_rate:
+            if formulaic or rng.random() >= CORE_TOKEN_RATE:
                 words.append(shared[rng.choice(len(shared), p=shared_w)])
             else:
                 words.append(cores[poet][rng.choice(cfg.core_size, p=core_w)])
@@ -98,10 +97,10 @@ def make_synthetic_corpus(cfg: SyntheticConfig = SyntheticConfig()) -> Corpus:
     records = []
     for poet in range(cfg.n_poets):
         poet_name = f"poet_{poet:02d}"
-        sig = meters[poet * cfg.signature_meters : (poet + 1) * cfg.signature_meters]
+        sig = meters[poet * SIGNATURE_METERS : (poet + 1) * SIGNATURE_METERS]
         base_len = 3 + poet % 3  # mild per-poet stylometric signal
         for k in range(cfg.poems_per_poet):
-            if rng.random() < cfg.meter_loyalty:
+            if rng.random() < METER_LOYALTY:
                 meter = sig[rng.integers(len(sig))]
             else:
                 meter = meters[rng.integers(n_meters)]

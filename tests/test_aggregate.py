@@ -17,6 +17,7 @@ from verseid.aggregate import (
     sweep_csv,
     sweep_thresholds,
     thresholded_vote,
+    vote_poems,
     weighted_vote,
 )
 
@@ -198,6 +199,26 @@ class TestBatchedVote:
                 assert conf.tolist() == pytest.approx(want[strategy][1], rel=1e-15), strategy
 
 
+class TestVotePoems:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_matches_aggregate_poem_and_abstains_for_verseless_poems(self, seed):
+        rng = np.random.default_rng(seed)
+        verse_poem_ids, rows = random_poems(rng, np.float64)
+        voted, poem_of = poem_index(verse_poem_ids)
+        # Interleave poems with no verse row among the voted ones, in a shuffled order.
+        ids = voted + [f"empty-{k}" for k in range(rng.integers(1, 4))]
+        asked = [ids[i] for i in rng.permutation(len(ids))]
+        votes = vote_poems(asked, verse_poem_ids, rows, tau=0.6)
+        assert list(votes) == list(STRATEGIES)
+        for strategy in STRATEGIES:
+            want = dict(zip(voted, zip(*(a.tolist() for a in
+                                         aggregate_poem(poem_of, rows, strategy, tau=0.6)))))
+            labels, conf = votes[strategy]
+            got = list(zip(labels.tolist(), conf.tolist()))
+            assert got == [want.get(pid, (-1, 0.0)) for pid in asked], strategy
+
+
 def poem_set():
     """Three poems with mean confidences 0.65, 0.80, 0.55 and one mistake."""
     return (
@@ -249,6 +270,13 @@ class TestSweep:
         acc = sum(int(p == t) for p, t in zip(preds, truth)) / len(truth)
         assert row.accuracy == pytest.approx(acc)
         assert row.coverage == 1.0
+
+    def test_unvoted_poem_is_never_covered(self):
+        # The third poem had no verse to vote: label -1, confidence 0.
+        rows = sweep_thresholds([0, 1, -1], [0.8, 0.6, 0.0], [0, 0, 1], [0.0, 0.7])
+        assert [(r.covered, r.total) for r in rows] == [(2, 3), (1, 3)]
+        assert rows[0].accuracy == pytest.approx(0.5)
+        assert rows[0].coverage == pytest.approx(2 / 3)
 
     def test_csv_rendering_with_na(self):
         poems, truth = poem_set()

@@ -326,6 +326,56 @@ class TestPoemOutputs:
         assert (pipeline["sweep"] / "sweep.csv").read_text(encoding="utf-8") == "\n".join(lines) + "\n"
 
 
+class TestVerselessSplitPoem:
+    """A split poem whose every verse normalizes to nothing: ``evaluate`` and
+    ``sweep-thresholds`` keep it in the split and it abstains."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, pipeline, tmp_path_factory):
+        root = tmp_path_factory.mktemp("verseless")
+        corpus = load_corpus(pipeline["corpus"] / "corpus.jsonl")
+        assignment = SplitAssignment.load(pipeline["split"] / "assignment.csv",
+                                          pipeline["split"] / "split_meta.json")
+        test_ids = [r.poem_id for r in split_records(corpus, assignment)[2]]
+        lines = (pipeline["corpus"] / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        for i, line in enumerate(lines):
+            record = json.loads(line)
+            if record["poem_id"] == test_ids[0]:
+                record["verses"] = [["<hr/>", "<b></b>"] for _ in record["verses"]]
+                lines[i] = json.dumps(record, ensure_ascii=False)
+        (root / "corpus.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        common = ["--corpus", str(root / "corpus.jsonl"), "--split", str(pipeline["split"]),
+                  "--embeddings", str(pipeline["emb"]), "--checkpoint", str(pipeline["model"])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the skipped verses are reported
+            assert main(["evaluate", *common, "--out", str(root / "eval")]) == 0
+            assert main(["sweep-thresholds", *common, "--taus", "0,0.7",
+                         "--out", str(root / "sweep")]) == 0
+        return root, test_ids
+
+    def test_evaluate_lists_it_as_abstaining_in_split_order(self, runs):
+        root, test_ids = runs
+        rows = list(csv.reader((root / "eval" / "poem_predictions.csv").read_text().splitlines()))
+        assert [(r[0], r[1]) for r in rows[1:]] == [
+            (pid, strategy) for strategy in ("majority", "weighted", "thresholded")
+            for pid in test_ids]
+        for row in rows[1:]:
+            assert (row[0] == test_ids[0]) == (row[2:] == ["ABSTAIN", "0.000000", "true"])
+
+    def test_thresholded_coverage_counts_the_whole_split(self, runs):
+        root, test_ids = runs
+        rows = list(csv.reader((root / "eval" / "poem_predictions.csv").read_text().splitlines()))
+        kept = sum(r[1] == "thresholded" and r[4] == "false" for r in rows)
+        report = json.loads((root / "eval" / "eval_thresholded.json").read_text())
+        assert report["coverage"] == kept / len(test_ids)
+
+    def test_sweep_never_covers_it(self, runs):
+        root, test_ids = runs
+        rows = list(csv.DictReader((root / "sweep" / "sweep.csv").read_text().splitlines()))
+        assert [int(r["total"]) for r in rows] == [len(test_ids)] * 2
+        assert int(rows[0]["covered"]) == len(test_ids) - 1
+
+
 class TestDeterminism:
     def test_split_reruns_byte_identical(self, pipeline, tmp_path):
         again = tmp_path / "split2"
