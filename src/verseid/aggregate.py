@@ -70,14 +70,16 @@ def aggregate_poem(poem_of, verse_probs, strategy: str, tau: float = 0.7):
 def vote_poems(poem_ids, verse_poem_ids, verse_probs, tau: float = 0.7) -> dict:
     """Each strategy's labels and confidences for every id of ``poem_ids``,
     in its order, from the verse rows ``verse_poem_ids`` and ``verse_probs``;
-    a poem with no verse row gets label -1 and confidence 0."""
+    a poem with no verse row gets label -1 and confidence 0, and so does
+    every poem when there are no verse rows."""
     row_of = {pid: i for i, pid in enumerate(poem_ids)}
     voted, poem_of = poem_index(verse_poem_ids)
     at = [row_of[pid] for pid in voted]
     votes = {}
     for strategy in STRATEGIES:
         labels, confidence = np.full(len(poem_ids), -1), np.zeros(len(poem_ids))
-        labels[at], confidence[at] = aggregate_poem(poem_of, verse_probs, strategy, tau)
+        if at:
+            labels[at], confidence[at] = aggregate_poem(poem_of, verse_probs, strategy, tau)
         votes[strategy] = labels, confidence
     return votes
 
@@ -146,12 +148,24 @@ def sweep_csv(rows: list[SweepRow]) -> str:
          f"{r.coverage:.6f}", r.covered, r.total) for r in rows])
 
 
+PREDICTIONS_HEADER = ("poem_id", "strategy", "label", "confidence", "abstained")
+
+
+def strategy_rows(poem_ids: list[str], strategy: str, labels, confidence,
+                  poet_names: list[str] | None = None) -> list[list[str]]:
+    """The ``predictions_csv`` rows of one strategy's vote of ``poem_ids``."""
+    rows = []
+    for pid, label, conf in zip(poem_ids, labels.tolist(), confidence.tolist()):
+        name = ABSTAIN if label < 0 else str(label) if poet_names is None else poet_names[label]
+        rows.append([pid, strategy, name, f"{conf:.6f}", str(label < 0).lower()])
+    return rows
+
+
 def predictions_csv(poem_ids: list[str], votes: dict, poet_names: list[str] | None = None) -> str:
-    """Per-poem prediction rows: poem_id,strategy,label,confidence,abstained.
-    ``votes`` maps each strategy to its labels and confidences, as ``vote_poems`` does."""
-    rows = [["poem_id", "strategy", "label", "confidence", "abstained"]]
+    """Per-poem prediction rows: poem_id,strategy,label,confidence,abstained,
+    strategy by strategy. ``votes`` maps each strategy to its labels and
+    confidences, as ``vote_poems`` does."""
+    rows = [PREDICTIONS_HEADER]
     for strategy, (labels, confidence) in votes.items():
-        for pid, label, conf in zip(poem_ids, labels.tolist(), confidence.tolist()):
-            name = ABSTAIN if label < 0 else str(label) if poet_names is None else poet_names[label]
-            rows.append([pid, strategy, name, f"{conf:.6f}", str(label < 0).lower()])
+        rows += strategy_rows(poem_ids, strategy, labels, confidence, poet_names)
     return csv_text(rows)

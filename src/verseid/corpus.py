@@ -18,7 +18,7 @@ import io
 import json
 import math
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -156,23 +156,39 @@ def _parse_record(obj: dict, lineno: int, labelled: bool = True) -> PoemRecord:
         raise CorpusError(f"line {lineno}: {exc}") from None
 
 
-def load_corpus(path: str | Path | None, labelled: bool = True) -> Corpus:
-    """Load a JSONL corpus file, or stdin for ``path=None``, as strict UTF-8,
-    skipping blank lines; ``labelled=False`` reads prediction input, where
-    only poem_id and verses are required.
+@contextmanager
+def _text_lines(path: str | Path | None):
+    """The lines of ``path``, or of the process's stdin for ``None``, decoded
+    as strict UTF-8 while they are read.
+
+    Stdin's bytes are decoded by a wrapper that is detached, not closed, at
+    the end, so stdin stays open; Python's own ``sys.stdin`` would let
+    undecodable bytes through as surrogates.
+    """
+    if path is not None:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+        return
+    fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+    try:
+        yield fh
+    finally:
+        fh.detach()
+
+
+def read_records(path: str | Path | None, labelled: bool = True) -> Iterator[PoemRecord]:
+    """The records of a JSONL corpus file, or of stdin for ``path=None``, one
+    at a time as they are read, skipping blank lines; ``labelled=False``
+    reads prediction input, where only poem_id and verses are required. The
+    set of poem ids seen is all it keeps.
 
     Raises:
         CorpusError: naming the file or stdin (and the line, if any) when it
-            is missing, undecodable, malformed or empty, or repeats a poem id.
+            is missing, undecodable, malformed or empty, or repeats a poem id,
+            once the reader reaches the fault.
     """
-    records: list[PoemRecord] = []
     seen: set[str] = set()
-    with reading("stdin" if path is None else path, "corpus", CorpusError), (
-        open(path, encoding="utf-8") if path is not None
-        # The bytes of the process's stdin, which stays open; Python's own
-        # sys.stdin would let undecodable bytes through as surrogates.
-        else io.TextIOWrapper(io.BytesIO(sys.stdin.buffer.read()), encoding="utf-8")
-    ) as fh:
+    with reading("stdin" if path is None else path, "corpus", CorpusError), _text_lines(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -186,10 +202,14 @@ def load_corpus(path: str | Path | None, labelled: bool = True) -> Corpus:
             if record.poem_id in seen:
                 raise CorpusError(f"line {lineno}: duplicate poem_id {record.poem_id!r}")
             seen.add(record.poem_id)
-            records.append(record)
-        if not records:
+            yield record
+        if not seen:
             raise CorpusError("no poems")
-    return Corpus(records)
+
+
+def load_corpus(path: str | Path | None, labelled: bool = True) -> Corpus:
+    """Every record of :func:`read_records`, as one corpus."""
+    return Corpus(list(read_records(path, labelled)))
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:

@@ -56,6 +56,8 @@ from .split import LeakageError
 
 CHECKPOINT_FORMAT_VERSION = 1
 LOG_EPS = 1e-12
+# Rows per predict_proba batch; a batch's distributions depend on which rows share it.
+PREDICT_BATCH = 64
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +278,12 @@ class FeatureSpace:
         meter map; returns the space and ``build_dataset(train_records, space)``,
         both from one normalization pass."""
         ids, stylo, verses = _scan(train_records, vocab, max_len)
-        if not verses:  # before the meter map and the scaler, which need a train verse
-            raise ValueError("no usable verses in the train split")
+        # Before the meter map and the scaler, which need a train verse.
+        check_usable(len(stylo), len(verses), "the train split")
         meter_map = build_meter_classes(Corpus(list(train_records)))
         space = cls(vocab, embeddings, Scaler.fit(stylo), meter_map, form_index, poet_index,
                     fusion, max_len)
-        return space, _dataset(ids, stylo, verses, space, "the train split")
+        return space, _dataset(ids, stylo, verses, space)
 
     @property
     def n_classes(self) -> int:
@@ -334,6 +336,31 @@ class FeatureDataset:
     def __len__(self) -> int:
         return len(self.ids)
 
+    def __getitem__(self, rows: slice) -> "FeatureDataset":
+        return FeatureDataset(self.ids[rows], self.aux[rows], self.labels[rows],
+                              self.poem_ids[rows], self.verse_indices[rows])
+
+
+def concat_datasets(first: FeatureDataset, then: FeatureDataset) -> FeatureDataset:
+    """The rows of ``first``, then those of ``then``; the id matrix is padded
+    to the wider of the two, which no batch sees (``_batch_ids``)."""
+    ids = np.full((len(first) + len(then), max(first.ids.shape[1], then.ids.shape[1])), PAD_ID,
+                  dtype=first.ids.dtype)
+    ids[: len(first), : first.ids.shape[1]] = first.ids
+    ids[len(first) :, : then.ids.shape[1]] = then.ids
+    return FeatureDataset(ids, np.concatenate([first.aux, then.aux]),
+                          np.concatenate([first.labels, then.labels]),
+                          first.poem_ids + then.poem_ids, first.verse_indices + then.verse_indices)
+
+
+def check_usable(n_verses: int, n_usable: int, source: str) -> None:
+    """Warn of the verses skipped for having no tokens after normalization;
+    none usable is an error that names ``source``."""
+    if n_usable < n_verses:
+        warnings.warn(f"skipped {n_verses - n_usable} verses with no tokens after normalization")
+    if not n_usable:
+        raise ValueError(f"no usable verses in {source}")
+
 
 def _scan(records: list[PoemRecord], vocab: Vocabulary, max_len: int):
     """Normalize each verse once into one :class:`TokenTable`.
@@ -354,14 +381,8 @@ def _dataset(
     stylo: np.ndarray,
     verses: list[tuple[PoemRecord, int, int]],
     space: FeatureSpace,
-    source: str,
 ) -> FeatureDataset:
-    """The scanned verses that have tokens, with their aux inputs; none is an
-    error that names ``source``."""
-    if len(verses) < len(stylo):
-        warnings.warn(f"skipped {len(stylo) - len(verses)} verses with no tokens after normalization")
-    if not verses:
-        raise ValueError(f"no usable verses in {source}")
+    """The scanned verses that have tokens, with their aux inputs."""
     fusion = space.fusion
     records = [r for r, _, _ in verses]
     aux = np.empty((len(records), space.aux_dim), dtype=np.float32)
@@ -383,14 +404,21 @@ def _dataset(
     return FeatureDataset(ids, aux, labels, [r.poem_id for r in records], [vi for _, vi, _ in verses])
 
 
-def build_dataset(records: list[PoemRecord], space: FeatureSpace, source: str = "dataset") -> FeatureDataset:
+def build_dataset(records: list[PoemRecord], space: FeatureSpace, source: str | None = "dataset"
+                  ) -> FeatureDataset:
     """Featurize every verse of every record.
 
     Verses that normalize to nothing are skipped with a warning, and none
-    left is an error that names ``source`` (a file, stdin or a split); poems
-    whose poet is missing from the index get label -1 (prediction-only data).
+    left is an error that names ``source`` (a file, stdin or a split); with
+    ``source=None`` the dataset may be empty, and the caller, which reads a
+    larger input a part at a time, runs :func:`check_usable` on its totals.
+    Poems whose poet is missing from the index get label -1 (prediction-only
+    data).
     """
-    return _dataset(*_scan(records, space.vocab, space.max_len), space, source)
+    ids, stylo, verses = _scan(records, space.vocab, space.max_len)
+    if source is not None:
+        check_usable(len(stylo), len(verses), source)
+    return _dataset(ids, stylo, verses, space)
 
 
 def _batch_ids(ids: np.ndarray) -> np.ndarray:
@@ -497,9 +525,10 @@ def _forward_probs(
 def predict_proba(
     ds: FeatureDataset,
     bundle: ModelBundle,
-    batch_size: int = 64,
+    batch_size: int = PREDICT_BATCH,
 ) -> np.ndarray:
-    """Class distributions for every verse in the dataset, in order."""
+    """Class distributions for every verse in the dataset, in order, a batch
+    of ``batch_size`` rows at a time from its first row."""
     out = []
     for start in range(0, len(ds), batch_size):
         ids = _batch_ids(ds.ids[start : start + batch_size])

@@ -208,6 +208,9 @@ class TokenTable:
             local.extend(map(index.__getitem__, t2))
             first.append(len(t1))
             second.append(len(t2))
+        # The factory refers to the dict: a cycle that only the garbage
+        # collector would free, with every token string in it.
+        index.default_factory = None
         first, second = np.frombuffer(first, np.int64), np.frombuffer(second, np.int64)
         verse_of = np.repeat(np.arange(len(first)), first + second)
         return cls(list(index), np.frombuffer(local, np.int64), verse_of, first, second)

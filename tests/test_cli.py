@@ -20,7 +20,7 @@ from verseid.cli import build_parser, main
 from verseid.corpus import Corpus, load_corpus, save_corpus
 from verseid.embeddings import EmbeddingConfig, EmbeddingMatrix
 from verseid.encoder import EncoderConfig
-from verseid.model import FusionConfig, TrainConfig
+from verseid.model import FusionConfig, TrainConfig, predict_proba
 from verseid.normalize import UNK_ID, NormalizationConfig, build_vocab
 from verseid.split import SplitAssignment, split_records
 from verseid.synthetic import SyntheticConfig
@@ -601,6 +601,144 @@ class TestPredict:
                               "--out", str(tmp_path / "pred")], capsys)
         assert code == 2
         assert message in captured.err
+
+
+class TestPredictInChunks:
+    """``predict`` reads, featurizes and predicts a chunk of whole 64-verse
+    batches at a time: the chunk size leaves no trace in its outputs, and a
+    failure anywhere in the input leaves no output behind."""
+
+    EMPTY = ["<b></b>", "ـ"]  # a verse that normalizes to nothing
+
+    @pytest.fixture(scope="class")
+    def lines(self, pipeline):
+        """Prediction input whose poems straddle the 64-verse batch edges:
+        the second batch starts among a poem's empty verses, a poem with no
+        usable verse follows it, and a 150-verse poem spans three batches."""
+        records = load_corpus(pipeline["corpus"] / "corpus.jsonl").records
+        pool = [[v.hemistich_1, v.hemistich_2] for r in records for v in r.verses]
+        poems, held = [], 0
+        for r in records:
+            if held >= 50:
+                break
+            poems.append((r.poem_id, [[v.hemistich_1, v.hemistich_2] for v in r.verses]))
+            held += r.n_verses
+        rest = records[len(poems):]
+        poems += [("empty-at-edge", pool[: 64 - held] + [self.EMPTY, self.EMPTY] + pool[:3]),
+                  ("no-usable-verse", [self.EMPTY, self.EMPTY]),
+                  ("long", (pool * 2)[:150])]
+        poems += [(r.poem_id, [[v.hemistich_1, v.hemistich_2] for v in r.verses]) for r in rest]
+        return [json.dumps({"poem_id": pid, "verses": verses}, ensure_ascii=False)
+                for pid, verses in poems]
+
+    def expected(self, pipeline, path, tau=0.7):
+        """Both CSVs of ``path`` from one ``predict_proba`` over the whole
+        input, the poem rows voted by ``oracle_votes``, the count of verses
+        with no tokens, and the distributions."""
+        from verseid.model import build_dataset, load_checkpoint
+        from verseid.normalize import Vocabulary
+
+        vocab = Vocabulary.load(pipeline["emb"] / "vocab.tsv")
+        emb = EmbeddingMatrix.load(pipeline["emb"] / "embeddings.bin")
+        bundle = load_checkpoint(pipeline["model"] / "checkpoint.bin", vocab, emb)
+        records = load_corpus(path, labelled=False).records
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ds = build_dataset(records, bundle.space)
+        probs, names = predict_proba(ds, bundle), bundle.space.poet_names
+        verse_lines = ["poem_id,verse_index,label,confidence," + ",".join(f"p_{p}" for p in names)]
+        for pid, vi, row in zip(ds.poem_ids, ds.verse_indices, probs):
+            top = int(row.argmax())
+            verse_lines.append(",".join([pid, str(vi), names[top], f"{row[top]:.6f}",
+                                         *(f"{x:.6f}" for x in row)]))
+        votes = {pid: by for pid, _, by in oracle_votes(ds, probs)}
+        poem_lines = ["poem_id,strategy,label,confidence,abstained"]
+        for strategy in ("majority", "weighted", "thresholded"):
+            for r in records:
+                label, conf = votes.get(r.poem_id, {}).get(
+                    "weighted" if strategy == "thresholded" else strategy, (-1, 0.0))
+                abstained = label < 0 or strategy == "thresholded" and conf < tau
+                name = "ABSTAIN" if abstained else names[label]
+                poem_lines.append(f"{r.poem_id},{strategy},{name},{conf:.6f},{str(abstained).lower()}")
+        n_empty = sum(r.n_verses for r in records) - len(ds)
+        return "\n".join(verse_lines) + "\n", "\n".join(poem_lines) + "\n", n_empty, probs
+
+    def predict(self, pipeline, path, out, checkpoint=None):
+        return main(["predict", "--input", str(path), "--embeddings", str(pipeline["emb"]),
+                     "--checkpoint", str(checkpoint or pipeline["model"]), "--out", str(out)])
+
+    def test_chunk_size_leaves_no_trace(self, pipeline, lines, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "poems.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        verse_csv, poem_csv, n_empty, probs = self.expected(pipeline, path)
+        assert n_empty == 4
+        predicted = []
+
+        def recording(ds, bundle):
+            predicted.append(predict_proba(ds, bundle))
+            return predicted[-1]
+
+        monkeypatch.setattr(verseid.cli, "predict_proba", recording)
+        for batches in (1, 10**6):  # a chunk of one batch, and one chunk for the whole input
+            monkeypatch.setattr(verseid.cli, "PREDICT_CHUNK_BATCHES", batches)
+            out = tmp_path / f"pred{batches}"
+            predicted.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert self.predict(pipeline, path, out) == 0
+            assert [str(w.message) for w in caught] == [
+                f"skipped {n_empty} verses with no tokens after normalization"]
+            # Every distribution has the bits of the whole-input run, not only its six decimals.
+            assert np.concatenate(predicted).tobytes() == probs.tobytes()
+            assert all(len(part) % 64 == 0 for part in predicted[:-1])
+            assert len(predicted) > 10 if batches == 1 else len(predicted) <= 2
+            assert (out / "verse_predictions.csv").read_text(encoding="utf-8") == verse_csv
+            assert (out / "poem_predictions.csv").read_text(encoding="utf-8") == poem_csv
+            assert sorted(p.name for p in out.iterdir()) == [
+                "config.json", "poem_predictions.csv", "verse_predictions.csv"]
+        assert f"predicted {len(lines)} poems" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fresh", [True, False], ids=["new-out", "kept-out"])
+    @pytest.mark.parametrize("fault, code, message", [
+        ("duplicate", 2, "duplicate poem_id"),
+        ("malformed", 2, "must be a non-empty list"),
+        ("non-finite", 3, "its parameters give 64 of 64 verses a non-finite distribution"),
+    ])
+    def test_late_failure_leaves_nothing(self, pipeline, lines, tmp_path, monkeypatch, capsys,
+                                         fault, code, message, fresh):
+        monkeypatch.setattr(verseid.cli, "PREDICT_CHUNK_BATCHES", 1)
+        # The line after two full chunks, each of at least 64 verses.
+        at = held = chunks = 0
+        while chunks < 2:
+            held += len(json.loads(lines[at])["verses"])
+            at += 1
+            if held >= 64:
+                held, chunks = 0, chunks + 1
+        bad = {"duplicate": [lines[0]], "malformed": ['{"poem_id": "bad", "verses": []}']}
+        path = tmp_path / "poems.jsonl"
+        path.write_text("\n".join(lines[:at] + bad.get(fault, []) + lines[at:]) + "\n",
+                        encoding="utf-8")
+        checkpoint = pipeline["model"]
+        if fault == "non-finite":
+            checkpoint = tmp_path / "checkpoint.bin"
+            rewrite_metadata(pipeline["model"] / "checkpoint.bin", checkpoint, lambda meta: None,
+                             params=lambda values: np.full_like(values, np.nan))
+        out = tmp_path / "pred"
+        if not fresh:
+            kept = tmp_path / "kept.jsonl"
+            kept.write_text("\n".join(lines[:3]) + "\n", encoding="utf-8")
+            assert self.predict(pipeline, kept, out) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+        capsys.readouterr()
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            assert self.predict(pipeline, path, out, checkpoint) == code
+        err = capsys.readouterr().err
+        assert message in err
+        if fault == "malformed":
+            assert f"{path}: line {at + 1}: " in err
+        after = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+        assert after == before
 
 
 class TestParser:

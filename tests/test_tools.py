@@ -1,7 +1,7 @@
 """The tools beside the package: ``tools/margins.py`` reads its table from
 the desk run of ``tools/artifact_hashes.py``, whose edge input reaches the
 cases its docstring names, and ``tools/peak_memory.py`` traces each command
-of that run.
+of that run, and ``predict`` on that run's corpus repeated k times.
 
 This loads each tool by path without installing it, and replaces the desk
 run with one that writes the two ``eval_verse.json`` files the table is read
@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from verseid.cli import main
 from verseid.encoder import EncoderConfig
 from verseid.normalize import normalize_text
 
@@ -139,10 +140,47 @@ def test_peak_memory_restores_the_runner_when_a_command_fails(peak_memory, monke
 
 def test_peak_memory_prints_one_row_per_command(peak_memory, monkeypatch, capsys):
     monkeypatch.setattr(peak_memory, "peaks", lambda root: [("train", "full", 17_670_000)])
+    monkeypatch.setattr(peak_memory, "scaled_peaks",
+                        lambda root: [(1, 8_188, 9_040_000), (8, 65_504, 10_370_000)])
     monkeypatch.setattr(sys, "argv", ["peak_memory.py"])
     peak_memory.cli()
     assert capsys.readouterr().out.splitlines() == [
         "| command | --out | traced peak (MB) |",
         "| --- | --- | --- |",
         "| `train` | full | 17.67 |",
+        "",
+        "| `predict` input | verses | traced peak (MB) |",
+        "| --- | --- | --- |",
+        "| corpus x1 | 8,188 | 9.04 |",
+        "| corpus x8 | 65,504 | 10.37 |",
     ]
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A directory holding what ``scaled_peaks`` reads from a desk run, from
+    a 729-verse corpus and a small model."""
+    root = tmp_path_factory.mktemp("run")
+    common = ["--corpus", str(root / "corpus"), "--split", str(root / "split")]
+    for argv in (
+        ["make-synthetic", "--out", str(root / "raw.jsonl"), "--poets", "3",
+         "--poems-per-poet", "30", "--seed", "3"],
+        ["ingest", "--corpus", str(root / "raw.jsonl"), "--out", str(root / "corpus")],
+        ["split", "--corpus", str(root / "corpus"), "--out", str(root / "split")],
+        ["train-embeddings", *common, "--out", str(root / "emb"), "--dim", "16", "--epochs", "1"],
+        ["train", *common, "--embeddings", str(root / "emb"), "--out", str(root / "full"),
+         "--d-model", "16", "--n-heads", "2", "--n-layers", "1", "--d-ff", "32", "--epochs", "1"],
+    ):
+        assert main(argv) == 0
+    return root
+
+
+def test_predict_peak_stays_flat_as_the_input_grows(peak_memory, small_run, monkeypatch):
+    # Chunks of one batch, so the 1x input already spans about a dozen of them.
+    monkeypatch.setattr("verseid.cli.PREDICT_CHUNK_BATCHES", 1)
+    rows = peak_memory.scaled_peaks(small_run, (1, 4))
+    assert [row[:2] for row in rows] == [(1, 729), (4, 2_916)]
+    assert rows[1][2] <= 1.25 * rows[0][2]
+    for k in (1, 4):
+        lines = (small_run / f"predict_x{k}" / "poem_predictions.csv").read_text().splitlines()
+        assert len(lines) == 1 + 3 * 90 * k
