@@ -132,10 +132,17 @@ def sinusoidal_positions(length: int, d_model: int, dtype=np.float32) -> np.ndar
     return table
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """``exp(x - max) / sum`` along ``axis``; ``out=x`` computes it in place."""
+    e = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
+
+
+def _mask_bias(key_mask: np.ndarray, dtype) -> np.ndarray:
+    """``MASK_BIAS`` where ``key_mask`` is False (a masked key), else 0."""
+    return np.where(key_mask, 0.0, MASK_BIAS).astype(dtype)
 
 
 def attention_weights(q: np.ndarray, k: np.ndarray, key_mask: np.ndarray | None = None) -> np.ndarray:
@@ -144,11 +151,17 @@ def attention_weights(q: np.ndarray, k: np.ndarray, key_mask: np.ndarray | None 
     ``key_mask`` (broadcastable to the score matrix, True = attend) adds
     ``MASK_BIAS`` to masked keys' scores, so their weights are exact zeros.
     """
-    scale = 1.0 / np.sqrt(np.asarray(q.shape[-1], dtype=q.dtype))
-    scores = (q @ np.swapaxes(k, -1, -2)) * scale
-    if key_mask is not None:
-        scores = scores + np.where(key_mask, 0.0, MASK_BIAS).astype(q.dtype)
-    return softmax(scores, axis=-1)
+    return _attention_weights(q, k, None if key_mask is None else _mask_bias(key_mask, q.dtype))
+
+
+def _attention_weights(q, k, bias):
+    """:func:`attention_weights` with the key mask given as its additive bias;
+    the scores are scaled, biased and softmaxed in place."""
+    scores = q @ np.swapaxes(k, -1, -2)
+    scores *= 1.0 / np.sqrt(np.asarray(q.shape[-1], dtype=q.dtype))
+    if bias is not None:
+        scores += bias
+    return softmax(scores, out=scores)
 
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, key_mask: np.ndarray | None = None) -> np.ndarray:
@@ -163,49 +176,69 @@ def ffn(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.nd
 
 # ---------------------------------------------------------------------------
 # Differentiable building blocks. Each *_forward returns (output, cache) and
-# each *_backward consumes the upstream gradient plus that cache.
+# each *_backward consumes the upstream gradient plus that cache, writes its
+# parameter gradients into the arrays it is given and returns the gradient
+# of its input.
 # ---------------------------------------------------------------------------
 
 
 def _linear_forward(x, w, b):
-    y = x.reshape(-1, x.shape[-1]) @ w + b
+    y = x.reshape(-1, x.shape[-1]) @ w
+    y += b
     return y.reshape(*x.shape[:-1], w.shape[1]), (x, w)
 
 
-def _linear_backward(dy, cache):
+def _linear_backward(dy, cache, dw, db):
     x, w = cache
     x2 = x.reshape(-1, x.shape[-1])
     dy2 = dy.reshape(-1, dy.shape[-1])
-    dw = x2.T @ dy2
-    db = dy2.sum(axis=0)
-    dx = (dy2 @ w.T).reshape(x.shape)
-    return dx, dw, db
+    np.matmul(x2.T, dy2, out=dw)
+    np.add.reduce(dy2, axis=0, out=db)
+    return (dy2 @ w.T).reshape(x.shape)
 
 
 def _mean_last(x):
     """``x.mean(axis=-1, keepdims=True)``, bit for bit, without the wrapper:
     the same sum, divided by the count."""
-    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+    m = np.add.reduce(x, axis=-1, keepdims=True)
+    m /= x.shape[-1]
+    return m
 
 
 def _layernorm_forward(x, g, b):
-    xc = x - _mean_last(x)
-    inv = 1.0 / np.sqrt(_mean_last(xc * xc) + LN_EPS)
-    xhat = xc * inv
-    return g * xhat + b, (xhat, inv, g)
+    """``g * xhat + b``; ``x``, which the caller gives up, becomes ``xhat``."""
+    x -= _mean_last(x)
+    y = np.multiply(x, x)  # the squares, then the output
+    inv = _mean_last(y)
+    inv += LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    x *= inv
+    np.multiply(g, x, out=y)
+    y += b
+    return y, (x, inv, g)
 
 
-def _layernorm_backward(dy, cache):
+def _layernorm_backward(dy, cache, dg, db):
     xhat, inv, g = cache
-    dg = (dy * xhat).reshape(-1, dy.shape[-1]).sum(axis=0)
-    db = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
-    dxhat = dy * g
-    dx = inv * (dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat))
-    return dx, dg, db
+    d = dy.shape[-1]
+    prod = dy * xhat
+    np.add.reduce(prod.reshape(-1, d), axis=0, out=dg)
+    np.add.reduce(dy.reshape(-1, d), axis=0, out=db)
+    dx = dy * g  # dxhat, then dx
+    m1 = _mean_last(dx)
+    m2 = _mean_last(np.multiply(dx, xhat, out=prod))
+    dx -= m1
+    dx -= np.multiply(xhat, m2, out=prod)
+    dx *= inv
+    return dx
 
 
 def _softmax_backward(da, a):
-    return (da - (da * a).sum(axis=-1, keepdims=True)) * a
+    """The gradient of the softmax input, computed in ``da``."""
+    da -= (da * a).sum(axis=-1, keepdims=True)
+    da *= a
+    return da
 
 
 def _split_heads(x, n_heads):
@@ -218,12 +251,12 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dk)
 
 
-def _mha_forward(xq, x, params, prefix, n_heads, key_mask):
+def _mha_forward(xq, x, params, prefix, n_heads, bias):
     q, cq = _linear_forward(xq, params[prefix + "Wq"], params[prefix + "bq"])
     k, ck = _linear_forward(x, params[prefix + "Wk"], params[prefix + "bk"])
     v, cv = _linear_forward(x, params[prefix + "Wv"], params[prefix + "bv"])
     qh, kh, vh = (_split_heads(a, n_heads) for a in (q, k, v))
-    attn_w = attention_weights(qh, kh, key_mask[:, None, None, :])
+    attn_w = _attention_weights(qh, kh, bias)
     ctx = _merge_heads(attn_w @ vh)
     out, co = _linear_forward(ctx, params[prefix + "Wo"], params[prefix + "bo"])
     return out, (cq, ck, cv, qh, kh, vh, attn_w, co, n_heads)
@@ -231,58 +264,60 @@ def _mha_forward(xq, x, params, prefix, n_heads, key_mask):
 
 def _mha_backward(dout, cache, grads, prefix):
     cq, ck, cv, qh, kh, vh, attn_w, co, n_heads = cache
-    dctx, grads[prefix + "Wo"], grads[prefix + "bo"] = _linear_backward(dout, co)
+    dctx = _linear_backward(dout, co, grads[prefix + "Wo"], grads[prefix + "bo"])
     dctxh = _split_heads(dctx, n_heads)
-    dattn = dctxh @ np.swapaxes(vh, -1, -2)
+    dscores = _softmax_backward(dctxh @ np.swapaxes(vh, -1, -2), attn_w)
     dvh = np.swapaxes(attn_w, -1, -2) @ dctxh
-    scale = 1.0 / np.sqrt(np.asarray(qh.shape[-1], dtype=qh.dtype))
-    dscores = _softmax_backward(dattn, attn_w) * scale
+    dscores *= 1.0 / np.sqrt(np.asarray(qh.shape[-1], dtype=qh.dtype))
     dqh = dscores @ kh
     dkh = np.swapaxes(dscores, -1, -2) @ qh
     dq, dk, dv = (_merge_heads(a) for a in (dqh, dkh, dvh))
-    dx_q, grads[prefix + "Wq"], grads[prefix + "bq"] = _linear_backward(dq, cq)
-    dx_k, grads[prefix + "Wk"], grads[prefix + "bk"] = _linear_backward(dk, ck)
-    dx_v, grads[prefix + "Wv"], grads[prefix + "bv"] = _linear_backward(dv, cv)
-    return dx_q, dx_k + dx_v
+    dx_q = _linear_backward(dq, cq, grads[prefix + "Wq"], grads[prefix + "bq"])
+    dx = _linear_backward(dk, ck, grads[prefix + "Wk"], grads[prefix + "bk"])
+    dx += _linear_backward(dv, cv, grads[prefix + "Wv"], grads[prefix + "bv"])
+    return dx_q, dx
 
 
 def _ffn_forward(x, params, prefix):
-    z1, c1 = _linear_forward(x, params[prefix + "W1"], params[prefix + "b1"])
-    h = np.maximum(z1, 0.0)
+    h, c1 = _linear_forward(x, params[prefix + "W1"], params[prefix + "b1"])
+    np.maximum(h, 0.0, out=h)
     out, c2 = _linear_forward(h, params[prefix + "W2"], params[prefix + "b2"])
-    return out, (c1, z1, c2)
+    return out, (c1, c2)
 
 
 def _ffn_backward(dout, cache, grads, prefix):
-    c1, z1, c2 = cache
-    dh, grads[prefix + "W2"], grads[prefix + "b2"] = _linear_backward(dout, c2)
-    dz1 = dh * (z1 > 0)
-    dx, grads[prefix + "W1"], grads[prefix + "b1"] = _linear_backward(dz1, c1)
-    return dx
+    c1, c2 = cache
+    dh = _linear_backward(dout, c2, grads[prefix + "W2"], grads[prefix + "b2"])
+    dh *= c2[0] > 0  # relu(z) > 0 exactly where z > 0
+    return _linear_backward(dh, c1, grads[prefix + "W1"], grads[prefix + "b1"])
 
 
-def _layer_forward(xq, x, params, cfg, i, key_mask):
+def _layer_forward(xq, x, params, cfg, i, bias):
     """Post-norm layer ``i`` for the query rows ``xq``, attending over ``x``.
 
     ``xq`` is ``x`` itself, or its leading rows; the output has ``xq``'s shape.
     """
     p = f"l{i}."
     cache: dict[str, Any] = {}
-    a, cache["mha"] = _mha_forward(xq, x, params, p, cfg.n_heads, key_mask)
-    x1, cache["ln1"] = _layernorm_forward(xq + a, params[p + "ln1_g"], params[p + "ln1_b"])
+    a, cache["mha"] = _mha_forward(xq, x, params, p, cfg.n_heads, bias)
+    a += xq
+    x1, cache["ln1"] = _layernorm_forward(a, params[p + "ln1_g"], params[p + "ln1_b"])
     f, cache["ffn"] = _ffn_forward(x1, params, p)
-    out, cache["ln2"] = _layernorm_forward(x1 + f, params[p + "ln2_g"], params[p + "ln2_b"])
+    f += x1
+    out, cache["ln2"] = _layernorm_forward(f, params[p + "ln2_g"], params[p + "ln2_b"])
     return out, cache
 
 
 def _layer_backward(dout, cache, grads, i):
     """Returns the gradients ``(dxq, dx)`` for ``_layer_forward``'s two inputs."""
     p = f"l{i}."
-    dr2, grads[p + "ln2_g"], grads[p + "ln2_b"] = _layernorm_backward(dout, cache["ln2"])
-    dx1 = dr2 + _ffn_backward(dr2, cache["ffn"], grads, p)
-    dr1, grads[p + "ln1_g"], grads[p + "ln1_b"] = _layernorm_backward(dx1, cache["ln1"])
+    dr2 = _layernorm_backward(dout, cache["ln2"], grads[p + "ln2_g"], grads[p + "ln2_b"])
+    dx1 = _ffn_backward(dr2, cache["ffn"], grads, p)
+    dx1 += dr2
+    dr1 = _layernorm_backward(dx1, cache["ln1"], grads[p + "ln1_g"], grads[p + "ln1_b"])
     dxq, dx = _mha_backward(dr1, cache["mha"], grads, p)
-    return dr1 + dxq, dx
+    dxq += dr1
+    return dxq, dx
 
 
 def encoder_forward(ids: np.ndarray, params: Params, cfg: EncoderConfig, train: bool = True):
@@ -301,35 +336,38 @@ def encoder_forward(ids: np.ndarray, params: Params, cfg: EncoderConfig, train: 
     ids = np.asarray(ids)
     if ids.shape[1] > cfg.max_len:
         raise ValueError(f"a batch of {ids.shape[1]} positions is wider than max_len {cfg.max_len}")
-    key_mask = ids != PAD_ID
     x = params["tok_emb"][ids]
-    x = x + sinusoidal_positions(ids.shape[1], cfg.d_model, x.dtype)
+    x += sinusoidal_positions(ids.shape[1], cfg.d_model, x.dtype)
+    bias = _mask_bias(ids != PAD_ID, x.dtype)[:, None, None, :]  # every layer's key mask
     layers: list[dict[str, Any]] = []
     for i in range(cfg.n_layers):
         xq = x if i < cfg.n_layers - 1 else x[:, :1]
-        x, lcache = _layer_forward(xq, x, params, cfg, i, key_mask)
+        x, lcache = _layer_forward(xq, x, params, cfg, i, bias)
         if train:
             layers.append(lcache)
         del xq, lcache  # nothing of a finished layer is bound during the next one
     return x[:, :1], ({"ids": ids, "layers": layers} if train else None)
 
 
-def encoder_backward(d_states: np.ndarray, cache: dict, params: Params, cfg: EncoderConfig) -> Params:
+def encoder_backward(d_states: np.ndarray, cache: dict, params: Params, cfg: EncoderConfig,
+                     grads: Params | None = None) -> Params:
     """Backpropagate ``d_states`` (B, 1, D) through the encoder.
 
     Consumes the cache of a training :func:`encoder_forward`: each layer's
     part is dropped once it has been used, so the cache cannot be used twice.
 
-    Returns grads keyed like params.
+    Returns grads keyed like params: ``grads``, whose every element is
+    overwritten, or new arrays when it is None.
     """
-    grads: Params = {}
+    if grads is None:
+        grads = {name: np.empty(p.shape, p.dtype) for name, p in params.items()}
     dx = d_states
     layers = cache["layers"]
     for i in reversed(range(cfg.n_layers)):
         dxq, dx = _layer_backward(dx, layers.pop(), grads, i)
         dx[:, : dxq.shape[1]] += dxq
     ids = cache["ids"][:, : dx.shape[1]]  # all positions, or row 0 with no layers
-    d_emb = np.zeros_like(params["tok_emb"])
+    d_emb = grads["tok_emb"]
+    d_emb.fill(0)
     _scatter_rows(d_emb.reshape(-1), ids.reshape(-1), dx, np.arange(dx.shape[-1]))
-    grads["tok_emb"] = d_emb
     return grads

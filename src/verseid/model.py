@@ -125,24 +125,30 @@ def head_forward(
     rng: np.random.Generator | None = None,
 ):
     """softmax(W2 . dropout(relu(W1 h + b1)) + b2) for a batch of rows."""
-    z1, c1 = _linear_forward(h, params["W1"], params["b1"])
-    a = np.maximum(z1, 0.0)
+    a, c1 = _linear_forward(h, params["W1"], params["b1"])
+    np.maximum(a, 0.0, out=a)
     keep = None
     if train and dropout > 0.0:
-        keep = (rng.random(a.shape) >= dropout).astype(a.dtype) / (1.0 - dropout)
-        a = a * keep
+        keep = (rng.random(a.shape) >= dropout).astype(a.dtype)
+        keep /= 1.0 - dropout
+        a *= keep
     logits, c2 = _linear_forward(a, params["W2"], params["b2"])
-    return softmax(logits), (c1, z1, keep, c2)
+    return softmax(logits, out=logits), (c1, keep, c2)
 
 
-def head_backward(d_logits: np.ndarray, cache) -> tuple[Params, np.ndarray]:
-    c1, z1, keep, c2 = cache
-    grads: Params = {}
-    da, grads["W2"], grads["b2"] = _linear_backward(d_logits, c2)
+def head_backward(d_logits: np.ndarray, cache, grads: Params | None = None) -> tuple[Params, np.ndarray]:
+    """The head's parameter gradients and ``dh``; the former go into
+    ``grads``, whose every element is overwritten, or new arrays when it is None."""
+    c1, keep, c2 = cache
+    if grads is None:
+        (_, w1), (_, w2) = c1, c2
+        grads = {"W1": np.empty_like(w1), "b1": np.empty_like(w1[0]),
+                 "W2": np.empty_like(w2), "b2": np.empty_like(w2[0])}
+    da = _linear_backward(d_logits, c2, grads["W2"], grads["b2"])
     if keep is not None:
-        da = da * keep
-    dh, grads["W1"], grads["b1"] = _linear_backward(da * (z1 > 0), c1)
-    return grads, dh
+        da *= keep
+    da *= c2[0] > 0  # relu(z) > 0 exactly where z > 0, and a dropped unit's da is already 0
+    return grads, _linear_backward(da, c1, grads["W1"], grads["b1"])
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +214,7 @@ def param_manifest(enc: dict, head: dict) -> list[list]:
 
 
 def flatten_params(enc_params: Params, head_params: Params) -> np.ndarray:
-    """Concatenate two dicts (parameters or their gradients) in buffer order."""
+    """Concatenate the encoder and head parameters in buffer order."""
     return np.concatenate([d[k].ravel() for d in (enc_params, head_params) for k in sorted(d)])
 
 
@@ -549,23 +555,25 @@ def poem_probability_groups(ds: FeatureDataset, probs: np.ndarray):
 
 
 def _gradient(bundle: ModelBundle, ds: FeatureDataset, sel: np.ndarray, w: np.ndarray,
-              rng: np.random.Generator, where: str) -> tuple[float, int, np.ndarray]:
-    """Loss, clamp count and flat gradient of the training batch ``ds[sel]``.
+              rng: np.random.Generator, where: str, grads: tuple[Params, Params]) -> tuple[float, int]:
+    """Loss and clamp count of the training batch ``ds[sel]``, whose gradient
+    overwrites every element of ``grads``, the encoder and head views of the
+    flat gradient buffer.
 
-    The caches, probabilities and per-block gradients die at return, before
-    the optimizer runs. A non-finite loss raises NumericalError naming ``where``.
+    The caches and probabilities die at return, before the optimizer runs.
+    A non-finite loss raises NumericalError naming ``where``.
     """
     ids, aux = _batch_ids(ds.ids[sel]), ds.aux[sel]
     probs, (ecache, hcache) = _forward_probs(ids, aux, bundle, train=True, rng=rng)
     loss, d_logits, n_clamped = batch_weighted_ce(probs, ds.labels[sel], w)
     if not math.isfinite(loss):
         raise NumericalError(f"non-finite loss at {where}")
-    hgrads, dh = head_backward(d_logits, hcache)
-    egrads: Params = {}
+    egrads, hgrads = grads
+    _, dh = head_backward(d_logits, hcache, hgrads)
     if ecache is not None:
         d_states = dh[:, None, : bundle.enc_cfg.d_model]  # the [CLS] slice of the head input
-        egrads = encoder_backward(d_states, ecache, bundle.enc_params, bundle.enc_cfg)
-    return loss, n_clamped, flatten_params(egrads, hgrads)
+        encoder_backward(d_states, ecache, bundle.enc_params, bundle.enc_cfg, egrads)
+    return loss, n_clamped
 
 
 def fit(
@@ -604,6 +612,8 @@ def fit(
         raise ValueError(f"unknown class_weighting {cfg.class_weighting!r}")
 
     opt = AdamW(params, weight_decay=cfg.weight_decay)
+    grads = np.empty_like(params)  # each step's gradient, written in place
+    grad_views = param_views(grads, bundle.manifest)
     steps_per_epoch = max(1, math.ceil(n / cfg.batch_size))
     total_steps = cfg.max_epochs * steps_per_epoch
 
@@ -624,12 +634,11 @@ def fit(
             step += 1
             lr = lr_at_step(step, total_steps, cfg.warmup_frac, cfg.lr)
             where = f"epoch {epoch}, step {step}, lr {lr:.3g}"
-            loss, n_clamped, grads = _gradient(bundle, train_ds, sel, w, dropout_rng, where)
+            loss, n_clamped = _gradient(bundle, train_ds, sel, w, dropout_rng, where, grad_views)
             clamp_events += n_clamped
             if not math.isfinite(clip_gradients(grads, cfg.clip_norm)):
                 raise NumericalError(f"non-finite gradient norm at {where}")
             opt.step(params, grads, lr)
-            del grads  # freed before the next step's forward and the validation pass
             loss_sum += loss * len(sel)
 
         valid_probs = predict_proba(valid_ds, bundle, batch_size=max(cfg.batch_size, 64))

@@ -30,6 +30,19 @@ def token_lists(records, cfg=NormalizationConfig()):
     return [verse_token_list(v, cfg) for r in records for v in r.verses]
 
 
+def read_only(obj):
+    """``obj``, with every array in it (nested in dicts, lists and tuples)
+    set read-only, so that a write into one raises."""
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+    elif isinstance(obj, dict):
+        read_only(list(obj.values()))
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            read_only(item)
+    return obj
+
+
 @pytest.fixture
 def tiny_corpus():
     """Three poets, six poems, fully deterministic text."""

@@ -33,6 +33,7 @@ from verseid.features import (
 )
 from verseid.model import (
     AdamW,
+    FeatureDataset,
     FeatureSpace,
     FusionConfig,
     ModelBundle,
@@ -44,12 +45,14 @@ from verseid.model import (
     class_weights,
     clip_gradients,
     fit,
+    flatten_params,
     head_backward,
     head_forward,
     init_head_params,
     load_checkpoint,
     lr_at_step,
     param_manifest,
+    param_views,
     poem_probability_groups,
     predict_proba,
     save_checkpoint,
@@ -68,7 +71,7 @@ from verseid.normalize import (
 from verseid.split import LeakageError, split_records, stratified_poem_split
 from verseid.synthetic import SyntheticConfig, make_synthetic_corpus
 
-from conftest import make_poem, token_lists
+from conftest import make_poem, read_only, token_lists
 
 
 class TestClassWeights:
@@ -207,6 +210,18 @@ class TestHead:
                 flat[i] = orig
                 fd = (lp - lm) / (2 * eps)
                 assert gflat[i] == pytest.approx(fd, abs=1e-6), name
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_writes_into_no_input(self, rng, train):
+        # Parameters, rows, the logit gradient and, before the backward,
+        # every cached array are read-only, so a write into one would raise.
+        params = read_only(init_head_params(6, 8, 4, seed=1))
+        h = read_only(rng.normal(size=(5, 6)).astype(np.float32))
+        d_logits = read_only(rng.normal(size=(5, 4)).astype(np.float32))
+        probs, cache = head_forward(h, params, 0.5, train, np.random.default_rng(0))
+        grads, dh = head_backward(d_logits, read_only(cache))
+        assert np.isfinite(probs).all() and np.isfinite(dh).all()
+        assert all(np.isfinite(g).all() for g in grads.values())
 
     @pytest.mark.parametrize("train", [False, True])
     def test_float32_bits_match_explicit_formulas(self, rng, train):
@@ -778,3 +793,39 @@ class TestCheckpoint:
         first = test_recs[0]
         assert poem_ids[0] == first.poem_id
         assert labels[0] == bundle.space.poet_index[first.poet]
+
+
+class TestTrainingStep:
+    def test_flat_gradient_is_the_per_block_gradients(self, trained_bundle):
+        # _gradient overwrites every element of the flat buffer with the bits
+        # the backward passes give when they allocate their own arrays.
+        bundle, ds, _ = trained_bundle
+        sel, w = np.arange(1, 17), np.linspace(0.5, 2.0, bundle.space.n_classes)
+        flat = np.full_like(bundle.params, np.nan)
+        verseid.model._gradient(bundle, ds, sel, w, np.random.default_rng(5), "a test",
+                                param_views(flat, bundle.manifest))
+
+        probs, (ecache, hcache) = verseid.model._forward_probs(
+            verseid.model._batch_ids(ds.ids[sel]), ds.aux[sel], bundle, True, np.random.default_rng(5))
+        _, d_logits, _ = batch_weighted_ce(probs, ds.labels[sel], w)
+        hgrads, dh = head_backward(d_logits, hcache)
+        d_states = dh[:, None, : bundle.enc_cfg.d_model]
+        egrads = verseid.model.encoder_backward(d_states, ecache, bundle.enc_params, bundle.enc_cfg)
+        assert flat.tobytes() == flatten_params(egrads, hgrads).tobytes()
+
+    def test_step_and_predict_write_into_no_input(self, trained_bundle):
+        # Every parameter view and dataset row is read-only, so a block that
+        # wrote into one would raise.
+        bundle, ds, _ = trained_bundle
+        frozen = ModelBundle(bundle.space, bundle.enc_cfg, read_only(bundle.params.copy()),
+                             bundle.manifest, bundle.train_cfg)
+        assert not any(p.flags.writeable for p in (*frozen.enc_params.values(),
+                                                   *frozen.head_params.values()))
+        rows = FeatureDataset(*read_only([ds.ids.copy(), ds.aux.copy(), ds.labels.copy()]),
+                              ds.poem_ids, ds.verse_indices)
+        flat = np.full_like(bundle.params, np.nan)
+        w = np.ones(bundle.space.n_classes)
+        verseid.model._gradient(frozen, rows, np.arange(16), w, np.random.default_rng(0), "a test",
+                                param_views(flat, bundle.manifest))
+        assert np.isfinite(flat).all()
+        np.testing.assert_array_equal(predict_proba(rows, frozen), predict_proba(ds, bundle))

@@ -1,7 +1,8 @@
 """The tools beside the package: ``tools/margins.py`` reads its table from
 the desk run of ``tools/artifact_hashes.py``, whose edge input reaches the
 cases its docstring names, and ``tools/peak_memory.py`` traces each command
-of that run, and ``predict`` on that run's corpus repeated k times.
+of that run, and ``predict`` on that run's corpus repeated k times, which
+``tools/one_shot.py`` also times in new processes.
 
 This loads each tool by path without installing it, and replaces the desk
 run with one that writes the two ``eval_verse.json`` files the table is read
@@ -25,7 +26,7 @@ TOOLS = Path(__file__).resolve().parents[1] / "tools"
 def load_tool(name):
     spec = importlib.util.spec_from_file_location(f"verseid_{name}", TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    # margins imports artifact_hashes from beside it; no bytecode is written there.
+    # The tools import each other from beside them; no bytecode is written there.
     writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     path = list(sys.path)
     try:
@@ -33,7 +34,8 @@ def load_tool(name):
     finally:
         sys.dont_write_bytecode = writes
         sys.path[:] = path
-        sys.modules.pop("artifact_hashes", None)
+        for imported in ("artifact_hashes", "peak_memory"):
+            sys.modules.pop(imported, None)
     return module
 
 
@@ -184,3 +186,33 @@ def test_predict_peak_stays_flat_as_the_input_grows(peak_memory, small_run, monk
     for k in (1, 4):
         lines = (small_run / f"predict_x{k}" / "poem_predictions.csv").read_text().splitlines()
         assert len(lines) == 1 + 3 * 90 * k
+
+
+@pytest.fixture
+def one_shot():
+    return load_tool("one_shot")
+
+
+def test_one_shot_runs_new_predict_processes(one_shot, small_run):
+    rows = one_shot.measure(small_run, (1, 2), runs=2, chunk_batches=1)
+    assert [row[:2] for row in rows] == [(1, 729), (2, 1_458)]
+    for k, _, wall, faults, rss in rows:
+        assert wall > 0 and faults > 1_000 and rss > 10_000_000  # an interpreter with numpy
+        lines = (small_run / f"one_shot_x{k}" / "poem_predictions.csv").read_text().splitlines()
+        assert len(lines) == 1 + 3 * 90 * k
+
+
+def test_one_shot_prints_one_row_per_input(one_shot, monkeypatch, capsys):
+    monkeypatch.setattr(one_shot.artifact_hashes, "run_in", lambda root: None)
+    monkeypatch.setattr(one_shot, "measure", lambda root, scales, runs, batches: [
+        (1, 8_188, 1.234, 41_900, 58_700_000), (8, 65_504, 5.1, 355_000, 60_100_000)])
+    monkeypatch.setattr(sys, "argv", ["one_shot.py", "--chunk-batches", "16"])
+    one_shot.cli()
+    assert capsys.readouterr().out.splitlines() == [
+        "One-shot `predict`, chunks of 16 batches, medians of 3 processes",
+        "",
+        "| `predict` input | verses | wall (s) | minor faults | max RSS (MB) |",
+        "| --- | --- | --- | --- | --- |",
+        "| corpus x1 | 8,188 | 1.23 | 41,900 | 58.7 |",
+        "| corpus x8 | 65,504 | 5.10 | 355,000 | 60.1 |",
+    ]
