@@ -28,7 +28,22 @@ Each numerical block is written once: ``softmax``, the scaled dot-product
 ``attention_weights`` and the linear map ``_linear_forward``/``_linear_backward``,
 which folds the leading axes into one 2-D matrix product, so a batch costs
 one GEMM rather than one per verse. The layers, the public ``attention`` and
-``ffn``, and the classifier head in ``model.py`` all run these blocks.
+``ffn``, and the classifier head in ``model.py`` all run these blocks, in
+training and in evaluation alike.
+
+A block computes in the arrays it has just created, with ``out=`` and
+in-place operators, rather than allocating a new array per operation; the
+same ufuncs run in the same order, so the bits are those of the plain
+expressions. A bias adds into its product, a layer norm turns its input
+(the residual sum, which the layer created) into ``xhat``, attention scales,
+masks and softmaxes its scores in place with one key-mask bias per forward,
+a residual adds into the block output, and a ReLU runs in place, its
+backward mask read from its output (``relu(z) > 0`` exactly where ``z > 0``).
+The backward passes update their own gradient temporaries and write each
+parameter gradient into the array they are given (in training, views into
+one flat buffer). No block writes into a parameter, a caller's input (ids,
+rows, an upstream gradient), the read-only position table, or an array it
+has already put into a cache.
 """
 
 from __future__ import annotations
@@ -246,9 +261,12 @@ def _split_heads(x, n_heads):
     return x.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x):
-    b, h, t, dk = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dk)
+def _merged_matmul(a, b):
+    """``a @ b`` over (B, H) heads, written straight into the merged (B, T, H * dk) layout."""
+    batch, h, t, _ = a.shape
+    out = np.empty((batch, t, h, b.shape[-1]), dtype=np.result_type(a, b))
+    np.matmul(a, b, out=out.transpose(0, 2, 1, 3))
+    return out.reshape(batch, t, -1)
 
 
 def _mha_forward(xq, x, params, prefix, n_heads, bias):
@@ -257,7 +275,7 @@ def _mha_forward(xq, x, params, prefix, n_heads, bias):
     v, cv = _linear_forward(x, params[prefix + "Wv"], params[prefix + "bv"])
     qh, kh, vh = (_split_heads(a, n_heads) for a in (q, k, v))
     attn_w = _attention_weights(qh, kh, bias)
-    ctx = _merge_heads(attn_w @ vh)
+    ctx = _merged_matmul(attn_w, vh)
     out, co = _linear_forward(ctx, params[prefix + "Wo"], params[prefix + "bo"])
     return out, (cq, ck, cv, qh, kh, vh, attn_w, co, n_heads)
 
@@ -267,11 +285,10 @@ def _mha_backward(dout, cache, grads, prefix):
     dctx = _linear_backward(dout, co, grads[prefix + "Wo"], grads[prefix + "bo"])
     dctxh = _split_heads(dctx, n_heads)
     dscores = _softmax_backward(dctxh @ np.swapaxes(vh, -1, -2), attn_w)
-    dvh = np.swapaxes(attn_w, -1, -2) @ dctxh
+    dv = _merged_matmul(np.swapaxes(attn_w, -1, -2), dctxh)
     dscores *= 1.0 / np.sqrt(np.asarray(qh.shape[-1], dtype=qh.dtype))
-    dqh = dscores @ kh
-    dkh = np.swapaxes(dscores, -1, -2) @ qh
-    dq, dk, dv = (_merge_heads(a) for a in (dqh, dkh, dvh))
+    dq = _merged_matmul(dscores, kh)
+    dk = _merged_matmul(np.swapaxes(dscores, -1, -2), qh)
     dx_q = _linear_backward(dq, cq, grads[prefix + "Wq"], grads[prefix + "bq"])
     dx = _linear_backward(dk, ck, grads[prefix + "Wk"], grads[prefix + "bk"])
     dx += _linear_backward(dv, cv, grads[prefix + "Wv"], grads[prefix + "bv"])
