@@ -4,8 +4,8 @@ processes on the desk corpus repeated 1 and 8 times.
 This runs the desk pipeline of ``artifact_hashes.py`` (``run_in``) in a
 temporary directory and writes its ingested corpus k times, each copy's poem
 ids renamed (``peak_memory.repeated``). It then starts a new ``verseid
-predict`` process with the ``full`` model of that run on each input, ``--runs``
-times. Each figure is the median over those runs: the wall time from start to
+predict`` process with the ``full`` model of that run on each input, three
+times. Each figure is the median of the three: the wall time from start to
 exit, and the minor page faults and max RSS of the process as the kernel
 reports them for a waited-for child (``os.wait4``; ``RUSAGE_CHILDREN`` sums
 the same counts over every child). A one-shot process pays interpreter
@@ -40,6 +40,7 @@ import peak_memory  # noqa: E402
 import verseid.cli  # noqa: E402  (importable once artifact_hashes has set the path)
 
 SCALES = (1, 8)
+RUNS = 3
 SRC = Path(__file__).resolve().parents[1] / "src"
 # A process that sets the chunk size, then runs the command line after it.
 CHILD = ("import sys, verseid.cli as cli; cli.PREDICT_CHUNK_BATCHES = int(sys.argv[1]); "
@@ -62,7 +63,7 @@ def one_shot(argv: list[str], chunk_batches: int) -> tuple[float, int, int]:
     return wall, usage.ru_minflt, usage.ru_maxrss * 1024  # ru_maxrss is in KiB on Linux
 
 
-def measure(root: Path, scales=SCALES, runs: int = 3,
+def measure(root: Path, scales=SCALES, runs: int = RUNS,
             chunk_batches: int = verseid.cli.PREDICT_CHUNK_BATCHES
             ) -> list[tuple[int, int, float, float, float]]:
     """``(k, verses, wall s, minor faults, max RSS bytes)``, each a median of
@@ -86,16 +87,14 @@ def measure(root: Path, scales=SCALES, runs: int = 3,
 
 def cli() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=3, help="processes per input (default 3)")
     parser.add_argument("--chunk-batches", type=int, default=verseid.cli.PREDICT_CHUNK_BATCHES,
                         help="PREDICT_CHUNK_BATCHES in each process (default: the source's, "
                              f"{verseid.cli.PREDICT_CHUNK_BATCHES})")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory(prefix="verseid-one-shot-") as tmp:
         artifact_hashes.run_in(Path(tmp))
-        rows = measure(Path(tmp), SCALES, args.runs, args.chunk_batches)
-    print(f"One-shot `predict`, chunks of {args.chunk_batches} batches, "
-          f"medians of {args.runs} processes")
+        rows = measure(Path(tmp), SCALES, RUNS, args.chunk_batches)
+    print(f"One-shot `predict`, chunks of {args.chunk_batches} batches, medians of {RUNS} processes")
     print()
     print("| `predict` input | verses | wall (s) | minor faults | max RSS (MB) |")
     print("| --- | --- | --- | --- | --- |")
