@@ -214,7 +214,7 @@ def param_manifest(enc: dict, head: dict) -> list[list]:
 
 
 def flatten_params(enc_params: Params, head_params: Params) -> np.ndarray:
-    """Concatenate the encoder and head parameters in buffer order."""
+    """Concatenate two dicts (parameters or their gradients) in buffer order."""
     return np.concatenate([d[k].ravel() for d in (enc_params, head_params) for k in sorted(d)])
 
 

@@ -253,8 +253,8 @@ class TestEvalForward:
     def test_peak_is_a_few_of_its_largest_activations(self, rng):
         # Each block computes in the temporaries it creates, so one eval
         # forward of a 64 x 20 batch holds at most 7 times its largest
-        # activation, the (B, T, d_ff) FFN hidden state of 0.66 MB: 3.86 MB,
-        # 5.9 times, on numpy 2.4; one new array per operation held 6.15 MB.
+        # activation, the (B, T, d_ff) FFN hidden state of 0.66 MB (3.86 MB,
+        # 5.9 times, with numpy 2.4).
         cfg = EncoderConfig(vocab_size=400)
         params = init_encoder_params(cfg)
         ids = rng.integers(3, 400, size=(64, 20))
