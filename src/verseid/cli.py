@@ -15,9 +15,11 @@ Typical flow::
         --checkpoint work/model/checkpoint.bin --out work/pred
 
 Exit codes: 0 success, 2 usage or input error, 3 missing, stale or
-damaged artifacts, 4 numerical failure. Every command writes its resolved
-configuration to ``config.json`` in the output directory, and outputs are
-byte-identical across reruns with the same inputs and seeds.
+damaged artifacts, 4 numerical failure. Every command but ``make-synthetic``
+writes its resolved configuration to ``config.json`` in the output
+directory, and outputs are byte-identical across reruns with the same inputs
+and seeds. Outputs appear only if the whole run succeeds; a failed run
+leaves none, and removes ``--out`` if it made it (``_staged``).
 """
 
 from __future__ import annotations
@@ -66,15 +68,11 @@ from .split import DEFAULT_RATIOS, SPLIT_NAMES, LeakageError, SplitAssignment, s
 from .synthetic import SyntheticConfig, make_synthetic_corpus
 
 CORPUS_FILE = "corpus.jsonl"
-STATS_JSON = "stats.json"
-STATS_TEXT = "stats.txt"
-CONFIG_FILE = "config.json"
 ASSIGNMENT_CSV = "assignment.csv"
 SPLIT_META = "split_meta.json"
 VOCAB_FILE = "vocab.tsv"
 EMBEDDINGS_FILE = "embeddings.bin"
 CHECKPOINT_FILE = "checkpoint.bin"
-TRAINLOG_CSV = "trainlog.csv"
 
 # The whole predict_proba batches that predict reads, featurizes and predicts at
 # a time. 16 held less (8.9 against 11.8 MB traced on 8,188 verses) but ran 65,504
@@ -100,22 +98,41 @@ def _given(cls, args) -> dict:
     return {f.name: v for f in fields(cls) if (v := getattr(args, f.name, None)) is not None}
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
+@contextmanager
+def _staged(out: Path):
+    """Yield a function that gives an output name a temporary file in
+    ``out``. If the block succeeds, each file is renamed to its name;
+    otherwise each is removed, and so is ``out`` if this made it."""
+    made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    temps: dict[str, Path] = {}
+
+    def staged(name: str) -> Path:
+        temps[name] = out / f".{name}.{os.getpid()}.tmp"
+        return temps[name]
+
+    try:
+        yield staged
+        for name, path in temps.items():
+            # A rename over a file makes ext4 write the new data out at once
+            # (auto_da_alloc), 0.2-1 ms a file; a rename to a free name does not.
+            (out / name).unlink(missing_ok=True)
+            path.rename(out / name)
+    except BaseException:
+        for path in temps.values():
+            path.unlink(missing_ok=True)
+        if made:
+            with suppress(OSError):
+                out.rmdir()
+        raise
 
 
-def _config_json(args, payload: dict) -> str:
-    """The text of ``config.json``: the command, the version, every input
-    path the command was given, and ``payload``."""
+def _write_config(staged, args, payload: dict) -> None:
+    """Stage ``config.json``: the command, version, every input path, and ``payload``."""
     inputs = {k: str(v) for k in INPUT_ARGS if (v := getattr(args, k, None)) is not None}
     payload = {"command": args.command, "version": __version__, **inputs, **payload}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _write_config(out_dir: Path, args, payload: dict) -> None:
-    (out_dir / CONFIG_FILE).write_text(_config_json(args, payload), encoding="utf-8")
+    staged("config.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                                   encoding="utf-8")
 
 
 def _in_dir(arg: str, name: str) -> Path:
@@ -217,12 +234,12 @@ def _thresholds(text: str) -> list[float]:
 def cmd_ingest(args) -> int:
     corpus = load_corpus(_in_dir(args.corpus, CORPUS_FILE))
     filtered = filter_corpus(corpus, min_verses_per_poet=args.min_verses)
-    out = _out_dir(args)
-    save_corpus(filtered, out / CORPUS_FILE)
     stats = corpus_stats(filtered)
-    (out / STATS_JSON).write_text(stats.to_json() + "\n", encoding="utf-8")
-    (out / STATS_TEXT).write_text(stats.to_text(), encoding="utf-8")
-    _write_config(out, args, {"min_verses": args.min_verses})
+    with _staged(Path(args.out)) as staged:
+        save_corpus(filtered, staged(CORPUS_FILE))
+        staged("stats.json").write_text(stats.to_json() + "\n", encoding="utf-8")
+        staged("stats.txt").write_text(stats.to_text(), encoding="utf-8")
+        _write_config(staged, args, {"min_verses": args.min_verses})
     print(
         f"ingested {len(corpus)} poems -> kept {len(filtered)} "
         f"({stats.n_poets} poets, {stats.n_verses} verses)"
@@ -232,12 +249,11 @@ def cmd_ingest(args) -> int:
 
 def cmd_split(args) -> int:
     corpus = load_corpus(_in_dir(args.corpus, CORPUS_FILE))
-    ratios = tuple(args.ratios)
-    assignment = stratified_poem_split(corpus, ratios=ratios, seed=args.seed)
+    assignment = stratified_poem_split(corpus, ratios=tuple(args.ratios), seed=args.seed)
     verify_no_leakage(assignment, corpus)
-    out = _out_dir(args)
-    assignment.save(out / ASSIGNMENT_CSV, out / SPLIT_META)
-    _write_config(out, args, {"seed": args.seed, "ratios": list(ratios)})
+    with _staged(Path(args.out)) as staged:
+        assignment.save(staged(ASSIGNMENT_CSV), staged(SPLIT_META))
+        _write_config(staged, args, {"seed": args.seed, "ratios": list(args.ratios)})
     counts = assignment.counts()
     print(
         f"split {len(assignment.rows)} poems: "
@@ -258,19 +274,19 @@ def cmd_train_embeddings(args) -> int:
     del table, ids, ends  # held through SGNS, they raise its peak RSS (1.3 MB at desk scale)
     emb_cfg = EmbeddingConfig(**_given(EmbeddingConfig, args))
     emb, losses = train_sgns(sequences, len(vocab), emb_cfg)
-    out = _out_dir(args)
-    vocab.save(out / VOCAB_FILE)
-    emb.save(out / EMBEDDINGS_FILE)
-    _write_config(
-        out,
-        args,
-        {
-            "embedding": emb_cfg.to_dict(),
-            "normalization": norm_cfg.to_dict(),
-            "min_freq": args.min_freq,
-            "loss_by_epoch": losses,
-        },
-    )
+    with _staged(Path(args.out)) as staged:
+        vocab.save(staged(VOCAB_FILE))
+        emb.save(staged(EMBEDDINGS_FILE))
+        _write_config(
+            staged,
+            args,
+            {
+                "embedding": emb_cfg.to_dict(),
+                "normalization": norm_cfg.to_dict(),
+                "min_freq": args.min_freq,
+                "loss_by_epoch": losses,
+            },
+        )
     print(f"vocabulary {len(vocab)} tokens; embeddings {emb.w_in.shape} trained")
     return EXIT_OK
 
@@ -307,19 +323,19 @@ def cmd_train(args) -> int:
     valid_ds = build_dataset(splits["valid"], space, "the valid split")
     bundle = fit(train_ds, valid_ds, space, enc_cfg, tcfg)
 
-    out = _out_dir(args)
-    save_checkpoint(bundle, out / CHECKPOINT_FILE)
-    (out / TRAINLOG_CSV).write_text(training_log_csv(bundle.log), encoding="utf-8")
-    _write_config(
-        out,
-        args,
-        {
-            "train": tcfg.to_dict(),
-            "encoder": enc_cfg.to_dict(),
-            "fusion": fusion.to_dict(),
-            "log_summary": bundle.log_summary,
-        },
-    )
+    with _staged(Path(args.out)) as staged:
+        save_checkpoint(bundle, staged(CHECKPOINT_FILE))
+        staged("trainlog.csv").write_text(training_log_csv(bundle.log), encoding="utf-8")
+        _write_config(
+            staged,
+            args,
+            {
+                "train": tcfg.to_dict(),
+                "encoder": enc_cfg.to_dict(),
+                "fusion": fusion.to_dict(),
+                "log_summary": bundle.log_summary,
+            },
+        )
     s = bundle.log_summary
     print(
         f"trained {s['epochs_run']} epochs; best epoch {s['best_epoch']} "
@@ -362,26 +378,24 @@ def cmd_evaluate(args) -> int:
     records, ds, probs, truth = _eval_data(args, bundle)
     poet_names = bundle.space.poet_names
     n_classes = len(poet_names)
-    out = _out_dir(args)
-
-    verse_report = classification_report(ds.labels, probs.argmax(axis=1), n_classes, poet_names)
-    (out / "eval_verse.json").write_text(verse_report.to_json() + "\n", encoding="utf-8")
-    (out / "eval_verse.txt").write_text(verse_report.to_text(), encoding="utf-8")
-
     poem_ids = [r.poem_id for r in records]
     votes = vote_poems(poem_ids, ds.poem_ids, probs, tau=args.tau)
+    reports = {"verse": classification_report(ds.labels, probs.argmax(axis=1), n_classes,
+                                              poet_names)}
     for strategy, (labels, _) in votes.items():
         # Each report covers the poems its strategy labelled; coverage is over the split.
         kept = labels >= 0
         coverage = int(kept.sum()) / len(kept) if strategy == "thresholded" else None
-        report = classification_report(truth[kept], labels[kept], n_classes, poet_names,
-                                       coverage=coverage)
-        (out / f"eval_{strategy}.json").write_text(report.to_json() + "\n", encoding="utf-8")
-        (out / f"eval_{strategy}.txt").write_text(report.to_text(), encoding="utf-8")
-    poem_csv = predictions_csv(poem_ids, votes, poet_names)
-    (out / "poem_predictions.csv").write_text(poem_csv, encoding="utf-8")
-    _write_config(out, args, {"split_name": args.split_name, "tau": args.tau})
-    print(f"verse accuracy {verse_report.accuracy:.4f} on {args.split_name}")
+        reports[strategy] = classification_report(truth[kept], labels[kept], n_classes,
+                                                  poet_names, coverage=coverage)
+    with _staged(Path(args.out)) as staged:
+        for level, report in reports.items():
+            staged(f"eval_{level}.json").write_text(report.to_json() + "\n", encoding="utf-8")
+            staged(f"eval_{level}.txt").write_text(report.to_text(), encoding="utf-8")
+        staged("poem_predictions.csv").write_text(predictions_csv(poem_ids, votes, poet_names),
+                                                  encoding="utf-8")
+        _write_config(staged, args, {"split_name": args.split_name, "tau": args.tau})
+    print(f"verse accuracy {reports['verse'].accuracy:.4f} on {args.split_name}")
     return EXIT_OK
 
 
@@ -390,9 +404,9 @@ def cmd_sweep(args) -> int:
     records, ds, probs, truth = _eval_data(args, bundle)
     votes = vote_poems([r.poem_id for r in records], ds.poem_ids, probs)
     rows = sweep_thresholds(*votes["weighted"], truth, args.taus)
-    out = _out_dir(args)
-    (out / "sweep.csv").write_text(sweep_csv(rows), encoding="utf-8")
-    _write_config(out, args, {"split_name": args.split_name, "taus": args.taus})
+    with _staged(Path(args.out)) as staged:
+        staged("sweep.csv").write_text(sweep_csv(rows), encoding="utf-8")
+        _write_config(staged, args, {"split_name": args.split_name, "taus": args.taus})
     for r in rows:
         acc = "NA" if r.accuracy is None else f"{r.accuracy:.4f}"
         print(f"tau={r.threshold:g} accuracy={acc} coverage={r.coverage:.4f}")
@@ -458,43 +472,13 @@ def _predicted(records: Iterable[PoemRecord], bundle: ModelBundle, args):
             probs = probs[n_rows:]
 
 
-@contextmanager
-def _staged(out: Path):
-    """Yield a function that gives an output name a temporary file in
-    ``out``. If the block succeeds, each file is renamed to its name;
-    otherwise each is removed, and so is ``out`` if this made it."""
-    made = not out.exists()
-    out.mkdir(parents=True, exist_ok=True)
-    temps: dict[str, Path] = {}
-
-    def staged(name: str) -> Path:
-        temps[name] = out / f".{name}.{os.getpid()}.tmp"
-        return temps[name]
-
-    try:
-        yield staged
-        for name, path in temps.items():
-            # A rename over a file makes ext4 write the new data out at once
-            # (auto_da_alloc), 0.2-1 ms a file; a rename to a free name does not.
-            (out / name).unlink(missing_ok=True)
-            path.rename(out / name)
-    except BaseException:
-        for path in temps.values():
-            path.unlink(missing_ok=True)
-        if made:
-            with suppress(OSError):
-                out.rmdir()
-        raise
-
-
 def cmd_predict(args) -> int:
     """Predict every poem of the input, a chunk at a time (``_predicted``),
     so memory is bounded by the chunk and the longest poem, not the input.
 
     Verse rows are written as their poems finish. Each strategy's poem rows
     go to an unnamed file in ``--out``, and the three are joined in strategy
-    order at the end. Every output appears under its name only if the whole
-    run succeeds (``_staged``).
+    order at the end.
     """
     bundle = _load_bundle(args)
     poet_names = bundle.space.poet_names
@@ -528,8 +512,7 @@ def cmd_predict(args) -> int:
             for spool in spools.values():
                 spool.seek(0)
                 shutil.copyfileobj(spool, poem_csv)
-        staged(CONFIG_FILE).write_text(
-            _config_json(args, {"input": str(args.input or "-"), "tau": args.tau}), encoding="utf-8")
+        _write_config(staged, args, {"input": str(args.input or "-"), "tau": args.tau})
     print(f"predicted {n_poems} poems ({n_rows} verses)")
     return EXIT_OK
 
@@ -540,8 +523,8 @@ def cmd_make_synthetic(args) -> int:
                          f"--max-verses {args.max_verses}")
     corpus = make_synthetic_corpus(SyntheticConfig(**_given(SyntheticConfig, args)))
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_corpus(corpus, out)
+    with _staged(out.parent) as staged:
+        save_corpus(corpus, staged(out.name))
     print(f"wrote {len(corpus)} poems ({corpus.n_verses} verses) to {out}")
     return EXIT_OK
 

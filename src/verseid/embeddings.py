@@ -45,11 +45,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import NumericalError, reading
+from .corpus import NumericalError, drop_retired, reading
 from .normalize import N_RESERVED
 
 _MAGIC = b"VEMB"
 _HEADER = struct.Struct("<4sIII")
+# The floor of SGNS's linearly decaying lr, as a share of ``lr``. No flag sets it;
+# EmbeddingConfig.to_dict still writes it, so embeddings.bin keeps its bytes.
+MIN_LR_FACTOR = 1e-4
 
 
 @dataclass(frozen=True)
@@ -59,16 +62,15 @@ class EmbeddingConfig:
     negatives: int = 5
     epochs: int = 5
     lr: float = 0.025
-    min_lr_factor: float = 1e-4
     batch_pairs: int = 512
     seed: int = 0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "min_lr_factor": MIN_LR_FACTOR}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EmbeddingConfig":
-        return cls(**d)
+        return cls(**drop_retired(d, {"min_lr_factor": MIN_LR_FACTOR}))
 
 
 @dataclass
@@ -299,7 +301,7 @@ def train_sgns(
             signed = np.where(label > 0, scores, -scores).astype(np.float64)
             epoch_loss += float(-_log_sigmoid(signed).sum())
 
-            alpha = cfg.lr * max(cfg.min_lr_factor, 1.0 - done / total_updates)
+            alpha = cfg.lr * max(MIN_LR_FACTOR, 1.0 - done / total_updates)
             g = ((label - sig) * alpha).astype(np.float32)
             d_v = np.einsum("bk,bkd->bd", g, u)
             _scatter_rows(flat_in, centers, d_v, cols)

@@ -73,11 +73,9 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("vocab_size", "d_model", "n_heads", "d_ff", "max_len"):
+        for name in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ff", "max_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}={getattr(self, name)} is below 1")
-        if self.n_layers < 0:
-            raise ValueError(f"n_layers={self.n_layers} is below 0")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
@@ -363,7 +361,7 @@ def encoder_forward(ids: np.ndarray, params: Params, cfg: EncoderConfig, train: 
         if train:
             layers.append(lcache)
         del xq, lcache  # nothing of a finished layer is bound during the next one
-    return x[:, :1], ({"ids": ids, "layers": layers} if train else None)
+    return x, ({"ids": ids, "layers": layers} if train else None)
 
 
 def encoder_backward(d_states: np.ndarray, cache: dict, params: Params, cfg: EncoderConfig,
@@ -383,8 +381,7 @@ def encoder_backward(d_states: np.ndarray, cache: dict, params: Params, cfg: Enc
     for i in reversed(range(cfg.n_layers)):
         dxq, dx = _layer_backward(dx, layers.pop(), grads, i)
         dx[:, : dxq.shape[1]] += dxq
-    ids = cache["ids"][:, : dx.shape[1]]  # all positions, or row 0 with no layers
     d_emb = grads["tok_emb"]
     d_emb.fill(0)
-    _scatter_rows(d_emb.reshape(-1), ids.reshape(-1), dx, np.arange(dx.shape[-1]))
+    _scatter_rows(d_emb.reshape(-1), cache["ids"].reshape(-1), dx, np.arange(dx.shape[-1]))
     return grads

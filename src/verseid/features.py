@@ -119,6 +119,18 @@ class Scaler:
 DEFAULT_TOP_METERS = 14
 
 
+def checked_ids(d: dict, key: str, n: int) -> dict[str, int]:
+    """``d[key]`` with int ids, which must be distinct and in 0..n-1."""
+    index = {k: int(v) for k, v in d[key].items()}
+    seen: set[int] = set()
+    for k, v in index.items():
+        if v in seen or not 0 <= v < n:
+            raise ValueError(f"{key} gives {k!r} the id {v}, "
+                             + ("which another key has" if v in seen else f"outside 0..{n - 1}"))
+        seen.add(v)
+    return index
+
+
 @dataclass
 class MeterClassMap:
     """Meter string to class id, with a catch-all class for the tail.
@@ -149,7 +161,8 @@ class MeterClassMap:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MeterClassMap":
-        return cls(class_of_meter=dict(d["class_of_meter"]), n_top=int(d["n_top"]))
+        n_top = int(d["n_top"])
+        return cls(class_of_meter=checked_ids(d, "class_of_meter", n_top), n_top=n_top)
 
 
 def build_meter_classes(corpus: Corpus, n_top: int = DEFAULT_TOP_METERS) -> MeterClassMap:

@@ -47,6 +47,7 @@ from .features import (
     MeterClassMap,
     Scaler,
     build_meter_classes,
+    checked_ids,
     one_hot_form,
     one_hot_meter,
     stylometric_rows,
@@ -58,6 +59,11 @@ CHECKPOINT_FORMAT_VERSION = 1
 LOG_EPS = 1e-12
 # Rows per predict_proba batch; a batch's distributions depend on which rows share it.
 PREDICT_BATCH = 64
+# Every run warms up over 10% of the planned steps and clips gradients to a global
+# norm of 1.0. No flag sets either; TrainConfig.to_dict writes both, as it did.
+WARMUP_FRAC = 0.1
+CLIP_NORM = 1.0
+FIXED_RECIPE = {"warmup_frac": WARMUP_FRAC, "clip_norm": CLIP_NORM}
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +458,6 @@ class TrainConfig:
     batch_size: int = 32
     max_epochs: int = 16
     patience: int = 3
-    warmup_frac: float = 0.1
-    clip_norm: float = 1.0
     head_hidden: int = 512
     head_dropout: float = 0.3
     class_weighting: str = "inverse_frequency"  # or "none"
@@ -461,15 +465,14 @@ class TrainConfig:
 
     @classmethod
     def desk(cls, **overrides) -> "TrainConfig":
-        base = cls(lr=2e-3)
-        return replace(base, **overrides) if overrides else base
+        return replace(cls(lr=2e-3), **overrides)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), **FIXED_RECIPE}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**drop_retired(d, {"coupled_l2": False}))
+        return cls(**drop_retired(d, {"coupled_l2": False, **FIXED_RECIPE}))
 
 
 @dataclass
@@ -632,11 +635,11 @@ def fit(
         for start in range(0, n, cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
             step += 1
-            lr = lr_at_step(step, total_steps, cfg.warmup_frac, cfg.lr)
+            lr = lr_at_step(step, total_steps, WARMUP_FRAC, cfg.lr)
             where = f"epoch {epoch}, step {step}, lr {lr:.3g}"
             loss, n_clamped = _gradient(bundle, train_ds, sel, w, dropout_rng, where, grad_views)
             clamp_events += n_clamped
-            if not math.isfinite(clip_gradients(grads, cfg.clip_norm)):
+            if not math.isfinite(clip_gradients(grads, CLIP_NORM)):
                 raise NumericalError(f"non-finite gradient norm at {where}")
             opt.step(params, grads, lr)
             loss_sum += loss * len(sel)
@@ -723,7 +726,8 @@ def load_checkpoint(
         StaleArtifactError: naming the file, if it is missing or not a
             well-formed checkpoint of a known format version (wrong size,
             unreadable or incomplete metadata, a failed checksum, two
-            ``max_len`` values that disagree, a parameter layout other than
+            ``max_len`` values that disagree, poet, form or meter ids that
+            repeat or fall outside their range, a parameter layout other than
             the one its configs and the vocabulary imply), holds a retired
             encoder or optimizer setting other than its one supported value,
             or the vocab or embedding hashes disagree with the ones recorded
@@ -772,8 +776,8 @@ def _bundle_from_meta(
         embeddings=embeddings,
         scaler=Scaler.from_dict(sp["scaler"]),
         meter_map=MeterClassMap.from_dict(sp["meter_map"]),
-        form_index={k: int(v) for k, v in sp["form_index"].items()},
-        poet_index={k: int(v) for k, v in sp["poet_index"].items()},
+        form_index=checked_ids(sp, "form_index", len(sp["form_index"])),
+        poet_index=checked_ids(sp, "poet_index", len(sp["poet_index"])),
         fusion=FusionConfig.from_dict(sp["fusion"]),
         max_len=int(sp["max_len"]),
     )

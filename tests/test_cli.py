@@ -1,6 +1,8 @@
 """End-to-end command-line pipeline tests."""
 
+import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -10,6 +12,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -741,6 +744,67 @@ class TestPredictInChunks:
         assert after == before
 
 
+class TestFailedRun:
+    """A command whose last output fails to write leaves nothing behind: a
+    fresh ``--out`` is gone, an existing one keeps its bytes, and no
+    temporary file is left."""
+
+    COMMANDS = ["make-synthetic", "ingest", "split", "train-embeddings", "train", "evaluate",
+                "sweep-thresholds", "predict"]
+
+    def argv(self, command, pipeline, out):
+        given = {"corpus": pipeline["corpus"], "split": pipeline["split"],
+                 "embeddings": pipeline["emb"], "checkpoint": pipeline["model"]}
+        inputs = {"make-synthetic": [], "ingest": ["corpus"], "split": ["corpus"],
+                  "train-embeddings": ["corpus", "split"],
+                  "train": ["corpus", "split", "embeddings"],
+                  "evaluate": list(given), "sweep-thresholds": list(given),
+                  "predict": ["embeddings", "checkpoint"]}[command]
+        extra = {"make-synthetic": ["--poets", "2", "--poems-per-poet", "3"],
+                 "ingest": ["--corpus", str(pipeline["raw"])],
+                 "train-embeddings": ["--dim", "8", "--epochs", "1"], "train": FAST_TRAIN,
+                 "predict": ["--input", str(pipeline["raw"])]}.get(command, [])
+        target = out / "raw.jsonl" if command == "make-synthetic" else out
+        return [command, *(x for k in inputs for x in (f"--{k}", str(given[k]))), *extra,
+                "--out", str(target)]
+
+    @pytest.mark.parametrize("fresh", [True, False], ids=["new-out", "kept-out"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_last_write_failing_leaves_nothing(self, pipeline, tmp_path, monkeypatch, capsys,
+                                               command, fresh):
+        out = tmp_path / "out"
+        argv = self.argv(command, pipeline, out)
+        if not fresh:  # the outputs of an earlier run, each replaced by other bytes
+            assert main(argv) == 0
+            for path in out.iterdir():
+                path.write_bytes(b"earlier " + path.name.encode())
+        before = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+        last = "raw.jsonl" if command == "make-synthetic" else "config.json"
+        staged_for_real = verseid.cli._staged
+
+        @contextmanager
+        def failing(where):
+            with staged_for_real(where) as staged:
+                def last_fails(name):
+                    path = staged(name)
+                    if name == last:
+                        path.write_bytes(b"partly written")
+                        raise OSError("no space left on device")
+                    return path
+                yield last_fails
+
+        monkeypatch.setattr(verseid.cli, "_staged", failing)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, captured = run(argv, capsys)
+        assert code == 2
+        assert "error: no space left on device" in captured.err
+        after = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+        assert after == before
+        assert not list(tmp_path.rglob("*.tmp"))
+
+
 class TestParser:
     """``main`` gives only the command it runs its arguments; what a command
     line parses to, and what help and usage errors print, stay those of the
@@ -852,6 +916,32 @@ class TestConfigFlags:
                 assert default is None or default == getattr(cls, field), (command, flag)
         if command == "train":
             assert verseid.cli._fusion_from_arg(args.features) == FusionConfig()
+
+
+class TestEveryConfigField:
+    """Every field of a config a command builds is set by one of its flags, or
+    is listed here with the reason no flag sets it."""
+
+    COMMAND_OF = {EmbeddingConfig: "train-embeddings", NormalizationConfig: "train-embeddings",
+                  TrainConfig: "train", EncoderConfig: "train", SyntheticConfig: "make-synthetic"}
+    UNFLAGGED = {
+        (EncoderConfig, "vocab_size"): "the size of the vocabulary that train is given",
+        (TrainConfig, "class_weighting"): "set to 'none' by --no-class-weights",
+        (EmbeddingConfig, "batch_pairs"): "the SGNS reference tests vary it across batch ends",
+        # A wide-vocabulary corpus, for probes of the costs that grow with the vocabulary.
+        (SyntheticConfig, "core_size"): "sets the vocabulary width, with shared_size",
+        (SyntheticConfig, "shared_size"): "sets the vocabulary width, with core_size",
+        (SyntheticConfig, "zipf_s"): "sets how the tokens of that vocabulary are spread",
+    }
+
+    @pytest.mark.parametrize("cls", COMMAND_OF, ids=lambda cls: cls.__name__)
+    def test_each_field_has_a_flag_or_a_reason(self, cls):
+        command = self.COMMAND_OF[cls]
+        parser = build_parser(command)
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in commands.choices[command]._actions}
+        unflagged = {f.name for f in dataclasses.fields(cls)} - dests
+        assert unflagged == {name for c, name in self.UNFLAGGED if c is cls}
 
 
 class TestExitCodes:
@@ -1149,6 +1239,37 @@ class TestExitCodes:
         for csv_name in ("verse_predictions.csv", "poem_predictions.csv"):
             assert ((tmp_path / "pred-new" / csv_name).read_bytes()
                     == (tmp_path / "pred-old" / csv_name).read_bytes())
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("index, value, reason", [
+        ("poet_index", 0, "which another key has"),
+        ("form_index", 9, "outside 0.."),
+        ("class_of_meter", 99, "outside 0.."),
+    ], ids=["poet-repeated", "form-out-of-range", "meter-out-of-range"])
+    def test_checkpoint_index_numbering_its_keys_wrongly_is_artifact_error(
+            self, pipeline, tmp_path, capsys, command, index, value, reason):
+        # Resealed, the key with id 1 given a repeated or an out-of-range id.
+        # Before the check, the out-of-range ids crashed with an IndexError,
+        # and a repeated poet id scored the poet's verses against another's.
+        edited = []
+
+        def edit(meta):
+            space = meta["space"]
+            ids = space["meter_map"][index] if index == "class_of_meter" else space[index]
+            key = next(k for k, v in ids.items() if v == 1)
+            ids[key] = value
+            edited.append(key)
+
+        ckpt = tmp_path / "checkpoint.bin"
+        rewrite_metadata(pipeline["model"] / "checkpoint.bin", ckpt, edit)
+        out = tmp_path / "o"
+        argv = ([command, "--input", str(pipeline["raw"])] if command == "predict" else
+                [command, "--corpus", str(pipeline["corpus"]), "--split", str(pipeline["split"])])
+        code, captured = run([*argv, "--embeddings", str(pipeline["emb"]),
+                              "--checkpoint", str(ckpt), "--out", str(out)], capsys)
+        assert code == 3
+        assert f"{ckpt}: {index} gives {edited[0]!r} the id {value}, {reason}" in captured.err
+        assert not out.exists()
 
     @pytest.mark.parametrize("stage, name", [("emb", "vocab.tsv"), ("emb", "embeddings.bin"),
                                              ("split", "assignment.csv"),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from verseid import embeddings
 from verseid.corpus import NumericalError
 from verseid.embeddings import (
+    MIN_LR_FACTOR,
     EmbeddingConfig,
     EmbeddingMatrix,
     semantic_vectors,
@@ -84,7 +85,7 @@ def reference_train_sgns(sequences, vocab_size, cfg):
             sig = 1.0 / (1.0 + np.exp(-np.clip(scores, -30.0, 30.0)))
             signed = np.where(labels > 0, scores, -scores).astype(np.float64)
             epoch_loss += float(-_log_sigmoid(signed).sum())
-            alpha = cfg.lr * max(cfg.min_lr_factor, 1.0 - done / total_updates)
+            alpha = cfg.lr * max(MIN_LR_FACTOR, 1.0 - done / total_updates)
             g = ((labels - sig) * alpha).astype(np.float32)
             d_v = np.einsum("bk,bkd->bd", g, u)
             d_u = g[:, :, None] * v[:, None, :]

@@ -177,7 +177,7 @@ class TestInit:
 
     @pytest.mark.parametrize("field, value", [
         ("vocab_size", 0), ("d_model", 0), ("n_heads", 0), ("n_heads", -2), ("d_ff", 0),
-        ("max_len", 0), ("n_layers", -1),
+        ("max_len", 0), ("n_layers", 0), ("n_layers", -1),
     ])
     def test_sizes_it_cannot_run_with_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field}={value} is below"):
@@ -189,14 +189,6 @@ class TestInit:
 
 
 class TestForward:
-    def test_zero_layers_is_embedding_plus_position(self):
-        cfg = tiny_cfg(n_layers=0)
-        params = init_encoder_params(cfg)
-        ids = np.array([[2, 4, 5]])
-        states, _ = encoder_forward(ids, params, cfg)
-        pe = sinusoidal_positions(cfg.max_len, cfg.d_model, states.dtype)
-        np.testing.assert_allclose(states[0, 0], params["tok_emb"][2] + pe[0], rtol=1e-6)
-
     def test_padding_does_not_change_verse_state(self):
         cfg = tiny_cfg()
         params = init_encoder_params(cfg, dtype=np.float64)

@@ -728,7 +728,7 @@ class TestCheckpoint:
     @given(
         heads=st.integers(1, 3),
         head_dim=st.integers(1, 4),
-        n_layers=st.integers(0, 2),
+        n_layers=st.integers(1, 2),
         d_ff=st.integers(1, 9),
         max_len=st.integers(1, 80),
         head_hidden=st.integers(1, 12),
