@@ -28,6 +28,7 @@ from .corpus import csv_text
 
 ABSTAIN = "ABSTAIN"
 STRATEGIES = ("majority", "weighted", "thresholded")
+DEFAULT_TAU = 0.7
 
 
 def poem_index(poem_ids) -> tuple[list[str], np.ndarray]:
@@ -37,7 +38,7 @@ def poem_index(poem_ids) -> tuple[list[str], np.ndarray]:
     return list(number), np.asarray(poem_of, dtype=np.intp)
 
 
-def aggregate_poem(poem_of, verse_probs, strategy: str, tau: float = 0.7):
+def aggregate_poem(poem_of, verse_probs, strategy: str, tau: float = DEFAULT_TAU):
     """Apply one strategy to every poem at once; ``poem_of`` numbers each
     verse row's poem from 0 with no gaps, as ``poem_index`` does. Returns
     each poem's label (-1 where the thresholded vote abstains) and confidence.
@@ -67,7 +68,7 @@ def aggregate_poem(poem_of, verse_probs, strategy: str, tau: float = 0.7):
     return labels, confidence
 
 
-def vote_poems(poem_ids, verse_poem_ids, verse_probs, tau: float = 0.7) -> dict:
+def vote_poems(poem_ids, verse_poem_ids, verse_probs, tau: float = DEFAULT_TAU) -> dict:
     """Each strategy's labels and confidences for every id of ``poem_ids``,
     in its order, from the verse rows ``verse_poem_ids`` and ``verse_probs``;
     a poem with no verse row gets label -1 and confidence 0, and so does
@@ -84,7 +85,7 @@ def vote_poems(poem_ids, verse_poem_ids, verse_probs, tau: float = 0.7) -> dict:
     return votes
 
 
-def _one_poem(verse_probs, strategy: str, tau: float = 0.7) -> tuple[int, float]:
+def _one_poem(verse_probs, strategy: str, tau: float = DEFAULT_TAU) -> tuple[int, float]:
     """``aggregate_poem`` on the verse rows of a single poem."""
     poem_of = np.zeros(np.shape(verse_probs)[:1], dtype=np.intp)
     labels, confidence = aggregate_poem(poem_of, verse_probs, strategy, tau)

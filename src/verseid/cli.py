@@ -19,7 +19,7 @@ damaged artifacts, 4 numerical failure. Every command but ``make-synthetic``
 writes its resolved configuration to ``config.json`` in the output
 directory, and outputs are byte-identical across reruns with the same inputs
 and seeds. Outputs appear only if the whole run succeeds; a failed run
-leaves none, and removes ``--out`` if it made it (``_staged``).
+leaves none, and removes the directories it made for ``--out`` (``_staged``).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .aggregate import PREDICTIONS_HEADER, STRATEGIES, predictions_csv, strategy_rows, sweep_csv, sweep_thresholds, vote_poems
+from .aggregate import DEFAULT_TAU, PREDICTIONS_HEADER, STRATEGIES, predictions_csv, strategy_rows, sweep_csv, sweep_thresholds, vote_poems
 from .corpus import Corpus, CorpusError, PoemRecord, corpus_stats, csv_text, filter_corpus, load_corpus, read_records, reading, save_corpus
 from .embeddings import EmbeddingConfig, EmbeddingMatrix, train_sgns
 from .encoder import EncoderConfig
@@ -102,8 +102,9 @@ def _given(cls, args) -> dict:
 def _staged(out: Path):
     """Yield a function that gives an output name a temporary file in
     ``out``. If the block succeeds, each file is renamed to its name;
-    otherwise each is removed, and so is ``out`` if this made it."""
-    made = not out.exists()
+    otherwise each is removed, and so is every directory this made for
+    ``out``, deepest first, while it is empty."""
+    made = list(itertools.takewhile(lambda d: not d.exists(), (out, *out.parents)))
     out.mkdir(parents=True, exist_ok=True)
     temps: dict[str, Path] = {}
 
@@ -121,9 +122,9 @@ def _staged(out: Path):
     except BaseException:
         for path in temps.values():
             path.unlink(missing_ok=True)
-        if made:
+        for d in made:
             with suppress(OSError):
-                out.rmdir()
+                d.rmdir()
         raise
 
 
@@ -518,10 +519,11 @@ def cmd_predict(args) -> int:
 
 
 def cmd_make_synthetic(args) -> int:
-    if args.min_verses > args.max_verses:
-        raise ValueError(f"--min-verses {args.min_verses} is greater than "
-                         f"--max-verses {args.max_verses}")
-    corpus = make_synthetic_corpus(SyntheticConfig(**_given(SyntheticConfig, args)))
+    cfg = SyntheticConfig(**_given(SyntheticConfig, args))
+    if cfg.min_verses > cfg.max_verses:
+        raise ValueError(f"--min-verses {cfg.min_verses} is greater than "
+                         f"--max-verses {cfg.max_verses}")
+    corpus = make_synthetic_corpus(cfg)
     out = Path(args.out)
     with _staged(out.parent) as staged:
         save_corpus(corpus, staged(out.name))
@@ -568,14 +570,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--corpus", required=True)
         p.add_argument("--split", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--dim", type=_positive_int, default=EmbeddingConfig.dim)
-        p.add_argument("--window", type=_positive_int, default=EmbeddingConfig.window)
-        p.add_argument("--negatives", type=_positive_int, default=EmbeddingConfig.negatives)
-        p.add_argument("--epochs", type=_positive_int, default=EmbeddingConfig.epochs)
-        p.add_argument("--lr", type=_positive_float, default=EmbeddingConfig.lr)
+        p.add_argument("--dim", type=_positive_int)
+        p.add_argument("--window", type=_positive_int)
+        p.add_argument("--negatives", type=_positive_int)
+        p.add_argument("--epochs", type=_positive_int)
+        p.add_argument("--lr", type=_positive_float)
         p.add_argument("--min-freq", type=_positive_int, default=1)
         p.add_argument("--strip-zwnj", action="store_true")
-        p.add_argument("--seed", type=_non_negative_int, default=EmbeddingConfig.seed)
+        p.add_argument("--seed", type=_non_negative_int)
 
     if p := add("train", cmd_train, "train the verse classifier"):
         p.add_argument("--corpus", required=True)
@@ -605,12 +607,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--split", required=True)
         p.add_argument("--embeddings", required=True)
         p.add_argument("--checkpoint", required=True)
-        p.add_argument("--split-name", choices=("train", "valid", "test"), default="test")
+        p.add_argument("--split-name", choices=SPLIT_NAMES, default="test")
         p.add_argument("--out", required=True)
 
     if p := add("evaluate", cmd_evaluate, "verse- and poem-level evaluation reports"):
         eval_common(p)
-        p.add_argument("--tau", type=_finite_float, default=0.7)
+        p.add_argument("--tau", type=_finite_float, default=DEFAULT_TAU)
 
     if p := add("sweep-thresholds", cmd_sweep,
                 "accuracy/coverage across abstention thresholds"):
@@ -621,22 +623,18 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--input", help="poems JSONL; '-' or omitted reads stdin")
         p.add_argument("--embeddings", required=True)
         p.add_argument("--checkpoint", required=True)
-        p.add_argument("--tau", type=_finite_float, default=0.7)
+        p.add_argument("--tau", type=_finite_float, default=DEFAULT_TAU)
         p.add_argument("--out", required=True)
 
     if p := add("make-synthetic", cmd_make_synthetic, "generate a synthetic corpus"):
         p.add_argument("--out", required=True)
-        p.add_argument("--poets", type=_positive_int, dest="n_poets",
-                       default=SyntheticConfig.n_poets)
-        p.add_argument("--poems-per-poet", type=_positive_int,
-                       default=SyntheticConfig.poems_per_poet)
-        p.add_argument("--min-verses", type=_positive_int, default=SyntheticConfig.min_verses)
-        p.add_argument("--max-verses", type=_positive_int, default=SyntheticConfig.max_verses)
-        p.add_argument("--formulaic-rate", type=_float_in(0.0, 1.0),
-                       default=SyntheticConfig.formulaic_rate)
-        p.add_argument("--contested-rate", type=_float_in(0.0, 1.0),
-                       default=SyntheticConfig.contested_rate)
-        p.add_argument("--seed", type=_non_negative_int, default=SyntheticConfig.seed)
+        p.add_argument("--poets", type=_positive_int, dest="n_poets")
+        p.add_argument("--poems-per-poet", type=_positive_int)
+        p.add_argument("--min-verses", type=_positive_int)
+        p.add_argument("--max-verses", type=_positive_int)
+        p.add_argument("--formulaic-rate", type=_float_in(0.0, 1.0))
+        p.add_argument("--contested-rate", type=_float_in(0.0, 1.0))
+        p.add_argument("--seed", type=_non_negative_int)
 
     return parser
 

@@ -58,18 +58,31 @@ def reading(path: str | Path, what: str, error: type[Exception] = StaleArtifactE
         raise error(f"{path}: {exc}") from None
 
 
-def drop_retired(d: dict, retired: dict) -> dict:
-    """``d`` without the keys of ``retired``, which maps each setting of a
-    deleted variant to the one value an older file may still hold for it.
+class Settings:
+    """A config dataclass that artifact headers record.
 
-    Raises:
-        StaleArtifactError: if ``d`` holds any other value for a retired key.
+    ``FIXED`` maps each setting that no option changes to the one value
+    every file holds; ``RETIRED`` maps each setting of a deleted variant to
+    the one value an older file may still hold. :meth:`to_dict` writes the
+    fields and ``FIXED``; :meth:`from_dict` checks both maps and drops them.
     """
-    for key, kept in retired.items():
-        if d.get(key, kept) != kept:
-            raise StaleArtifactError(f"retired setting {key!r} is {d[key]!r}; "
-                                     f"only {kept!r} is supported")
-    return {k: v for k, v in d.items() if k not in retired}
+
+    FIXED: dict = {}
+    RETIRED: dict = {}
+
+    def to_dict(self) -> dict:
+        return {**asdict(self), **self.FIXED}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        """Raises StaleArtifactError, naming the key, if ``d`` holds any
+        other value for a fixed or retired setting."""
+        kept = {**cls.FIXED, **cls.RETIRED}
+        for key, value in kept.items():
+            if d.get(key, value) != value:
+                raise StaleArtifactError(f"setting {key!r} is {d[key]!r}; "
+                                         f"only {value!r} is supported")
+        return cls(**{k: v for k, v in d.items() if k not in kept})
 
 
 @dataclass(frozen=True)

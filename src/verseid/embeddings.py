@@ -40,23 +40,25 @@ import json
 import math
 import struct
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import NumericalError, drop_retired, reading
+from .corpus import NumericalError, Settings, reading
 from .normalize import N_RESERVED
 
 _MAGIC = b"VEMB"
 _HEADER = struct.Struct("<4sIII")
 # The floor of SGNS's linearly decaying lr, as a share of ``lr``. No flag sets it;
-# EmbeddingConfig.to_dict still writes it, so embeddings.bin keeps its bytes.
+# EmbeddingConfig.FIXED records it in the header of embeddings.bin.
 MIN_LR_FACTOR = 1e-4
 
 
 @dataclass(frozen=True)
-class EmbeddingConfig:
+class EmbeddingConfig(Settings):
+    FIXED = {"min_lr_factor": MIN_LR_FACTOR}
+
     dim: int = 100
     window: int = 4
     negatives: int = 5
@@ -64,13 +66,6 @@ class EmbeddingConfig:
     lr: float = 0.025
     batch_pairs: int = 512
     seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "min_lr_factor": MIN_LR_FACTOR}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EmbeddingConfig":
-        return cls(**drop_retired(d, {"min_lr_factor": MIN_LR_FACTOR}))
 
 
 @dataclass

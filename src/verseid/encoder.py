@@ -48,13 +48,13 @@ has already put into a cache.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any
 
 import numpy as np
 
-from .corpus import drop_retired
+from .corpus import Settings
 from .embeddings import _scatter_rows
 from .normalize import PAD_ID
 
@@ -63,7 +63,9 @@ MASK_BIAS = -1e9
 
 
 @dataclass(frozen=True)
-class EncoderConfig:
+class EncoderConfig(Settings):
+    RETIRED = {"positional": "sinusoidal", "norm": "post", "dropout": 0.0}
+
     vocab_size: int
     d_model: int = 64
     n_heads: int = 2
@@ -80,13 +82,6 @@ class EncoderConfig:
             raise ValueError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
             )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderConfig":
-        return cls(**drop_retired(d, {"positional": "sinusoidal", "norm": "post", "dropout": 0.0}))
 
 
 Params = dict[str, np.ndarray]

@@ -23,13 +23,13 @@ import json
 import math
 import struct
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .aggregate import poem_index
-from .corpus import Corpus, NumericalError, PoemRecord, StaleArtifactError, csv_text, drop_retired, reading
+from .corpus import Corpus, NumericalError, PoemRecord, StaleArtifactError, Settings, csv_text, reading
 from .embeddings import EmbeddingMatrix, semantic_vectors
 from .encoder import (
     EncoderConfig,
@@ -60,10 +60,9 @@ LOG_EPS = 1e-12
 # Rows per predict_proba batch; a batch's distributions depend on which rows share it.
 PREDICT_BATCH = 64
 # Every run warms up over 10% of the planned steps and clips gradients to a global
-# norm of 1.0. No flag sets either; TrainConfig.to_dict writes both, as it did.
+# norm of 1.0. No flag sets either; TrainConfig.FIXED records both in every artifact.
 WARMUP_FRAC = 0.1
 CLIP_NORM = 1.0
-FIXED_RECIPE = {"warmup_frac": WARMUP_FRAC, "clip_norm": CLIP_NORM}
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +239,7 @@ def param_views(params: np.ndarray, manifest: list[list]) -> tuple[Params, Param
 
 
 @dataclass(frozen=True)
-class FusionConfig:
+class FusionConfig(Settings):
     """Which inputs participate in the fused vector (fixed concatenation
     order: text, semantic, stylometric, form, meter)."""
 
@@ -249,13 +248,6 @@ class FusionConfig:
     use_stylometric: bool = True
     use_form: bool = True
     use_meter: bool = True
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FusionConfig":
-        return cls(**d)
 
 
 @dataclass
@@ -444,7 +436,7 @@ def _batch_ids(ids: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Settings):
     """Optimization hyperparameters.
 
     Type defaults mirror the documented large-scale recipe; :meth:`desk`
@@ -452,6 +444,9 @@ class TrainConfig:
     rate there is the one meaningful difference, since 2e-5 barely moves a
     freshly initialized model within 16 epochs).
     """
+
+    FIXED = {"warmup_frac": WARMUP_FRAC, "clip_norm": CLIP_NORM}
+    RETIRED = {"coupled_l2": False}
 
     lr: float = 2e-5
     weight_decay: float = 0.01
@@ -466,13 +461,6 @@ class TrainConfig:
     @classmethod
     def desk(cls, **overrides) -> "TrainConfig":
         return replace(cls(lr=2e-3), **overrides)
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), **FIXED_RECIPE}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**drop_retired(d, {"coupled_l2": False, **FIXED_RECIPE}))
 
 
 @dataclass
@@ -644,7 +632,7 @@ def fit(
             opt.step(params, grads, lr)
             loss_sum += loss * len(sel)
 
-        valid_probs = predict_proba(valid_ds, bundle, batch_size=max(cfg.batch_size, 64))
+        valid_probs = predict_proba(valid_ds, bundle, batch_size=max(cfg.batch_size, PREDICT_BATCH))
         valid_acc = float((valid_probs.argmax(axis=1) == valid_ds.labels).mean())
         log.append(EpochLog(epoch, loss_sum / n, valid_acc, lr))
 

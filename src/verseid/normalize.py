@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Verse, drop_retired, reading
+from .corpus import Settings, Verse, reading
 
 # Letter variants.
 ARABIC_YEH = "ي"
@@ -54,20 +54,8 @@ RESERVED_TOKENS = (PAD_TOKEN, UNK_TOKEN, CLS_TOKEN)
 N_RESERVED = len(RESERVED_TOKENS)
 
 
-# Steps every config runs. ``vocab.tsv`` headers name each one, set to true,
-# so that vocabulary hashes, and the checkpoints holding them, stay valid.
-FIXED_STEPS = {
-    "map_yeh": True,
-    "map_kaf": True,
-    "strip_diacritics": True,
-    "strip_tatweel": True,
-    "strip_markup": True,
-    "collapse_whitespace": True,
-}
-
-
 @dataclass(frozen=True)
-class NormalizationConfig:
+class NormalizationConfig(Settings):
     """The one normalization recipe, whose only option is ZWNJ stripping.
 
     Every config maps the yeh and kaf variants, strips diacritics, tatweel
@@ -76,14 +64,12 @@ class NormalizationConfig:
     word) and stripping it merges distinct tokens.
     """
 
+    # Steps every config runs. ``vocab.tsv`` headers name each one, set to
+    # true, so that vocabulary hashes, and the checkpoints holding them, stay valid.
+    FIXED = dict.fromkeys(("map_yeh", "map_kaf", "strip_diacritics", "strip_tatweel",
+                           "strip_markup", "collapse_whitespace"), True)
+
     strip_zwnj: bool = False
-
-    def to_dict(self) -> dict:
-        return {**FIXED_STEPS, "strip_zwnj": self.strip_zwnj}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormalizationConfig":
-        return cls(**drop_retired(d, FIXED_STEPS))
 
 
 # Maps the letter variants and deletes diacritics and tatweel in one pass.

@@ -701,14 +701,14 @@ class TestPredictInChunks:
                 "config.json", "poem_predictions.csv", "verse_predictions.csv"]
         assert f"predicted {len(lines)} poems" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("fresh", [True, False], ids=["new-out", "kept-out"])
+    @pytest.mark.parametrize("out_dir", ["new-out", "kept-out", "nested-new-out"])
     @pytest.mark.parametrize("fault, code, message", [
         ("duplicate", 2, "duplicate poem_id"),
         ("malformed", 2, "must be a non-empty list"),
         ("non-finite", 3, "its parameters give 64 of 64 verses a non-finite distribution"),
     ])
     def test_late_failure_leaves_nothing(self, pipeline, lines, tmp_path, monkeypatch, capsys,
-                                         fault, code, message, fresh):
+                                         fault, code, message, out_dir):
         monkeypatch.setattr(verseid.cli, "PREDICT_CHUNK_BATCHES", 1)
         # The line after two full chunks, each of at least 64 verses.
         at = held = chunks = 0
@@ -726,8 +726,8 @@ class TestPredictInChunks:
             checkpoint = tmp_path / "checkpoint.bin"
             rewrite_metadata(pipeline["model"] / "checkpoint.bin", checkpoint, lambda meta: None,
                              params=lambda values: np.full_like(values, np.nan))
-        out = tmp_path / "pred"
-        if not fresh:
+        out = tmp_path / ("new/sub/pred" if out_dir == "nested-new-out" else "pred")
+        if out_dir == "kept-out":
             kept = tmp_path / "kept.jsonl"
             kept.write_text("\n".join(lines[:3]) + "\n", encoding="utf-8")
             assert self.predict(pipeline, kept, out) == 0
@@ -742,6 +742,8 @@ class TestPredictInChunks:
             assert f"{path}: line {at + 1}: " in err
         after = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
         assert after == before
+        # Every directory the run made is gone; the one that was there stays.
+        assert not (tmp_path / "new").exists() and tmp_path.is_dir()
 
 
 class TestFailedRun:
@@ -1386,6 +1388,8 @@ class TestExitCodes:
         ("encoder_config", "positional", "learned"),
         ("encoder_config", "dropout", 0.1),
         ("train_config", "coupled_l2", True),
+        ("train_config", "warmup_frac", 0.2),
+        ("train_config", "clip_norm", 5.0),
     ])
     def test_retired_variant_is_artifact_error(self, pipeline, tmp_path, capsys,
                                                section, key, value):
@@ -1397,6 +1401,23 @@ class TestExitCodes:
         assert code == 3
         assert str(ckpt) in captured.err
         assert repr(key) in captured.err
+
+    def test_changed_fixed_embedding_setting_is_artifact_error(self, pipeline, tmp_path, capsys):
+        emb = tmp_path / "emb"
+        shutil.copytree(pipeline["emb"], emb)
+        blob = (emb / "embeddings.bin").read_bytes()
+        magic, rows, dim, cfg_len = struct.unpack_from("<4sIII", blob)
+        cfg = json.loads(blob[16 : 16 + cfg_len])
+        assert cfg["min_lr_factor"] == 1e-4
+        cfg = json.dumps({**cfg, "min_lr_factor": 1e-3}, sort_keys=True).encode("utf-8")
+        (emb / "embeddings.bin").write_bytes(
+            struct.pack("<4sIII", magic, rows, dim, len(cfg)) + cfg + blob[16 + cfg_len :])
+        code, captured = run(["predict", "--input", "-", "--embeddings", str(emb),
+                              "--checkpoint", str(pipeline["model"]),
+                              "--out", str(tmp_path / "p")], capsys)
+        assert code == 3
+        assert str(emb / "embeddings.bin") in captured.err
+        assert "'min_lr_factor'" in captured.err
 
     @pytest.mark.parametrize("damage", ["truncated", "trailing bytes", "bad magic"])
     def test_damaged_embeddings_is_artifact_error(self, pipeline, tmp_path, capsys, damage):

@@ -1,5 +1,6 @@
-"""Corpus loading, filtering, round-trips, and statistics."""
+"""Corpus loading, filtering, round-trips, statistics, and the config codec."""
 
+import dataclasses
 import json
 
 import pytest
@@ -9,12 +10,17 @@ from hypothesis import strategies as st
 from verseid.corpus import (
     Corpus,
     CorpusError,
+    StaleArtifactError,
     Verse,
     corpus_stats,
     filter_corpus,
     load_corpus,
     save_corpus,
 )
+from verseid.embeddings import EmbeddingConfig
+from verseid.encoder import EncoderConfig
+from verseid.model import FusionConfig, TrainConfig
+from verseid.normalize import NormalizationConfig
 from verseid.synthetic import SyntheticConfig, make_synthetic_corpus
 
 from conftest import make_poem
@@ -184,3 +190,40 @@ class TestStats:
         text = stats.to_text()
         assert "meter distribution" in text
         assert "hazaj" in text
+
+
+class TestSettings:
+    """Each config that an artifact header records writes its fields and its
+    fixed settings, reads them back, and rejects any other value of a fixed
+    or retired setting."""
+
+    STEPS = ("map_yeh", "map_kaf", "strip_diacritics", "strip_tatweel", "strip_markup",
+             "collapse_whitespace")
+    # Per class: an instance, its fixed settings and its retired ones.
+    CASES = {
+        NormalizationConfig: (NormalizationConfig(strip_zwnj=True), dict.fromkeys(STEPS, True), {}),
+        EmbeddingConfig: (EmbeddingConfig(dim=8), {"min_lr_factor": 1e-4}, {}),
+        EncoderConfig: (EncoderConfig(vocab_size=9),
+                        {}, {"positional": "sinusoidal", "norm": "post", "dropout": 0.0}),
+        TrainConfig: (TrainConfig.desk(), {"warmup_frac": 0.1, "clip_norm": 1.0},
+                      {"coupled_l2": False}),
+        FusionConfig: (FusionConfig(use_meter=False), {}, {}),
+    }
+
+    @pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)
+    def test_round_trip_writes_fields_and_fixed_settings(self, cls):
+        cfg, fixed, retired = self.CASES[cls]
+        d = cfg.to_dict()
+        assert cls.from_dict(d) == cfg
+        assert set(d) == {f.name for f in dataclasses.fields(cls)} | set(fixed)
+        assert {k: d[k] for k in fixed} == fixed
+        assert not set(d) & set(retired)
+        # An older file may hold a retired setting at its one kept value.
+        assert cls.from_dict({**d, **retired}) == cfg
+
+    @pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)
+    def test_other_value_of_fixed_or_retired_setting_is_stale(self, cls):
+        cfg, fixed, retired = self.CASES[cls]
+        for key in {**fixed, **retired}:
+            with pytest.raises(StaleArtifactError, match=repr(key)):
+                cls.from_dict({**cfg.to_dict(), key: "changed"})

@@ -9,6 +9,7 @@ run with one that writes the two ``eval_verse.json`` files the table is read
 from, or with a few commands that hold known amounts of memory.
 """
 
+import hashlib
 import importlib.util
 import json
 import sys
@@ -90,6 +91,18 @@ def test_edge_input_holds_the_cases_it_promises(tmp_path, monkeypatch):
                 for p in poems]
     assert any(not any(counts) for counts in n_tokens)  # every verse normalizes to nothing
     assert max(map(max, n_tokens)) > EncoderConfig.max_len
+
+
+def test_hashes_name_numpy_and_the_blas_core_on_stderr_only(tmp_path, monkeypatch, capsys):
+    import numpy as np
+
+    hashes = load_tool("artifact_hashes")
+    monkeypatch.setattr(hashes, "run_in", lambda root: (root / "a.txt").write_text("a"))
+    monkeypatch.setattr(sys, "argv", ["artifact_hashes.py", str(tmp_path / "run")])
+    hashes.cli()
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [f"{hashlib.sha256(b'a').hexdigest()}  a.txt"]
+    assert err == f"numpy {np.__version__}, OpenBLAS core {hashes.blas_core()}\n"
 
 
 @pytest.fixture

@@ -18,7 +18,9 @@ It then prints ``sha256  path`` for every file under DIR, sorted by path.
 Every path a command is given is relative to DIR, so the recorded
 ``config.json`` files compare across checkouts: run it on two checkouts and
 diff the output to show that a refactor left every artifact byte-identical.
-A full run takes about 45 s on two cores.
+The bytes also depend on numpy's version and on the BLAS kernel it runs, so
+one line on stderr names both; stdout holds only the listing. A full run
+takes about 45 s on two cores.
 
     python3 tools/artifact_hashes.py /tmp/hashes-new > new.txt
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -34,6 +37,8 @@ import os
 import warnings
 import sys
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -88,6 +93,17 @@ def edge_poems() -> str:
                    for pid, verses in poems)
 
 
+def blas_core() -> str:
+    """The OpenBLAS core (kernel) that numpy's BLAS runs, such as
+    ``SkylakeX``, or ``unknown`` where its library does not name it."""
+    for lib in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("*openblas*")):
+        with contextlib.suppress(OSError, AttributeError):
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
 def hashes(root: Path) -> list[str]:
     """``sha256  path`` lines for every file under ``root``, sorted by path."""
     files = sorted(p for p in root.rglob("*") if p.is_file())
@@ -113,6 +129,7 @@ def cli() -> None:
     root.mkdir(parents=True, exist_ok=True)
     if any(root.iterdir()):
         raise SystemExit(f"{root} is not empty")
+    print(f"numpy {np.__version__}, OpenBLAS core {blas_core()}", file=sys.stderr)
     run_in(root)
     print("\n".join(hashes(root)))
 
