@@ -103,8 +103,8 @@ class EmbeddingMatrix:
 
         Raises:
             StaleArtifactError: naming the file, if it is missing, the magic
-                is wrong, the file is not exactly header + config + two
-                float32 (V, D) matrices long, or the config is not UTF-8 JSON.
+                is wrong, the file is not exactly header + config + two float32
+                (V, D) matrices long, or the config is not UTF-8 JSON with dim D.
         """
         with reading(path, "embeddings"):
             blob = Path(path).read_bytes()
@@ -117,6 +117,8 @@ class EmbeddingMatrix:
                 raise ValueError(f"embedding file is {len(blob)} bytes, but its header "
                                  f"describes {off + 8 * n}")
             cfg = EmbeddingConfig.from_dict(json.loads(blob[_HEADER.size : off].decode("utf-8")))
+            if cfg.dim != dim:
+                raise ValueError(f"config 'dim' {cfg.dim} disagrees with the header's dim {dim}")
         w_in, w_out = np.frombuffer(blob, dtype="<f4", offset=off).reshape(2, vocab_size, dim)
         return cls(w_in.astype(np.float32), w_out.astype(np.float32), cfg,
                    hashlib.sha256(blob).hexdigest())

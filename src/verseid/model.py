@@ -55,7 +55,7 @@ from .features import (
 from .normalize import PAD_ID, TokenTable, Vocabulary, encoder_ids, normalize_verse
 from .split import LeakageError
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 LOG_EPS = 1e-12
 # Rows per predict_proba batch; a batch's distributions depend on which rows share it.
 PREDICT_BATCH = 64
@@ -322,7 +322,6 @@ class FeatureSpace:
             "form_index": self.form_index,
             "poet_index": self.poet_index,
             "fusion": self.fusion.to_dict(),
-            "max_len": self.max_len,
         }
 
 
@@ -665,12 +664,12 @@ def fit(
 # ---------------------------------------------------------------------------
 #
 # Layout: 4-byte magic, u32 format version, u32 metadata length, metadata
-# JSON (includes the [name, shape] parameter manifest), then the flat
-# parameter buffer as little-endian float32, so the file has exactly
-# 12 + metadata length + 4 * (manifest sizes) bytes. Metadata key ``sha256``
-# is the SHA-256 of the metadata JSON without that key, then the parameter
-# bytes (older checkpoints lack it). Writing it by hand keeps the bytes
-# deterministic (archive formats embed timestamps).
+# JSON, then the flat parameter buffer as little-endian float32 in the layout
+# the configs and the vocabulary imply (param_manifest). Metadata key
+# ``sha256`` is the SHA-256 of the metadata JSON without that key, then the
+# parameter bytes; format 1 may lack it, and restated the format version, the
+# normalization config, ``space.max_len`` and the manifest. Writing it by
+# hand keeps the bytes deterministic (archive formats embed timestamps).
 
 _CKPT_MAGIC = b"VCKP"
 
@@ -683,14 +682,11 @@ def _checksum(meta: dict, params) -> str:
 
 def _checkpoint_bytes(bundle: ModelBundle) -> bytes:
     meta = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
         "encoder_config": bundle.enc_cfg.to_dict(),
         "train_config": bundle.train_cfg.to_dict(),
         "space": bundle.space.to_dict(),
-        "norm_config": bundle.space.vocab.config.to_dict(),
         "vocab_hash": bundle.space.vocab.content_hash(),
         "embeddings_hash": bundle.space.embeddings.content_hash(),
-        "manifest": bundle.manifest,
         "log_summary": bundle.log_summary,
     }
     params = bundle.params.astype("<f4").tobytes()
@@ -713,47 +709,44 @@ def load_checkpoint(
     Raises:
         StaleArtifactError: naming the file, if it is missing or not a
             well-formed checkpoint of a known format version (wrong size,
-            unreadable or incomplete metadata, a failed checksum, two
-            ``max_len`` values that disagree, poet, form or meter ids that
-            repeat or fall outside their range, a parameter layout other than
-            the one its configs and the vocabulary imply), holds a retired
-            encoder or optimizer setting other than its one supported value,
-            or the vocab or embedding hashes disagree with the ones recorded
-            at training time.
+            unreadable or incomplete metadata, a failed checksum or a
+            format-2 file without one, two ``max_len`` values that disagree,
+            poet, form or meter ids that repeat or fall outside their range,
+            a parameter layout other than the one its configs and the
+            vocabulary imply), holds a retired encoder or optimizer setting
+            other than its one supported value, or the vocab or embedding
+            hashes disagree with the ones recorded at training time.
     """
     with reading(path, "checkpoint"):
         blob = Path(path).read_bytes()
         if len(blob) < 12 or blob[:4] != _CKPT_MAGIC:
             raise ValueError("not a checkpoint file (bad magic or truncated header)")
         version, meta_len = struct.unpack_from("<II", blob, 4)
-        if version != CHECKPOINT_FORMAT_VERSION:
+        if version not in (1, CHECKPOINT_FORMAT_VERSION):
             raise ValueError(f"unsupported checkpoint format version {version!r}")
         body = 12 + meta_len
         meta = json.loads(blob[12:body].decode("utf-8"))
-        sealed = meta.pop("sha256", None)
+        sealed = meta.pop("sha256", None) if version == 1 else meta.pop("sha256")
         if sealed is not None and sealed != _checksum(meta, memoryview(blob)[body:]):
             raise ValueError("checksum mismatch: the file changed after it was written")
-        n_values = sum(math.prod(shape) for _, shape in meta["manifest"])
-        if len(blob) != body + 4 * n_values:
-            raise ValueError(f"checkpoint is {len(blob)} bytes, but its header and manifest "
-                             f"describe {body + 4 * n_values}")
         if meta["vocab_hash"] != vocab.content_hash():
             raise ValueError("the vocabulary (vocab.tsv) is not the one this checkpoint was "
                              "trained with (stale artifact)")
         if meta["embeddings_hash"] != embeddings.content_hash():
             raise ValueError("the embeddings (embeddings.bin) are not the ones this checkpoint "
                              "was trained with (stale artifact)")
-        params = np.frombuffer(blob, dtype="<f4", offset=body).astype(np.float32)
-        return _bundle_from_meta(meta, params, vocab, embeddings)
+        return _bundle_from_meta(meta, blob, body, vocab, embeddings)
 
 
 def _bundle_from_meta(
-    meta: dict, params: np.ndarray, vocab: Vocabulary, embeddings: EmbeddingMatrix
+    meta: dict, blob: bytes, body: int, vocab: Vocabulary, embeddings: EmbeddingMatrix
 ) -> ModelBundle:
-    """The bundle the metadata describes, whose configs and vocabulary must
-    imply its manifest, checked from shapes alone: nothing is initialised."""
+    """The bundle the metadata describes, with the parameters from
+    ``blob[body:]``. The configs and the vocabulary imply the layout, from
+    shapes alone (nothing is initialised), which must fill the file; a
+    format-1 file's ``space.max_len`` and manifest must agree with them."""
     sp, enc_cfg = meta["space"], EncoderConfig.from_dict(meta["encoder_config"])
-    if int(sp["max_len"]) != enc_cfg.max_len:
+    if int(sp.get("max_len", enc_cfg.max_len)) != enc_cfg.max_len:
         raise ValueError(f"space max_len {sp['max_len']!r} disagrees with encoder_config "
                          f"max_len {enc_cfg.max_len!r}")
     if enc_cfg.vocab_size != len(vocab):
@@ -767,20 +760,24 @@ def _bundle_from_meta(
         form_index=checked_ids(sp, "form_index", len(sp["form_index"])),
         poet_index=checked_ids(sp, "poet_index", len(sp["poet_index"])),
         fusion=FusionConfig.from_dict(sp["fusion"]),
-        max_len=int(sp["max_len"]),
+        max_len=enc_cfg.max_len,
     )
     train_cfg = TrainConfig.from_dict(meta["train_config"])
     manifest = param_manifest(*model_shapes(space, enc_cfg, train_cfg))
-    if meta["manifest"] != manifest:
+    if meta.get("manifest", manifest) != manifest:
         got, want = dict(meta["manifest"]), dict(manifest)
         name = next((k for k in {**want, **got} if got.get(k) != want.get(k)), None)
         raise ValueError("the parameter layout disagrees with the configs: " + (
             f"{name} is {got.get(name, 'absent')} in the manifest and "
             f"{want.get(name, 'absent')} by the configs" if name else "its order differs"))
+    n_values = sum(math.prod(shape) for _, shape in manifest)
+    if len(blob) != body + 4 * n_values:
+        raise ValueError(f"checkpoint is {len(blob)} bytes, but its header and configs "
+                         f"describe {body + 4 * n_values}")
     return ModelBundle(
         space=space,
         enc_cfg=enc_cfg,
-        params=params,
+        params=np.frombuffer(blob, dtype="<f4", offset=body).astype(np.float32),
         manifest=manifest,
         train_cfg=train_cfg,
         log_summary=meta["log_summary"],

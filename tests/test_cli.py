@@ -23,8 +23,8 @@ from verseid.cli import build_parser, main
 from verseid.corpus import Corpus, load_corpus, save_corpus
 from verseid.embeddings import EmbeddingConfig, EmbeddingMatrix
 from verseid.encoder import EncoderConfig
-from verseid.model import FusionConfig, TrainConfig, predict_proba
-from verseid.normalize import UNK_ID, NormalizationConfig, build_vocab
+from verseid.model import FusionConfig, TrainConfig, load_checkpoint, predict_proba
+from verseid.normalize import UNK_ID, NormalizationConfig, Vocabulary, build_vocab
 from verseid.split import SplitAssignment, split_records
 from verseid.synthetic import SyntheticConfig
 
@@ -82,16 +82,17 @@ def pipeline(tmp_path_factory):
     return dirs
 
 
-def rewrite_metadata(src, dst, edit, reseal=True, params=None):
+def rewrite_metadata(src, dst, edit, reseal=True, params=None, version=None):
     """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its metadata,
-    and with its parameter body mapped by ``params`` if that is given.
+    with its parameter body mapped by ``params`` and its header's format
+    version replaced by ``version`` if those are given.
 
     With ``reseal`` the ``sha256`` key is recomputed over the edited metadata
     (without that key) and the parameter body; without it, the key stays as
     ``edit`` left it.
     """
     blob = src.read_bytes()
-    (meta_len,) = struct.unpack_from("<I", blob, 8)
+    old_version, meta_len = struct.unpack_from("<II", blob, 4)
     meta = json.loads(blob[12 : 12 + meta_len])
     body = blob[12 + meta_len :]
     if params is not None:
@@ -102,7 +103,34 @@ def rewrite_metadata(src, dst, edit, reseal=True, params=None):
         unsealed = json.dumps(meta, sort_keys=True).encode("utf-8")
         meta["sha256"] = hashlib.sha256(unsealed + body).hexdigest()
     new_meta = json.dumps(meta, sort_keys=True).encode("utf-8")
-    dst.write_bytes(blob[:8] + struct.pack("<I", len(new_meta)) + new_meta + body)
+    header = struct.pack("<II", old_version if version is None else version, len(new_meta))
+    dst.write_bytes(blob[:4] + header + new_meta + body)
+
+
+def load_model(ckpt, emb):
+    """The bundle of checkpoint ``ckpt``, with the vocabulary and embeddings in ``emb``."""
+    return load_checkpoint(ckpt, Vocabulary.load(emb / "vocab.tsv"),
+                           EmbeddingMatrix.load(emb / "embeddings.bin"))
+
+
+def write_format1(src, dst, emb, edit=lambda meta: None, sealed=True):
+    """Write the format-1 file of checkpoint ``src`` (a format-2 file whose
+    vocabulary and embeddings are in ``emb``) to ``dst``: header version 1, and
+    metadata that restates the format version, the normalization config,
+    ``space.max_len`` and the parameter manifest. ``edit`` is applied after
+    those are added; the file is resealed over the edited metadata, or with
+    ``sealed=False`` left without ``sha256``."""
+    bundle = load_model(src, emb)
+
+    def to_format1(meta):
+        meta.update(format_version=1, norm_config=bundle.space.vocab.config.to_dict(),
+                    manifest=bundle.manifest)
+        meta["space"]["max_len"] = bundle.space.max_len
+        edit(meta)
+        if not sealed:
+            del meta["sha256"]
+
+    rewrite_metadata(src, dst, to_format1, reseal=sealed, version=1)
 
 
 class TestArtifacts:
@@ -1129,11 +1157,14 @@ class TestExitCodes:
 
         def edit(meta):
             (meta["space"] if section == "fusion" else meta)[section][key] = value
-            if not sealed:
-                del meta["sha256"]
 
+        # A format-2 file must be sealed, so the unsealed case is a format-1 file.
         ckpt = tmp_path / "checkpoint.bin"
-        rewrite_metadata(pipeline["model"] / "checkpoint.bin", ckpt, edit, reseal=sealed)
+        if sealed:
+            rewrite_metadata(pipeline["model"] / "checkpoint.bin", ckpt, edit)
+        else:
+            write_format1(pipeline["model"] / "checkpoint.bin", ckpt, pipeline["emb"], edit,
+                          sealed=False)
         poems = tmp_path / "poems.jsonl"
         poems.write_text(json.dumps({"poem_id": "p", "verses": [["گل و بلبل", "در باغ"]]}) + "\n",
                          encoding="utf-8")
@@ -1193,12 +1224,10 @@ class TestExitCodes:
         assert f"{ckpt}: checksum mismatch" in captured.err
 
     def test_unsealed_max_len_disagreement_is_artifact_error(self, pipeline, tmp_path, capsys):
-        def edit(meta):
-            del meta["sha256"]
-            meta["space"]["max_len"] = 100
-
+        # Only format 1 restates max_len, and only a format-1 file may lack sha256.
         ckpt = tmp_path / "checkpoint.bin"
-        rewrite_metadata(pipeline["model"] / "checkpoint.bin", ckpt, edit, reseal=False)
+        write_format1(pipeline["model"] / "checkpoint.bin", ckpt, pipeline["emb"],
+                      lambda meta: meta["space"].update(max_len=100), sealed=False)
         code, captured = run(["predict", "--input", str(pipeline["raw"]),
                               "--embeddings", str(pipeline["emb"]), "--checkpoint", str(ckpt),
                               "--out", str(tmp_path / "p")], capsys)
@@ -1228,12 +1257,22 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_checkpoint_without_checksum_predicts_identically(self, pipeline, tmp_path):
-        # Checkpoints written before the checksum existed load unchecked.
+        # Format-1 checkpoints written before the checksum existed load unchecked.
         old = tmp_path / "old" / "checkpoint.bin"
         old.parent.mkdir()
-        rewrite_metadata(pipeline["model"] / "checkpoint.bin", old,
-                         lambda meta: meta.pop("sha256"), reseal=False)
+        write_format1(pipeline["model"] / "checkpoint.bin", old, pipeline["emb"], sealed=False)
         assert b"sha256" not in old.read_bytes()
+        self.assert_predicts_as_written(pipeline, tmp_path, old)
+
+    def test_sealed_format1_checkpoint_predicts_identically(self, pipeline, tmp_path):
+        old = tmp_path / "old" / "checkpoint.bin"
+        old.parent.mkdir()
+        write_format1(pipeline["model"] / "checkpoint.bin", old, pipeline["emb"])
+        self.assert_predicts_as_written(pipeline, tmp_path, old)
+
+    @staticmethod
+    def assert_predicts_as_written(pipeline, tmp_path, old):
+        """``predict`` with checkpoint ``old`` writes the CSVs of the fixture's checkpoint."""
         for name, ckpt in (("new", pipeline["model"]), ("old", old)):
             assert main(["predict", "--input", str(pipeline["raw"]),
                          "--embeddings", str(pipeline["emb"]), "--checkpoint", str(ckpt),
@@ -1241,6 +1280,43 @@ class TestExitCodes:
         for csv_name in ("verse_predictions.csv", "poem_predictions.csv"):
             assert ((tmp_path / "pred-new" / csv_name).read_bytes()
                     == (tmp_path / "pred-old" / csv_name).read_bytes())
+
+    def test_checkpoint_states_each_fact_once(self, pipeline):
+        blob = (pipeline["model"] / "checkpoint.bin").read_bytes()
+        version, meta_len = struct.unpack_from("<II", blob, 4)
+        meta = json.loads(blob[12 : 12 + meta_len])
+        assert version == 2
+        assert "sha256" in meta
+        assert not {"format_version", "norm_config", "manifest"} & set(meta)
+        assert "max_len" not in meta["space"]
+
+    @pytest.mark.parametrize("case", ["as-written", "n_heads-4", "poets-swapped", "scaler-mean"])
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_format2_without_checksum_is_artifact_error(self, pipeline, tmp_path, capsys,
+                                                        command, case):
+        # Each edit keeps the parameter layout, so only the seal can catch it.
+        def edit(meta):
+            del meta["sha256"]
+            space = meta["space"]
+            if case == "n_heads-4":
+                meta["encoder_config"]["n_heads"] = 4
+            elif case == "poets-swapped":
+                index = space["poet_index"]
+                first, second = sorted(index)[:2]
+                index[first], index[second] = index[second], index[first]
+            elif case == "scaler-mean":
+                space["scaler"]["mean"][0] += 1.0
+
+        ckpt = tmp_path / "checkpoint.bin"
+        rewrite_metadata(pipeline["model"] / "checkpoint.bin", ckpt, edit, reseal=False)
+        out = tmp_path / "o"
+        argv = ([command, "--input", str(pipeline["raw"])] if command == "predict" else
+                [command, "--corpus", str(pipeline["corpus"]), "--split", str(pipeline["split"])])
+        code, captured = run([*argv, "--embeddings", str(pipeline["emb"]),
+                              "--checkpoint", str(ckpt), "--out", str(out)], capsys)
+        assert code == 3
+        assert f"{ckpt}: checkpoint lacks key 'sha256'" in captured.err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     @pytest.mark.parametrize("index, value, reason", [
@@ -1402,14 +1478,18 @@ class TestExitCodes:
         assert str(ckpt) in captured.err
         assert repr(key) in captured.err
 
-    def test_changed_fixed_embedding_setting_is_artifact_error(self, pipeline, tmp_path, capsys):
+    @staticmethod
+    def predict_with_embedding_config(pipeline, tmp_path, capsys, key, old, new):
+        """``predict`` with a copy of the fixture's ``embeddings.bin`` whose
+        config holds ``new`` for ``key`` (``old`` as written) and whose header
+        and arrays are unchanged."""
         emb = tmp_path / "emb"
         shutil.copytree(pipeline["emb"], emb)
         blob = (emb / "embeddings.bin").read_bytes()
         magic, rows, dim, cfg_len = struct.unpack_from("<4sIII", blob)
         cfg = json.loads(blob[16 : 16 + cfg_len])
-        assert cfg["min_lr_factor"] == 1e-4
-        cfg = json.dumps({**cfg, "min_lr_factor": 1e-3}, sort_keys=True).encode("utf-8")
+        assert cfg[key] == old
+        cfg = json.dumps({**cfg, key: new}, sort_keys=True).encode("utf-8")
         (emb / "embeddings.bin").write_bytes(
             struct.pack("<4sIII", magic, rows, dim, len(cfg)) + cfg + blob[16 + cfg_len :])
         code, captured = run(["predict", "--input", "-", "--embeddings", str(emb),
@@ -1417,7 +1497,15 @@ class TestExitCodes:
                               "--out", str(tmp_path / "p")], capsys)
         assert code == 3
         assert str(emb / "embeddings.bin") in captured.err
-        assert "'min_lr_factor'" in captured.err
+        assert repr(key) in captured.err
+
+    def test_changed_fixed_embedding_setting_is_artifact_error(self, pipeline, tmp_path, capsys):
+        self.predict_with_embedding_config(pipeline, tmp_path, capsys, "min_lr_factor", 1e-4, 1e-3)
+
+    def test_embedding_dim_disagreeing_with_header_is_artifact_error(self, pipeline, tmp_path,
+                                                                      capsys):
+        # The header's width is 16, the one the arrays have.
+        self.predict_with_embedding_config(pipeline, tmp_path, capsys, "dim", 16, 7)
 
     @pytest.mark.parametrize("damage", ["truncated", "trailing bytes", "bad magic"])
     def test_damaged_embeddings_is_artifact_error(self, pipeline, tmp_path, capsys, damage):
@@ -1784,9 +1872,7 @@ class TestMisc:
                      "--split", str(pipeline["split"]), "--embeddings", str(pipeline["emb"]),
                      "--out", str(model), *FAST_TRAIN,
                      "--features", "semantic,stylometric,form,meter"]) == 0
-        blob = (model / "checkpoint.bin").read_bytes()
-        (meta_len,) = struct.unpack_from("<I", blob, 8)
-        names = [name for name, _ in json.loads(blob[12 : 12 + meta_len])["manifest"]]
+        names = [name for name, _ in load_model(model / "checkpoint.bin", pipeline["emb"]).manifest]
         assert names and all(name.startswith("head.") for name in names)
         poems = pipeline["corpus"] / "corpus.jsonl"
         assert main(["predict", "--input", str(poems), "--embeddings", str(pipeline["emb"]),

@@ -764,6 +764,7 @@ class TestCheckpoint:
         assert again.enc_cfg == enc_cfg
         assert again.train_cfg == train_cfg
         assert again.space.to_dict() == space.to_dict()
+        assert again.space.max_len == max_len
         assert again.log_summary == log_summary
 
     def test_stale_vocab_rejected(self, trained_bundle, tmp_path, small_synth):

@@ -2,7 +2,8 @@
 the desk run of ``tools/artifact_hashes.py``, whose edge input reaches the
 cases its docstring names, and ``tools/peak_memory.py`` traces each command
 of that run, and ``predict`` on that run's corpus repeated k times, which
-``tools/one_shot.py`` also times in new processes.
+``tools/one_shot.py`` also times in new processes. ``tools/edit_sweep.py``
+makes one-value edits of a checkpoint's metadata.
 
 This loads each tool by path without installing it, and replaces the desk
 run with one that writes the two ``eval_verse.json`` files the table is read
@@ -12,6 +13,7 @@ from, or with a few commands that hold known amounts of memory.
 import hashlib
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -75,9 +77,52 @@ def test_cli_prints_one_row_per_seed(margins, runs, monkeypatch, capsys):
     assert [seed for _, seed in runs] == [0, 1]
 
 
+def test_coretypes_run_one_process_per_kernel(margins, monkeypatch, capsys):
+    calls = []
+
+    def run(argv, env, **kwargs):
+        calls.append((argv, env["OPENBLAS_CORETYPE"]))
+        return subprocess.CompletedProcess(argv, 0, stdout=f"| {env['OPENBLAS_CORETYPE']} |\n")
+
+    monkeypatch.setattr(margins.subprocess, "run", run)
+    monkeypatch.setattr(sys, "argv",
+                        ["margins.py", "--seeds", "0-1", "--coretypes", "Haswell,Prescott"])
+    margins.cli()
+    assert calls == [([sys.executable, margins.__file__, "--seeds", "0-1"], core)
+                     for core in ("Haswell", "Prescott")]
+    assert capsys.readouterr().out.splitlines() == [
+        "### OPENBLAS_CORETYPE=Haswell", "", "| Haswell |", "",
+        "### OPENBLAS_CORETYPE=Prescott", "", "| Prescott |", "",
+    ]
+
+
 def test_seeds(margins):
     assert margins._seeds("0-4") == [0, 1, 2, 3, 4]
     assert margins._seeds("3") == [3]
+
+
+def test_edit_sweep_changes_one_value_at_a_time():
+    sweep = load_tool("edit_sweep")
+    meta = {"train_config": {"class_weighting": "inverse_frequency", "lr": 0.002, "seed": 0,
+                             "flag": True},
+            "space": {"poet_index": {"b": 1, "a": 0, "c": 2}, "mean": [1.5, 0.0], "none": None},
+            "vocab_hash": "ab12"}
+    before = json.dumps(meta, sort_keys=True)
+    got = sweep.edits(meta)
+    assert json.dumps(meta, sort_keys=True) == before
+    assert [name for name, _ in got] == [
+        "space.mean.0 (1.5 -> 3.0)", "space.mean.1 (0.0 -> 1.0)",
+        "space.poet_index (swap a, b)", "space.poet_index (swap b, c)",
+        "train_config.class_weighting", "train_config.flag (True -> False)",
+        "train_config.lr (0.002 -> 0.004)", "train_config.seed (0 -> 1)", "vocab_hash",
+    ]
+    edited = dict(got)
+    assert edited["space.poet_index (swap b, c)"]["space"]["poet_index"] == {"a": 0, "b": 2, "c": 1}
+    assert edited["train_config.class_weighting"]["train_config"]["class_weighting"] == "none"
+    assert edited["vocab_hash"]["vocab_hash"] == "21ba"
+    for name, after in got:  # each edit changes one value and leaves the rest as they were
+        changed = [k for k in meta if after[k] != meta[k]]
+        assert changed == [name.split(".")[0]], name
 
 
 def test_edge_input_holds_the_cases_it_promises(tmp_path, monkeypatch):
