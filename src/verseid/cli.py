@@ -160,43 +160,27 @@ def _load_artifacts(emb_dir: str) -> tuple[Vocabulary, EmbeddingMatrix]:
     return vocab, emb
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"not a positive number: {text!r}")
-    return value
-
-
-def _float_in(low: float, high: float, *, high_open: bool = False):
-    """An argparse type for a finite number in [low, high], or in [low, high)."""
-    def parse(text: str) -> float:
-        value = _finite_float(text)
-        if not low <= value <= high or (high_open and value == high):
-            raise argparse.ArgumentTypeError(
-                f"not in [{low:g}, {high:g}{')' if high_open else ']'}: {text!r}")
+def _number(cast, what: str | None = None, low: float = -math.inf, high: float = math.inf, *,
+            open_low: bool = False, open_high: bool = False):
+    """An argparse type: ``cast`` of the text, which must be finite and from
+    ``low`` to ``high``, each end included unless it is open. Outside that
+    range the value is "not <what>", or without ``what`` "not in [low, high]"."""
+    def parse(text: str):
+        value = cast(text)
+        if not -math.inf < value < math.inf:  # math.isfinite overflows on a long int
+            raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+        if not low <= value <= high or (open_low and value == low) or (open_high and value == high):
+            ends = f"{'(' if open_low else '['}{low:g}, {high:g}{')' if open_high else ']'}"
+            raise argparse.ArgumentTypeError(f"not {what or 'in ' + ends}: {text!r}")
         return value
+    parse.__name__ = cast.__name__  # non-numeric text reads "invalid int value: 'x'"
     return parse
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
-    return value
+_finite_float = _number(float)
+_positive_float = _number(float, "a positive number", 0, open_low=True)
+_positive_int = _number(int, "a positive integer", 1)
+_non_negative_int = _number(int, "a non-negative integer", 0)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -311,10 +295,7 @@ def cmd_train(args) -> int:
     vocab, emb = _load_artifacts(args.embeddings)
 
     base = TrainConfig.desk() if args.preset == "desk" else TrainConfig()
-    given = _given(TrainConfig, args)
-    if args.no_class_weights:
-        given["class_weighting"] = "none"
-    tcfg = replace(base, **given)
+    tcfg = replace(base, **_given(TrainConfig, args))
     enc_cfg = EncoderConfig(vocab_size=len(vocab), **_given(EncoderConfig, args))
     poet_index = {p: i for i, p in enumerate(sorted({r.poet for r in corpus.records}))}
     form_index = {f: i for i, f in enumerate(sorted({r.form for r in corpus.records}))}
@@ -547,29 +528,25 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"verseid {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, summary: str) -> argparse.ArgumentParser | None:
-        """The subcommand's parser, or None if its arguments are not needed."""
+    def add(name: str, func, summary: str, *inputs: str) -> argparse.ArgumentParser | None:
+        """The subcommand's parser, with a required ``--<input>`` for each of
+        ``inputs`` and then ``--out``, or None if its arguments are not needed."""
         needed = command in (None, name)
         p = sub.add_parser(name, help=summary, add_help=needed)
         p.set_defaults(func=func)
+        for flag in (*inputs, "out") if needed else ():
+            p.add_argument(f"--{flag}", required=True)
         return p if needed else None
 
-    if p := add("ingest", cmd_ingest, "validate, filter, and summarize a corpus"):
-        p.add_argument("--corpus", required=True)
+    if p := add("ingest", cmd_ingest, "validate, filter, and summarize a corpus", "corpus"):
         p.add_argument("--min-verses", type=_non_negative_int, default=50)
-        p.add_argument("--out", required=True)
 
-    if p := add("split", cmd_split, "stratified poem-level train/valid/test split"):
-        p.add_argument("--corpus", required=True)
+    if p := add("split", cmd_split, "stratified poem-level train/valid/test split", "corpus"):
         p.add_argument("--seed", type=_non_negative_int, default=0)
         p.add_argument("--ratios", type=_ratios, default=DEFAULT_RATIOS)
-        p.add_argument("--out", required=True)
 
     if p := add("train-embeddings", cmd_train_embeddings,
-                "train skip-gram embeddings on the train split"):
-        p.add_argument("--corpus", required=True)
-        p.add_argument("--split", required=True)
-        p.add_argument("--out", required=True)
+                "train skip-gram embeddings on the train split", "corpus", "split"):
         p.add_argument("--dim", type=_positive_int)
         p.add_argument("--window", type=_positive_int)
         p.add_argument("--negatives", type=_positive_int)
@@ -579,20 +556,17 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--strip-zwnj", action="store_true")
         p.add_argument("--seed", type=_non_negative_int)
 
-    if p := add("train", cmd_train, "train the verse classifier"):
-        p.add_argument("--corpus", required=True)
-        p.add_argument("--split", required=True)
-        p.add_argument("--embeddings", required=True)
-        p.add_argument("--out", required=True)
+    if p := add("train", cmd_train, "train the verse classifier", "corpus", "split", "embeddings"):
         p.add_argument("--preset", choices=("desk", "full"), default="desk")
         p.add_argument("--lr", type=_positive_float)
-        p.add_argument("--weight-decay", type=_float_in(0.0, math.inf))
+        p.add_argument("--weight-decay", type=_number(float, low=0))
         p.add_argument("--batch-size", type=_positive_int)
         p.add_argument("--epochs", type=_positive_int, dest="max_epochs")
         p.add_argument("--patience", type=_positive_int)
         p.add_argument("--head-hidden", type=_positive_int)
-        p.add_argument("--head-dropout", type=_float_in(0.0, 1.0, high_open=True))
-        p.add_argument("--no-class-weights", action="store_true")
+        p.add_argument("--head-dropout", type=_number(float, low=0, high=1, open_high=True))
+        p.add_argument("--no-class-weights", action="store_const", const="none",
+                       dest="class_weighting")
         p.add_argument("--d-model", type=_positive_int, default=EncoderConfig.d_model)
         p.add_argument("--n-heads", type=_positive_int, default=EncoderConfig.n_heads)
         p.add_argument("--n-layers", type=_positive_int, default=EncoderConfig.n_layers)
@@ -602,38 +576,28 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         # Seeds TrainConfig and EncoderConfig; unset, each keeps its own default.
         p.add_argument("--seed", type=_non_negative_int)
 
-    def eval_common(p):
-        p.add_argument("--corpus", required=True)
-        p.add_argument("--split", required=True)
-        p.add_argument("--embeddings", required=True)
-        p.add_argument("--checkpoint", required=True)
+    if p := add("evaluate", cmd_evaluate, "verse- and poem-level evaluation reports",
+                *INPUT_ARGS):
         p.add_argument("--split-name", choices=SPLIT_NAMES, default="test")
-        p.add_argument("--out", required=True)
-
-    if p := add("evaluate", cmd_evaluate, "verse- and poem-level evaluation reports"):
-        eval_common(p)
         p.add_argument("--tau", type=_finite_float, default=DEFAULT_TAU)
 
     if p := add("sweep-thresholds", cmd_sweep,
-                "accuracy/coverage across abstention thresholds"):
-        eval_common(p)
+                "accuracy/coverage across abstention thresholds", *INPUT_ARGS):
+        p.add_argument("--split-name", choices=SPLIT_NAMES, default="test")
         p.add_argument("--taus", type=_thresholds, default="0.5,0.6,0.7,0.8,0.9")
 
-    if p := add("predict", cmd_predict, "predict poets for new poems (JSONL or stdin)"):
+    if p := add("predict", cmd_predict, "predict poets for new poems (JSONL or stdin)",
+                "embeddings", "checkpoint"):
         p.add_argument("--input", help="poems JSONL; '-' or omitted reads stdin")
-        p.add_argument("--embeddings", required=True)
-        p.add_argument("--checkpoint", required=True)
         p.add_argument("--tau", type=_finite_float, default=DEFAULT_TAU)
-        p.add_argument("--out", required=True)
 
     if p := add("make-synthetic", cmd_make_synthetic, "generate a synthetic corpus"):
-        p.add_argument("--out", required=True)
         p.add_argument("--poets", type=_positive_int, dest="n_poets")
         p.add_argument("--poems-per-poet", type=_positive_int)
         p.add_argument("--min-verses", type=_positive_int)
         p.add_argument("--max-verses", type=_positive_int)
-        p.add_argument("--formulaic-rate", type=_float_in(0.0, 1.0))
-        p.add_argument("--contested-rate", type=_float_in(0.0, 1.0))
+        p.add_argument("--formulaic-rate", type=_number(float, low=0, high=1))
+        p.add_argument("--contested-rate", type=_number(float, low=0, high=1))
         p.add_argument("--seed", type=_non_negative_int)
 
     return parser

@@ -112,8 +112,21 @@ class Scaler:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scaler":
-        return cls(np.asarray(d["mean"], dtype=np.float64), np.asarray(d["std"], dtype=np.float64),
-                   [int(i) for i in d["constant_dims"]])
+        """The scaler ``d`` records; a ``ValueError`` names the key of any value
+        that no fitted scaler holds, as an unsealed checkpoint may."""
+        mean, std = np.asarray(d["mean"], dtype=np.float64), np.asarray(d["std"], dtype=np.float64)
+        if mean.ndim != 1 or std.shape != mean.shape:
+            raise ValueError(f"scaler 'mean' {mean.shape} and 'std' {std.shape} differ or are not 1-D")
+        if not np.isfinite(mean).all():
+            raise ValueError("scaler 'mean' holds a value that is not finite")
+        if not (np.isfinite(std) & (std > 0)).all():
+            raise ValueError("scaler 'std' holds a value that is not finite and positive")
+        constant_dims = [int(i) for i in d["constant_dims"]]
+        if len(set(constant_dims)) < len(constant_dims) or not all(
+                0 <= i < len(std) and std[i] == 1.0 for i in constant_dims):
+            raise ValueError(f"scaler 'constant_dims' {constant_dims} are not distinct "
+                             "dimensions whose std is 1.0")
+        return cls(mean, std, constant_dims)
 
 
 DEFAULT_TOP_METERS = 14

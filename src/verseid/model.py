@@ -712,6 +712,7 @@ def load_checkpoint(
             unreadable or incomplete metadata, a failed checksum or a
             format-2 file without one, two ``max_len`` values that disagree,
             poet, form or meter ids that repeat or fall outside their range,
+            a feature scaler that is not seven finite values with positive spreads,
             a parameter layout other than the one its configs and the
             vocabulary imply), holds a retired encoder or optimizer setting
             other than its one supported value, or the vocab or embedding
@@ -752,10 +753,13 @@ def _bundle_from_meta(
     if enc_cfg.vocab_size != len(vocab):
         raise ValueError(f"encoder_config vocab_size {enc_cfg.vocab_size} disagrees with the "
                          f"{len(vocab)} ids of the vocabulary")
+    scaler = Scaler.from_dict(sp["scaler"])
+    if len(scaler.mean_) != len(FEATURE_NAMES):
+        raise ValueError(f"scaler 'mean' holds {len(scaler.mean_)} values, not {len(FEATURE_NAMES)}")
     space = FeatureSpace(
         vocab=vocab,
         embeddings=embeddings,
-        scaler=Scaler.from_dict(sp["scaler"]),
+        scaler=scaler,
         meter_map=MeterClassMap.from_dict(sp["meter_map"]),
         form_index=checked_ids(sp, "form_index", len(sp["form_index"])),
         poet_index=checked_ids(sp, "poet_index", len(sp["poet_index"])),

@@ -874,6 +874,22 @@ class TestParser:
         assert exit_code(argv) == full.value.code
         assert capsys.readouterr() == expected
 
+    @pytest.mark.parametrize("command, inputs", [
+        ("ingest", ["--corpus"]),
+        ("split", ["--corpus"]),
+        ("train-embeddings", ["--corpus", "--split"]),
+        ("train", ["--corpus", "--split", "--embeddings"]),
+        ("evaluate", ["--corpus", "--split", "--embeddings", "--checkpoint"]),
+        ("sweep-thresholds", ["--corpus", "--split", "--embeddings", "--checkpoint"]),
+        ("predict", ["--embeddings", "--checkpoint"]),
+        ("make-synthetic", []),
+    ])
+    def test_each_command_requires_its_inputs_then_out(self, capsys, command, inputs):
+        assert exit_code([command]) == 2
+        required = ", ".join([*inputs, "--out"])
+        assert capsys.readouterr().err.endswith(
+            f"error: the following arguments are required: {required}\n")
+
 
 class Stop(Exception):
     """Raised by a stand-in once it has recorded the configs it was given."""
@@ -956,7 +972,6 @@ class TestEveryConfigField:
                   TrainConfig: "train", EncoderConfig: "train", SyntheticConfig: "make-synthetic"}
     UNFLAGGED = {
         (EncoderConfig, "vocab_size"): "the size of the vocabulary that train is given",
-        (TrainConfig, "class_weighting"): "set to 'none' by --no-class-weights",
         (EmbeddingConfig, "batch_pairs"): "the SGNS reference tests vary it across batch ends",
         # A wide-vocabulary corpus, for probes of the costs that grow with the vocabulary.
         (SyntheticConfig, "core_size"): "sets the vocabulary width, with shared_size",
@@ -1234,6 +1249,40 @@ class TestExitCodes:
         assert code == 3
         assert (f"{ckpt}: space max_len 100 disagrees with encoder_config max_len 64"
                 in captured.err)
+
+    # Scaler values that no fitted scaler holds: case -> (edit of the scaler, message).
+    SCALER_EDITS = {
+        "mean-6-values": (lambda sc: sc.update(mean=sc["mean"][:6]),
+                          "scaler 'mean' (6,) and 'std' (7,) differ or are not 1-D"),
+        "std-0": (lambda sc: sc.update(std=[0.0, *sc["std"][1:]]),
+                  "scaler 'std' holds a value that is not finite and positive"),
+        "constant_dims-10": (lambda sc: sc.update(constant_dims=[10]),
+                             "scaler 'constant_dims' [10] are not distinct dimensions"),
+        "6-wide": (lambda sc: sc.update(mean=sc["mean"][:6], std=sc["std"][:6], constant_dims=[
+            i for i in sc["constant_dims"] if i < 6]), "scaler 'mean' holds 6 values, not 7"),
+    }
+
+    @pytest.mark.parametrize("sealed", [True, False], ids=["resealed", "without-checksum"])
+    @pytest.mark.parametrize("case", sorted(SCALER_EDITS))
+    def test_damaged_scaler_is_artifact_error(self, pipeline, tmp_path, capsys, case, sealed):
+        # A format-2 file must be sealed, so the unsealed case is a format-1 file.
+        change, message = self.SCALER_EDITS[case]
+        src, ckpt = pipeline["model"] / "checkpoint.bin", tmp_path / "checkpoint.bin"
+
+        def edit(meta):
+            change(meta["space"]["scaler"])
+
+        if sealed:
+            rewrite_metadata(src, ckpt, edit)
+        else:
+            write_format1(src, ckpt, pipeline["emb"], edit, sealed=False)
+        out = tmp_path / "p"
+        code, captured = run(["predict", "--input", str(pipeline["raw"]),
+                              "--embeddings", str(pipeline["emb"]), "--checkpoint", str(ckpt),
+                              "--out", str(out)], capsys)
+        assert code == 3
+        assert f"artifact error: {ckpt}: {message}" in captured.err
+        assert not out.exists()
 
     @pytest.mark.parametrize("extra_rows", [-1, 1], ids=["fewer-rows", "more-rows"])
     @pytest.mark.parametrize("command", ["train", "predict"])
@@ -1657,6 +1706,7 @@ class TestExitCodes:
         ("--lr", "inf", "not a finite number"),
         ("--lr", "0", "not a positive number"),
         ("--dim", "0", "not a positive integer"),
+        ("--dim", "abc", "invalid int value: 'abc'"),
         ("--window", "0", "not a positive integer"),
         ("--negatives", "-1", "not a positive integer"),
         ("--epochs", "0", "not a positive integer"),
@@ -1677,6 +1727,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag, value, message", [
         ("--lr", "0", "not a positive number"),
         ("--lr", "nan", "not a finite number"),
+        ("--lr", "x", "invalid float value: 'x'"),
         ("--weight-decay", "-0.1", "not in [0, inf]"),
         ("--weight-decay", "inf", "not a finite number"),
         ("--batch-size", "0", "not a positive integer"),

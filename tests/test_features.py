@@ -109,6 +109,24 @@ class TestScaler:
         np.testing.assert_allclose(s2.transform(x), s.transform(x))
         assert s2.to_dict() == s.to_dict()
 
+    @pytest.mark.parametrize("change, key", [
+        ({"mean": [[0.0, 1.0]]}, "mean"),
+        ({"std": [1.0]}, "mean"),
+        ({"mean": [float("nan"), 0.0]}, "mean"),
+        ({"std": [1.0, -2.0]}, "std"),
+        ({"std": [1.0, float("inf")]}, "std"),
+        ({"constant_dims": [0, 0]}, "constant_dims"),
+        ({"constant_dims": [2]}, "constant_dims"),
+        ({"constant_dims": [-1]}, "constant_dims"),
+        ({"constant_dims": [1]}, "constant_dims"),
+    ], ids=["2-D", "lengths-differ", "nan-mean", "negative-std", "inf-std", "repeated-dim",
+            "dim-past-end", "negative-dim", "dim-of-std-2"])
+    def test_from_dict_rejects_what_no_fit_gives(self, change, key):
+        d = {"mean": [0.0, 1.0], "std": [1.0, 2.0], "constant_dims": [0]}
+        Scaler.from_dict(d)
+        with pytest.raises(ValueError, match=f"scaler '{key}'"):
+            Scaler.from_dict({**d, **change})
+
     def test_unfitted_rejects(self):
         with pytest.raises(ValueError):
             Scaler.fit(np.zeros((0, 2)))
