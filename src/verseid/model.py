@@ -589,9 +589,10 @@ def fit(
     shuffle_rng, dropout_rng = master.spawn(2)
 
     enc_shapes, hd_shapes = model_shapes(space, enc_cfg, cfg)
-    enc_params = init_params(enc_shapes, np.random.default_rng(enc_cfg.seed))
-    head_params = init_params(hd_shapes, np.random.default_rng(cfg.seed + 1))
-    params = flatten_params(enc_params, head_params)
+    # The initial dicts die once copied into the flat buffer; encoder first,
+    # as the layout is.
+    params = flatten_params(init_params(enc_shapes, np.random.default_rng(enc_cfg.seed)),
+                            init_params(hd_shapes, np.random.default_rng(cfg.seed + 1)))
     bundle = ModelBundle(space, enc_cfg, params, param_manifest(enc_shapes, hd_shapes), cfg)
 
     if cfg.class_weighting == "inverse_frequency":

@@ -13,12 +13,14 @@ from, or with a few commands that hold known amounts of memory.
 import hashlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import verseid
 from verseid.cli import main
 from verseid.encoder import EncoderConfig
 from verseid.normalize import normalize_text
@@ -147,7 +149,26 @@ def test_hashes_name_numpy_and_the_blas_core_on_stderr_only(tmp_path, monkeypatc
     hashes.cli()
     out, err = capsys.readouterr()
     assert out.splitlines() == [f"{hashlib.sha256(b'a').hexdigest()}  a.txt"]
-    assert err == f"numpy {np.__version__}, OpenBLAS core {hashes.blas_core()}\n"
+    core, threads = hashes.blas_core()
+    assert err == f"numpy {np.__version__}, OpenBLAS core {core}, BLAS threads {threads}\n"
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])
+def test_verseid_sets_one_blas_thread_unless_the_user_chose(given, expected):
+    child = ("import os, sys, verseid, numpy; sys.path.insert(0, sys.argv[1]); "
+             "from artifact_hashes import blas_core; "
+             "print(os.environ.get('OPENBLAS_NUM_THREADS', 'unset'), blas_core()[1])")
+    src = str(Path(verseid.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    if given:
+        env["OPENBLAS_NUM_THREADS"] = given
+    out = subprocess.run([sys.executable, "-c", child, str(TOOLS)], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    variable, threads = out.split()
+    assert variable == expected
+    if threads != "unknown":  # OpenBLAS runs no more threads than there are CPUs
+        assert threads == str(min(int(expected), os.cpu_count()))
 
 
 @pytest.fixture
@@ -254,8 +275,8 @@ def one_shot():
 def test_one_shot_runs_new_predict_processes(one_shot, small_run):
     rows = one_shot.measure(small_run, (1, 2), runs=2, chunk_batches=1)
     assert [row[:2] for row in rows] == [(1, 729), (2, 1_458)]
-    for k, _, wall, faults, rss in rows:
-        assert wall > 0 and faults > 1_000 and rss > 10_000_000  # an interpreter with numpy
+    for k, _, wall, cpu, faults, rss in rows:
+        assert wall > 0 and cpu > 0 and faults > 1_000 and rss > 10_000_000  # an interpreter with numpy
         lines = (small_run / f"one_shot_x{k}" / "poem_predictions.csv").read_text().splitlines()
         assert len(lines) == 1 + 3 * 90 * k
 
@@ -263,14 +284,14 @@ def test_one_shot_runs_new_predict_processes(one_shot, small_run):
 def test_one_shot_prints_one_row_per_input(one_shot, monkeypatch, capsys):
     monkeypatch.setattr(one_shot.artifact_hashes, "run_in", lambda root: None)
     monkeypatch.setattr(one_shot, "measure", lambda root, scales, runs, batches: [
-        (1, 8_188, 1.234, 41_900, 58_700_000), (8, 65_504, 5.1, 355_000, 60_100_000)])
+        (1, 8_188, 1.234, 1.2, 41_900, 58_700_000), (8, 65_504, 5.1, 5.049, 355_000, 60_100_000)])
     monkeypatch.setattr(sys, "argv", ["one_shot.py", "--chunk-batches", "16"])
     one_shot.cli()
     assert capsys.readouterr().out.splitlines() == [
         "One-shot `predict`, chunks of 16 batches, medians of 3 processes",
         "",
-        "| `predict` input | verses | wall (s) | minor faults | max RSS (MB) |",
-        "| --- | --- | --- | --- | --- |",
-        "| corpus x1 | 8,188 | 1.23 | 41,900 | 58.7 |",
-        "| corpus x8 | 65,504 | 5.10 | 355,000 | 60.1 |",
+        "| `predict` input | verses | wall (s) | CPU (s) | minor faults | max RSS (MB) |",
+        "| --- | --- | --- | --- | --- | --- |",
+        "| corpus x1 | 8,188 | 1.23 | 1.20 | 41,900 | 58.7 |",
+        "| corpus x8 | 65,504 | 5.10 | 5.05 | 355,000 | 60.1 |",
     ]

@@ -18,9 +18,12 @@ It then prints ``sha256  path`` for every file under DIR, sorted by path.
 Every path a command is given is relative to DIR, so the recorded
 ``config.json`` files compare across checkouts: run it on two checkouts and
 diff the output to show that a refactor left every artifact byte-identical.
-The bytes also depend on numpy's version and on the BLAS kernel it runs, so
-one line on stderr names both; stdout holds only the listing. A full run
-takes about 45 s on two cores.
+The bytes also depend on numpy's version, on the BLAS kernel it runs and,
+for products larger than the desk's, on the BLAS thread count, so one line on
+stderr names all three; stdout holds only the listing. This imports verseid
+before numpy, so it runs with the command line's one BLAS thread unless
+``OPENBLAS_NUM_THREADS`` says otherwise. A full run takes about 45 s on two
+cores.
 
     python3 tools/artifact_hashes.py /tmp/hashes-new > new.txt
 """
@@ -38,11 +41,11 @@ import warnings
 import sys
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from verseid.cli import main as verseid  # noqa: E402
+from verseid.cli import main as verseid  # noqa: E402  (before numpy: its BLAS default)
+
+import numpy as np  # noqa: E402
 
 NO_METER = "text,semantic,stylometric,form"
 
@@ -93,15 +96,25 @@ def edge_poems() -> str:
                    for pid, verses in poems)
 
 
-def blas_core() -> str:
+def blas_core() -> tuple[str, str]:
     """The OpenBLAS core (kernel) that numpy's BLAS runs, such as
-    ``SkylakeX``, or ``unknown`` where its library does not name it."""
+    ``SkylakeX``, and the number of threads it runs with, such as ``1``;
+    both read ``unknown`` where its library does not name them."""
     for lib in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("*openblas*")):
         with contextlib.suppress(OSError, AttributeError):
-            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+            handle = ctypes.CDLL(str(lib))
+            corename = handle.scipy_openblas_get_corename64_
+            threads = handle.scipy_openblas_get_num_threads64_
             corename.argtypes, corename.restype = [], ctypes.c_char_p
-            return corename().decode()
-    return "unknown"
+            threads.argtypes, threads.restype = [], ctypes.c_int
+            return corename().decode(), str(threads())
+    return "unknown", "unknown"
+
+
+def describe_numpy() -> str:
+    """numpy's version, its OpenBLAS core and thread count, for stderr."""
+    core, threads = blas_core()
+    return f"numpy {np.__version__}, OpenBLAS core {core}, BLAS threads {threads}"
 
 
 def hashes(root: Path) -> list[str]:
@@ -129,7 +142,7 @@ def cli() -> None:
     root.mkdir(parents=True, exist_ok=True)
     if any(root.iterdir()):
         raise SystemExit(f"{root} is not empty")
-    print(f"numpy {np.__version__}, OpenBLAS core {blas_core()}", file=sys.stderr)
+    print(describe_numpy(), file=sys.stderr)
     run_in(root)
     print("\n".join(hashes(root)))
 

@@ -9,8 +9,10 @@ artifacts that tool hashes.
 It prints one markdown row per seed: full accuracy, no-meter accuracy and the
 drop between them (criterion 6 asks for a drop of at least 0.03 at seed 0).
 A change to the training numerics quotes this table for the code before and
-after it. Each seed takes about 25 s on two cores. numpy's version and the
-OpenBLAS kernel in use go to stderr, as in ``artifact_hashes.py``.
+after it. Each seed takes about 25 s on two cores. numpy's version, the
+OpenBLAS kernel in use and its thread count go to stderr, as in
+``artifact_hashes.py``, which this imports before numpy loads, so the runs
+here use the command line's BLAS thread default too.
 
 The bytes, and so the table, depend on the OpenBLAS kernel, which OpenBLAS
 picks once, when it loads. ``--coretypes A,B`` runs this tool again in a new
@@ -32,11 +34,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from artifact_hashes import blas_core, run_in  # noqa: E402
+from artifact_hashes import describe_numpy, run_in  # noqa: E402
 
 
 def _seeds(text: str) -> list[int]:
@@ -71,7 +71,7 @@ def cli() -> None:
         for core in args.coretypes:
             print(f"### OPENBLAS_CORETYPE={core}\n\n{in_kernel(core, args.seeds)}", flush=True)
         return
-    print(f"numpy {np.__version__}, OpenBLAS core {blas_core()}", file=sys.stderr)
+    print(describe_numpy(), file=sys.stderr)
     print("| corpus seed | full | no meter | drop |")
     print("| --- | --- | --- | --- |")
     for seed in args.seeds:

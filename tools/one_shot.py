@@ -1,21 +1,23 @@
-"""Wall time, minor page faults and max RSS of one-shot ``verseid predict``
-processes on the desk corpus repeated 1 and 8 times.
+"""Wall time, CPU time, minor page faults and max RSS of one-shot
+``verseid predict`` processes on the desk corpus repeated 1 and 8 times.
 
 This runs the desk pipeline of ``artifact_hashes.py`` (``run_in``) in a
 temporary directory and writes its ingested corpus k times, each copy's poem
 ids renamed (``peak_memory.repeated``). It then starts a new ``verseid
 predict`` process with the ``full`` model of that run on each input, three
 times. Each figure is the median of the three: the wall time from start to
-exit, and the minor page faults and max RSS of the process as the kernel
-reports them for a waited-for child (``os.wait4``; ``RUSAGE_CHILDREN`` sums
-the same counts over every child). A one-shot process pays interpreter
+exit, and the CPU time (user and system), minor page faults and max RSS of
+the process as the kernel reports them for a waited-for child (``os.wait4``;
+``RUSAGE_CHILDREN`` sums the same counts over every child). CPU time above
+wall time means more than one thread was busy, such as BLAS threads waiting
+for work. A one-shot process pays interpreter
 start-up, imports and artifact loading, and its allocator starts from
 nothing, so an in-process timing cannot show what this shows.
 
 ``--chunk-batches N`` sets ``verseid.cli.PREDICT_CHUNK_BATCHES`` in each
 process, to compare chunk sizes without editing the source. Allocator
-settings such as ``MALLOC_MMAP_THRESHOLD_`` pass through from the
-environment. A run takes about 70 s on two cores.
+settings such as ``MALLOC_MMAP_THRESHOLD_`` and ``OPENBLAS_NUM_THREADS``
+pass through from the environment. A run takes about 70 s on two cores.
 
     python3 tools/one_shot.py --chunk-batches 16
 """
@@ -47,9 +49,9 @@ CHILD = ("import sys, verseid.cli as cli; cli.PREDICT_CHUNK_BATCHES = int(sys.ar
          "sys.exit(cli.main(sys.argv[2:]))")
 
 
-def one_shot(argv: list[str], chunk_batches: int) -> tuple[float, int, int]:
-    """Wall seconds, minor page faults and max RSS in bytes of one process
-    running ``verseid argv``."""
+def one_shot(argv: list[str], chunk_batches: int) -> tuple[float, float, int, int]:
+    """Wall seconds, CPU seconds, minor page faults and max RSS in bytes of
+    one process running ``verseid argv``."""
     paths = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     start = time.perf_counter()
@@ -60,13 +62,14 @@ def one_shot(argv: list[str], chunk_batches: int) -> tuple[float, int, int]:
     proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
     if proc.returncode:
         raise SystemExit(f"verseid {' '.join(argv)} exited {proc.returncode}")
-    return wall, usage.ru_minflt, usage.ru_maxrss * 1024  # ru_maxrss is in KiB on Linux
+    cpu = usage.ru_utime + usage.ru_stime
+    return wall, cpu, usage.ru_minflt, usage.ru_maxrss * 1024  # ru_maxrss is in KiB on Linux
 
 
 def measure(root: Path, scales=SCALES, runs: int = RUNS,
             chunk_batches: int = verseid.cli.PREDICT_CHUNK_BATCHES
-            ) -> list[tuple[int, int, float, float, float]]:
-    """``(k, verses, wall s, minor faults, max RSS bytes)``, each a median of
+            ) -> list[tuple[int, int, float, float, float, float]]:
+    """``(k, verses, wall s, CPU s, minor faults, max RSS bytes)``, each a median of
     ``runs`` one-shot ``predict`` processes with the ``full`` model of the
     desk run in ``root`` on its ingested corpus repeated ``k`` times, for each
     ``k`` of ``scales``."""
@@ -96,10 +99,11 @@ def cli() -> None:
         rows = measure(Path(tmp), SCALES, RUNS, args.chunk_batches)
     print(f"One-shot `predict`, chunks of {args.chunk_batches} batches, medians of {RUNS} processes")
     print()
-    print("| `predict` input | verses | wall (s) | minor faults | max RSS (MB) |")
-    print("| --- | --- | --- | --- | --- |")
-    for k, n_verses, wall, faults, rss in rows:
-        print(f"| corpus x{k} | {n_verses:,} | {wall:.2f} | {faults:,.0f} | {rss / 1e6:.1f} |")
+    print("| `predict` input | verses | wall (s) | CPU (s) | minor faults | max RSS (MB) |")
+    print("| --- | --- | --- | --- | --- | --- |")
+    for k, n_verses, wall, cpu, faults, rss in rows:
+        print(f"| corpus x{k} | {n_verses:,} | {wall:.2f} | {cpu:.2f} | {faults:,.0f} "
+              f"| {rss / 1e6:.1f} |")
 
 
 if __name__ == "__main__":
