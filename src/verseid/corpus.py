@@ -62,13 +62,11 @@ class Settings:
     """A config dataclass that artifact headers record.
 
     ``FIXED`` maps each setting that no option changes to the one value
-    every file holds; ``RETIRED`` maps each setting of a deleted variant to
-    the one value an older file may still hold. :meth:`to_dict` writes the
-    fields and ``FIXED``; :meth:`from_dict` checks both maps and drops them.
+    every file holds. :meth:`to_dict` writes the fields and ``FIXED``;
+    :meth:`from_dict` checks ``FIXED`` and drops it.
     """
 
     FIXED: dict = {}
-    RETIRED: dict = {}
 
     def to_dict(self) -> dict:
         return {**asdict(self), **self.FIXED}
@@ -76,13 +74,13 @@ class Settings:
     @classmethod
     def from_dict(cls, d: dict):
         """Raises StaleArtifactError, naming the key, if ``d`` holds any
-        other value for a fixed or retired setting."""
-        kept = {**cls.FIXED, **cls.RETIRED}
-        for key, value in kept.items():
+        other value for a fixed setting, and TypeError, naming the key, if
+        it holds a setting that is not a field."""
+        for key, value in cls.FIXED.items():
             if d.get(key, value) != value:
                 raise StaleArtifactError(f"setting {key!r} is {d[key]!r}; "
                                          f"only {value!r} is supported")
-        return cls(**{k: v for k, v in d.items() if k not in kept})
+        return cls(**{k: v for k, v in d.items() if k not in cls.FIXED})
 
 
 @dataclass(frozen=True)

@@ -64,8 +64,6 @@ MASK_BIAS = -1e9
 
 @dataclass(frozen=True)
 class EncoderConfig(Settings):
-    RETIRED = {"positional": "sinusoidal", "norm": "post", "dropout": 0.0}
-
     vocab_size: int
     d_model: int = 64
     n_heads: int = 2

@@ -84,12 +84,11 @@ class Scaler:
     """Per-dimension z-scoring fitted on training data only.
 
     Dimensions with zero variance keep their mean but divide by 1 so the
-    transform stays finite; their indices are recorded in ``constant_dims``.
+    transform stays finite.
     """
 
     mean_: np.ndarray
     std_: np.ndarray
-    constant_dims: list[int]
 
     @classmethod
     def fit(cls, x: np.ndarray) -> "Scaler":
@@ -97,23 +96,18 @@ class Scaler:
         if x.ndim != 2 or x.shape[0] == 0:
             raise ValueError("Scaler.fit expects a non-empty 2-D array")
         std = x.std(axis=0)
-        constant_dims = [int(i) for i in np.flatnonzero(std == 0.0)]
-        return cls(x.mean(axis=0), np.where(std == 0.0, 1.0, std), constant_dims)
+        return cls(x.mean(axis=0), np.where(std == 0.0, 1.0, std))
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64) - self.mean_) / self.std_
 
     def to_dict(self) -> dict:
-        return {
-            "mean": self.mean_.tolist(),
-            "std": self.std_.tolist(),
-            "constant_dims": self.constant_dims,
-        }
+        return {"mean": self.mean_.tolist(), "std": self.std_.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scaler":
         """The scaler ``d`` records; a ``ValueError`` names the key of any value
-        that no fitted scaler holds, as an unsealed checkpoint may."""
+        that no fitted scaler holds, as a hand-edited checkpoint may."""
         mean, std = np.asarray(d["mean"], dtype=np.float64), np.asarray(d["std"], dtype=np.float64)
         if mean.ndim != 1 or std.shape != mean.shape:
             raise ValueError(f"scaler 'mean' {mean.shape} and 'std' {std.shape} differ or are not 1-D")
@@ -121,12 +115,7 @@ class Scaler:
             raise ValueError("scaler 'mean' holds a value that is not finite")
         if not (np.isfinite(std) & (std > 0)).all():
             raise ValueError("scaler 'std' holds a value that is not finite and positive")
-        constant_dims = [int(i) for i in d["constant_dims"]]
-        if len(set(constant_dims)) < len(constant_dims) or not all(
-                0 <= i < len(std) and std[i] == 1.0 for i in constant_dims):
-            raise ValueError(f"scaler 'constant_dims' {constant_dims} are not distinct "
-                             "dimensions whose std is 1.0")
-        return cls(mean, std, constant_dims)
+        return cls(mean, std)
 
 
 DEFAULT_TOP_METERS = 14

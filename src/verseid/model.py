@@ -445,7 +445,6 @@ class TrainConfig(Settings):
     """
 
     FIXED = {"warmup_frac": WARMUP_FRAC, "clip_norm": CLIP_NORM}
-    RETIRED = {"coupled_l2": False}
 
     lr: float = 2e-5
     weight_decay: float = 0.01
@@ -668,9 +667,8 @@ def fit(
 # JSON, then the flat parameter buffer as little-endian float32 in the layout
 # the configs and the vocabulary imply (param_manifest). Metadata key
 # ``sha256`` is the SHA-256 of the metadata JSON without that key, then the
-# parameter bytes; format 1 may lack it, and restated the format version, the
-# normalization config, ``space.max_len`` and the manifest. Writing it by
-# hand keeps the bytes deterministic (archive formats embed timestamps).
+# parameter bytes. Writing it by hand keeps the bytes deterministic (archive
+# formats embed timestamps).
 
 _CKPT_MAGIC = b"VCKP"
 
@@ -709,27 +707,27 @@ def load_checkpoint(
 
     Raises:
         StaleArtifactError: naming the file, if it is missing or not a
-            well-formed checkpoint of a known format version (wrong size,
-            unreadable or incomplete metadata, a failed checksum or a
-            format-2 file without one, two ``max_len`` values that disagree,
-            poet, form or meter ids that repeat or fall outside their range,
-            a feature scaler that is not seven finite values with positive spreads,
-            a parameter layout other than the one its configs and the
-            vocabulary imply), holds a retired encoder or optimizer setting
-            other than its one supported value, or the vocab or embedding
-            hashes disagree with the ones recorded at training time.
+            well-formed checkpoint of format 2 (wrong size, unreadable or
+            incomplete metadata, a missing or failed checksum, poet, form or
+            meter ids that repeat or fall outside their range, a feature
+            scaler that is not seven finite values with positive spreads, a
+            parameter layout other than the one its configs and the
+            vocabulary imply, a setting that no config holds), holds a fixed
+            setting at another value, or the vocab or embedding hashes
+            disagree with the ones recorded at training time.
     """
     with reading(path, "checkpoint"):
         blob = Path(path).read_bytes()
         if len(blob) < 12 or blob[:4] != _CKPT_MAGIC:
             raise ValueError("not a checkpoint file (bad magic or truncated header)")
         version, meta_len = struct.unpack_from("<II", blob, 4)
-        if version not in (1, CHECKPOINT_FORMAT_VERSION):
+        if version == 1:
+            raise ValueError("checkpoint format 1 is no longer read; retrain it to write format 2")
+        if version != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format version {version!r}")
         body = 12 + meta_len
         meta = json.loads(blob[12:body].decode("utf-8"))
-        sealed = meta.pop("sha256", None) if version == 1 else meta.pop("sha256")
-        if sealed is not None and sealed != _checksum(meta, memoryview(blob)[body:]):
+        if meta.pop("sha256") != _checksum(meta, memoryview(blob)[body:]):
             raise ValueError("checksum mismatch: the file changed after it was written")
         if meta["vocab_hash"] != vocab.content_hash():
             raise ValueError("the vocabulary (vocab.tsv) is not the one this checkpoint was "
@@ -745,12 +743,8 @@ def _bundle_from_meta(
 ) -> ModelBundle:
     """The bundle the metadata describes, with the parameters from
     ``blob[body:]``. The configs and the vocabulary imply the layout, from
-    shapes alone (nothing is initialised), which must fill the file; a
-    format-1 file's ``space.max_len`` and manifest must agree with them."""
+    shapes alone (nothing is initialised), which must fill the file."""
     sp, enc_cfg = meta["space"], EncoderConfig.from_dict(meta["encoder_config"])
-    if int(sp.get("max_len", enc_cfg.max_len)) != enc_cfg.max_len:
-        raise ValueError(f"space max_len {sp['max_len']!r} disagrees with encoder_config "
-                         f"max_len {enc_cfg.max_len!r}")
     if enc_cfg.vocab_size != len(vocab):
         raise ValueError(f"encoder_config vocab_size {enc_cfg.vocab_size} disagrees with the "
                          f"{len(vocab)} ids of the vocabulary")
@@ -769,12 +763,6 @@ def _bundle_from_meta(
     )
     train_cfg = TrainConfig.from_dict(meta["train_config"])
     manifest = param_manifest(*model_shapes(space, enc_cfg, train_cfg))
-    if meta.get("manifest", manifest) != manifest:
-        got, want = dict(meta["manifest"]), dict(manifest)
-        name = next((k for k in {**want, **got} if got.get(k) != want.get(k)), None)
-        raise ValueError("the parameter layout disagrees with the configs: " + (
-            f"{name} is {got.get(name, 'absent')} in the manifest and "
-            f"{want.get(name, 'absent')} by the configs" if name else "its order differs"))
     n_values = sum(math.prod(shape) for _, shape in manifest)
     if len(blob) != body + 4 * n_values:
         raise ValueError(f"checkpoint is {len(blob)} bytes, but its header and configs "

@@ -113,26 +113,6 @@ def load_model(ckpt, emb):
                            EmbeddingMatrix.load(emb / "embeddings.bin"))
 
 
-def write_format1(src, dst, emb, edit=lambda meta: None, sealed=True):
-    """Write the format-1 file of checkpoint ``src`` (a format-2 file whose
-    vocabulary and embeddings are in ``emb``) to ``dst``: header version 1, and
-    metadata that restates the format version, the normalization config,
-    ``space.max_len`` and the parameter manifest. ``edit`` is applied after
-    those are added; the file is resealed over the edited metadata, or with
-    ``sealed=False`` left without ``sha256``."""
-    bundle = load_model(src, emb)
-
-    def to_format1(meta):
-        meta.update(format_version=1, norm_config=bundle.space.vocab.config.to_dict(),
-                    manifest=bundle.manifest)
-        meta["space"]["max_len"] = bundle.space.max_len
-        edit(meta)
-        if not sealed:
-            del meta["sha256"]
-
-    rewrite_metadata(src, dst, to_format1, reseal=sealed, version=1)
-
-
 class TestArtifacts:
     def test_every_stage_writes_its_resolved_config(self, pipeline):
         for stage in ("corpus", "split", "emb", "model", "eval", "sweep"):
@@ -1131,27 +1111,6 @@ class TestExitCodes:
         assert str(ckpt) in captured.err
         assert repr(key) in captured.err
 
-    # Settings of encoder and optimizer variants that no longer exist, with
-    # the one value each may still hold in an older checkpoint.
-    RETIRED = {"encoder_config": {"positional": "sinusoidal", "norm": "post", "dropout": 0.0},
-               "train_config": {"coupled_l2": False}}
-
-    def test_checkpoint_with_retired_settings_predicts_identically(self, pipeline, tmp_path):
-        def edit(meta):
-            for section, kept in self.RETIRED.items():
-                meta[section].update(kept)
-
-        old = tmp_path / "old" / "checkpoint.bin"
-        old.parent.mkdir()
-        rewrite_metadata(pipeline["model"] / "checkpoint.bin", old, edit)
-        for name, ckpt in (("new", pipeline["model"]), ("old", old)):
-            assert main(["predict", "--input", str(pipeline["raw"]),
-                         "--embeddings", str(pipeline["emb"]), "--checkpoint", str(ckpt),
-                         "--out", str(tmp_path / f"pred-{name}")]) == 0
-        for csv_name in ("verse_predictions.csv", "poem_predictions.csv"):
-            assert ((tmp_path / "pred-new" / csv_name).read_bytes()
-                    == (tmp_path / "pred-old" / csv_name).read_bytes())
-
     # Config edits that no longer describe the parameters of the fixture's
     # model (one layer of width 16, every feature, a 512-wide head).
     LAYOUT_EDITS = {
@@ -1164,22 +1123,16 @@ class TestExitCodes:
         "head_hidden-256": ("train_config", "head_hidden", 256),
     }
 
-    @pytest.mark.parametrize("sealed", [True, False], ids=["resealed", "without-checksum"])
     @pytest.mark.parametrize("case", sorted(LAYOUT_EDITS))
     def test_configs_disagreeing_with_parameters_is_artifact_error(self, pipeline, tmp_path,
-                                                                   capsys, case, sealed):
+                                                                   capsys, case):
         section, key, value = self.LAYOUT_EDITS[case]
 
         def edit(meta):
             (meta["space"] if section == "fusion" else meta)[section][key] = value
 
-        # A format-2 file must be sealed, so the unsealed case is a format-1 file.
         ckpt = tmp_path / "checkpoint.bin"
-        if sealed:
-            rewrite_metadata(pipeline["model"] / "checkpoint.bin", ckpt, edit)
-        else:
-            write_format1(pipeline["model"] / "checkpoint.bin", ckpt, pipeline["emb"], edit,
-                          sealed=False)
+        rewrite_metadata(pipeline["model"] / "checkpoint.bin", ckpt, edit)
         poems = tmp_path / "poems.jsonl"
         poems.write_text(json.dumps({"poem_id": "p", "verses": [["گل و بلبل", "در باغ"]]}) + "\n",
                          encoding="utf-8")
@@ -1238,44 +1191,22 @@ class TestExitCodes:
         assert code == 3
         assert f"{ckpt}: checksum mismatch" in captured.err
 
-    def test_unsealed_max_len_disagreement_is_artifact_error(self, pipeline, tmp_path, capsys):
-        # Only format 1 restates max_len, and only a format-1 file may lack sha256.
-        ckpt = tmp_path / "checkpoint.bin"
-        write_format1(pipeline["model"] / "checkpoint.bin", ckpt, pipeline["emb"],
-                      lambda meta: meta["space"].update(max_len=100), sealed=False)
-        code, captured = run(["predict", "--input", str(pipeline["raw"]),
-                              "--embeddings", str(pipeline["emb"]), "--checkpoint", str(ckpt),
-                              "--out", str(tmp_path / "p")], capsys)
-        assert code == 3
-        assert (f"{ckpt}: space max_len 100 disagrees with encoder_config max_len 64"
-                in captured.err)
-
     # Scaler values that no fitted scaler holds: case -> (edit of the scaler, message).
     SCALER_EDITS = {
         "mean-6-values": (lambda sc: sc.update(mean=sc["mean"][:6]),
                           "scaler 'mean' (6,) and 'std' (7,) differ or are not 1-D"),
         "std-0": (lambda sc: sc.update(std=[0.0, *sc["std"][1:]]),
                   "scaler 'std' holds a value that is not finite and positive"),
-        "constant_dims-10": (lambda sc: sc.update(constant_dims=[10]),
-                             "scaler 'constant_dims' [10] are not distinct dimensions"),
-        "6-wide": (lambda sc: sc.update(mean=sc["mean"][:6], std=sc["std"][:6], constant_dims=[
-            i for i in sc["constant_dims"] if i < 6]), "scaler 'mean' holds 6 values, not 7"),
+        "6-wide": (lambda sc: sc.update(mean=sc["mean"][:6], std=sc["std"][:6]),
+                   "scaler 'mean' holds 6 values, not 7"),
     }
 
-    @pytest.mark.parametrize("sealed", [True, False], ids=["resealed", "without-checksum"])
     @pytest.mark.parametrize("case", sorted(SCALER_EDITS))
-    def test_damaged_scaler_is_artifact_error(self, pipeline, tmp_path, capsys, case, sealed):
-        # A format-2 file must be sealed, so the unsealed case is a format-1 file.
+    def test_damaged_scaler_is_artifact_error(self, pipeline, tmp_path, capsys, case):
         change, message = self.SCALER_EDITS[case]
-        src, ckpt = pipeline["model"] / "checkpoint.bin", tmp_path / "checkpoint.bin"
-
-        def edit(meta):
-            change(meta["space"]["scaler"])
-
-        if sealed:
-            rewrite_metadata(src, ckpt, edit)
-        else:
-            write_format1(src, ckpt, pipeline["emb"], edit, sealed=False)
+        ckpt = tmp_path / "checkpoint.bin"
+        rewrite_metadata(pipeline["model"] / "checkpoint.bin", ckpt,
+                         lambda meta: change(meta["space"]["scaler"]))
         out = tmp_path / "p"
         code, captured = run(["predict", "--input", str(pipeline["raw"]),
                               "--embeddings", str(pipeline["emb"]), "--checkpoint", str(ckpt),
@@ -1305,18 +1236,34 @@ class TestExitCodes:
         assert str(emb_dir / "vocab.tsv") in captured.err
         assert not out.exists()
 
-    def test_checkpoint_without_checksum_predicts_identically(self, pipeline, tmp_path):
-        # Format-1 checkpoints written before the checksum existed load unchecked.
-        old = tmp_path / "old" / "checkpoint.bin"
-        old.parent.mkdir()
-        write_format1(pipeline["model"] / "checkpoint.bin", old, pipeline["emb"], sealed=False)
-        assert b"sha256" not in old.read_bytes()
-        self.assert_predicts_as_written(pipeline, tmp_path, old)
+    @pytest.mark.parametrize("sealed", [True, False], ids=["resealed", "without-checksum"])
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "sweep-thresholds"])
+    def test_format1_checkpoint_is_artifact_error(self, pipeline, tmp_path, capsys,
+                                                  command, sealed):
+        def edit(meta):
+            if not sealed:
+                del meta["sha256"]
 
-    def test_sealed_format1_checkpoint_predicts_identically(self, pipeline, tmp_path):
+        ckpt = tmp_path / "checkpoint.bin"
+        rewrite_metadata(pipeline["model"] / "checkpoint.bin", ckpt, edit, reseal=sealed,
+                         version=1)
+        out = tmp_path / "o"
+        argv = ([command, "--input", str(pipeline["raw"])] if command == "predict" else
+                [command, "--corpus", str(pipeline["corpus"]), "--split", str(pipeline["split"])])
+        code, captured = run([*argv, "--embeddings", str(pipeline["emb"]),
+                              "--checkpoint", str(ckpt), "--out", str(out)], capsys)
+        assert code == 3
+        assert f"{ckpt}: checkpoint format 1 is no longer read" in captured.err
+        assert "retrain" in captured.err
+        assert not out.exists()
+
+    def test_checkpoint_with_constant_dims_predicts_identically(self, pipeline, tmp_path):
+        # Format-2 files written while the scaler still recorded its constant
+        # dimensions hold the key; it is ignored.
         old = tmp_path / "old" / "checkpoint.bin"
         old.parent.mkdir()
-        write_format1(pipeline["model"] / "checkpoint.bin", old, pipeline["emb"])
+        rewrite_metadata(pipeline["model"] / "checkpoint.bin", old,
+                         lambda meta: meta["space"]["scaler"].update(constant_dims=[0]))
         self.assert_predicts_as_written(pipeline, tmp_path, old)
 
     @staticmethod
@@ -1338,6 +1285,7 @@ class TestExitCodes:
         assert "sha256" in meta
         assert not {"format_version", "norm_config", "manifest"} & set(meta)
         assert "max_len" not in meta["space"]
+        assert "constant_dims" not in meta["space"]["scaler"]
 
     @pytest.mark.parametrize("case", ["as-written", "n_heads-4", "poets-swapped", "scaler-mean"])
     @pytest.mark.parametrize("command", ["predict", "evaluate"])

@@ -195,35 +195,30 @@ class TestStats:
 class TestSettings:
     """Each config that an artifact header records writes its fields and its
     fixed settings, reads them back, and rejects any other value of a fixed
-    or retired setting."""
+    setting."""
 
     STEPS = ("map_yeh", "map_kaf", "strip_diacritics", "strip_tatweel", "strip_markup",
              "collapse_whitespace")
-    # Per class: an instance, its fixed settings and its retired ones.
+    # Per class: an instance and its fixed settings.
     CASES = {
-        NormalizationConfig: (NormalizationConfig(strip_zwnj=True), dict.fromkeys(STEPS, True), {}),
-        EmbeddingConfig: (EmbeddingConfig(dim=8), {"min_lr_factor": 1e-4}, {}),
-        EncoderConfig: (EncoderConfig(vocab_size=9),
-                        {}, {"positional": "sinusoidal", "norm": "post", "dropout": 0.0}),
-        TrainConfig: (TrainConfig.desk(), {"warmup_frac": 0.1, "clip_norm": 1.0},
-                      {"coupled_l2": False}),
-        FusionConfig: (FusionConfig(use_meter=False), {}, {}),
+        NormalizationConfig: (NormalizationConfig(strip_zwnj=True), dict.fromkeys(STEPS, True)),
+        EmbeddingConfig: (EmbeddingConfig(dim=8), {"min_lr_factor": 1e-4}),
+        EncoderConfig: (EncoderConfig(vocab_size=9), {}),
+        TrainConfig: (TrainConfig.desk(), {"warmup_frac": 0.1, "clip_norm": 1.0}),
+        FusionConfig: (FusionConfig(use_meter=False), {}),
     }
 
     @pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)
     def test_round_trip_writes_fields_and_fixed_settings(self, cls):
-        cfg, fixed, retired = self.CASES[cls]
+        cfg, fixed = self.CASES[cls]
         d = cfg.to_dict()
         assert cls.from_dict(d) == cfg
         assert set(d) == {f.name for f in dataclasses.fields(cls)} | set(fixed)
         assert {k: d[k] for k in fixed} == fixed
-        assert not set(d) & set(retired)
-        # An older file may hold a retired setting at its one kept value.
-        assert cls.from_dict({**d, **retired}) == cfg
 
     @pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)
-    def test_other_value_of_fixed_or_retired_setting_is_stale(self, cls):
-        cfg, fixed, retired = self.CASES[cls]
-        for key in {**fixed, **retired}:
+    def test_other_value_of_fixed_setting_is_stale(self, cls):
+        cfg, fixed = self.CASES[cls]
+        for key in fixed:
             with pytest.raises(StaleArtifactError, match=repr(key)):
                 cls.from_dict({**cfg.to_dict(), key: "changed"})

@@ -93,7 +93,7 @@ class TestScaler:
 
     def test_zero_variance_flagged(self):
         s = Scaler.fit(np.array([[5.0, 1.0], [5.0, 3.0]]))
-        assert s.constant_dims == [0]
+        assert s.std_[0] == 1.0
         out = s.transform(np.array([[5.0, 2.0]]))
         np.testing.assert_allclose(out, [[0.0, 0.0]])
 
@@ -115,14 +115,9 @@ class TestScaler:
         ({"mean": [float("nan"), 0.0]}, "mean"),
         ({"std": [1.0, -2.0]}, "std"),
         ({"std": [1.0, float("inf")]}, "std"),
-        ({"constant_dims": [0, 0]}, "constant_dims"),
-        ({"constant_dims": [2]}, "constant_dims"),
-        ({"constant_dims": [-1]}, "constant_dims"),
-        ({"constant_dims": [1]}, "constant_dims"),
-    ], ids=["2-D", "lengths-differ", "nan-mean", "negative-std", "inf-std", "repeated-dim",
-            "dim-past-end", "negative-dim", "dim-of-std-2"])
+    ], ids=["2-D", "lengths-differ", "nan-mean", "negative-std", "inf-std"])
     def test_from_dict_rejects_what_no_fit_gives(self, change, key):
-        d = {"mean": [0.0, 1.0], "std": [1.0, 2.0], "constant_dims": [0]}
+        d = {"mean": [0.0, 1.0], "std": [1.0, 2.0]}
         Scaler.from_dict(d)
         with pytest.raises(ValueError, match=f"scaler '{key}'"):
             Scaler.from_dict({**d, **change})

@@ -6,14 +6,10 @@ valid value and runs ``predict`` on the first 40 poems of the run's ingested
 corpus. A boolean flips, a number doubles (zero becomes one),
 ``class_weighting`` takes its other value, any other string is reversed, and
 the ids of a poet, form or meter index swap between neighbours in id order.
-It does so for three files built from that checkpoint:
+It does so for two files built from that checkpoint:
 
 - format 2, sealed: the edit keeps the checkpoint's ``sha256``;
-- format 2, unsealed: ``sha256`` removed;
-- format 1, unsealed: the layout of format 1 (header version 1, metadata that
-  restates the format version, the normalization config, ``space.max_len``
-  and the parameter manifest), ``sha256`` removed, every restated value
-  edited as well.
+- format 2, unsealed: ``sha256`` removed.
 
 It prints one markdown row per file: how many edits exit 3, how many exit 0
 with both CSVs as the unedited checkpoint writes them, how many exit 0 with
@@ -42,9 +38,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from verseid.cli import main as verseid  # noqa: E402
-from verseid.embeddings import EmbeddingMatrix  # noqa: E402
-from verseid.model import load_checkpoint  # noqa: E402
-from verseid.normalize import Vocabulary  # noqa: E402
 
 ID_MAPS = ("poet_index", "form_index", "class_of_meter")
 OTHER_STRING = {"inverse_frequency": "none", "none": "inverse_frequency"}
@@ -103,14 +96,6 @@ def write_checkpoint(path: Path, version: int, meta: dict, body: bytes) -> None:
     path.write_bytes(b"VCKP" + struct.pack("<II", version, len(blob)) + blob + body)
 
 
-def format1_meta(meta: dict, ckpt: Path, emb: Path) -> dict:
-    """Format-2 metadata (without ``sha256``) as format 1 held it."""
-    bundle = load_checkpoint(ckpt, Vocabulary.load(emb / "vocab.tsv"),
-                             EmbeddingMatrix.load(emb / "embeddings.bin"))
-    return {**meta, "format_version": 1, "norm_config": bundle.space.vocab.config.to_dict(),
-            "manifest": bundle.manifest, "space": {**meta["space"], "max_len": bundle.space.max_len}}
-
-
 def predict(poems: Path, emb: Path, model: Path, out: Path) -> tuple[int, dict]:
     """Exit code of ``verseid predict`` and the CSVs it wrote."""
     shutil.rmtree(out, ignore_errors=True)
@@ -127,7 +112,7 @@ def predict(poems: Path, emb: Path, model: Path, out: Path) -> tuple[int, dict]:
 
 def sweep(run: Path, work: Path) -> list[tuple[str, dict, list]]:
     """``(file, count by kind, names of the exit-0-changed and other edits)``
-    for each of the three files."""
+    for each of the two files."""
     emb, ckpt = run / "emb", run / "full" / "checkpoint.bin"
     version, meta, body = read_checkpoint(ckpt)
     if version != 2:
@@ -139,16 +124,15 @@ def sweep(run: Path, work: Path) -> list[tuple[str, dict, list]]:
     code, clean = predict(poems, emb, ckpt.parent, work / "out")
     if code != 0:
         raise SystemExit(f"predict with the unedited {ckpt} exited {code}")
-    files = [("format 2, sealed", 2, meta, seal), ("format 2, unsealed", 2, meta, None),
-             ("format 1, unsealed", 1, format1_meta(meta, ckpt, emb), None)]
+    files = [("format 2, sealed", seal), ("format 2, unsealed", None)]
     (work / "model").mkdir()
     rows = []
-    for label, file_version, base, sealed in files:
+    for label, sealed in files:
         counts, named = dict.fromkeys(KINDS, 0), []
-        for name, edited in edits(base):
+        for name, edited in edits(meta):
             if sealed:
                 edited["sha256"] = sealed
-            write_checkpoint(work / "model" / "checkpoint.bin", file_version, edited, body)
+            write_checkpoint(work / "model" / "checkpoint.bin", version, edited, body)
             code, outputs = predict(poems, emb, work / "model", work / "out")
             kind = ("exit 3" if code == 3 else "other" if code != 0 else
                     "exit 0, same outputs" if outputs == clean else "exit 0, outputs changed")
