@@ -1257,6 +1257,20 @@ class TestExitCodes:
         assert "retrain" in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("version", [0, 3])
+    def test_unknown_checkpoint_version_is_artifact_error(self, pipeline, tmp_path, capsys,
+                                                          version):
+        ckpt = tmp_path / "checkpoint.bin"
+        rewrite_metadata(pipeline["model"] / "checkpoint.bin", ckpt, lambda meta: None,
+                         version=version)
+        out = tmp_path / "p"
+        code, captured = run(["predict", "--input", str(pipeline["raw"]),
+                              "--embeddings", str(pipeline["emb"]), "--checkpoint", str(ckpt),
+                              "--out", str(out)], capsys)
+        assert code == 3
+        assert f"{ckpt}: unsupported checkpoint format version {version}" in captured.err
+        assert not out.exists()
+
     def test_checkpoint_with_constant_dims_predicts_identically(self, pipeline, tmp_path):
         # Format-2 files written while the scaler still recorded its constant
         # dimensions hold the key; it is ignored.
@@ -1288,7 +1302,7 @@ class TestExitCodes:
         assert "constant_dims" not in meta["space"]["scaler"]
 
     @pytest.mark.parametrize("case", ["as-written", "n_heads-4", "poets-swapped", "scaler-mean"])
-    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "sweep-thresholds"])
     def test_format2_without_checksum_is_artifact_error(self, pipeline, tmp_path, capsys,
                                                         command, case):
         # Each edit keeps the parameter layout, so only the seal can catch it.
@@ -1474,6 +1488,28 @@ class TestExitCodes:
         assert code == 3
         assert str(ckpt) in captured.err
         assert repr(key) in captured.err
+
+    # Settings of deleted encoder and optimizer variants at the one value an
+    # older checkpoint could hold; no format-2 file that train wrote holds them.
+    @pytest.mark.parametrize("section, key, value", [
+        ("encoder_config", "positional", "sinusoidal"),
+        ("encoder_config", "norm", "post"),
+        ("encoder_config", "dropout", 0.0),
+        ("train_config", "coupled_l2", False),
+    ])
+    def test_retired_setting_at_its_old_value_is_artifact_error(self, pipeline, tmp_path, capsys,
+                                                               section, key, value):
+        ckpt = tmp_path / "checkpoint.bin"
+        rewrite_metadata(pipeline["model"] / "checkpoint.bin", ckpt,
+                         lambda meta: meta[section].update({key: value}))
+        out = tmp_path / "p"
+        code, captured = run(["predict", "--input", str(pipeline["raw"]),
+                              "--embeddings", str(pipeline["emb"]), "--checkpoint", str(ckpt),
+                              "--out", str(out)], capsys)
+        assert code == 3
+        assert f"{ckpt}: " in captured.err
+        assert f"unexpected keyword argument {key!r}" in captured.err
+        assert not out.exists()
 
     @staticmethod
     def predict_with_embedding_config(pipeline, tmp_path, capsys, key, old, new):

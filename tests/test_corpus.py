@@ -222,3 +222,9 @@ class TestSettings:
         for key in fixed:
             with pytest.raises(StaleArtifactError, match=repr(key)):
                 cls.from_dict({**cfg.to_dict(), key: "changed"})
+
+    @pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)
+    def test_setting_that_is_no_field_is_type_error(self, cls):
+        cfg, _ = self.CASES[cls]
+        with pytest.raises(TypeError, match="'unknown'"):
+            cls.from_dict({**cfg.to_dict(), "unknown": 0})

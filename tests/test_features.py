@@ -122,6 +122,13 @@ class TestScaler:
         with pytest.raises(ValueError, match=f"scaler '{key}'"):
             Scaler.from_dict({**d, **change})
 
+    @pytest.mark.parametrize("constant_dims", [[], [0]], ids=["none", "dim-0"])
+    def test_from_dict_ignores_constant_dims(self, constant_dims):
+        # Checkpoints written while the scaler recorded its constant
+        # dimensions still hold the key.
+        d = {"mean": [0.0, 1.0], "std": [1.0, 2.0]}
+        assert Scaler.from_dict({**d, "constant_dims": constant_dims}).to_dict() == d
+
     def test_unfitted_rejects(self):
         with pytest.raises(ValueError):
             Scaler.fit(np.zeros((0, 2)))
