@@ -9,9 +9,9 @@ Three strategies:
   summed maximum divided by the verse count, a probability in [0, 1].
 * thresholded: weighted, but abstains when that confidence falls below tau.
 
-``aggregate_poem`` votes every poem at once: ``np.add.at`` adds each verse
-into its poem's sums in verse order, the order of a loop over that poem's
-verses. The one-poem votes are calls of it on a single poem.
+``aggregate_poem`` votes every poem under every strategy at once: ``np.add.at``
+adds each verse into its poem's votes, mass and sums in verse order, the
+order of a loop over that poem's verses. The one-poem votes are calls of it.
 
 ``vote_poems``, the vote of every command, gives each poem asked about a row:
 one with no verse row abstains (label -1, confidence 0) under every strategy,
@@ -38,34 +38,30 @@ def poem_index(poem_ids) -> tuple[list[str], np.ndarray]:
     return list(number), np.asarray(poem_of, dtype=np.intp)
 
 
-def aggregate_poem(poem_of, verse_probs, strategy: str, tau: float = DEFAULT_TAU):
-    """Apply one strategy to every poem at once; ``poem_of`` numbers each
-    verse row's poem from 0 with no gaps, as ``poem_index`` does. Returns
-    each poem's label (-1 where the thresholded vote abstains) and confidence.
+def aggregate_poem(poem_of, verse_probs, tau: float = DEFAULT_TAU) -> dict:
+    """Each strategy's labels and confidences for every poem, in ``STRATEGIES``
+    order, from one float64 copy of the verse rows; ``poem_of`` numbers each
+    verse row's poem from 0 with no gaps, as ``poem_index`` does. The
+    thresholded labels are the weighted ones with -1 where it abstains.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
     probs = np.asarray(verse_probs, dtype=np.float64)
     poem_of = np.asarray(poem_of, dtype=np.intp)
     if probs.ndim != 2 or not len(probs) or poem_of.shape != probs.shape[:1]:
         raise ValueError("aggregate_poem needs a (n_verses, n_classes) matrix and a poem per verse")
     shape = (int(poem_of.max()) + 1, probs.shape[1])
-    if strategy == "majority":
-        top = probs.argmax(axis=1)
-        counts, mass = np.zeros(shape, dtype=np.int64), np.zeros(shape)
-        np.add.at(counts, (poem_of, top), 1)
-        np.add.at(mass, (poem_of, top), probs.max(axis=1))
-        # Most votes, then most mass; argmax takes the smallest id of the rest.
-        votes = counts.max(axis=1)
-        tied_mass = np.where(counts == votes[:, None], mass, -np.inf)
-        return tied_mass.argmax(axis=1), tied_mass.max(axis=1) / votes
-    sums = np.zeros(shape)
+    top = probs.argmax(axis=1)
+    counts, mass, sums = np.zeros(shape, dtype=np.int64), np.zeros(shape), np.zeros(shape)
+    np.add.at(counts, (poem_of, top), 1)
+    np.add.at(mass, (poem_of, top), probs.max(axis=1))
     np.add.at(sums, poem_of, probs)
+    # Most votes, then most mass; argmax takes the smallest id of the rest.
+    votes = counts.max(axis=1)
+    tied_mass = np.where(counts == votes[:, None], mass, -np.inf)
     labels = sums.argmax(axis=1)
     confidence = sums.max(axis=1) / np.bincount(poem_of)
-    if strategy == "thresholded":
-        labels = np.where(confidence < tau, -1, labels)
-    return labels, confidence
+    return {"majority": (tied_mass.argmax(axis=1), tied_mass.max(axis=1) / votes),
+            "weighted": (labels, confidence),
+            "thresholded": (np.where(confidence < tau, -1, labels), confidence)}
 
 
 def vote_poems(poem_ids, verse_poem_ids, verse_probs, tau: float = DEFAULT_TAU) -> dict:
@@ -74,22 +70,23 @@ def vote_poems(poem_ids, verse_poem_ids, verse_probs, tau: float = DEFAULT_TAU) 
     a poem with no verse row gets label -1 and confidence 0, and so does
     every poem when there are no verse rows."""
     row_of = {pid: i for i, pid in enumerate(poem_ids)}
-    voted, poem_of = poem_index(verse_poem_ids)
-    at = [row_of[pid] for pid in voted]
+    poems, poem_of = poem_index(verse_poem_ids)
+    at = [row_of[pid] for pid in poems]
+    voted = aggregate_poem(poem_of, verse_probs, tau) if at else {}
     votes = {}
     for strategy in STRATEGIES:
         labels, confidence = np.full(len(poem_ids), -1), np.zeros(len(poem_ids))
         if at:
-            labels[at], confidence[at] = aggregate_poem(poem_of, verse_probs, strategy, tau)
+            labels[at], confidence[at] = voted[strategy]
         votes[strategy] = labels, confidence
     return votes
 
 
-def _one_poem(verse_probs, strategy: str, tau: float = DEFAULT_TAU) -> tuple[int, float]:
-    """``aggregate_poem`` on the verse rows of a single poem."""
+def _one_poem(verse_probs, tau: float = DEFAULT_TAU) -> dict:
+    """Each strategy's label and confidence for the verse rows of one poem."""
     poem_of = np.zeros(np.shape(verse_probs)[:1], dtype=np.intp)
-    labels, confidence = aggregate_poem(poem_of, verse_probs, strategy, tau)
-    return int(labels[0]), float(confidence[0])
+    return {strategy: (int(labels[0]), float(confidence[0]))
+            for strategy, (labels, confidence) in aggregate_poem(poem_of, verse_probs, tau).items()}
 
 
 def majority_vote(labels, max_probs=None) -> int:
@@ -100,18 +97,18 @@ def majority_vote(labels, max_probs=None) -> int:
     # A row per verse: its maximum (1 without max_probs) at its label, -inf elsewhere.
     probs = np.full((labels.size, labels.max() + 1), -np.inf)
     probs[np.arange(labels.size), labels] = 1.0 if max_probs is None else max_probs
-    return _one_poem(probs, "majority")[0]
+    return _one_poem(probs)["majority"][0]
 
 
 def weighted_vote(verse_probs: np.ndarray) -> tuple[int, float]:
     """Sum the verse distributions; argmax wins (smallest id on ties). The
     confidence is the summed maximum divided by the verse count."""
-    return _one_poem(verse_probs, "weighted")
+    return _one_poem(verse_probs)["weighted"]
 
 
 def thresholded_vote(verse_probs: np.ndarray, tau: float) -> tuple[int | None, float]:
     """Weighted vote that abstains (label None) when confidence < tau."""
-    label, conf = _one_poem(verse_probs, "thresholded", tau)
+    label, conf = _one_poem(verse_probs, tau)["thresholded"]
     return (None if label < 0 else label), conf
 
 

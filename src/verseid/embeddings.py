@@ -50,21 +50,22 @@ from .normalize import N_RESERVED
 
 _MAGIC = b"VEMB"
 _HEADER = struct.Struct("<4sIII")
-# The floor of SGNS's linearly decaying lr, as a share of ``lr``. No flag sets it;
-# EmbeddingConfig.FIXED records it in the header of embeddings.bin.
+# The floor of SGNS's linearly decaying lr, as a share of ``lr``, and the pairs
+# of each SGNS minibatch. No flag sets either; EmbeddingConfig.FIXED records both
+# in the header of embeddings.bin.
 MIN_LR_FACTOR = 1e-4
+BATCH_PAIRS = 512
 
 
 @dataclass(frozen=True)
 class EmbeddingConfig(Settings):
-    FIXED = {"min_lr_factor": MIN_LR_FACTOR}
+    FIXED = {"min_lr_factor": MIN_LR_FACTOR, "batch_pairs": BATCH_PAIRS}
 
     dim: int = 100
     window: int = 4
     negatives: int = 5
     epochs: int = 5
     lr: float = 0.025
-    batch_pairs: int = 512
     seed: int = 0
 
 
@@ -270,7 +271,7 @@ def train_sgns(
         return EmbeddingMatrix(w_in, w_out, cfg), []
 
     sample_noise = _noise_sampler(np.bincount(_real_tokens(sequences)[0], minlength=vocab_size))
-    labels = np.zeros((cfg.batch_pairs, cfg.negatives + 1), dtype=np.float32)
+    labels = np.zeros((BATCH_PAIRS, cfg.negatives + 1), dtype=np.float32)
     labels[:, 0] = 1.0
 
     flat_in = w_in.reshape(-1)  # a view
@@ -281,8 +282,8 @@ def train_sgns(
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(pairs))
         epoch_loss = 0.0
-        for start in range(0, len(pairs), cfg.batch_pairs):
-            batch = pairs[order[start : start + cfg.batch_pairs]]
+        for start in range(0, len(pairs), BATCH_PAIRS):
+            batch = pairs[order[start : start + BATCH_PAIRS]]
             centers = batch[:, 0]
             b = len(centers)
             negs = sample_noise(rng.random((b, cfg.negatives)))

@@ -118,7 +118,8 @@ class Scaler:
         return cls(mean, std)
 
 
-DEFAULT_TOP_METERS = 14
+# The meters that get a class of their own; every other meter shares one more.
+TOP_METERS = 14
 
 
 def checked_ids(d: dict, key: str, n: int) -> dict[str, int]:
@@ -137,38 +138,34 @@ def checked_ids(d: dict, key: str, n: int) -> dict[str, int]:
 class MeterClassMap:
     """Meter string to class id, with a catch-all class for the tail.
 
-    The most frequent ``n_top`` meters (by poem count, lexicographic
-    tie-break) receive ids 0..n_top-1 in that order; every other meter,
-    including strings unseen at fit time, maps to the final "other" class.
-    The one-hot width is always ``n_top + 1`` so the model input size does
-    not depend on how many meters happened to survive filtering.
+    The most frequent ``TOP_METERS`` meters (by poem count, lexicographic
+    tie-break) receive ids 0..TOP_METERS-1 in that order; every other meter,
+    including strings unseen at fit time, maps to the final "other" class,
+    ``TOP_METERS``. The one-hot width is always ``TOP_METERS + 1`` so the
+    model input size does not depend on how many meters happened to survive
+    filtering. Files record ``TOP_METERS`` as ``n_top``; :meth:`from_dict`
+    reads no other value.
     """
 
     class_of_meter: dict[str, int]
-    n_top: int = DEFAULT_TOP_METERS
-
-    @property
-    def n_classes(self) -> int:
-        return self.n_top + 1
-
-    @property
-    def other_class(self) -> int:
-        return self.n_top
+    n_classes = TOP_METERS + 1
+    other_class = TOP_METERS
 
     def class_of(self, meter: str) -> int:
         return self.class_of_meter.get(meter, self.other_class)
 
     def to_dict(self) -> dict:
-        return {"n_top": self.n_top, "class_of_meter": self.class_of_meter}
+        return {"n_top": TOP_METERS, "class_of_meter": self.class_of_meter}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MeterClassMap":
-        n_top = int(d["n_top"])
-        return cls(class_of_meter=checked_ids(d, "class_of_meter", n_top), n_top=n_top)
+        if d["n_top"] != TOP_METERS:
+            raise ValueError(f"meter map 'n_top' is {d['n_top']!r}; only {TOP_METERS} is supported")
+        return cls(checked_ids(d, "class_of_meter", TOP_METERS))
 
 
-def build_meter_classes(corpus: Corpus, n_top: int = DEFAULT_TOP_METERS) -> MeterClassMap:
-    """Rank meters by poem count and keep the top ``n_top`` as named classes.
+def build_meter_classes(corpus: Corpus) -> MeterClassMap:
+    """Rank meters by poem count and keep the top ``TOP_METERS`` as named classes.
 
     Deterministic under poem reordering: ranking sorts by (count desc,
     meter asc).
@@ -182,8 +179,7 @@ def build_meter_classes(corpus: Corpus, n_top: int = DEFAULT_TOP_METERS) -> Mete
     if not counts:
         raise ValueError("cannot build meter classes: corpus has no meters")
     ranked = sorted(counts, key=lambda m: (-counts[m], m))
-    mapping = {m: i for i, m in enumerate(ranked[:n_top])}
-    return MeterClassMap(mapping, n_top)
+    return MeterClassMap({m: i for i, m in enumerate(ranked[:TOP_METERS])})
 
 
 def one_hot_form(forms: list[str], form_index: dict[str, int]) -> np.ndarray:

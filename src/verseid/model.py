@@ -188,25 +188,25 @@ class AdamW:
         params -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
 
 
-def lr_at_step(step: int, total_steps: int, warmup_frac: float, lr_max: float) -> float:
-    """Linear warmup over the first ``warmup_frac`` of steps, then cosine decay.
+def lr_at_step(step: int, total_steps: int, lr_max: float) -> float:
+    """Linear warmup over the first ``WARMUP_FRAC`` of steps, then cosine decay.
 
     ``step`` is 1-based; the schedule horizon is the planned total step count
     (early stopping may end training before the horizon).
     """
-    warmup = max(1, int(round(warmup_frac * total_steps)))
+    warmup = max(1, int(round(WARMUP_FRAC * total_steps)))
     if step <= warmup:
         return lr_max * step / warmup
     progress = (step - warmup) / max(1, total_steps - warmup)
     return lr_max * 0.5 * (1.0 + math.cos(math.pi * min(progress, 1.0)))
 
 
-def clip_gradients(grads: np.ndarray, max_norm: float) -> float:
-    """Scale the flat gradient in place to an L2 norm of at most max_norm;
+def clip_gradients(grads: np.ndarray) -> float:
+    """Scale the flat gradient in place to an L2 norm of at most ``CLIP_NORM``;
     returns the pre-clip norm, which the caller must check is finite."""
     total = math.sqrt(float(np.square(grads, dtype=np.float64).sum()))
-    if max_norm > 0.0 and total > max_norm:
-        grads *= max_norm / total
+    if total > CLIP_NORM:
+        grads *= CLIP_NORM / total
     return total
 
 
@@ -517,17 +517,13 @@ def _forward_probs(
     return probs, (ecache, hcache)
 
 
-def predict_proba(
-    ds: FeatureDataset,
-    bundle: ModelBundle,
-    batch_size: int = PREDICT_BATCH,
-) -> np.ndarray:
+def predict_proba(ds: FeatureDataset, bundle: ModelBundle) -> np.ndarray:
     """Class distributions for every verse in the dataset, in order, a batch
-    of ``batch_size`` rows at a time from its first row."""
+    of ``PREDICT_BATCH`` rows at a time from its first row."""
     out = []
-    for start in range(0, len(ds), batch_size):
-        ids = _batch_ids(ds.ids[start : start + batch_size])
-        aux = ds.aux[start : start + batch_size]
+    for start in range(0, len(ds), PREDICT_BATCH):
+        ids = _batch_ids(ds.ids[start : start + PREDICT_BATCH])
+        aux = ds.aux[start : start + PREDICT_BATCH]
         out.append(_forward_probs(ids, aux, bundle, train=False)[0])
     return np.concatenate(out, axis=0)
 
@@ -622,16 +618,16 @@ def fit(
         for start in range(0, n, cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
             step += 1
-            lr = lr_at_step(step, total_steps, WARMUP_FRAC, cfg.lr)
+            lr = lr_at_step(step, total_steps, cfg.lr)
             where = f"epoch {epoch}, step {step}, lr {lr:.3g}"
             loss, n_clamped = _gradient(bundle, train_ds, sel, w, dropout_rng, where, grad_views)
             clamp_events += n_clamped
-            if not math.isfinite(clip_gradients(grads, CLIP_NORM)):
+            if not math.isfinite(clip_gradients(grads)):
                 raise NumericalError(f"non-finite gradient norm at {where}")
             opt.step(params, grads, lr)
             loss_sum += loss * len(sel)
 
-        valid_probs = predict_proba(valid_ds, bundle, batch_size=max(cfg.batch_size, PREDICT_BATCH))
+        valid_probs = predict_proba(valid_ds, bundle)
         valid_acc = float((valid_probs.argmax(axis=1) == valid_ds.labels).mean())
         log.append(EpochLog(epoch, loss_sum / n, valid_acc, lr))
 

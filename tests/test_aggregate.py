@@ -100,29 +100,23 @@ class TestAggregatePoem:
     poem_of = [0, 0]
 
     def test_majority_strategy(self):
-        labels, conf = aggregate_poem(self.poem_of, self.probs, "majority")
+        labels, conf = aggregate_poem(self.poem_of, self.probs)["majority"]
         # Verse argmaxes are [0, 1]: a tie, broken by max-prob mass (0.9 > 0.6).
         assert labels.tolist() == [0]
         assert conf[0] == pytest.approx(0.9)
 
     def test_weighted_strategy(self):
-        labels, conf = aggregate_poem(self.poem_of, self.probs, "weighted")
+        labels, conf = aggregate_poem(self.poem_of, self.probs)["weighted"]
         assert (labels.tolist(), conf[0]) == ([0], pytest.approx(0.65))
 
     def test_thresholded_strategy_abstains(self):
-        labels, _ = aggregate_poem(self.poem_of, self.probs, "thresholded", tau=0.7)
+        labels, _ = aggregate_poem(self.poem_of, self.probs, tau=0.7)["thresholded"]
         assert labels.tolist() == [-1]
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError, match="unknown strategy"):
-            aggregate_poem(self.poem_of, self.probs, "plurality")
 
     def test_strategies_agree_on_unanimous_poem(self):
         probs = np.array([[0.8, 0.2], [0.7, 0.3], [0.9, 0.1]])
-        labels = {
-            int(aggregate_poem([0, 0, 0], probs, s)[0][0])
-            for s in ("majority", "weighted")
-        }
+        votes = aggregate_poem([0, 0, 0], probs)
+        labels = {int(votes[s][0][0]) for s in ("majority", "weighted")}
         assert labels == {0}
 
 
@@ -190,8 +184,10 @@ class TestBatchedVote:
         want_order, want = oracle_votes(poem_ids, rows, tau)
         assert order == want_order
         assert [order[i] for i in poem_of] == poem_ids
+        votes = aggregate_poem(poem_of, rows, tau=tau)
+        assert list(votes) == list(STRATEGIES)
         for strategy in STRATEGIES:
-            labels, conf = aggregate_poem(poem_of, rows, strategy, tau=tau)
+            labels, conf = votes[strategy]
             assert labels.tolist() == want[strategy][0], strategy
             if strategy != "majority" or dtype == np.float32:
                 assert conf.tolist() == want[strategy][1], strategy
@@ -211,9 +207,9 @@ class TestVotePoems:
         asked = [ids[i] for i in rng.permutation(len(ids))]
         votes = vote_poems(asked, verse_poem_ids, rows, tau=0.6)
         assert list(votes) == list(STRATEGIES)
+        voted_rows = aggregate_poem(poem_of, rows, tau=0.6)
         for strategy in STRATEGIES:
-            want = dict(zip(voted, zip(*(a.tolist() for a in
-                                         aggregate_poem(poem_of, rows, strategy, tau=0.6)))))
+            want = dict(zip(voted, zip(*(a.tolist() for a in voted_rows[strategy]))))
             labels, conf = votes[strategy]
             got = list(zip(labels.tolist(), conf.tolist()))
             assert got == [want.get(pid, (-1, 0.0)) for pid in asked], strategy
@@ -234,7 +230,7 @@ def poem_set():
 def weighted_votes(poems):
     """The weighted vote's labels and confidences over per-poem verse matrices."""
     poem_of = np.repeat(np.arange(len(poems)), [len(p) for p in poems])
-    return aggregate_poem(poem_of, np.concatenate(poems), "weighted")
+    return aggregate_poem(poem_of, np.concatenate(poems))["weighted"]
 
 
 class TestSweep:
@@ -291,8 +287,8 @@ class TestPredictionsCsv:
     def test_numeric_and_named_labels(self):
         probs = np.array([[0.9, 0.1], [0.5, 0.5]])
         votes = {
-            "weighted": aggregate_poem([0, 1], probs, "weighted"),
-            "thresholded": aggregate_poem([0, 1], probs, "thresholded", tau=0.9),
+            "weighted": aggregate_poem([0, 1], probs)["weighted"],
+            "thresholded": aggregate_poem([0, 1], probs, tau=0.9)["thresholded"],
         }
         numeric = predictions_csv(["p1", "p2"], votes).splitlines()
         assert numeric[0] == "poem_id,strategy,label,confidence,abstained"

@@ -602,6 +602,8 @@ class TestPredict:
         (['{"poem_id": "a", "verses": ["abc def"]}'], "line 1: verse 0 must be a list"),
         (['{"poem_id": "a", "verses": [["x", "y"]]}', '{"poem_id": "a", "verses": [["z"]]}'],
          "line 2: duplicate poem_id"),
+        (['{"poem_id": "a", "verses": [["x", "y"], ["z", 7]]}'],
+         "line 1: verse 1 hemistichs must be strings"),
     ])
     def test_predict_rejects_malformed_records(self, pipeline, tmp_path, capsys, lines, message):
         poems = tmp_path / "poems.jsonl"
@@ -952,7 +954,6 @@ class TestEveryConfigField:
                   TrainConfig: "train", EncoderConfig: "train", SyntheticConfig: "make-synthetic"}
     UNFLAGGED = {
         (EncoderConfig, "vocab_size"): "the size of the vocabulary that train is given",
-        (EmbeddingConfig, "batch_pairs"): "the SGNS reference tests vary it across batch ends",
         # A wide-vocabulary corpus, for probes of the costs that grow with the vocabulary.
         (SyntheticConfig, "core_size"): "sets the vocabulary width, with shared_size",
         (SyntheticConfig, "shared_size"): "sets the vocabulary width, with core_size",
@@ -1432,6 +1433,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["ingest", "predict"])
     @pytest.mark.parametrize("damage, where", [
         ("invalid JSON", "line 2: invalid JSON"),
+        ("not an object", "line 2: expected a JSON object"),
         ("non-UTF-8", "'utf-8' codec can't decode"),
         ("empty", None),
     ])
@@ -1439,6 +1441,7 @@ class TestExitCodes:
         lines = (pipeline["corpus"] / "corpus.jsonl").read_bytes().splitlines(keepends=True)
         bad = tmp_path / "bad.jsonl"
         bad.write_bytes({"invalid JSON": lines[0] + b"{\n",
+                         "not an object": lines[0] + b'["p2", [["x", "y"]]]\n',
                          "non-UTF-8": lines[0] + b"\xff\n",
                          "empty": b"\n"}[damage])
         argv = (["ingest", "--corpus", str(bad)] if command == "ingest" else
@@ -1511,11 +1514,31 @@ class TestExitCodes:
         assert f"unexpected keyword argument {key!r}" in captured.err
         assert not out.exists()
 
+    # Resealed values that no model train writes holds: a meter map of another
+    # width, and an encoder sized for another vocabulary.
+    @pytest.mark.parametrize("edit, named", [
+        (lambda meta: meta["space"]["meter_map"].update(n_top=13), "meter map 'n_top' is 13"),
+        (lambda meta: meta["space"]["meter_map"].update(n_top=20), "meter map 'n_top' is 20"),
+        (lambda meta: meta["encoder_config"].update(vocab_size=meta["encoder_config"]["vocab_size"] + 1),
+         "encoder_config vocab_size"),
+    ], ids=["n_top-13", "n_top-20", "vocab_size-plus-1"])
+    def test_resealed_value_no_model_holds_is_artifact_error(self, pipeline, tmp_path, capsys,
+                                                             edit, named):
+        ckpt = tmp_path / "checkpoint.bin"
+        rewrite_metadata(pipeline["model"] / "checkpoint.bin", ckpt, edit)
+        out = tmp_path / "p"
+        code, captured = run(["predict", "--input", str(pipeline["raw"]),
+                              "--embeddings", str(pipeline["emb"]), "--checkpoint", str(ckpt),
+                              "--out", str(out)], capsys)
+        assert code == 3
+        assert f"{ckpt}: {named}" in captured.err
+        assert not out.exists()
+
     @staticmethod
-    def predict_with_embedding_config(pipeline, tmp_path, capsys, key, old, new):
-        """``predict`` with a copy of the fixture's ``embeddings.bin`` whose
-        config holds ``new`` for ``key`` (``old`` as written) and whose header
-        and arrays are unchanged."""
+    def embeddings_with_config(pipeline, tmp_path, key, old, new):
+        """A copy of the fixture's ``emb`` whose ``embeddings.bin`` config holds
+        ``new`` for ``key`` (``old`` as written) and whose header and arrays
+        are unchanged."""
         emb = tmp_path / "emb"
         shutil.copytree(pipeline["emb"], emb)
         blob = (emb / "embeddings.bin").read_bytes()
@@ -1525,6 +1548,12 @@ class TestExitCodes:
         cfg = json.dumps({**cfg, key: new}, sort_keys=True).encode("utf-8")
         (emb / "embeddings.bin").write_bytes(
             struct.pack("<4sIII", magic, rows, dim, len(cfg)) + cfg + blob[16 + cfg_len :])
+        return emb
+
+    @classmethod
+    def predict_with_embedding_config(cls, pipeline, tmp_path, capsys, key, old, new):
+        """``predict`` with the embeddings of :meth:`embeddings_with_config`."""
+        emb = cls.embeddings_with_config(pipeline, tmp_path, key, old, new)
         code, captured = run(["predict", "--input", "-", "--embeddings", str(emb),
                               "--checkpoint", str(pipeline["model"]),
                               "--out", str(tmp_path / "p")], capsys)
@@ -1534,6 +1563,16 @@ class TestExitCodes:
 
     def test_changed_fixed_embedding_setting_is_artifact_error(self, pipeline, tmp_path, capsys):
         self.predict_with_embedding_config(pipeline, tmp_path, capsys, "min_lr_factor", 1e-4, 1e-3)
+
+    def test_other_sgns_batch_is_artifact_error_under_train(self, pipeline, tmp_path, capsys):
+        emb = self.embeddings_with_config(pipeline, tmp_path, "batch_pairs", 512, 256)
+        out = tmp_path / "m"
+        code, captured = run(["train", "--corpus", str(pipeline["corpus"]),
+                              "--split", str(pipeline["split"]), "--embeddings", str(emb),
+                              "--out", str(out), *FAST_TRAIN], capsys)
+        assert code == 3
+        assert f"{emb / 'embeddings.bin'}: setting 'batch_pairs' is 256" in captured.err
+        assert not out.exists()
 
     def test_embedding_dim_disagreeing_with_header_is_artifact_error(self, pipeline, tmp_path,
                                                                       capsys):
@@ -1611,6 +1650,8 @@ class TestExitCodes:
         ("no header", "line 1"),
         ("junk line", "line 6"),
         ("id 999", "line 6"),
+        ("duplicate token", "line 7: duplicate token"),
+        ("reserved token swapped", "reserved token '<pad>' missing or misplaced"),
         ("unknown config key", "'bogus'"),
         ("fixed step disabled", "'map_yeh'"),
     ])
@@ -1624,6 +1665,11 @@ class TestExitCodes:
             lines.insert(5, "junkline")
         elif damage == "id 999":
             lines[5] = lines[5].rpartition("\t")[0] + "\t999"
+        elif damage == "duplicate token":
+            lines[6] = lines[5].rpartition("\t")[0] + "\t5"
+        elif damage == "reserved token swapped":
+            (pad, _, zero), (unk, _, one) = (line.rpartition("\t") for line in lines[1:3])
+            lines[1:3] = [f"{unk}\t{zero}", f"{pad}\t{one}"]
         elif damage == "fixed step disabled":
             lines[0] = lines[0].replace('"map_yeh": true', '"map_yeh": false')
         else:

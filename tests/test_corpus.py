@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from verseid.corpus import (
     Corpus,
     CorpusError,
+    PoemRecord,
     StaleArtifactError,
     Verse,
     corpus_stats,
@@ -89,6 +90,10 @@ class TestLoading:
         write_lines(path, [record_line(verses=())])
         with pytest.raises(CorpusError, match="line 1"):
             load_corpus(path)
+
+    def test_record_without_verses_rejected(self):
+        with pytest.raises(CorpusError, match="poem 'p9': no verses"):
+            PoemRecord("p9", "a", "ghazal", "ramal", "confirmed", [])
 
     def test_single_hemistich_verse(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -202,7 +207,7 @@ class TestSettings:
     # Per class: an instance and its fixed settings.
     CASES = {
         NormalizationConfig: (NormalizationConfig(strip_zwnj=True), dict.fromkeys(STEPS, True)),
-        EmbeddingConfig: (EmbeddingConfig(dim=8), {"min_lr_factor": 1e-4}),
+        EmbeddingConfig: (EmbeddingConfig(dim=8), {"min_lr_factor": 1e-4, "batch_pairs": 512}),
         EncoderConfig: (EncoderConfig(vocab_size=9), {}),
         TrainConfig: (TrainConfig.desk(), {"warmup_frac": 0.1, "clip_norm": 1.0}),
         FusionConfig: (FusionConfig(use_meter=False), {}),

@@ -47,12 +47,13 @@ def reference_pairs(sequences, window):
     return np.asarray(pairs, dtype=np.int64)
 
 
-def reference_train_sgns(sequences, vocab_size, cfg):
-    """The trainer with a per-token count loop, one ``searchsorted`` draw of
-    negatives per batch, and row-wise ``np.add.at`` scatters of every pair's
-    outer products. ``train_sgns`` draws the same negatives from a bucket
-    table, and sums the ``w_out`` update per distinct center in one GEMM, so
-    it follows this reference up to float32 rounding."""
+def reference_train_sgns(sequences, vocab_size, cfg, batch_pairs):
+    """The trainer, in minibatches of ``batch_pairs`` pairs, with a per-token
+    count loop, one ``searchsorted`` draw of negatives per batch, and row-wise
+    ``np.add.at`` scatters of every pair's outer products. ``train_sgns`` draws
+    the same negatives from a bucket table, and sums the ``w_out`` update per
+    distinct center in one GEMM, so it follows this reference up to float32
+    rounding."""
     rng = np.random.default_rng(cfg.seed)
     w_in = ((rng.random((vocab_size, cfg.dim)) - 0.5) / cfg.dim).astype(np.float32)
     w_out = np.zeros((vocab_size, cfg.dim), dtype=np.float32)
@@ -71,8 +72,8 @@ def reference_train_sgns(sequences, vocab_size, cfg):
     for _ in range(cfg.epochs):
         order = rng.permutation(len(pairs))
         epoch_loss = 0.0
-        for start in range(0, len(pairs), cfg.batch_pairs):
-            batch = pairs[order[start : start + cfg.batch_pairs]]
+        for start in range(0, len(pairs), batch_pairs):
+            batch = pairs[order[start : start + batch_pairs]]
             centers, contexts = batch[:, 0], batch[:, 1]
             b = len(batch)
             negs = np.searchsorted(cum_noise, rng.random((b, cfg.negatives)))
@@ -171,16 +172,16 @@ class TestTraining:
         np.testing.assert_array_equal(a.w_out, b.w_out)
 
     @staticmethod
-    def check_follows_reference(batch_pairs):
+    def check_follows_reference():
         # 40 real ids: the run converges (with 7 ids at this rate it diverges
         # and the drift grows with the weights). Measured: weights differ by
         # at most 3.3e-6 on magnitudes near 1, losses by 1.7e-9 relative.
         rng = np.random.default_rng(5)
         vocab_size = N_RESERVED + 40
         sequences = [list(rng.integers(0, vocab_size, rng.integers(0, 12))) for _ in range(300)]
-        cfg = EmbeddingConfig(dim=8, window=3, epochs=3, lr=0.05, batch_pairs=batch_pairs, seed=4)
+        cfg = EmbeddingConfig(dim=8, window=3, epochs=3, lr=0.05, seed=4)
         got, got_losses = train_sgns(sequences, vocab_size, cfg)
-        want, want_losses = reference_train_sgns(sequences, vocab_size, cfg)
+        want, want_losses = reference_train_sgns(sequences, vocab_size, cfg, embeddings.BATCH_PAIRS)
         assert np.abs(want.w_out).max() > 0.5  # trained, not near the zero init
         np.testing.assert_allclose(got.w_in, want.w_in, rtol=0, atol=2e-5)
         np.testing.assert_allclose(got.w_out, want.w_out, rtol=0, atol=2e-5)
@@ -188,12 +189,13 @@ class TestTraining:
         return len(_skipgram_pairs(sequences, cfg.window))
 
     def test_follows_row_wise_reference(self):
-        self.check_follows_reference(EmbeddingConfig().batch_pairs)
+        self.check_follows_reference()
 
-    def test_follows_reference_across_batch_boundaries(self):
+    def test_follows_reference_across_batch_boundaries(self, monkeypatch):
         # Batches of 11 pairs: each epoch ends on a short batch, whose draws
         # and targets must line up with the reference's.
-        n_pairs = self.check_follows_reference(11)
+        monkeypatch.setattr(embeddings, "BATCH_PAIRS", 11)
+        n_pairs = self.check_follows_reference()
         assert n_pairs % 11
 
     def test_each_minibatch_draws_only_its_own_negatives(self, monkeypatch):
@@ -210,11 +212,12 @@ class TestTraining:
             return counted
 
         monkeypatch.setattr(embeddings, "_noise_sampler", counting_sampler)
-        cfg = EmbeddingConfig(dim=4, window=2, negatives=3, epochs=2, batch_pairs=7, seed=1)
+        monkeypatch.setattr(embeddings, "BATCH_PAIRS", 7)
+        cfg = EmbeddingConfig(dim=4, window=2, negatives=3, epochs=2, seed=1)
         n_pairs = len(_skipgram_pairs(toy_sequences(), cfg.window))
         assert n_pairs > 7 * 4 and n_pairs % 7  # several batches, a short last one
         train_sgns(toy_sequences(), 7, cfg)
-        assert all(rows <= cfg.batch_pairs and k == cfg.negatives for rows, k in draws)
+        assert all(rows <= 7 and k == cfg.negatives for rows, k in draws)
         assert sum(rows * k for rows, k in draws) == cfg.epochs * n_pairs * cfg.negatives
 
     def test_no_pairs_warns(self):

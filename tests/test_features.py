@@ -156,10 +156,12 @@ class TestMeterClasses:
         assert mm.class_of("rare_b") == 14
 
     def test_tie_breaks_lexicographic(self):
-        counts = {"zeta": 5, "alpha": 5, "mid": 3}
-        mm = build_meter_classes(meter_corpus(counts), n_top=2)
-        assert mm.class_of("alpha") == 0
-        assert mm.class_of("zeta") == 1
+        # 15 meters for 14 named classes: 12 frequent ones, then a tie for the last two.
+        counts = {f"m{i:02d}": 20 - i for i in range(12)}
+        counts.update({"zeta": 5, "alpha": 5, "mid": 3})
+        mm = build_meter_classes(meter_corpus(counts))
+        assert mm.class_of("alpha") == 12
+        assert mm.class_of("zeta") == 13
         assert mm.class_of("mid") == mm.other_class
 
     def test_unknown_meter_goes_to_other(self):
@@ -184,6 +186,7 @@ class TestMeterClasses:
 
     def test_round_trip(self):
         mm = build_meter_classes(meter_corpus({"a": 2, "b": 1}))
+        assert mm.to_dict()["n_top"] == 14
         again = MeterClassMap.from_dict(mm.to_dict())
         assert again.class_of_meter == mm.class_of_meter
         assert again.to_dict() == mm.to_dict()

@@ -290,22 +290,22 @@ class TestOptimizerAndSchedule:
 
     def test_warmup_then_cosine(self):
         lr = 3.0
-        assert lr_at_step(1, 100, 0.1, lr) == pytest.approx(lr / 10)
-        assert lr_at_step(10, 100, 0.1, lr) == pytest.approx(lr)
-        assert lr_at_step(55, 100, 0.1, lr) == pytest.approx(lr / 2)
-        assert lr_at_step(100, 100, 0.1, lr) == pytest.approx(0.0, abs=1e-12)
-        after_warmup = [lr_at_step(s, 100, 0.1, lr) for s in range(10, 101)]
+        assert lr_at_step(1, 100, lr) == pytest.approx(lr / 10)
+        assert lr_at_step(10, 100, lr) == pytest.approx(lr)
+        assert lr_at_step(55, 100, lr) == pytest.approx(lr / 2)
+        assert lr_at_step(100, 100, lr) == pytest.approx(0.0, abs=1e-12)
+        after_warmup = [lr_at_step(s, 100, lr) for s in range(10, 101)]
         assert all(a >= b for a, b in zip(after_warmup, after_warmup[1:]))
 
     def test_clip_rescales_global_norm(self):
         grads = np.array([3.0, 4.0])
-        norm = clip_gradients(grads, 1.0)
+        norm = clip_gradients(grads)
         assert norm == pytest.approx(5.0)
         assert math.hypot(*grads) == pytest.approx(1.0)
 
     def test_clip_noop_below_threshold(self):
         grads = np.array([0.3])
-        clip_gradients(grads, 1.0)
+        clip_gradients(grads)
         assert grads[0] == pytest.approx(0.3)
 
 
@@ -551,6 +551,8 @@ class TestEncoderBatches:
         n = len(rows)
         # At least one full batch and a short last one.
         batch_size = data.draw(st.integers(2, n - 1).filter(lambda b: n % b), "batch_size")
+        # predict_proba's batch, which fit's validation uses too, whatever batch_size is.
+        predict_batch = data.draw(st.integers(1, n), "predict_batch")
         emb = EmbeddingMatrix(np.ones((len(vocab), 2), np.float32), np.zeros((len(vocab), 2), np.float32),
                               EmbeddingConfig(dim=2))
         space, train_ds = FeatureSpace.fit(records, vocab, emb, {"ghazal": 0}, {"a": 0, "b": 1},
@@ -565,11 +567,13 @@ class TestEncoderBatches:
             seen.append((np.array(ids), train))
             return real(ids, params, enc, train)
 
-        with mock.patch("verseid.model.encoder_forward", recording):
+        with mock.patch("verseid.model.encoder_forward", recording), \
+                mock.patch("verseid.model.PREDICT_BATCH", predict_batch):
             bundle = fit(train_ds, build_dataset(valid, space), space, enc_cfg, cfg)
             steps = [ids for ids, train in seen if train]
+            validation = [ids for ids, train in seen if not train]
             seen.clear()
-            predict_proba(train_ds, bundle, batch_size=batch_size)
+            predict_proba(train_ds, bundle)
 
         # fit: each epoch's batches hold every row once, each batch padded to its longest row.
         assert len(steps) == 2 * math.ceil(n / batch_size)
@@ -579,11 +583,14 @@ class TestEncoderBatches:
             for ids in epoch:
                 want = zero_pad(strip_padding(ids))
                 assert ids.shape == want.shape and (ids == want).all()
-        # predict_proba: the rows in dataset order, batch by batch.
-        assert [train for _, train in seen] == [False] * math.ceil(n / batch_size)
-        for k, (ids, _) in enumerate(seen):
-            want = zero_pad(rows[k * batch_size : (k + 1) * batch_size])
-            assert ids.shape == want.shape and (ids == want).all()
+        # predict_proba, and each epoch's validation: the rows in dataset order,
+        # predict_batch at a time.
+        batches = [zero_pad(rows[k : k + predict_batch]) for k in range(0, n, predict_batch)]
+        assert [train for _, train in seen] == [False] * len(batches)
+        for got in ([ids for ids, _ in seen], validation[: len(batches)], validation[len(batches) :]):
+            assert len(got) == len(batches)
+            for ids, want in zip(got, batches):
+                assert ids.shape == want.shape and (ids == want).all()
 
 
 class TestFit:
@@ -614,6 +621,41 @@ class TestFit:
         init = init_encoder_params(enc)
         for k, v in init.items():
             np.testing.assert_array_equal(bundle.enc_params[k], v)
+
+    @pytest.mark.parametrize("weighting", ["inverse_frequency", "none"])
+    def test_class_weighting_sets_the_loss_weights(self, small_synth, weighting):
+        space, train_recs, valid_recs, _ = build_pipeline(small_synth)
+        train_ds = build_dataset(train_recs, space)
+        enc = EncoderConfig(vocab_size=len(space.vocab), d_model=8, n_heads=2, n_layers=1, d_ff=8)
+        cfg = TrainConfig.desk(max_epochs=1, class_weighting=weighting)
+        seen, real = [], verseid.model.batch_weighted_ce
+
+        def recording(probs, y, w):
+            seen.append(w)
+            return real(probs, y, w)
+
+        with mock.patch("verseid.model.batch_weighted_ce", recording):
+            fit(train_ds, build_dataset(valid_recs, space), space, enc, cfg)
+        want = (class_weights(train_ds.labels, space.n_classes) if weighting == "inverse_frequency"
+                else np.ones(space.n_classes))
+        assert seen and all(np.array_equal(w, want) for w in seen)
+
+    def test_unknown_class_weighting_rejected(self, small_synth):
+        space, train_recs, valid_recs, _ = build_pipeline(small_synth)
+        enc = EncoderConfig(vocab_size=len(space.vocab), d_model=8, n_heads=2, n_layers=1, d_ff=8)
+        with pytest.raises(ValueError, match="unknown class_weighting 'balanced'"):
+            fit(build_dataset(train_recs, space), build_dataset(valid_recs, space), space, enc,
+                TrainConfig.desk(max_epochs=1, class_weighting="balanced"))
+
+    def test_clamped_probabilities_are_warned(self, small_synth, monkeypatch):
+        # At a floor of 1.0 every row's picked probability is clamped.
+        monkeypatch.setattr(verseid.model, "LOG_EPS", 1.0)
+        space, train_recs, valid_recs, _ = build_pipeline(small_synth)
+        train_ds = build_dataset(train_recs, space)
+        enc = EncoderConfig(vocab_size=len(space.vocab), d_model=8, n_heads=2, n_layers=1, d_ff=8)
+        cfg = TrainConfig.desk(max_epochs=2, patience=2)
+        with pytest.warns(UserWarning, match=f"clamped {2 * len(train_ds)} probabilities at 1.0$"):
+            fit(train_ds, build_dataset(valid_recs, space), space, enc, cfg)
 
     def test_training_improves_and_logs(self, small_synth):
         space, train_recs, valid_recs, _ = build_pipeline(small_synth)

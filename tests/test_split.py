@@ -201,6 +201,15 @@ class TestSerializationAndRecords:
         SplitAssignment(rows, seed=3, ratios=(0.8, 0.1, 0.1)).save(d / "a.csv", d / "meta.json")
         assert SplitAssignment.load(d / "a.csv", d / "meta.json").rows == rows
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        a = stratified_poem_split(corpus_of({"a": 6}), seed=0)
+        a.save(tmp_path / "split.csv", tmp_path / "split_meta.json")
+        lines = (tmp_path / "split.csv").read_text(encoding="utf-8").splitlines()
+        lines[2:2] = [""]
+        (tmp_path / "split.csv").write_text("\n".join(lines) + "\n\n", encoding="utf-8")
+        loaded = SplitAssignment.load(tmp_path / "split.csv", tmp_path / "split_meta.json")
+        assert loaded.rows == a.rows
+
     def test_csv_shape(self):
         a = stratified_poem_split(corpus_of({"a": 10}), seed=0)
         lines = a.to_csv().splitlines()

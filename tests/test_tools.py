@@ -148,9 +148,13 @@ def test_hashes_name_numpy_and_the_blas_core_on_stderr_only(tmp_path, monkeypatc
     monkeypatch.setattr(sys, "argv", ["artifact_hashes.py", str(tmp_path / "run")])
     hashes.cli()
     out, err = capsys.readouterr()
-    assert out.splitlines() == [f"{hashlib.sha256(b'a').hexdigest()}  a.txt"]
+    assert out == f"{hashlib.sha256(b'a').hexdigest()}  a.txt\n"
     core, threads = hashes.blas_core()
-    assert err == f"numpy {np.__version__}, OpenBLAS core {core}, BLAS threads {threads}\n"
+    # The second line is the digest that ``sha256sum`` gives the listing.
+    assert err.splitlines() == [
+        f"numpy {np.__version__}, OpenBLAS core {core}, BLAS threads {threads}",
+        f"listing sha256 {hashlib.sha256(out.encode()).hexdigest()}"]
+    assert err.endswith("\n")
 
 
 @pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])

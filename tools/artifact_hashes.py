@@ -20,7 +20,8 @@ Every path a command is given is relative to DIR, so the recorded
 diff the output to show that a refactor left every artifact byte-identical.
 The bytes also depend on numpy's version, on the BLAS kernel it runs and,
 for products larger than the desk's, on the BLAS thread count, so one line on
-stderr names all three; stdout holds only the listing. This imports verseid
+stderr names all three, and a second, ``listing sha256 <hex>``, gives the
+SHA-256 of the listing; stdout holds only the listing. This imports verseid
 before numpy, so it runs with the command line's one BLAS thread unless
 ``OPENBLAS_NUM_THREADS`` says otherwise. A full run takes about 45 s on two
 cores.
@@ -144,7 +145,9 @@ def cli() -> None:
         raise SystemExit(f"{root} is not empty")
     print(describe_numpy(), file=sys.stderr)
     run_in(root)
-    print("\n".join(hashes(root)))
+    listing = "\n".join(hashes(root)) + "\n"
+    sys.stdout.write(listing)
+    print(f"listing sha256 {hashlib.sha256(listing.encode()).hexdigest()}", file=sys.stderr)
 
 
 if __name__ == "__main__":
