@@ -101,9 +101,9 @@ def _given(cls, args) -> dict:
 @contextmanager
 def _staged(out: Path):
     """Yield a function that gives an output name a temporary file in
-    ``out``. If the block succeeds, each file is renamed to its name;
-    otherwise each is removed, and so is every directory this made for
-    ``out``, deepest first, while it is empty."""
+    ``out``. If the block succeeds and no name is a directory, each file is
+    renamed to its name; otherwise each is removed, and so is every
+    directory this made for ``out``, deepest first, while it is empty."""
     made = list(itertools.takewhile(lambda d: not d.exists(), (out, *out.parents)))
     out.mkdir(parents=True, exist_ok=True)
     temps: dict[str, Path] = {}
@@ -114,6 +114,8 @@ def _staged(out: Path):
 
     try:
         yield staged
+        if taken := [out / name for name in temps if (out / name).is_dir()]:
+            raise IsADirectoryError(f"output {taken[0]} is a directory")
         for name, path in temps.items():
             # A rename over a file makes ext4 write the new data out at once
             # (auto_da_alloc), 0.2-1 ms a file; a rename to a free name does not.

@@ -210,27 +210,20 @@ def clip_gradients(grads: np.ndarray) -> float:
     return total
 
 
-def param_manifest(enc: dict, head: dict) -> list[list]:
-    """Layout of the one flat float32 parameter buffer as ``[name, shape]``
-    pairs: sorted encoder names, then sorted head names. ``enc`` and ``head``
-    map names to parameters or to their shapes."""
-    groups = (("enc", enc), ("head", head))
-    return [[f"{g}.{k}", list(getattr(d[k], "shape", d[k]))] for g, d in groups for k in sorted(d)]
-
-
-def flatten_params(enc_params: Params, head_params: Params) -> np.ndarray:
-    """Concatenate two dicts (parameters or their gradients) in buffer order."""
-    return np.concatenate([d[k].ravel() for d in (enc_params, head_params) for k in sorted(d)])
-
-
-def param_views(params: np.ndarray, manifest: list[list]) -> tuple[Params, Params]:
-    """The encoder and head dicts of named views into the flat buffer."""
-    groups: dict[str, Params] = {"enc": {}, "head": {}}
-    ends = np.cumsum([math.prod(shape) for _, shape in manifest])
-    for (name, shape), chunk in zip(manifest, np.split(params, ends[:-1])):
-        group, key = name.split(".", 1)
-        groups[group][key] = chunk.reshape(shape)
-    return groups["enc"], groups["head"]
+def param_views(params: np.ndarray, enc_shapes: dict, head_shapes: dict) -> tuple[Params, Params]:
+    """The encoder and head dicts of named views into the one flat float32
+    parameter store, the only description of its layout: the sorted encoder
+    names, then the sorted head names, of :func:`model_shapes`' shapes. A
+    store of any other size raises ValueError naming both counts."""
+    layout = [(g, k, d[k]) for g, d in enumerate((enc_shapes, head_shapes)) for k in sorted(d)]
+    sizes = [math.prod(shape) for _, _, shape in layout]
+    if params.size != sum(sizes):
+        raise ValueError(f"the parameter store holds {params.size} values, but the configs "
+                         f"describe {sum(sizes)}")
+    views: tuple[Params, Params] = ({}, {})
+    for (g, k, shape), chunk in zip(layout, np.split(params, np.cumsum(sizes)[:-1])):
+        views[g][k] = chunk.reshape(shape)
+    return views
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +469,12 @@ def training_log_csv(rows: list[EpochLog]) -> str:
 
 @dataclass
 class ModelBundle:
-    """A trained model plus the feature space it expects (``*_params`` view ``params``)."""
+    """A trained model plus the feature space it expects; ``*_params`` view
+    ``params`` in the layout its configs imply (:func:`param_views`)."""
 
     space: FeatureSpace
     enc_cfg: EncoderConfig
     params: np.ndarray
-    manifest: list[list]
     train_cfg: TrainConfig
     log: list[EpochLog] = field(default_factory=list)
     log_summary: dict = field(default_factory=dict)
@@ -489,7 +482,8 @@ class ModelBundle:
     head_params: Params = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.enc_params, self.head_params = param_views(self.params, self.manifest)
+        self.enc_params, self.head_params = param_views(
+            self.params, *model_shapes(self.space, self.enc_cfg, self.train_cfg))
 
 
 def model_shapes(space: FeatureSpace, enc_cfg: EncoderConfig, cfg: TrainConfig) -> tuple[dict, dict]:
@@ -583,12 +577,16 @@ def fit(
     master = np.random.default_rng(cfg.seed)
     shuffle_rng, dropout_rng = master.spawn(2)
 
-    enc_shapes, hd_shapes = model_shapes(space, enc_cfg, cfg)
-    # The initial dicts die once copied into the flat buffer; encoder first,
-    # as the layout is.
-    params = flatten_params(init_params(enc_shapes, np.random.default_rng(enc_cfg.seed)),
-                            init_params(hd_shapes, np.random.default_rng(cfg.seed + 1)))
-    bundle = ModelBundle(space, enc_cfg, params, param_manifest(enc_shapes, hd_shapes), cfg)
+    shapes = model_shapes(space, enc_cfg, cfg)
+    params = np.empty(sum(math.prod(s) for part in shapes for s in part.values()), np.float32)
+    bundle = ModelBundle(space, enc_cfg, params, cfg)
+    # Each part draws its parameters in its shapes' order, which the store's
+    # sorted order is not, one at a time into its view.
+    for part, views, seed in zip(shapes, (bundle.enc_params, bundle.head_params),
+                                 (enc_cfg.seed, cfg.seed + 1)):
+        rng = np.random.default_rng(seed)
+        for name, shape in part.items():
+            views[name][...] = init_params({name: shape}, rng)[name]
 
     if cfg.class_weighting == "inverse_frequency":
         w = class_weights(train_ds.labels, n_classes)
@@ -599,7 +597,7 @@ def fit(
 
     opt = AdamW(params, weight_decay=cfg.weight_decay)
     grads = np.empty_like(params)  # each step's gradient, written in place
-    grad_views = param_views(grads, bundle.manifest)
+    grad_views = param_views(grads, *shapes)
     steps_per_epoch = max(1, math.ceil(n / cfg.batch_size))
     total_steps = cfg.max_epochs * steps_per_epoch
 
@@ -660,8 +658,8 @@ def fit(
 # ---------------------------------------------------------------------------
 #
 # Layout: 4-byte magic, u32 format version, u32 metadata length, metadata
-# JSON, then the flat parameter buffer as little-endian float32 in the layout
-# the configs and the vocabulary imply (param_manifest). Metadata key
+# JSON, then the flat parameter store as little-endian float32 in the layout
+# the configs and the vocabulary imply (param_views). Metadata key
 # ``sha256`` is the SHA-256 of the metadata JSON without that key, then the
 # parameter bytes. Writing it by hand keeps the bytes deterministic (archive
 # formats embed timestamps).
@@ -738,8 +736,9 @@ def _bundle_from_meta(
     meta: dict, blob: bytes, body: int, vocab: Vocabulary, embeddings: EmbeddingMatrix
 ) -> ModelBundle:
     """The bundle the metadata describes, with the parameters from
-    ``blob[body:]``. The configs and the vocabulary imply the layout, from
-    shapes alone (nothing is initialised), which must fill the file."""
+    ``blob[body:]``. The configs and the vocabulary imply the layout
+    (:func:`param_views`, from shapes alone: nothing is initialised), whose
+    values must fill the file."""
     sp, enc_cfg = meta["space"], EncoderConfig.from_dict(meta["encoder_config"])
     if enc_cfg.vocab_size != len(vocab):
         raise ValueError(f"encoder_config vocab_size {enc_cfg.vocab_size} disagrees with the "
@@ -757,18 +756,11 @@ def _bundle_from_meta(
         fusion=FusionConfig.from_dict(sp["fusion"]),
         max_len=enc_cfg.max_len,
     )
-    train_cfg = TrainConfig.from_dict(meta["train_config"])
-    manifest = param_manifest(*model_shapes(space, enc_cfg, train_cfg))
-    n_values = sum(math.prod(shape) for _, shape in manifest)
-    if len(blob) != body + 4 * n_values:
-        raise ValueError(f"checkpoint is {len(blob)} bytes, but its header and configs "
-                         f"describe {body + 4 * n_values}")
     return ModelBundle(
         space=space,
         enc_cfg=enc_cfg,
         params=np.frombuffer(blob, dtype="<f4", offset=body).astype(np.float32),
-        manifest=manifest,
-        train_cfg=train_cfg,
+        train_cfg=TrainConfig.from_dict(meta["train_config"]),
         log_summary=meta["log_summary"],
     )
 

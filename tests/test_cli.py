@@ -82,10 +82,11 @@ def pipeline(tmp_path_factory):
     return dirs
 
 
-def rewrite_metadata(src, dst, edit, reseal=True, params=None, version=None):
+def rewrite_metadata(src, dst, edit, reseal=True, params=None, version=None, tail=b""):
     """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its metadata,
     with its parameter body mapped by ``params`` and its header's format
-    version replaced by ``version`` if those are given.
+    version replaced by ``version`` if those are given, and ``tail`` appended
+    to the body.
 
     With ``reseal`` the ``sha256`` key is recomputed over the edited metadata
     (without that key) and the parameter body; without it, the key stays as
@@ -97,6 +98,7 @@ def rewrite_metadata(src, dst, edit, reseal=True, params=None, version=None):
     body = blob[12 + meta_len :]
     if params is not None:
         body = params(np.frombuffer(body, dtype="<f4")).astype("<f4").tobytes()
+    body += tail
     edit(meta)
     if reseal:
         del meta["sha256"]
@@ -816,6 +818,27 @@ class TestFailedRun:
         assert after == before
         assert not list(tmp_path.rglob("*.tmp"))
 
+    @pytest.mark.parametrize("command", ["split", "predict"])
+    def test_output_name_taken_by_a_directory_replaces_nothing(self, pipeline, tmp_path, capsys,
+                                                               command):
+        # config.json is staged last, so every other file is ready to replace
+        # its earlier copy when the directory in its way is found.
+        out = tmp_path / "out"
+        argv = self.argv(command, pipeline, out)
+        assert main(argv) == 0
+        for path in out.iterdir():
+            path.write_bytes(b"earlier " + path.name.encode())
+        (out / "config.json").unlink()
+        (out / "config.json").mkdir()
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        capsys.readouterr()
+        code, captured = run(argv, capsys)
+        assert code == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+        assert (out / "config.json").is_dir()
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert f"output {out / 'config.json'} is a directory" in captured.err
+
 
 class TestParser:
     """``main`` gives only the command it runs its arguments; what a command
@@ -1093,6 +1116,23 @@ class TestExitCodes:
                               "--checkpoint", str(ckpt), "--out", str(tmp_path / "p")], capsys)
         assert code == 3
         assert str(ckpt) in captured.err
+
+    @pytest.mark.parametrize("extra", [4, 2])
+    def test_resealed_checkpoint_of_another_length_is_artifact_error(self, pipeline, tmp_path,
+                                                                     capsys, extra):
+        ckpt = tmp_path / "checkpoint.bin"
+        rewrite_metadata(pipeline["model"] / "checkpoint.bin", ckpt, lambda meta: None,
+                         tail=b"\0" * extra)
+        out = tmp_path / "p"
+        code, captured = run(["predict", "--input", str(pipeline["raw"]),
+                              "--embeddings", str(pipeline["emb"]), "--checkpoint", str(ckpt),
+                              "--out", str(out)], capsys)
+        assert code == 3
+        assert f"{ckpt}: " in captured.err
+        if extra == 4:
+            n = load_model(pipeline["model"] / "checkpoint.bin", pipeline["emb"]).params.size
+            assert f"holds {n + 1} values, but the configs describe {n}" in captured.err
+        assert not out.exists()
 
     @pytest.mark.parametrize("drop", ["log_summary", "space.scaler"])
     def test_checkpoint_metadata_missing_key_is_artifact_error(self, pipeline, tmp_path,
@@ -1953,8 +1993,10 @@ class TestMisc:
                      "--split", str(pipeline["split"]), "--embeddings", str(pipeline["emb"]),
                      "--out", str(model), *FAST_TRAIN,
                      "--features", "semantic,stylometric,form,meter"]) == 0
-        names = [name for name, _ in load_model(model / "checkpoint.bin", pipeline["emb"]).manifest]
-        assert names and all(name.startswith("head.") for name in names)
+        bundle = load_model(model / "checkpoint.bin", pipeline["emb"])
+        assert bundle.enc_params == {}
+        assert sorted(bundle.head_params) == ["W1", "W2", "b1", "b2"]
+        assert bundle.params.size == sum(p.size for p in bundle.head_params.values())
         poems = pipeline["corpus"] / "corpus.jsonl"
         assert main(["predict", "--input", str(poems), "--embeddings", str(pipeline["emb"]),
                      "--checkpoint", str(model), "--out", str(tmp_path / "pred")]) == 0

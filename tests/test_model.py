@@ -45,13 +45,12 @@ from verseid.model import (
     class_weights,
     clip_gradients,
     fit,
-    flatten_params,
     head_backward,
     head_forward,
     init_head_params,
     load_checkpoint,
     lr_at_step,
-    param_manifest,
+    model_shapes,
     param_views,
     poem_probability_groups,
     predict_proba,
@@ -707,6 +706,32 @@ class TestFit:
         assert cached
         assert alive_at_validation == [0, 0]
 
+    @pytest.mark.parametrize("use_text", [True, False])
+    def test_initial_store_is_each_part_drawn_in_sorted_order(self, small_synth, use_text):
+        # The store AdamW receives: the encoder drawn with its own seed, then
+        # the head with cfg.seed + 1, each laid out in sorted name order.
+        space, train_recs, valid_recs, _ = build_pipeline(
+            small_synth, fusion=FusionConfig(use_text=use_text))
+        enc = EncoderConfig(vocab_size=len(space.vocab), d_model=8, n_heads=2, n_layers=2, d_ff=8,
+                            seed=5)
+        cfg = TrainConfig.desk(max_epochs=1, head_hidden=6, seed=3)
+        received = []
+
+        class Recording(AdamW):
+            def __init__(self, params, weight_decay=0.0):
+                received.append(params.copy())
+                super().__init__(params, weight_decay)
+
+        with mock.patch("verseid.model.AdamW", Recording):
+            fit(build_dataset(train_recs, space), build_dataset(valid_recs, space), space, enc, cfg)
+        head = init_head_params(space.concat_dim(enc.d_model), cfg.head_hidden, space.n_classes,
+                                seed=cfg.seed + 1)
+        parts = (init_encoder_params(enc) if use_text else {}, head)
+        in_order = [d[k].ravel() for d in parts for k in sorted(d)]
+        assert len(received) == 1
+        assert received[0].dtype == np.float32
+        assert received[0].tobytes() == np.concatenate(in_order).tobytes()
+
     def test_numerical_blowup_raises(self, small_synth):
         space, train_recs, valid_recs, _ = build_pipeline(small_synth)
         train_ds = build_dataset(train_recs, space)
@@ -715,6 +740,16 @@ class TestFit:
         cfg = TrainConfig.desk(lr=1e12, max_epochs=2, seed=0)
         with pytest.raises(NumericalError, match="non-finite"), np.errstate(all="ignore"):
             fit(train_ds, valid_ds, space, enc, cfg)
+
+
+def store_shapes(bundle):
+    """The encoder and head shapes the bundle's configs imply."""
+    return model_shapes(bundle.space, bundle.enc_cfg, bundle.train_cfg)
+
+
+def view_shapes(bundle):
+    """The shape of each named encoder and head view of the bundle."""
+    return [{k: v.shape for k, v in d.items()} for d in (bundle.enc_params, bundle.head_params)]
 
 
 @pytest.fixture(scope="module")
@@ -757,7 +792,7 @@ class TestCheckpoint:
                     monkeypatch.setattr(module, name, forbidden)
         again = load_checkpoint(path, bundle.space.vocab, bundle.space.embeddings)
         np.testing.assert_array_equal(again.params, bundle.params)
-        assert again.manifest == bundle.manifest
+        assert view_shapes(again) == view_shapes(bundle)
 
     def test_load_then_save_is_byte_identical(self, trained_bundle, tmp_path):
         bundle, _, _ = trained_bundle
@@ -792,22 +827,31 @@ class TestCheckpoint:
         enc_params = init_encoder_params(enc_cfg) if use_text else {}
         head_params = init_head_params(space.concat_dim(enc_cfg.d_model), head_hidden,
                                        space.n_classes, seed=0)
-        manifest = param_manifest(enc_params, head_params)
-        n = sum(math.prod(shape) for _, shape in manifest)
+        n = sum(p.size for p in (*enc_params.values(), *head_params.values()))
         # Arbitrary float32 bit patterns, NaN payloads and infinities included.
         bits = np.random.default_rng(bits_seed).integers(0, 2**32, n, dtype=np.uint32)
-        bundle = ModelBundle(space, enc_cfg, bits.view(np.float32), manifest, train_cfg,
+        bundle = ModelBundle(space, enc_cfg, bits.view(np.float32), train_cfg,
                              log_summary=log_summary)
+        drawn = [{k: p.shape for k, p in d.items()} for d in (enc_params, head_params)]
+        assert view_shapes(bundle) == drawn
         path = tmp_path_factory.mktemp("ckpt") / "model.bin"
         path.write_bytes(_checkpoint_bytes(bundle))
         again = load_checkpoint(path, space.vocab, space.embeddings)
         np.testing.assert_array_equal(again.params.view(np.uint32), bits)
-        assert again.manifest == manifest
+        assert view_shapes(again) == drawn
         assert again.enc_cfg == enc_cfg
         assert again.train_cfg == train_cfg
         assert again.space.to_dict() == space.to_dict()
         assert again.space.max_len == max_len
         assert again.log_summary == log_summary
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_store_of_another_size_is_rejected(self, trained_bundle, delta):
+        bundle = trained_bundle[0]
+        n = bundle.params.size
+        params = np.zeros(n + delta, np.float32)
+        with pytest.raises(ValueError, match=f"holds {n + delta} values, but the configs describe {n}$"):
+            ModelBundle(bundle.space, bundle.enc_cfg, params, bundle.train_cfg)
 
     def test_stale_vocab_rejected(self, trained_bundle, tmp_path, small_synth):
         bundle, _, _ = trained_bundle
@@ -846,7 +890,7 @@ class TestTrainingStep:
         sel, w = np.arange(1, 17), np.linspace(0.5, 2.0, bundle.space.n_classes)
         flat = np.full_like(bundle.params, np.nan)
         verseid.model._gradient(bundle, ds, sel, w, np.random.default_rng(5), "a test",
-                                param_views(flat, bundle.manifest))
+                                param_views(flat, *store_shapes(bundle)))
 
         probs, (ecache, hcache) = verseid.model._forward_probs(
             verseid.model._batch_ids(ds.ids[sel]), ds.aux[sel], bundle, True, np.random.default_rng(5))
@@ -854,14 +898,15 @@ class TestTrainingStep:
         hgrads, dh = head_backward(d_logits, hcache)
         d_states = dh[:, None, : bundle.enc_cfg.d_model]
         egrads = verseid.model.encoder_backward(d_states, ecache, bundle.enc_params, bundle.enc_cfg)
-        assert flat.tobytes() == flatten_params(egrads, hgrads).tobytes()
+        in_order = [d[k].ravel() for d in (egrads, hgrads) for k in sorted(d)]
+        assert flat.tobytes() == np.concatenate(in_order).tobytes()
 
     def test_step_and_predict_write_into_no_input(self, trained_bundle):
         # Every parameter view and dataset row is read-only, so a block that
         # wrote into one would raise.
         bundle, ds, _ = trained_bundle
         frozen = ModelBundle(bundle.space, bundle.enc_cfg, read_only(bundle.params.copy()),
-                             bundle.manifest, bundle.train_cfg)
+                             bundle.train_cfg)
         assert not any(p.flags.writeable for p in (*frozen.enc_params.values(),
                                                    *frozen.head_params.values()))
         rows = FeatureDataset(*read_only([ds.ids.copy(), ds.aux.copy(), ds.labels.copy()]),
@@ -869,6 +914,6 @@ class TestTrainingStep:
         flat = np.full_like(bundle.params, np.nan)
         w = np.ones(bundle.space.n_classes)
         verseid.model._gradient(frozen, rows, np.arange(16), w, np.random.default_rng(0), "a test",
-                                param_views(flat, bundle.manifest))
+                                param_views(flat, *store_shapes(bundle)))
         assert np.isfinite(flat).all()
         np.testing.assert_array_equal(predict_proba(rows, frozen), predict_proba(ds, bundle))

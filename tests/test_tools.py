@@ -103,6 +103,22 @@ def test_seeds(margins):
     assert margins._seeds("3") == [3]
 
 
+@pytest.mark.parametrize("argv", [["--seeds", "4-2"], ["--seeds", "4-2", "--coretypes", "Haswell"]])
+def test_margins_rejects_a_range_with_no_seeds(margins, monkeypatch, capsys, argv):
+    def run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(margins, "run_in", run)
+    monkeypatch.setattr(margins.subprocess, "run", run)
+    monkeypatch.setattr(sys, "argv", ["margins.py", *argv])
+    with pytest.raises(SystemExit) as info:
+        margins.cli()
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'4-2' names no seeds" in captured.err
+
+
 def test_edit_sweep_changes_one_value_at_a_time():
     sweep = load_tool("edit_sweep")
     meta = {"train_config": {"class_weighting": "inverse_frequency", "lr": 0.002, "seed": 0,
@@ -283,6 +299,19 @@ def test_one_shot_runs_new_predict_processes(one_shot, small_run):
         assert wall > 0 and cpu > 0 and faults > 1_000 and rss > 10_000_000  # an interpreter with numpy
         lines = (small_run / f"one_shot_x{k}" / "poem_predictions.csv").read_text().splitlines()
         assert len(lines) == 1 + 3 * 90 * k
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
+def test_one_shot_rejects_a_chunk_count_below_one(one_shot, monkeypatch, capsys, value):
+    def run_in(root):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(one_shot.artifact_hashes, "run_in", run_in)
+    monkeypatch.setattr(sys, "argv", ["one_shot.py", "--chunk-batches", value])
+    with pytest.raises(SystemExit) as info:
+        one_shot.cli()
+    assert info.value.code == 2
+    assert "--chunk-batches" in capsys.readouterr().err
 
 
 def test_one_shot_prints_one_row_per_input(one_shot, monkeypatch, capsys):

@@ -41,7 +41,10 @@ from artifact_hashes import describe_numpy, run_in  # noqa: E402
 
 def _seeds(text: str) -> list[int]:
     first, _, last = text.partition("-")
-    return list(range(int(first), int(last or first) + 1))
+    seeds = list(range(int(first), int(last or first) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"{text!r} names no seeds: the last is below the first")
+    return seeds
 
 
 def margins(seed: int, root: Path) -> tuple[float, float]:

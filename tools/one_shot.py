@@ -90,7 +90,8 @@ def measure(root: Path, scales=SCALES, runs: int = RUNS,
 
 def cli() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--chunk-batches", type=int, default=verseid.cli.PREDICT_CHUNK_BATCHES,
+    parser.add_argument("--chunk-batches", type=verseid.cli._positive_int,
+                        default=verseid.cli.PREDICT_CHUNK_BATCHES,
                         help="PREDICT_CHUNK_BATCHES in each process (default: the source's, "
                              f"{verseid.cli.PREDICT_CHUNK_BATCHES})")
     args = parser.parse_args()
